@@ -27,11 +27,9 @@ from .linalg import (
     ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
-    adjoint,
     circulant_exp,
     commutator,
     hermitian_eig,
-    matmul,
     spectral_norm,
     unitary_exp,
     unitarity_defect,

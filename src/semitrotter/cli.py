@@ -5,6 +5,11 @@ Each takes --config <path> (defaults apply when omitted) and --out <dir>
 and writes CSV plus SVG artifacts there. Exit codes: 0 on success, 2 on
 a configuration error, 3 on a numerical-convergence failure. The
 environment variable SEMITROTTER_THREADS caps the sweep worker pool.
+
+Plots and printed slope fits leave out zero-valued points (the CSV keeps
+them). A list the sweep holds fixed (h, dt or orders) must have one value.
+Series are labelled by metric and order, so comm-sweep's beta series is
+``beta_comm p=<p>``.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import experiments
-from .experiments import ConfigError, Row, emit_csv, emit_svg, fit_slope, series_from_rows
+from .experiments import ConfigError, Row, emit_csv, emit_svg
 from .linalg import ConvergenceError
 
 EXIT_OK = 0
@@ -43,100 +47,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_fits(rows: list[Row], metric: str, x_field: str) -> None:
-    for label, points in series_from_rows(rows, metric, x_field):
-        if len(points) >= 2 and len({x for x, _ in points}) >= 2:
-            fit = fit_slope(points)
-            print(f"  {label}: slope {fit.slope:+.3f} (r^2 {fit.r2:.4f})")
-
-
 def _write_artifacts(cfg, rows: list[Row], out_dir: str) -> None:
+    spec = experiments.EXPERIMENTS[cfg.experiment]
     tag = cfg.experiment.replace("-", "_")
-    emit_csv(rows, os.path.join(out_dir, f"{tag}.csv"))
-    print(f"wrote {os.path.join(out_dir, f'{tag}.csv')} ({len(rows)} rows)")
-
-    if cfg.experiment == "dt-sweep":
-        for metric in ("observable_error", "unitary_error"):
-            series = series_from_rows(rows, metric, "dt")
-            refs = [(f"dt^{p}", float(p)) for p in cfg.orders]
-            emit_svg(
-                series,
-                refs,
-                os.path.join(out_dir, f"{tag}_{metric}.svg"),
-                title=f"{metric} vs dt",
-                xlabel="dt",
-                ylabel=metric,
-            )
-        print("  slopes vs dt:")
-        for metric in ("observable_error", "unitary_error"):
-            _print_fits(rows, metric, "dt")
-    elif cfg.experiment == "h-sweep":
-        series = series_from_rows(rows, "observable_error", "h") + series_from_rows(
-            rows, "unitary_error", "h"
-        )
+    csv_path = os.path.join(out_dir, f"{tag}.csv")
+    emit_csv(rows, csv_path)
+    print(f"wrote {csv_path} ({len(rows)} rows)")
+    for plot in spec.plots:
         emit_svg(
-            series,
-            [("h^-1", -1.0)],
-            os.path.join(out_dir, f"{tag}.svg"),
-            title="errors vs h at fixed dt",
-            xlabel="h",
-            ylabel="error",
+            spec.series(rows, plot),
+            spec.refs(cfg),
+            os.path.join(out_dir, f"{tag}{plot.suffix}.svg"),
+            title=plot.title,
+            xlabel=spec.x_field,
+            ylabel=plot.ylabel,
         )
-        print("  slopes vs h:")
-        for metric in ("observable_error", "unitary_error"):
-            _print_fits(rows, metric, "h")
-    elif cfg.experiment == "comm-sweep":
-        series = []
-        for label in experiments.COMM_WORD_LABELS + ("beta_comm",):
-            pts = [(r.h, r.value) for r in rows if r.metric == label and r.value > 0]
-            if pts:
-                series.append((label, sorted(pts)))
-        emit_svg(
-            series,
-            [("h^-1", -1.0)],
-            os.path.join(out_dir, f"{tag}.svg"),
-            title="commutator norms vs h",
-            xlabel="h",
-            ylabel="spectral norm",
-        )
-        print("  slopes vs h:")
-        for label, pts in series:
-            if len(pts) >= 2:
-                fit = fit_slope(pts)
-                print(f"  {label}: slope {fit.slope:+.3f} (r^2 {fit.r2:.4f})")
-    elif cfg.experiment == "beta":
-        series = series_from_rows(rows, "beta_comm", "h")
-        emit_svg(
-            series,
-            (),
-            os.path.join(out_dir, f"{tag}.svg"),
-            title="beta_comm vs h",
-            xlabel="h",
-            ylabel="beta_comm",
-        )
-        for label, pts in series:
-            values = [v for _, v in pts]
-            if values and min(values) > 0:
-                print(f"  {label}: max/min ratio {max(values) / min(values):.3f}")
-    elif cfg.experiment == "verify-symbolic":
-        by_metric = {r.metric: r.value for r in rows}
-        print(
-            "  trials {:.0f}, checks {:.0f}, violations {:.0f}, hand check {}".format(
-                by_metric.get("ht_wd_trials", 0),
-                by_metric.get("ht_wd_checks", 0),
-                by_metric.get("ht_wd_violations", 0),
-                "ok" if by_metric.get("hand_check_v_d2") == 1.0 else "FAILED",
-            )
-        )
+    for line in spec.summary(spec, rows):
+        print(line)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = experiments.load_config(
-            args.experiment, args.config, state=getattr(args, "state", False)
-        )
-        cfg = replace(cfg, output_dir=args.out)
+        cfg = experiments.load_config(args.experiment, args.config, getattr(args, "state", False))
         rows = experiments.run_experiment(cfg)
         _write_artifacts(cfg, rows, args.out)
     except ConfigError as exc:

@@ -26,7 +26,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +40,6 @@ from .linalg import commutator, spectral_norm
 from .model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 from .splitting import exact_unitary, suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
-
-EXPERIMENTS = ("dt-sweep", "h-sweep", "comm-sweep", "beta", "verify-symbolic")
 
 CSV_HEADER = "experiment,p,scheme,N,h,dt,t,metric,value"
 
@@ -68,7 +69,6 @@ class RunConfig:
     observable: str = "0:cos(x), 1:sin(x)"
     scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE
     seed: int = 0
-    output_dir: str = "out"
     trials: int = 1000
     state: bool = False
 
@@ -142,49 +142,22 @@ def parse_config_text(text: str) -> dict[str, object]:
     return out
 
 
-_DEFAULT_DT_LIST = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _DEFAULT_H_LIST = tuple(1.0 / 2**k for k in range(5, 11))  # 1/32 ... 1/1024
 
 
-def _experiment_defaults(experiment: str) -> dict[str, object]:
-    if experiment == "dt-sweep":
-        return {
-            "n": 64,
-            "h_values": (1.0 / 64,),
-            "dt_values": _DEFAULT_DT_LIST,
-            "orders": (1, 2, 4, 6),
-        }
-    if experiment == "h-sweep":
-        return {
-            "n": None,
-            "h_values": _DEFAULT_H_LIST,
-            "dt_values": (0.1,),
-            "orders": (2, 4, 6),
-        }
-    if experiment == "comm-sweep":
-        return {"n": None, "h_values": _DEFAULT_H_LIST, "orders": (2,)}
-    if experiment == "beta":
-        return {"n": None, "h_values": (1.0 / 32, 1.0 / 256), "orders": (2,)}
-    if experiment == "verify-symbolic":
-        return {"seed": 42}
-    raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+def _as_float_tuple(value: str) -> tuple[float, ...]:
+    return tuple(_parse_scalar(tok) for tok in value.split(","))
 
 
-def _as_float_tuple(value) -> tuple[float, ...]:
-    if isinstance(value, tuple):
-        return value
-    return tuple(_parse_scalar(tok) for tok in str(value).split(","))
-
-
-def _as_int(value, key: str) -> int:
-    number = _parse_scalar(str(value))
+def _as_int(value: str, key: str) -> int:
+    number = _parse_scalar(value)
     if abs(number - round(number)) > 1e-9:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(round(number))
 
 
 def _parse_scheme(value: str) -> SchemeKind:
-    normalized = str(value).strip().lower().replace("_", "-")
+    normalized = value.strip().lower().replace("_", "-")
     if normalized in ("fd", "finite-difference", "finitedifference"):
         return SchemeKind.FINITE_DIFFERENCE
     if normalized == "spectral":
@@ -192,53 +165,39 @@ def _parse_scheme(value: str) -> SchemeKind:
     raise ConfigError(f"unknown scheme {value!r}")
 
 
+# config key -> (RunConfig field, parser of the raw text)
+_KEYS = {
+    "a": ("a", _parse_scalar),
+    "b": ("b", _parse_scalar),
+    "N": ("n", lambda v: None if v.strip().lower() == "auto" else _as_int(v, "N")),
+    "h": ("h_values", _as_float_tuple),
+    "dt": ("dt_values", _as_float_tuple),
+    "t_final": ("t_final", _parse_scalar),
+    "orders": ("orders", lambda v: tuple(_as_int(tok, "orders") for tok in v.split(","))),
+    "potential": ("potential", str),
+    "observable": ("observable", str),
+    "scheme": ("scheme", _parse_scheme),
+    "seed": ("seed", lambda v: _as_int(v, "seed")),
+    "trials": ("trials", lambda v: _as_int(v, "trials")),
+}
+
+
 def build_config(experiment: str, raw: dict[str, object] | None = None, state: bool = False) -> RunConfig:
     """Merge raw config values over per-experiment defaults and validate."""
     if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+        raise ConfigError(f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}")
     raw = dict(raw or {})
     declared = raw.pop("experiment", None)
     if declared is not None and str(declared) != experiment:
         raise ConfigError(f"config is for {declared!r}, requested {experiment!r}")
 
-    cfg = RunConfig(experiment=experiment, state=state)
-    cfg = replace(cfg, **_experiment_defaults(experiment))
-
+    values = dict(EXPERIMENTS[experiment].defaults)
     for key, value in raw.items():
-        if key == "a":
-            cfg = replace(cfg, a=_parse_scalar(str(value)))
-        elif key == "b":
-            cfg = replace(cfg, b=_parse_scalar(str(value)))
-        elif key == "N":
-            if str(value).strip().lower() == "auto":
-                cfg = replace(cfg, n=None)
-            else:
-                cfg = replace(cfg, n=_as_int(value, "N"))
-        elif key == "h":
-            cfg = replace(cfg, h_values=_as_float_tuple(value))
-        elif key == "dt":
-            cfg = replace(cfg, dt_values=_as_float_tuple(value))
-        elif key == "t_final":
-            cfg = replace(cfg, t_final=_parse_scalar(str(value)))
-        elif key == "orders":
-            cfg = replace(
-                cfg, orders=tuple(_as_int(tok, "orders") for tok in str(value).split(","))
-            )
-        elif key == "potential":
-            cfg = replace(cfg, potential=str(value))
-        elif key == "observable":
-            cfg = replace(cfg, observable=str(value))
-        elif key == "scheme":
-            cfg = replace(cfg, scheme=_parse_scheme(str(value)))
-        elif key == "seed":
-            cfg = replace(cfg, seed=_as_int(value, "seed"))
-        elif key == "output_dir":
-            cfg = replace(cfg, output_dir=str(value))
-        elif key == "trials":
-            cfg = replace(cfg, trials=_as_int(value, "trials"))
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-
+        name, parse = _KEYS[key]
+        values[name] = parse(str(value))
+    cfg = RunConfig(experiment=experiment, state=state, **values)
     _validate(cfg)
     return cfg
 
@@ -271,7 +230,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.experiment == "dt-sweep" and cfg.n is None:
         raise ConfigError("dt-sweep requires an explicit N")
-    if cfg.experiment in ("dt-sweep", "h-sweep"):
+    spec = EXPERIMENTS[cfg.experiment]
+    for key in spec.fixed:
+        values = getattr(cfg, _KEYS[key][0])
+        if len(values) != 1:
+            raise ConfigError(f"{cfg.experiment} holds {key} fixed and takes one value, got {values}")
+    if "dt" in (spec.x_field, *spec.fixed):  # the experiment sweeps or holds dt
         if not cfg.dt_values or any(dt <= 0 for dt in cfg.dt_values):
             raise ConfigError(f"dt list must be non-empty and positive: {cfg.dt_values}")
         for dt in cfg.dt_values:
@@ -322,12 +286,16 @@ def _pool_size() -> int:
         return 1
 
 
-def _run_jobs(fn, jobs):
+def _run_jobs(fn, jobs) -> list[Row]:
+    """Rows of ``fn(*job)`` for every job, flattened and sorted."""
+    jobs = list(jobs)
     size = _pool_size()
     if size <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, jobs))
+        results = [fn(*job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=size) as pool:
+            results = list(pool.map(lambda job: fn(*job), jobs))
+    return _sort_rows([row for rows in results for row in rows])
 
 
 _METRIC_ORDER = {
@@ -350,8 +318,9 @@ def _sort_rows(rows: list[Row]) -> list[Row]:
     )
 
 
-def _scheme_tag(scheme: SchemeKind) -> str:
-    return "fd" if scheme is SchemeKind.FINITE_DIFFERENCE else "spectral"
+def _row(cfg: RunConfig, metric: str, value: float, p=None, n=0, h=None, dt=None, t=None) -> Row:
+    scheme = "fd" if cfg.scheme is SchemeKind.FINITE_DIFFERENCE else "spectral"
+    return Row(cfg.experiment, p, scheme, n, h, dt, t, metric, value)
 
 
 def _grid_size_for(cfg: RunConfig, h: float) -> int:
@@ -384,7 +353,8 @@ def _gaussian_state(grid: Grid) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _evolution_rows(cfg: RunConfig, h: float, n_grid: int, p: int, dt: float) -> list[Row]:
+def _evolution_rows(cfg: RunConfig, p: int, h: float, dt: float) -> list[Row]:
+    n_grid = _grid_size_for(cfg, h)
     grid, a, b, obs = _build_operators(cfg, h, n_grid)
     hamiltonian = a + b
     steps = int(round(cfg.t_final / dt))
@@ -400,18 +370,10 @@ def _evolution_rows(cfg: RunConfig, h: float, n_grid: int, p: int, dt: float) ->
     deviation = u_trot @ u_exact.conj().T - np.eye(n_grid, dtype=np.complex128)
     obs_comm = commutator(obs, deviation)
 
-    common = dict(
-        experiment=cfg.experiment,
-        p=p,
-        scheme=_scheme_tag(cfg.scheme),
-        n=n_grid,
-        h=h,
-        dt=dt,
-        t=cfg.t_final,
-    )
+    row = partial(_row, cfg, p=p, n=n_grid, h=h, dt=dt, t=cfg.t_final)
     rows = [
-        Row(metric="observable_error", value=spectral_norm(obs_comm), **common),
-        Row(metric="unitary_error", value=spectral_norm(deviation), **common),
+        row("observable_error", spectral_norm(obs_comm)),
+        row("unitary_error", spectral_norm(deviation)),
     ]
     if cfg.state:
         # witness for the expectation-error inequality: the state-level
@@ -420,91 +382,48 @@ def _evolution_rows(cfg: RunConfig, h: float, n_grid: int, p: int, dt: float) ->
         phi = u_exact @ psi
         w = deviation + np.eye(n_grid, dtype=np.complex128)
         value = abs(np.vdot(phi, w.conj().T @ obs_comm @ phi))
-        rows.append(Row(metric="expectation_error", value=float(value), **common))
+        rows.append(row("expectation_error", float(value)))
     return rows
 
 
 def run_dt_sweep(cfg: RunConfig) -> list[Row]:
-    """Observable and unitary error against dt at fixed h."""
-    h = cfg.h_values[0]
-    jobs = [(p, dt) for p in cfg.orders for dt in cfg.dt_values]
-    results = _run_jobs(lambda job: _evolution_rows(cfg, h, cfg.n, *job), jobs)
-    return _sort_rows([row for rows in results for row in rows])
+    """Observable and unitary error for every order, h and dt of the config.
 
-
-def run_h_sweep(cfg: RunConfig) -> list[Row]:
-    """Observable and unitary error against h at fixed dt.
-
-    By default the grid resolves the oscillation scale (N = 1/h); pin N
-    in the config to study the unresolved fixed-grid regime instead.
+    Also the h sweep, whose grid resolves the oscillation scale (N = 1/h)
+    unless the config pins N to study the unresolved fixed-grid regime.
     """
-    dt = cfg.dt_values[0]
-    jobs = [(p, h) for p in cfg.orders for h in cfg.h_values]
-    results = _run_jobs(
-        lambda job: _evolution_rows(cfg, job[1], _grid_size_for(cfg, job[1]), job[0], dt),
-        jobs,
-    )
-    return _sort_rows([row for rows in results for row in rows])
+    jobs = product(cfg.orders, cfg.h_values, cfg.dt_values)
+    return _run_jobs(partial(_evolution_rows, cfg), jobs)
 
 
-def _comm_rows(cfg: RunConfig, h: float) -> list[Row]:
+run_h_sweep = run_dt_sweep
+
+
+def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
     n_grid = _grid_size_for(cfg, h)
     _, a, b, obs = _build_operators(cfg, h, n_grid)
-    chain = commutator(a, b)
-    values = [spectral_norm(chain)]
-    chain = commutator(chain, obs)
-    values.append(spectral_norm(chain))
-    for _ in range(2):
-        chain = commutator(a, chain)
-        values.append(spectral_norm(chain))
-
-    common = dict(
-        experiment=cfg.experiment,
-        scheme=_scheme_tag(cfg.scheme),
-        n=n_grid,
-        h=h,
-        dt=None,
-        t=None,
-    )
-    rows = [
-        Row(metric=label, value=value, p=None, **common)
-        for label, value in zip(COMM_WORD_LABELS, values)
-    ]
-    p = cfg.orders[0]
-    rows.append(
-        Row(metric="beta_comm", value=compute_beta_comm(p, a, b, obs), p=p, **common)
-    )
+    row = partial(_row, cfg, n=n_grid, h=h)
+    # beta first, so no word of the chain is alive while it runs
+    rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
+    if words:
+        chain = commutator(a, b)
+        rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
+        chain = commutator(chain, obs)
+        rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))
+        for label in COMM_WORD_LABELS[2:]:
+            chain = commutator(a, chain)
+            rows.append(row(label, spectral_norm(chain)))
     return rows
 
 
 def run_comm_sweep(cfg: RunConfig) -> list[Row]:
     """Norms of [A,B] and its nestings with O, plus beta, per h."""
-    results = _run_jobs(lambda h: _comm_rows(cfg, h), list(cfg.h_values))
-    return _sort_rows([row for rows in results for row in rows])
-
-
-def _beta_rows(cfg: RunConfig, h: float) -> list[Row]:
-    n_grid = _grid_size_for(cfg, h)
-    _, a, b, obs = _build_operators(cfg, h, n_grid)
-    return [
-        Row(
-            experiment=cfg.experiment,
-            p=p,
-            scheme=_scheme_tag(cfg.scheme),
-            n=n_grid,
-            h=h,
-            dt=None,
-            t=None,
-            metric="beta_comm",
-            value=compute_beta_comm(p, a, b, obs),
-        )
-        for p in cfg.orders
-    ]
+    return _run_jobs(partial(_commutator_rows, cfg, words=True), [(h,) for h in cfg.h_values])
 
 
 def run_beta(cfg: RunConfig) -> list[Row]:
-    results = _run_jobs(lambda h: _beta_rows(cfg, h), list(cfg.h_values))
-    return _sort_rows([row for rows in results for row in rows])
+    """beta_comm per order and h."""
+    return _run_jobs(partial(_commutator_rows, cfg, words=False), [(h,) for h in cfg.h_values])
 
 
 def run_verify_symbolic(cfg: RunConfig) -> list[Row]:
@@ -516,41 +435,15 @@ def run_verify_symbolic(cfg: RunConfig) -> list[Row]:
     expected = SymOp.term(-1, (("V", 2),)) + SymOp.term(-2, (("V", 1),), dord=1)
     hand_check = sym_commutator(v_op, d2_op) == expected
 
-    def row(metric: str, value: float) -> Row:
-        return Row(
-            experiment=cfg.experiment,
-            p=None,
-            scheme=_scheme_tag(cfg.scheme),
-            n=0,
-            h=None,
-            dt=None,
-            t=None,
-            metric=metric,
-            value=value,
-        )
-
     rows = [
-        row("ht_wd_trials", float(report.trials)),
-        row("ht_wd_checks", float(report.checks)),
-        row("ht_wd_violations", float(report.failures)),
-        row("hand_check_v_d2", 1.0 if hand_check else 0.0),
+        _row(cfg, "ht_wd_trials", float(report.trials)),
+        _row(cfg, "ht_wd_checks", float(report.checks)),
+        _row(cfg, "ht_wd_violations", float(report.failures)),
+        _row(cfg, "hand_check_v_d2", 1.0 if hand_check else 0.0),
     ]
     if report.first_failure:
-        rows.append(row("first_failure_flag", 1.0))
+        rows.append(_row(cfg, "first_failure_flag", 1.0))
     return rows
-
-
-RUNNERS = {
-    "dt-sweep": run_dt_sweep,
-    "h-sweep": run_h_sweep,
-    "comm-sweep": run_comm_sweep,
-    "beta": run_beta,
-    "verify-symbolic": run_verify_symbolic,
-}
-
-
-def run_experiment(cfg: RunConfig) -> list[Row]:
-    return RUNNERS[cfg.experiment](cfg)
 
 
 # -- slope fitting ------------------------------------------------------------
@@ -575,13 +468,15 @@ def fit_slope(points) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), r2=r2, points=pts)
 
 
-def series_from_rows(
-    rows: list[Row], metric: str, x_field: str
-) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Group rows with the given metric into (label, points) series by order p."""
+def series_from_rows(rows: list[Row], metric: str, x_field: str) -> list[tuple[str, list[tuple[float, float]]]]:
+    """Group rows with the given metric into (label, points) series by order p.
+
+    Only positive values are kept, so every point fits on a log-log plot;
+    an order without one gets no series.
+    """
     grouped: dict[int | None, list[tuple[float, float]]] = {}
     for row in rows:
-        if row.metric != metric:
+        if row.metric != metric or not row.value > 0:
             continue
         x = getattr(row, x_field)
         if x is None:
@@ -592,6 +487,111 @@ def series_from_rows(
         label = metric if p is None else f"{metric} p={p}"
         series.append((label, sorted(grouped[p])))
     return series
+
+
+# -- the experiments -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Plot:
+    """One log-log SVG: ``<tag><suffix>.svg`` with a series per metric and order."""
+
+    suffix: str
+    metrics: tuple[str, ...]
+    title: str
+    ylabel: str
+
+
+@dataclass(frozen=True)
+class Experiment:
+    runner: Callable[[RunConfig], list[Row]]
+    defaults: dict[str, object]  # RunConfig fields that differ from its own defaults
+    summary: Callable[[Experiment, list[Row]], list[str]]  # lines printed after a run
+    x_field: str | None = None  # Row field on the plots' x axis: the sweep axis
+    fixed: tuple[str, ...] = ()  # config keys the sweep holds fixed, one value each
+    plots: tuple[Plot, ...] = ()
+    refs: Callable[[RunConfig], list[tuple[str, float]]] = lambda cfg: []  # dashed x^slope guides
+
+    def series(self, rows: list[Row], plot: Plot) -> list[tuple[str, list[tuple[float, float]]]]:
+        return [s for metric in plot.metrics for s in series_from_rows(rows, metric, self.x_field)]
+
+
+def _slope_lines(spec: Experiment, rows: list[Row]) -> list[str]:
+    lines = [f"  slopes vs {spec.x_field}:"]
+    for plot in spec.plots:
+        for label, points in spec.series(rows, plot):
+            if len({x for x, _ in points}) >= 2:
+                fit = fit_slope(points)
+                lines.append(f"  {label}: slope {fit.slope:+.3f} (r^2 {fit.r2:.4f})")
+    return lines
+
+
+def _ratio_lines(spec: Experiment, rows: list[Row]) -> list[str]:
+    return [
+        f"  {label}: max/min ratio {max(v for _, v in points) / min(v for _, v in points):.3f}"
+        for plot in spec.plots
+        for label, points in spec.series(rows, plot)
+    ]
+
+
+def _verification_lines(spec: Experiment, rows: list[Row]) -> list[str]:
+    got = {r.metric: r.value for r in rows}
+    hand_check = "ok" if got["hand_check_v_d2"] == 1.0 else "FAILED"
+    return [
+        f"  trials {got['ht_wd_trials']:.0f}, checks {got['ht_wd_checks']:.0f}, "
+        f"violations {got['ht_wd_violations']:.0f}, hand check {hand_check}"
+    ]
+
+
+EXPERIMENTS = {
+    "dt-sweep": Experiment(
+        runner=run_dt_sweep,
+        defaults={"n": 64, "h_values": (1.0 / 64,), "orders": (1, 2, 4, 6),
+                  "dt_values": (0.25, 0.125, 0.0625, 0.03125, 0.015625)},
+        summary=_slope_lines,
+        x_field="dt",
+        fixed=("h",),
+        plots=(
+            Plot("_observable_error", ("observable_error",), "observable_error vs dt", "observable_error"),
+            Plot("_unitary_error", ("unitary_error",), "unitary_error vs dt", "unitary_error"),
+        ),
+        refs=lambda cfg: [(f"dt^{p}", float(p)) for p in cfg.orders],
+    ),
+    "h-sweep": Experiment(
+        runner=run_h_sweep,
+        defaults={"n": None, "h_values": _DEFAULT_H_LIST, "dt_values": (0.1,), "orders": (2, 4, 6)},
+        summary=_slope_lines,
+        x_field="h",
+        fixed=("dt",),
+        plots=(Plot("", ("observable_error", "unitary_error"), "errors vs h at fixed dt", "error"),),
+        refs=lambda cfg: [("h^-1", -1.0)],
+    ),
+    "comm-sweep": Experiment(
+        runner=run_comm_sweep,
+        defaults={"n": None, "h_values": _DEFAULT_H_LIST, "orders": (2,)},
+        summary=_slope_lines,
+        x_field="h",
+        fixed=("orders",),
+        plots=(Plot("", COMM_WORD_LABELS + ("beta_comm",), "commutator norms vs h", "spectral norm"),),
+        refs=lambda cfg: [("h^-1", -1.0)],
+    ),
+    "beta": Experiment(
+        runner=run_beta,
+        defaults={"n": None, "h_values": (1.0 / 32, 1.0 / 256), "orders": (2,)},
+        summary=_ratio_lines,
+        x_field="h",
+        plots=(Plot("", ("beta_comm",), "beta_comm vs h", "beta_comm"),),
+    ),
+    "verify-symbolic": Experiment(
+        runner=run_verify_symbolic,
+        defaults={"seed": 42},
+        summary=_verification_lines,
+    ),
+}
+
+
+def run_experiment(cfg: RunConfig) -> list[Row]:
+    return EXPERIMENTS[cfg.experiment].runner(cfg)
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -721,7 +721,14 @@ def emit_svg(
             f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{ylabel}</text>'
         )
 
-    legend_y = _MARGIN_T + 10
+    legend_x, legend_y = _MARGIN_L + plot_w + 12, _MARGIN_T + 10
+
+    def legend(label: str, stroke: str) -> None:
+        nonlocal legend_y
+        parts.append(f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" {stroke}/>')
+        parts.append(f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-size="11">{_xml_escape(label)}</text>')
+        legend_y += 18
+
     for idx, (label, pts) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         if pts:
@@ -730,37 +737,21 @@ def emit_svg(
             for x, y in pts:
                 px, py = to_px(x, y)
                 parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{color}"/>')
-        legend_x = _MARGIN_L + plot_w + 12
-        parts.append(
-            f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-size="11">{_xml_escape(label)}</text>'
-        )
-        legend_y += 18
+        legend(label, f'stroke="{color}" stroke-width="1.5"')
 
     # dashed reference guides anchored at the max-x, min-y corner of the data
     if all_pts and ref_lines:
         x_hi = max(x for x, _ in all_pts)
         x_lo = min(x for x, _ in all_pts)
         y_anchor = min(y for _, y in all_pts)
-        for idx, (label, slope) in enumerate(ref_lines):
+        for label, slope in ref_lines:
             y_at = lambda x: y_anchor * (x / x_hi) ** slope
             p0, p1 = to_px(x_lo, y_at(x_lo)), to_px(x_hi, y_at(x_hi))
             parts.append(
                 f'<polyline fill="none" stroke="#555555" stroke-dasharray="6,4" '
                 f'points="{p0[0]:.2f},{p0[1]:.2f} {p1[0]:.2f},{p1[1]:.2f}"/>'
             )
-            legend_x = _MARGIN_L + plot_w + 12
-            parts.append(
-                f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 22}" y2="{legend_y}" '
-                'stroke="#555555" stroke-dasharray="6,4"/>'
-            )
-            parts.append(
-                f'<text x="{legend_x + 28}" y="{legend_y + 4}" font-size="11">{_xml_escape(label)}</text>'
-            )
-            legend_y += 18
+            legend(label, 'stroke="#555555" stroke-dasharray="6,4"')
 
     parts.append("</svg>")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

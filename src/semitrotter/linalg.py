@@ -49,18 +49,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
-def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape[1] != y.shape[0]:
-        raise DimensionMismatchError(f"inner dimensions differ: {x.shape} @ {y.shape}")
-    return x @ y
-
-
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[X, Y] = XY - YX for square matrices of equal size."""
     x = as_matrix(x)

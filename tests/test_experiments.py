@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -95,6 +96,15 @@ def test_config_rejections():
         build_config("dt-sweep", {"experiment": "h-sweep"})
     with pytest.raises(ConfigError):
         parse_config_text("just some words\n")
+    # a list the sweep holds fixed must have one value
+    with pytest.raises(ConfigError):
+        build_config("dt-sweep", {"h": "1/64, 1/128"})
+    with pytest.raises(ConfigError):
+        build_config("h-sweep", {"dt": "1/10, 1/20"})
+    with pytest.raises(ConfigError):
+        build_config("comm-sweep", {"orders": "2, 4"})
+    # lists an experiment ignores are not rejected
+    build_config("verify-symbolic", {"h": "1/8, 1/16", "orders": "2, 4"})
 
 
 def test_observable_spec_parsing():
@@ -287,6 +297,22 @@ def test_cli_dt_sweep_writes_artifacts(tmp_path, capsys):
     assert "slope" in printed
 
 
+def test_cli_zero_metric_is_left_out_of_plots(tmp_path):
+    # the identity observable commutes with W - I, so observable_error is exactly 0
+    config = tmp_path / "zero.cfg"
+    config.write_text(
+        'N = 16\nh = 1/8\ndt = 1/4, 1/8\norders = 1, 2\nobservable = "0:1"\n', encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    assert main(["dt-sweep", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "dt_sweep.csv", encoding="utf-8", newline="") as fh:
+        zeros = [rec for rec in csv.DictReader(fh) if rec["metric"] == "observable_error"]
+    assert len(zeros) == 4 and all(float(rec["value"]) == 0.0 for rec in zeros)
+    root = ET.parse(out / "dt_sweep_observable_error.svg").getroot()
+    assert root.findall(".//{http://www.w3.org/2000/svg}polyline") == []
+    assert (out / "dt_sweep_unitary_error.svg").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("dt = 0.3\n", encoding="utf-8")
@@ -319,7 +345,8 @@ def test_cli_convergence_failure_exit_code(tmp_path, monkeypatch):
     def boom(cfg):
         raise ConvergenceError("stalled", 20000)
 
-    monkeypatch.setitem(exp_mod.RUNNERS, "beta", boom)
+    beta = replace(exp_mod.EXPERIMENTS["beta"], runner=boom)
+    monkeypatch.setitem(exp_mod.EXPERIMENTS, "beta", beta)
     assert main(["beta", "--out", str(tmp_path)]) == 3
 
 

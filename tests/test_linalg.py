@@ -8,12 +8,10 @@ import pytest
 from semitrotter.discretize import Grid, build_forward_diff, build_backward_diff, build_laplacian
 from semitrotter.linalg import (
     ConvergenceError,
-    DimensionMismatchError,
     NonHermitianError,
     circulant_exp,
     commutator,
     hermitian_eig,
-    matmul,
     spectral_norm,
     unitarity_defect,
     unitary_exp,
@@ -22,27 +20,6 @@ from semitrotter.linalg import (
 
 def _random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(1)
-    m = _random_complex(rng, 5)
-    assert np.array_equal(matmul(np.eye(5), m), m)
-
-
-def test_matmul_backward_forward_gives_laplacian():
-    g = Grid(0.0, 1.0, 8)
-    assert np.array_equal(matmul(build_backward_diff(g), build_forward_diff(g)), build_laplacian(g))
-
-
-def test_matmul_two_cycle_squares_to_identity():
-    perm = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.array_equal(matmul(perm, perm), np.eye(2))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_commutator_self_is_zero():
