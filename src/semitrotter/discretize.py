@@ -118,7 +118,11 @@ def build_spectral_derivative(g: Grid, k: int) -> np.ndarray:
     return np.fft.ifft(mult[:, None] * f_un, axis=0)
 
 
+def sample(g: Grid, f: Expr) -> np.ndarray:
+    """Samples f(x_j) at the grid nodes."""
+    return np.asarray([eval_expr(f, x) for x in g.nodes], dtype=np.complex128)
+
+
 def build_diag(g: Grid, f: Expr) -> np.ndarray:
     """Diagonal matrix of samples f(x_j)."""
-    values = [eval_expr(f, x) for x in g.nodes]
-    return np.diag(np.asarray(values, dtype=np.complex128))
+    return np.diag(sample(g, f))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import Callable
@@ -89,9 +89,7 @@ class Row:
 @dataclass
 class SlopeFit:
     slope: float
-    intercept: float
     r2: float
-    points: list[tuple[float, float]] = field(default_factory=list)
 
 
 # -- configuration ----------------------------------------------------------
@@ -353,36 +351,36 @@ def _gaussian_state(grid: Grid) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _evolution_rows(cfg: RunConfig, p: int, h: float, dt: float) -> list[Row]:
+def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
+    """Error rows for every order and dt on one h's grid, built once with its U_exact."""
     n_grid = _grid_size_for(cfg, h)
     grid, a, b, obs = _build_operators(cfg, h, n_grid)
-    hamiltonian = a + b
-    steps = int(round(cfg.t_final / dt))
-    u_exact = exact_unitary(hamiltonian, cfg.t_final)
-    u_trot = np.linalg.matrix_power(trotter_step(suzuki_plan(p), a, b, dt), steps)
-
-    # Evaluate both error norms through the deviation unitary
-    # W = U_trot U_exact^dagger: by unitary invariance,
-    #   || T_trot - T_exact || = || W^dagger O W - O || = || [O, W - I] ||
-    #   || U_trot^n - e^{-iHt} || = || W - I ||,
-    # which avoids the cancellation of two separately conjugated
-    # observables and keeps the high-order tails above roundoff.
-    deviation = u_trot @ u_exact.conj().T - np.eye(n_grid, dtype=np.complex128)
-    obs_comm = commutator(obs, deviation)
-
-    row = partial(_row, cfg, p=p, n=n_grid, h=h, dt=dt, t=cfg.t_final)
-    rows = [
-        row("observable_error", spectral_norm(obs_comm)),
-        row("unitary_error", spectral_norm(deviation)),
-    ]
+    u_exact = exact_unitary(a + b, cfg.t_final)
+    eye = np.eye(n_grid, dtype=np.complex128)
     if cfg.state:
-        # witness for the expectation-error inequality: the state-level
-        # error is bounded by the operator-norm observable error
-        psi = _gaussian_state(grid)
-        phi = u_exact @ psi
-        w = deviation + np.eye(n_grid, dtype=np.complex128)
-        value = abs(np.vdot(phi, w.conj().T @ obs_comm @ phi))
-        rows.append(row("expectation_error", float(value)))
+        phi = u_exact @ _gaussian_state(grid)
+    rows = []
+    for p, dt in product(cfg.orders, cfg.dt_values):
+        steps = int(round(cfg.t_final / dt))
+        u_trot = np.linalg.matrix_power(trotter_step(suzuki_plan(p), a, b, dt), steps)
+
+        # Evaluate both error norms through the deviation unitary
+        # W = U_trot U_exact^dagger: by unitary invariance,
+        #   || T_trot - T_exact || = || W^dagger O W - O || = || [O, W - I] ||
+        #   || U_trot^n - e^{-iHt} || = || W - I ||,
+        # which avoids the cancellation of two separately conjugated
+        # observables and keeps the high-order tails above roundoff.
+        deviation = u_trot @ u_exact.conj().T - eye
+        obs_comm = commutator(obs, deviation)
+
+        row = partial(_row, cfg, p=p, n=n_grid, h=h, dt=dt, t=cfg.t_final)
+        rows.append(row("observable_error", spectral_norm(obs_comm)))
+        rows.append(row("unitary_error", spectral_norm(deviation)))
+        if cfg.state:
+            # witness for the expectation-error inequality: the state-level
+            # error is bounded by the operator-norm observable error
+            value = abs(np.vdot(phi, (deviation + eye).conj().T @ obs_comm @ phi))
+            rows.append(row("expectation_error", float(value)))
     return rows
 
 
@@ -392,8 +390,7 @@ def run_dt_sweep(cfg: RunConfig) -> list[Row]:
     Also the h sweep, whose grid resolves the oscillation scale (N = 1/h)
     unless the config pins N to study the unresolved fixed-grid regime.
     """
-    jobs = product(cfg.orders, cfg.h_values, cfg.dt_values)
-    return _run_jobs(partial(_evolution_rows, cfg), jobs)
+    return _run_jobs(partial(_evolution_rows, cfg), [(h,) for h in cfg.h_values])
 
 
 run_h_sweep = run_dt_sweep
@@ -465,7 +462,7 @@ def fit_slope(points) -> SlopeFit:
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return SlopeFit(slope=float(slope), intercept=float(intercept), r2=r2, points=pts)
+    return SlopeFit(slope=float(slope), r2=r2)
 
 
 def series_from_rows(rows: list[Row], metric: str, x_field: str) -> list[tuple[str, list[tuple[float, float]]]]:

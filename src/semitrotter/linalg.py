@@ -150,6 +150,15 @@ def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
     return c.size * np.fft.ifft(c)
 
 
+def hermitian_circulant_symbol(first_row: np.ndarray) -> np.ndarray:
+    """Real DFT symbol of a Hermitian circulant; NonHermitianError if it is complex."""
+    lam = circulant_eigenvalues(first_row)
+    scale = float(np.max(np.abs(lam)))
+    if scale > 0.0 and float(np.max(np.abs(lam.imag))) > 1e-10 * scale:
+        raise NonHermitianError("circulant first row does not define a Hermitian matrix")
+    return lam.real
+
+
 def circulant_exp(first_row: np.ndarray, theta: float) -> np.ndarray:
     """e^{-i theta C} for the Hermitian circulant C with the given first row.
 
@@ -157,31 +166,7 @@ def circulant_exp(first_row: np.ndarray, theta: float) -> np.ndarray:
     eigendecomposition. Raises NonHermitianError if the circulant is not
     Hermitian (its DFT symbol must be real).
     """
-    c = np.asarray(first_row, dtype=np.complex128).ravel()
-    n = c.size
-    lam = circulant_eigenvalues(c)
-    scale = float(np.max(np.abs(lam)))
-    if scale > 0.0 and float(np.max(np.abs(lam.imag))) > 1e-10 * scale:
-        raise NonHermitianError("circulant first row does not define a Hermitian matrix")
-    phases = np.exp(-1j * theta * lam.real)
+    phases = np.exp(-1j * theta * hermitian_circulant_symbol(first_row))
     # F_un[m, j] = e^{-2 pi i m j / N}; the result is F_un^dagger D F_un / N
-    f_un = np.fft.fft(np.eye(n), axis=0)
+    f_un = np.fft.fft(np.eye(phases.size), axis=0)
     return np.fft.ifft(phases[:, None] * f_un, axis=0)
-
-
-def is_circulant(m: np.ndarray, rtol: float = 1e-12) -> bool:
-    """True if every row is the previous row shifted right by one."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    first = m[0]
-    scale = float(np.max(np.abs(m))) or 1.0
-    for j in range(1, m.shape[0]):
-        if not np.allclose(m[j], np.roll(first, j), rtol=0.0, atol=rtol * scale):
-            return False
-    return True
-
-
-def is_diagonal(m: np.ndarray) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and not np.any(m - np.diag(np.diag(m)))

@@ -25,6 +25,7 @@ from .discretize import (
     build_Dk_backward,
     build_laplacian,
     build_spectral_derivative,
+    sample,
 )
 from .expr import Expr
 
@@ -100,7 +101,7 @@ def build_observable(
             deriv = build_Dk_backward(grid, m) if odd_backward else build_Dk(grid, m)
         else:
             deriv = build_spectral_derivative(grid, m)
-        out += build_diag(grid, y_m) @ deriv * spec.h**m
+        out += sample(grid, y_m)[:, None] * deriv * spec.h**m
     if symmetrize:
         out = 0.5 * (out + out.conj().T)
     return out

@@ -12,6 +12,10 @@ U_{2k-2}(u_k dt)^2 with u_k = 1/(4 - 4^(1/(2k-1))). Adjacent stages with
 the same generator are merged, which yields the canonical
 2*5^(k-1) + 1 stage count; the intermediate coefficients 1 - 4 u_k are
 negative and are exponentiated directly.
+
+trotter_step is the time-splitting spectral method: each generator must be
+diagonal (the potential) or a Hermitian circulant (the periodic kinetic term
+of either scheme), so a stage is a row scaling or an FFT pair, not an N^3 product.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import circulant_exp, is_circulant, is_diagonal, unitary_exp
+from .linalg import hermitian_circulant_symbol
 
 Stage = tuple[float, str]
 
@@ -65,39 +69,48 @@ def suzuki_plan(p: int) -> StagePlan:
     return StagePlan(p, tuple(stages))
 
 
-def _stage_unitary(generator: np.ndarray, theta: float) -> np.ndarray:
-    if is_diagonal(generator):
-        return np.diag(np.exp(-1j * theta * np.diag(generator)))
-    if is_circulant(generator):
-        return circulant_exp(generator[0], theta)
-    return unitary_exp(generator, theta)
+def _eigenbasis(generator: np.ndarray) -> tuple[bool, np.ndarray]:
+    """(is_fourier, eigenvalues) of a diagonal or Hermitian circulant generator."""
+    diagonal = np.diag(generator)
+    if np.count_nonzero(generator) == np.count_nonzero(diagonal):
+        return False, diagonal
+    # circulant: every row is the previous row shifted right by one
+    scale = float(np.max(np.abs(generator)))
+    shift = np.max(np.abs(generator[1:] - np.roll(generator[:-1], 1, axis=1)))
+    if shift <= 1e-12 * scale:
+        return True, hermitian_circulant_symbol(generator[0])
+    raise ValueError(f"generator must be diagonal or circulant; circulant defect {shift:.2e}")
 
 
 def trotter_step(plan: StagePlan, a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """One step U_p(dt) as the product of stage unitaries.
+    """One step U_p(dt) = u_l ... u_1 by the FFT split-step method.
 
-    Diagonal generators are exponentiated entrywise and circulant ones by
-    DFT diagonalization; anything else goes through the dense Hermitian
-    eigendecomposition.
+    A diagonal stage scales rows by e^{-i dt c_j d}; a Hermitian circulant
+    stage maps each column x to ifft(e^{-i dt c_j lam} fft(x)), lam its real
+    DFT symbol. Any other generator raises ValueError.
     """
     a = linalg.as_matrix(a)
     b = linalg.as_matrix(b)
-    if a.shape != b.shape:
-        raise linalg.DimensionMismatchError(f"A and B differ: {a.shape} vs {b.shape}")
-    generators = {"A": a, "B": b}
-    cache: dict[Stage, np.ndarray] = {}
-    step = np.eye(a.shape[0], dtype=np.complex128)
-    for stage in plan.stages:
-        if stage not in cache:
-            c, g = stage
-            cache[stage] = _stage_unitary(generators[g], c * dt)
-        step = cache[stage] @ step
-    return step
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise linalg.DimensionMismatchError(f"need equal square A and B: {a.shape} vs {b.shape}")
+    bases = {"A": _eigenbasis(a), "B": _eigenbasis(b)}
+    # build U^T = u_1^T ... u_l^T, so the FFTs run along contiguous rows
+    step_t = np.eye(a.shape[0], dtype=np.complex128)
+    for c, g in plan.stages:
+        is_fourier, eigenvalues = bases[g]
+        phases = np.exp(-1j * (c * dt) * eigenvalues)
+        if is_fourier:
+            step_t = np.fft.fft(step_t, axis=1)
+            step_t *= phases
+            step_t = np.fft.ifft(step_t, axis=1)
+        else:
+            step_t *= phases
+    return step_t.T
 
 
 def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """e^{-iHt} for Hermitian H."""
-    return unitary_exp(h, t)
+    return linalg.unitary_exp(h, t)
 
 
 def heisenberg_evolve(u: np.ndarray, obs: np.ndarray, n: int) -> np.ndarray:

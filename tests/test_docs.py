@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,14 @@ def test_demo_imports_resolve(demo):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("name", ["suzuki_schedules.py", "local_error_budget.py"])
+def test_trotter_step_demo_runs(name, tmp_path, monkeypatch):
+    # these demos call trotter_step on the model operators and write no files
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
+    assert not any(tmp_path.iterdir())
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -25,6 +25,7 @@ from semitrotter.experiments import (
     run_verify_symbolic,
     series_from_rows,
 )
+from semitrotter.splitting import exact_unitary
 
 FAST_DT = {"N": "16", "h": "1/8", "dt": "1/4, 1/8", "orders": "1, 2", "t_final": "1/2"}
 
@@ -176,6 +177,41 @@ def test_h_sweep_exact_for_zero_potential():
 
     for r in run_h_sweep(cfg):
         assert r.value <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "experiment, raw",
+    [
+        ("h-sweep", {"h": "1/8, 1/16", "dt": "1/4", "t_final": "1/2", "orders": "2, 4"}),
+        ("dt-sweep", dict(FAST_DT, orders="1, 2, 4", dt="1/4, 1/8, 1/16")),
+    ],
+)
+def test_one_exact_propagator_per_grid(monkeypatch, experiment, raw):
+    import semitrotter.experiments as ex
+
+    monkeypatch.delenv("SEMITROTTER_THREADS", raising=False)
+    cfg = build_config(experiment, raw)
+    calls = []
+
+    def counting(h, t):
+        calls.append(h.shape[0])
+        return exact_unitary(h, t)
+
+    monkeypatch.setattr(ex, "exact_unitary", counting)
+    rows = run_dt_sweep(cfg)
+    assert len(calls) == len(cfg.h_values)
+    # sharing the propagator across orders and steps changes no value:
+    # the sweep equals its single-order, single-step runs
+    alone = [
+        row
+        for p in cfg.orders
+        for dt in cfg.dt_values
+        for row in run_dt_sweep(replace(cfg, orders=(p,), dt_values=(dt,)))
+    ]
+    assert rows == sorted(alone, key=lambda r: (r.p, r.h, r.dt, r.metric != "observable_error"))
+    # a worker pool runs the per-h jobs concurrently and gives the same rows
+    monkeypatch.setenv("SEMITROTTER_THREADS", "2")
+    assert run_dt_sweep(cfg) == rows
 
 
 def test_comm_sweep_constant_potential_commutes():

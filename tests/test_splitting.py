@@ -7,7 +7,7 @@ import pytest
 
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import spectral_norm, unitarity_defect
+from semitrotter.linalg import spectral_norm, unitarity_defect, unitary_exp
 from semitrotter.model import ModelParams, build_A, build_B, build_H
 from semitrotter.splitting import (
     compute_steps,
@@ -86,6 +86,31 @@ def test_trotter_step_commuting_case_exact():
     u = trotter_step(suzuki_plan(2), a, b, dt)
     exact = np.diag(np.exp(-1j * dt * np.diag(a + b)))
     assert spectral_norm(u - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
+@pytest.mark.parametrize("n", (32, 64))
+def test_trotter_step_matches_dense_stage_product(scheme, n):
+    params = ModelParams(
+        h=1.0 / n, potential=parse_expr("cos(x)"), grid=Grid(-math.pi, math.pi, n), scheme=scheme
+    )
+    a, b = build_A(params), build_B(params)
+    dt = 0.1
+    for p in (1, 2, 4, 6):  # orders 4 and 6 carry negative coefficients
+        plan = suzuki_plan(p)
+        dense = np.eye(n, dtype=np.complex128)
+        for c, g in plan.stages:
+            dense = unitary_exp(a if g == "A" else b, c * dt) @ dense
+        assert np.max(np.abs(trotter_step(plan, a, b, dt) - dense)) <= 1e-12
+
+
+def test_trotter_step_rejects_dense_generator():
+    rng = np.random.default_rng(15)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    dense = m + m.conj().T  # Hermitian, neither diagonal nor circulant
+    b = np.diag(rng.standard_normal(12)).astype(complex)
+    with pytest.raises(ValueError, match="diagonal or circulant"):
+        trotter_step(suzuki_plan(2), dense, b, 0.1)
 
 
 def test_trotter_step_halving_dt_cuts_error_eightfold():
