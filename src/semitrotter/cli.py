@@ -3,8 +3,8 @@
 Subcommands: dt-sweep, h-sweep, comm-sweep, beta, verify-symbolic.
 Each takes --config <path> (defaults apply when omitted) and --out <dir>
 and writes CSV plus SVG artifacts there. Exit codes: 0 on success, 2 on
-a configuration error, 3 on a numerical-convergence failure. The
-environment variable SEMITROTTER_THREADS caps the sweep worker pool.
+a configuration error, 3 on a numerical-convergence failure. Sweeps run
+their jobs one after another; BLAS supplies the threads.
 
 Plots and printed slope fits leave out zero-valued points (the CSV keeps
 them). A list the sweep holds fixed (h, dt or orders) must have one value.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -276,24 +275,9 @@ def parse_observable_spec(text: str, h: float) -> PolyObservableSpec:
 # -- shared machinery --------------------------------------------------------
 
 
-def _pool_size() -> int:
-    raw = os.environ.get("SEMITROTTER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_jobs(fn, jobs) -> list[Row]:
-    """Rows of ``fn(*job)`` for every job, flattened and sorted."""
-    jobs = list(jobs)
-    size = _pool_size()
-    if size <= 1 or len(jobs) <= 1:
-        results = [fn(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(lambda job: fn(*job), jobs))
-    return _sort_rows([row for rows in results for row in rows])
+    """Rows of ``fn(*job)`` for every job, in order, flattened and sorted."""
+    return _sort_rows([row for job in jobs for row in fn(*job)])
 
 
 _METRIC_ORDER = {
@@ -337,9 +321,15 @@ def _build_operators(cfg: RunConfig, h: float, n: int):
         h=h, potential=parse_expr(cfg.potential), grid=grid, scheme=cfg.scheme
     )
     a = build_A(params)
-    b = build_B(params)
+    try:
+        b = build_B(params)
+    except ExprError as exc:
+        raise ConfigError(f"potential {cfg.potential!r} fails on the N={n} grid: {exc}") from exc
     obs_spec = parse_observable_spec(cfg.observable, h=h)
-    obs = build_observable(obs_spec, grid, cfg.scheme)
+    try:
+        obs = build_observable(obs_spec, grid, cfg.scheme)
+    except ExprError as exc:
+        raise ConfigError(f"observable {cfg.observable!r} fails on the N={n} grid: {exc}") from exc
     return grid, a, b, obs
 
 

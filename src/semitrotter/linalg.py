@@ -2,23 +2,16 @@
 
 Matrices are plain numpy arrays of complex128, row-major, square for all
 operator uses. Everything here is pure: no function mutates its inputs,
-so results can be shared freely across workers.
+so results can be shared freely.
 
-The spectral norm is computed by power iteration on M^dagger M (relative
-tolerance 1e-10, at most 20000 iterations) with a full-SVD fallback for
-N <= 256; commutator matrices can have clustered top singular values and
-the fallback keeps the advertised accuracy in that regime.
+The spectral norm is the largest singular value from LAPACK's SVD, exact
+to rounding; commutator matrices often have a degenerate top singular
+value, which defeats iterative estimates started from a fixed vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-POWER_ITER_TOL = 1e-10
-POWER_ITER_MAX = 20000
-# iterations granted before giving up and using the SVD when available
-POWER_ITER_PATIENCE = 500
-SVD_FALLBACK_MAX_N = 2048
 
 
 class LinalgError(Exception):
@@ -97,40 +90,11 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of M (relative accuracy 1e-8)."""
-    m = as_matrix(m)
-    n = max(m.shape)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale == 0.0:
-        return 0.0
-
-    # Power iteration on M^dagger M, kept in matvec form. A deterministic
-    # start vector with a mild ramp avoids accidental orthogonality to the
-    # top singular vector for the structured (circulant/diagonal) matrices
-    # built elsewhere in the package.
-    v = np.ones(m.shape[1], dtype=np.complex128)
-    v += np.linspace(0.0, 0.5, m.shape[1])
-    v /= np.linalg.norm(v)
-    mh = m.conj().T
-    sigma2_old = 0.0
-    # circulant-symbol commutators have top singular values clustered at
-    # spacing ~1/N^2, where the Rayleigh quotient crawls; stop early and
-    # take the SVD rather than exhausting the full iteration budget
-    budget = POWER_ITER_PATIENCE if n <= SVD_FALLBACK_MAX_N else POWER_ITER_MAX
-    for iteration in range(1, budget + 1):
-        w = mh @ (m @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        sigma2 = float(np.real(np.vdot(v, w)))
-        v = w / norm_w
-        if abs(sigma2 - sigma2_old) <= POWER_ITER_TOL * abs(sigma2):
-            return float(np.sqrt(max(sigma2, 0.0)))
-        sigma2_old = sigma2
-
-    if n <= SVD_FALLBACK_MAX_N:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    raise ConvergenceError("power iteration did not converge", budget)
+    """Largest singular value of M, from LAPACK's SVD (exact to rounding)."""
+    try:
+        return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular value decomposition failed: {exc}", 0) from exc
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -10,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+ENV_NAME = re.compile(r"SEMITROTTER_[A-Z_]+")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -37,3 +39,30 @@ def test_readme_library_quick_start_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) < 1e-3
+
+
+def _env_names_read(tree):
+    """Names read as os.environ[...], os.environ.get(...) or os.getenv(...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            target, key = node.func, node.args[0]
+        else:
+            continue
+        source = ast.unparse(target)
+        if source in ("os.environ", "os.environ.get", "os.getenv") and isinstance(key, ast.Constant):
+            yield key.value
+
+
+def test_documented_environment_variables_are_read():
+    # a knob that the code no longer reads must not stay documented
+    documented = set(ENV_NAME.findall((ROOT / "README.md").read_text(encoding="utf-8")))
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                documented.update(ENV_NAME.findall(ast.get_docstring(node) or ""))
+        read.update(_env_names_read(tree))
+    assert documented <= read, f"documented but never read: {sorted(documented - read)}"

@@ -143,11 +143,42 @@ def test_spectral_norm_vs_svd_oracle_random():
 
 
 def test_spectral_norm_clustered_singular_values():
-    # unitary matrices have all singular values equal; the fallback keeps accuracy
+    # unitary matrices have all singular values equal: the top one is fully degenerate
     rng = np.random.default_rng(10)
     m = _random_complex(rng, 24)
     _, v = hermitian_eig(m + m.conj().T)
     assert spectral_norm(v) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_spectral_norm_nan_raises_convergence_error():
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(ConvergenceError):
+        spectral_norm(m)
+
+
+def _norm_oracle(m):
+    # independent of the SVD that spectral_norm uses
+    return math.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0))
+
+
+def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
+    # the comm-sweep word chain at h = 1/32 has a degenerate top singular
+    # value, and the order-6 h-sweep matrices [O, W - I] and W - I are below 1e-8
+    import semitrotter.experiments as ex
+
+    pairs = []
+
+    def checked(m):
+        pairs.append((spectral_norm(m), _norm_oracle(m)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(ex, "spectral_norm", checked)
+    ex.run_comm_sweep(ex.build_config("comm-sweep", {"h": "1/32"}))
+    ex.run_h_sweep(ex.build_config("h-sweep", {"h": "1/32, 1/64", "orders": "6"}))
+    assert len(pairs) == len(ex.COMM_WORD_LABELS) + 2 * 2
+    for value, oracle in pairs:
+        assert value == pytest.approx(oracle, rel=1e-8)
 
 
 def test_circulant_exp_zero_row():
