@@ -13,7 +13,8 @@ exponents ("discrete heights") are unaffected by the choice.
 
 Spectral derivatives are IDFT diag((i xi)^k) DFT on the standard DFT
 frequency layout; for odd k the unpaired Nyquist multiplier at
-xi = -N/2 is zeroed so real samples map to real samples.
+xi = -N/2 is zeroed so real samples map to real samples. The multiplier is
+then Hermitian-symmetric, so every matrix here is real (float64).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, eval_expr
+from .linalg import circulant
 
 
 class SchemeKind(enum.Enum):
@@ -56,7 +58,7 @@ class Grid:
 
 def build_forward_diff(g: Grid) -> np.ndarray:
     inv_dx = 1.0 / g.dx
-    d = np.zeros((g.n, g.n), dtype=np.complex128)
+    d = np.zeros((g.n, g.n))
     idx = np.arange(g.n)
     d[idx, idx] = -inv_dx
     d[idx, (idx + 1) % g.n] = inv_dx
@@ -64,14 +66,14 @@ def build_forward_diff(g: Grid) -> np.ndarray:
 
 
 def build_backward_diff(g: Grid) -> np.ndarray:
-    return -build_forward_diff(g).conj().T
+    return -build_forward_diff(g).T
 
 
 def build_laplacian(g: Grid) -> np.ndarray:
     """(-2, 1, 1)/dx^2 periodic circulant; equals D_B @ D_F entrywise."""
     inv_dx = 1.0 / g.dx
     w = inv_dx * inv_dx
-    d = np.zeros((g.n, g.n), dtype=np.complex128)
+    d = np.zeros((g.n, g.n))
     idx = np.arange(g.n)
     d[idx, idx] = -2.0 * w
     d[idx, (idx + 1) % g.n] = w
@@ -83,19 +85,18 @@ def build_Dk(g: Grid, k: int) -> np.ndarray:
     """k-th order difference: D_2^(k/2) for even k, D_F D_2^((k-1)/2) for odd."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k == 0:
-        return np.eye(g.n, dtype=np.complex128)
-    d2 = build_laplacian(g)
     if k % 2 == 0:
-        return np.linalg.matrix_power(d2, k // 2)
-    return build_forward_diff(g) @ np.linalg.matrix_power(d2, (k - 1) // 2)
+        return np.linalg.matrix_power(build_laplacian(g), k // 2)
+    d_f = build_forward_diff(g)
+    return d_f if k == 1 else d_f @ build_Dk(g, k - 1)
 
 
 def build_Dk_backward(g: Grid, k: int) -> np.ndarray:
     """Variant of build_Dk using D_B for the odd factor."""
     if k % 2 == 0:
         return build_Dk(g, k)
-    return build_backward_diff(g) @ np.linalg.matrix_power(build_laplacian(g), (k - 1) // 2)
+    d_b = build_backward_diff(g)
+    return d_b if k == 1 else d_b @ build_Dk(g, k - 1)
 
 
 def spectral_frequencies(g: Grid) -> np.ndarray:
@@ -105,22 +106,20 @@ def spectral_frequencies(g: Grid) -> np.ndarray:
 
 
 def build_spectral_derivative(g: Grid, k: int) -> np.ndarray:
-    """Dense IDFT diag((i xi)^k) DFT matrix approximating d^k/dx^k."""
+    """Real circulant IDFT diag((i xi)^k) DFT approximating d^k/dx^k."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if k == 0:
-        return np.eye(g.n, dtype=np.complex128)
-    xi = spectral_frequencies(g)
-    mult = (1j * xi) ** k
+        return np.eye(g.n)
+    mult = (1j * spectral_frequencies(g)) ** k
     if k % 2 == 1:
         mult[g.n // 2] = 0.0  # unpaired Nyquist mode
-    f_un = np.fft.fft(np.eye(g.n), axis=0)
-    return np.fft.ifft(mult[:, None] * f_un, axis=0)
+    return circulant(np.fft.ifft(mult).real)
 
 
 def sample(g: Grid, f: Expr) -> np.ndarray:
     """Samples f(x_j) at the grid nodes."""
-    return np.asarray([eval_expr(f, x) for x in g.nodes], dtype=np.complex128)
+    return np.asarray([eval_expr(f, x) for x in g.nodes], dtype=np.float64)
 
 
 def build_diag(g: Grid, f: Expr) -> np.ndarray:

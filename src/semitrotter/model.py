@@ -95,7 +95,7 @@ def build_observable(
     D_B; symmetrize replaces the result by its Hermitian part (off by
     default, the error analysis does not require Hermitian observables).
     """
-    out = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    out = np.zeros((grid.n, grid.n))
     for m, y_m in spec.terms:
         if scheme is SchemeKind.FINITE_DIFFERENCE:
             deriv = build_Dk_backward(grid, m) if odd_backward else build_Dk(grid, m)

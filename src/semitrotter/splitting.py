@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import hermitian_circulant_symbol
 
 Stage = tuple[float, str]
 
@@ -78,7 +77,7 @@ def _eigenbasis(generator: np.ndarray) -> tuple[bool, np.ndarray]:
     scale = float(np.max(np.abs(generator)))
     shift = np.max(np.abs(generator[1:] - np.roll(generator[:-1], 1, axis=1)))
     if shift <= 1e-12 * scale:
-        return True, hermitian_circulant_symbol(generator[0])
+        return True, linalg.hermitian_circulant_symbol(generator[0])
     raise ValueError(f"generator must be diagonal or circulant; circulant defect {shift:.2e}")
 
 

@@ -94,6 +94,18 @@ def test_build_Dk_backward_variant():
     assert np.array_equal(build_Dk_backward(g, 1), build_backward_diff(g))
 
 
+def test_build_Dk_first_order_and_dtype():
+    # k = 1 is the first-order matrix itself; every order is real
+    g = Grid(-math.pi, math.pi, 8)
+    assert np.array_equal(build_Dk(g, 1), build_forward_diff(g))
+    assert np.array_equal(build_Dk_backward(g, 3), build_backward_diff(g) @ build_laplacian(g))
+    for k in range(5):
+        assert build_Dk(g, k).dtype == np.float64
+        assert build_Dk_backward(g, k).dtype == np.float64
+    with pytest.raises(ValueError):
+        build_Dk_backward(g, -1)
+
+
 def test_Dk_family_commutes():
     g = Grid(-math.pi, math.pi, 12)
     mats = {k: build_Dk(g, k) for k in range(1, 5)}
@@ -114,6 +126,20 @@ def test_Dk_norm_growth_is_discrete_height():
 def test_spectral_derivative_identity():
     g = Grid(-math.pi, math.pi, 16)
     assert np.allclose(build_spectral_derivative(g, 0), np.eye(16), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("k", range(5))
+def test_spectral_derivative_matches_dense_fft_product(n, k):
+    # the circulant gathered from ifft of the multiplier against IDFT diag(mult) DFT
+    g = Grid(-math.pi, math.pi, n)
+    mult = (1j * spectral_frequencies(g)) ** k
+    if k % 2 == 1:
+        mult[n // 2] = 0.0
+    dense = np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    got = build_spectral_derivative(g, k)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_spectral_derivative_exact_on_trig():

@@ -157,14 +157,32 @@ def test_spectral_norm_nan_raises_convergence_error():
         spectral_norm(m)
 
 
+@pytest.mark.parametrize(
+    "dtype, bad",
+    [
+        (np.float64, np.nan),
+        (np.float64, np.inf),
+        (np.float64, -np.inf),
+        (np.complex128, np.inf),
+        (np.complex128, complex(0.0, -np.inf)),
+    ],
+)
+def test_spectral_norm_non_finite_raises_convergence_error(dtype, bad):
+    # complex NaN is the case above
+    m = np.eye(4, dtype=dtype)
+    m[1, 2] = bad
+    with pytest.raises(ConvergenceError):
+        spectral_norm(m)
+
+
 def _norm_oracle(m):
-    # independent of the SVD that spectral_norm uses
-    return math.sqrt(max(np.linalg.eigvalsh(m.conj().T @ m)[-1], 0.0))
+    # a complex SVD, independent of the Gram eigenvalue that spectral_norm uses
+    return float(np.linalg.norm(np.asarray(m, np.complex128), 2))
 
 
 def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
-    # the comm-sweep word chain at h = 1/32 has a degenerate top singular
-    # value, and the order-6 h-sweep matrices [O, W - I] and W - I are below 1e-8
+    # the comm-sweep word chains at h = 1/32 (FD and spectral) have a degenerate
+    # top singular value, and the order-6 h-sweep [O, W - I] and W - I are below 1e-8
     import semitrotter.experiments as ex
 
     pairs = []
@@ -175,10 +193,52 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
 
     monkeypatch.setattr(ex, "spectral_norm", checked)
     ex.run_comm_sweep(ex.build_config("comm-sweep", {"h": "1/32"}))
+    ex.run_comm_sweep(ex.build_config("comm-sweep", {"h": "1/32", "scheme": "spectral"}))
     ex.run_h_sweep(ex.build_config("h-sweep", {"h": "1/32, 1/64", "orders": "6"}))
-    assert len(pairs) == len(ex.COMM_WORD_LABELS) + 2 * 2
+    assert len(pairs) == 2 * len(ex.COMM_WORD_LABELS) + 2 * 2
     for value, oracle in pairs:
         assert value == pytest.approx(oracle, rel=1e-8)
+
+
+def test_commutator_keeps_dtype_family():
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((2, 6, 6))
+    z = _random_complex(rng, 6)
+    assert commutator(x, y).dtype == np.float64
+    assert commutator(x.astype(int), y).dtype == np.float64
+    assert commutator(z, y).dtype == np.complex128
+    # a real factor with a complex one goes through real products; both orders
+    for p, q in ((x, z), (z, x)):
+        exact = p.astype(complex) @ q.astype(complex) - q.astype(complex) @ p.astype(complex)
+        assert np.max(np.abs(commutator(p, q) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_spectral_norm_keeps_dtype_family(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(g):
+        seen.append(g.dtype)
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    rng = np.random.default_rng(12)
+    spectral_norm(rng.standard_normal((5, 5)))
+    spectral_norm(_random_complex(rng, 5))
+    assert seen == [np.float64, np.complex128]
+
+
+def test_spectral_norm_real_matches_complex_svd():
+    rng = np.random.default_rng(13)
+    g = Grid(-math.pi, math.pi, 64)
+    d = build_laplacian(g)
+    v = np.diag(np.cos(g.nodes))
+    word = commutator(commutator(d, v), d)  # a sweep-like word, ||.|| ~ N^3
+    mats = [rng.standard_normal((n, n)) for n in (2, 7, 33, 128)] + [word, 1e-200 * word]
+    for m in mats:
+        assert m.dtype == np.float64
+        oracle = float(np.linalg.norm(m.astype(np.complex128), 2))
+        assert spectral_norm(m) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_circulant_exp_zero_row():

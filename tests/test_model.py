@@ -102,6 +102,16 @@ def test_model_pieces_hermitian():
             assert hermiticity_defect(mat) <= 1e-12
 
 
+def test_operators_are_real():
+    spec = PolyObservableSpec(terms=((0, COS), (1, SIN), (2, COS), (3, SIN)), h=1.0 / 16)
+    for scheme in (SchemeKind.FINITE_DIFFERENCE, SchemeKind.SPECTRAL):
+        p = _params(h=1.0 / 16, n=16, scheme=scheme)
+        assert build_A(p).dtype == np.float64
+        assert build_B(p).dtype == np.float64
+        for flags in ({}, {"odd_backward": True}, {"symmetrize": True}):
+            assert build_observable(spec, p.grid, scheme, **flags).dtype == np.float64
+
+
 def test_observable_degenerate_multiplication():
     p = _params(n=16)
     spec = PolyObservableSpec(terms=((0, COS),), h=p.h)
