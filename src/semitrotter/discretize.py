@@ -58,11 +58,9 @@ class Grid:
 
 def build_forward_diff(g: Grid) -> np.ndarray:
     inv_dx = 1.0 / g.dx
-    d = np.zeros((g.n, g.n))
-    idx = np.arange(g.n)
-    d[idx, idx] = -inv_dx
-    d[idx, (idx + 1) % g.n] = inv_dx
-    return d
+    col = np.zeros(g.n)
+    col[0], col[-1] = -inv_dx, inv_dx
+    return circulant(col)
 
 
 def build_backward_diff(g: Grid) -> np.ndarray:
@@ -73,12 +71,9 @@ def build_laplacian(g: Grid) -> np.ndarray:
     """(-2, 1, 1)/dx^2 periodic circulant; equals D_B @ D_F entrywise."""
     inv_dx = 1.0 / g.dx
     w = inv_dx * inv_dx
-    d = np.zeros((g.n, g.n))
-    idx = np.arange(g.n)
-    d[idx, idx] = -2.0 * w
-    d[idx, (idx + 1) % g.n] = w
-    d[idx, (idx - 1) % g.n] = w
-    return d
+    col = np.zeros(g.n)
+    col[0], col[1], col[-1] = -2.0 * w, w, w
+    return circulant(col)
 
 
 def build_Dk(g: Grid, k: int) -> np.ndarray:

@@ -27,11 +27,7 @@ class NonHermitianError(LinalgError):
 
 
 class ConvergenceError(LinalgError):
-    """An iterative routine failed to converge; carries the iteration count."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} after {iterations} iterations")
-        self.iterations = iterations
+    """A LAPACK solve failed or its input has non-finite entries."""
 
 
 def as_matrix(m) -> np.ndarray:
@@ -81,7 +77,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}", 0) from exc
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     return w, v
 
 
@@ -100,14 +96,14 @@ def spectral_norm(m: np.ndarray) -> float:
     m = as_matrix(m)
     scale = float(np.max(np.abs(m)))
     if not np.isfinite(scale):
-        raise ConvergenceError("spectral norm of a matrix with non-finite entries", 0)
+        raise ConvergenceError("spectral norm of a matrix with non-finite entries")
     if scale == 0.0:
         return 0.0
     m = m / scale
     try:
         top = np.linalg.eigvalsh(m.conj().T @ m)[-1]
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}", 0) from exc
+        raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
 
 

@@ -13,9 +13,10 @@ the same generator are merged, which yields the canonical
 2*5^(k-1) + 1 stage count; the intermediate coefficients 1 - 4 u_k are
 negative and are exponentiated directly.
 
-trotter_step is the time-splitting spectral method: each generator must be
-diagonal (the potential) or a Hermitian circulant (the periodic kinetic term
-of either scheme), so a stage is a row scaling or an FFT pair, not an N^3 product.
+trotter_step is the time-splitting spectral method and reads the generators
+by role: A is the periodic kinetic term of either scheme, a Hermitian
+circulant, and B the potential, a diagonal. An A stage is an FFT pair and a
+B stage a row scaling, not an N^3 product.
 """
 
 from __future__ import annotations
@@ -68,42 +69,34 @@ def suzuki_plan(p: int) -> StagePlan:
     return StagePlan(p, tuple(stages))
 
 
-def _eigenbasis(generator: np.ndarray) -> tuple[bool, np.ndarray]:
-    """(is_fourier, eigenvalues) of a diagonal or Hermitian circulant generator."""
-    diagonal = np.diag(generator)
-    if np.count_nonzero(generator) == np.count_nonzero(diagonal):
-        return False, diagonal
-    # circulant: every row is the previous row shifted right by one
-    scale = float(np.max(np.abs(generator)))
-    shift = np.max(np.abs(generator[1:] - np.roll(generator[:-1], 1, axis=1)))
-    if shift <= 1e-12 * scale:
-        return True, linalg.hermitian_circulant_symbol(generator[0])
-    raise ValueError(f"generator must be diagonal or circulant; circulant defect {shift:.2e}")
-
-
 def trotter_step(plan: StagePlan, a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """One step U_p(dt) = u_l ... u_1 by the FFT split-step method.
 
-    A diagonal stage scales rows by e^{-i dt c_j d}; a Hermitian circulant
-    stage maps each column x to ifft(e^{-i dt c_j lam} fft(x)), lam its real
-    DFT symbol. Any other generator raises ValueError.
+    A is the kinetic term, a Hermitian circulant: its stage maps each column
+    x to ifft(e^{-i dt c_j lam} fft(x)), lam its real DFT symbol. B is the
+    potential, a diagonal: its stage scales rows by e^{-i dt c_j d}. A that
+    is not exactly circulant(a[:, 0]), or B that is not exactly diagonal,
+    raises ValueError.
     """
     a = linalg.as_matrix(a)
     b = linalg.as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise linalg.DimensionMismatchError(f"need equal square A and B: {a.shape} vs {b.shape}")
-    bases = {"A": _eigenbasis(a), "B": _eigenbasis(b)}
+    potential = np.diag(b)
+    if not np.array_equal(b, np.diag(potential)):
+        raise ValueError("B must be diagonal")
+    if not np.array_equal(a, linalg.circulant(a[:, 0])):
+        raise ValueError("A must be circulant")
+    symbol = linalg.hermitian_circulant_symbol(a[0])
     # build U^T = u_1^T ... u_l^T, so the FFTs run along contiguous rows
     step_t = np.eye(a.shape[0], dtype=np.complex128)
     for c, g in plan.stages:
-        is_fourier, eigenvalues = bases[g]
-        phases = np.exp(-1j * (c * dt) * eigenvalues)
-        if is_fourier:
+        if g == "A":
             step_t = np.fft.fft(step_t, axis=1)
-            step_t *= phases
+            step_t *= np.exp(-1j * (c * dt) * symbol)
             step_t = np.fft.ifft(step_t, axis=1)
         else:
-            step_t *= phases
+            step_t *= np.exp(-1j * (c * dt) * potential)
     return step_t.T
 
 
@@ -118,7 +111,7 @@ def heisenberg_evolve(u: np.ndarray, obs: np.ndarray, n: int) -> np.ndarray:
     obs = linalg.as_matrix(obs)
     if u.shape != obs.shape:
         raise linalg.DimensionMismatchError(f"shapes differ: {u.shape} vs {obs.shape}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    defect = linalg.unitarity_defect(u)
     if defect > 1e-8:
         raise linalg.NonHermitianError(f"U is not unitary (defect {defect:.3e})")
     uh = u.conj().T

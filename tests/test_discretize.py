@@ -7,6 +7,7 @@ import pytest
 
 from semitrotter.discretize import (
     Grid,
+    SchemeKind,
     build_backward_diff,
     build_diag,
     build_Dk,
@@ -17,7 +18,8 @@ from semitrotter.discretize import (
     spectral_frequencies,
 )
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import commutator, spectral_norm
+from semitrotter.linalg import circulant, commutator, spectral_norm
+from semitrotter.model import ModelParams, build_A
 
 
 def test_grid_nodes():
@@ -183,3 +185,16 @@ def test_build_diag_outputs_commute():
     y1 = build_diag(g, parse_expr("cos(x)"))
     y2 = build_diag(g, parse_expr("sin(x)*exp(cos(x))"))
     assert np.all(commutator(y1, y2) == 0)
+
+
+@pytest.mark.parametrize("n", (16, 64, 1024))
+def test_periodic_operators_are_exact_circulants(n):
+    # trotter_step takes A as circulant(A[:, 0]) and checks that equality exactly
+    g = Grid(-math.pi, math.pi, n)
+    matrices = [build_forward_diff(g), build_laplacian(g)]
+    matrices += [build_spectral_derivative(g, k) for k in range(5)]
+    for scheme in SchemeKind:
+        params = ModelParams(h=1.0 / n, potential=parse_expr("cos(x)"), grid=g, scheme=scheme)
+        matrices.append(build_A(params))
+    for m in matrices:
+        assert np.array_equal(m, circulant(m[:, 0]))

@@ -6,11 +6,15 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from semitrotter.cli import main
-from semitrotter.discretize import SchemeKind
+from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.experiments import (
+    STATE_CENTER,
+    STATE_MOMENTUM,
+    STATE_WIDTH,
     ConfigError,
     RunConfig,
     build_config,
@@ -25,7 +29,9 @@ from semitrotter.experiments import (
     run_verify_symbolic,
     series_from_rows,
 )
-from semitrotter.splitting import exact_unitary
+from semitrotter.expr import parse_expr
+from semitrotter.model import ModelParams, build_A, build_B, build_observable
+from semitrotter.splitting import exact_unitary, suzuki_plan, trotter_step
 
 FAST_DT = {"N": "16", "h": "1/8", "dt": "1/4, 1/8", "orders": "1, 2", "t_final": "1/2"}
 
@@ -165,6 +171,34 @@ def test_dt_sweep_state_metric_bounded_by_operator_norm():
     for (p, dt, metric), value in by_key.items():
         if metric == "expectation_error":
             assert value <= by_key[(p, dt, "observable_error")] * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["fd", "spectral"])
+def test_expectation_error_matches_state_computation(scheme):
+    # |<U_trot psi|O|U_trot psi> - <U_exact psi|O|U_exact psi>| from the states
+    # alone; both sides carry ~1e-15 absolute roundoff from the computed
+    # propagators' unitarity defect, hence the absolute floor
+    cfg = build_config("dt-sweep", {"scheme": scheme}, state=True)
+    h, t = cfg.h_values[0], cfg.t_final
+    grid = Grid(cfg.a, cfg.b, cfg.n)
+    params = ModelParams(h=h, potential=parse_expr(cfg.potential), grid=grid, scheme=cfg.scheme)
+    a, b = build_A(params), build_B(params)
+    obs = build_observable(parse_observable_spec(cfg.observable, h), grid, cfg.scheme)
+    x = grid.nodes
+    psi = np.exp(-((x - STATE_CENTER) ** 2) / (2 * STATE_WIDTH**2) + 1j * STATE_MOMENTUM * x)
+    psi /= np.linalg.norm(psi)
+    exact = exact_unitary(a + b, t) @ psi
+    exact_value = np.vdot(exact, obs @ exact)
+    checked = 0
+    for r in run_dt_sweep(cfg):
+        if r.metric != "expectation_error" or r.value < 1e-8:
+            continue
+        step = trotter_step(suzuki_plan(r.p), a, b, r.dt)
+        trot = np.linalg.matrix_power(step, round(t / r.dt)) @ psi
+        expected = abs(np.vdot(trot, obs @ trot) - exact_value)
+        assert r.value == pytest.approx(expected, rel=1e-8, abs=1e-14)
+        checked += 1
+    assert checked >= 12
 
 
 def test_h_sweep_exact_for_zero_potential():

@@ -266,7 +266,10 @@ def test_circulant_exp_rejects_non_hermitian():
         circulant_exp(np.array([0.0, 1.0, 0.0, 0.0]), 0.5)  # pure shift is not Hermitian
 
 
-def test_convergence_error_has_iterations():
-    err = ConvergenceError("test", 42)
-    assert err.iterations == 42
-    assert "42" in str(err)
+def test_convergence_error_message_has_no_iteration_count():
+    m = np.eye(4)
+    m[0, 1] = np.nan
+    with pytest.raises(ConvergenceError) as exc:
+        spectral_norm(m)
+    assert str(exc.value) == "spectral norm of a matrix with non-finite entries"
+    assert not hasattr(exc.value, "iterations")

@@ -7,7 +7,7 @@ import pytest
 
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import spectral_norm, unitarity_defect, unitary_exp
+from semitrotter.linalg import NonHermitianError, spectral_norm, unitarity_defect, unitary_exp
 from semitrotter.model import ModelParams, build_A, build_B, build_H
 from semitrotter.splitting import (
     compute_steps,
@@ -78,14 +78,17 @@ def test_trotter_step_dt_zero():
 
 
 def test_trotter_step_commuting_case_exact():
-    # both generators diagonal: splitting is exact
-    rng = np.random.default_rng(11)
-    a = np.diag(rng.standard_normal(12)).astype(complex)
-    b = np.diag(rng.standard_normal(12)).astype(complex)
+    # a constant potential makes B a multiple of the identity: splitting is exact,
+    # up to the eigh reference's roundoff, about 10 eps * dt * ||H|| (3e-14 to 4.4e-14 here)
     dt = 0.37
-    u = trotter_step(suzuki_plan(2), a, b, dt)
-    exact = np.diag(np.exp(-1j * dt * np.diag(a + b)))
-    assert spectral_norm(u - exact) <= 1e-10
+    for scheme in SchemeKind:
+        params = ModelParams(
+            h=1.0 / 64, potential=parse_expr("0.7"), grid=Grid(-math.pi, math.pi, 64), scheme=scheme
+        )
+        a, b = build_A(params), build_B(params)
+        exact = exact_unitary(a + b, dt)
+        for p in (1, 2, 4, 6):
+            assert spectral_norm(trotter_step(suzuki_plan(p), a, b, dt) - exact) <= 1e-13
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
@@ -106,11 +109,13 @@ def test_trotter_step_matches_dense_stage_product(scheme, n):
 
 def test_trotter_step_rejects_dense_generator():
     rng = np.random.default_rng(15)
-    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     dense = m + m.conj().T  # Hermitian, neither diagonal nor circulant
-    b = np.diag(rng.standard_normal(12)).astype(complex)
-    with pytest.raises(ValueError, match="diagonal or circulant"):
+    a, b, _ = _operators(n=16)
+    with pytest.raises(ValueError, match="A must be circulant"):
         trotter_step(suzuki_plan(2), dense, b, 0.1)
+    with pytest.raises(ValueError, match="B must be diagonal"):
+        trotter_step(suzuki_plan(2), a, dense, 0.1)
 
 
 def test_trotter_step_halving_dt_cuts_error_eightfold():
@@ -144,6 +149,13 @@ def test_heisenberg_evolve_trivial_cases():
     _, _, h = _operators(n=16)
     u = exact_unitary(h, 0.3)
     assert np.array_equal(heisenberg_evolve(u, obs, 0), obs)
+
+
+def test_heisenberg_evolve_rejects_non_unitary():
+    obs = np.eye(16)
+    _, _, h = _operators(n=16)
+    with pytest.raises(NonHermitianError, match="not unitary"):
+        heisenberg_evolve(1.01 * exact_unitary(h, 0.3), obs, 1)
 
 
 def test_heisenberg_evolve_is_isometry():
