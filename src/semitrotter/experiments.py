@@ -389,7 +389,7 @@ def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
     # beta first, so no word of the chain is alive while it runs
     rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
     if words:
-        chain = commutator(a, b)
+        chain = a * np.diag(b) - np.diag(b)[:, None] * a  # B is the diagonal: [A, B] = A_ij (b_j - b_i)
         rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
         chain = commutator(chain, obs)
         rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))

@@ -113,7 +113,7 @@ def heisenberg_evolve(u: np.ndarray, obs: np.ndarray, n: int) -> np.ndarray:
         raise linalg.DimensionMismatchError(f"shapes differ: {u.shape} vs {obs.shape}")
     defect = linalg.unitarity_defect(u)
     if defect > 1e-8:
-        raise linalg.NonHermitianError(f"U is not unitary (defect {defect:.3e})")
+        raise linalg.LinalgError(f"U is not unitary (defect {defect:.3e})")
     uh = u.conj().T
     for _ in range(n):
         obs = uh @ obs @ u

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from semitrotter import commutator_lab
 from semitrotter.commutator_lab import (
     compute_alpha_comm,
     compute_alpha_tilde,
@@ -13,8 +14,9 @@ from semitrotter.commutator_lab import (
     nested_comm,
 )
 from semitrotter.discretize import Grid, SchemeKind
+from semitrotter.experiments import _build_operators, build_config, run_comm_sweep
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import commutator, spectral_norm
+from semitrotter.linalg import ConvergenceError, commutator, spectral_norm
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 
 
@@ -65,6 +67,61 @@ def test_beta_p2_enumerates_eight_words():
         spectral_norm(nested_comm(w, a, b, obs)) for w in itertools.product("AB", repeat=3)
     )
     assert compute_beta_comm(2, a, b, obs) == pytest.approx(oracle, rel=1e-12)
+
+
+def _sweep_operators(scheme, n):
+    cfg = build_config("comm-sweep", {"scheme": scheme})
+    _, a, b, obs = _build_operators(cfg, 1.0 / n, n)
+    return a, b, obs
+
+
+@pytest.mark.parametrize("scheme", ["fd", "spectral"])
+@pytest.mark.parametrize("n", [32, 256])
+def test_beta_pruning_equals_full_maximum(scheme, n):
+    a, b, obs = _sweep_operators(scheme, n)
+    for p in (1, 2, 3):
+        words = list(itertools.product("AB", repeat=p + 1))
+        dense = {w: nested_comm(w, a, b, obs) for w in words}
+        chains = commutator_lab._word_chains(p, a, b, obs)
+        assert all(np.array_equal(chains[w], dense[w]) for w in words)  # ad_B scaling is exact
+        assert compute_beta_comm(p, a, b, obs) == max(spectral_norm(m) for m in dense.values())
+
+
+def test_beta_pruning_skips_norms(monkeypatch):
+    a, b, obs = _sweep_operators("fd", 256)
+    calls = []
+
+    def counting_norm(m):
+        calls.append(1)
+        return spectral_norm(m)
+
+    monkeypatch.setattr(commutator_lab, "spectral_norm", counting_norm)
+    compute_beta_comm(2, a, b, obs)
+    assert 1 <= len(calls) < 8
+
+
+@pytest.mark.parametrize("operand", [0, 2])
+def test_beta_non_finite_chain_raises(operand):
+    # a NaN in A leaves the finite chain (B, B, B), which must not end the visit
+    ops = [m.copy() for m in _setup(n=16)]
+    ops[operand][3, 5] = np.nan
+    with pytest.raises(ConvergenceError):
+        compute_beta_comm(2, *ops)
+
+
+def test_b_must_be_diagonal():
+    a, b, obs = _setup(n=16)
+    with pytest.raises(ValueError, match="B must be diagonal"):
+        compute_beta_comm(1, a, a, obs)
+    with pytest.raises(ValueError, match="B must be diagonal"):
+        compute_alpha_comm(1, 2, a, a, obs)
+
+
+def test_comm_sweep_ab_row_is_dense_commutator_norm():
+    cfg = build_config("comm-sweep", {"h": "0.03125"})
+    (value,) = [r.value for r in run_comm_sweep(cfg) if r.metric == "[A,B]"]
+    a, b, _ = _sweep_operators("fd", 32)
+    assert value == spectral_norm(commutator(a, b))
 
 
 def test_beta_rejects_p_zero():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from semitrotter import symbolic_lie
 from semitrotter.discretize import Grid, build_diag, build_Dk, build_forward_diff
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import commutator
@@ -146,6 +147,31 @@ def test_verifier_clean_run():
     assert report.failures == 0
     assert report.first_failure is None
     assert report.checks > report.trials
+
+
+def test_verifier_pinned_report():
+    # pins the random stream: integer scalars draw exactly what the Fractions drew
+    report = verify_height_width(1000, 42)
+    assert (report.trials, report.checks, report.failures) == (1000, 4531, 0)
+
+
+def test_verifier_describes_only_failures(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(symbolic_lie, "to_string", lambda op: rendered.append(op) or "")
+    assert verify_height_width(50, seed=3).passed
+    assert rendered == []
+
+
+def test_symop_scalar_types():
+    (int_scalar,) = SymOp.term(2).terms.values()
+    (frac_scalar,) = SymOp.term(Fraction(3, 2)).terms.values()
+    assert type(int_scalar) is int
+    assert type(frac_scalar) is Fraction
+    assert SymOp.term(2) == SymOp.term(Fraction(2))
+    assert hash(SymOp.term(2)) == hash(SymOp.term(Fraction(2)))
+    (scaled,) = (3 * SymOp.term(Fraction(1, 2))).terms.values()
+    assert scaled == Fraction(3, 2)
+    assert to_string(SymOp.term(Fraction(-3, 2), (("V", 1),), hpow=1)) == "-3/2 * V^(1) * h^1 * d^0"
 
 
 def test_verifier_validates_trials():
