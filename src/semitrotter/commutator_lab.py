@@ -46,7 +46,7 @@ def _word_chains(p: int, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -> dict[
     """Every (p+1)-letter ad-chain, via a shared prefix tree; B is the diagonal by role."""
     b = as_matrix(b)
     d = np.diag(b)
-    if not np.array_equal(b, np.diag(d)):
+    if not np.array_equal(b, np.diag(d), equal_nan=True):
         raise ValueError("B must be diagonal")
     ad = {"A": lambda m: commutator(a, m), "B": lambda m: d[:, None] * m - m * d}
     level: dict[tuple[str, ...], np.ndarray] = {(): as_matrix(obs)}

@@ -86,14 +86,6 @@ def build_Dk(g: Grid, k: int) -> np.ndarray:
     return d_f if k == 1 else d_f @ build_Dk(g, k - 1)
 
 
-def build_Dk_backward(g: Grid, k: int) -> np.ndarray:
-    """Variant of build_Dk using D_B for the odd factor."""
-    if k % 2 == 0:
-        return build_Dk(g, k)
-    d_b = build_backward_diff(g)
-    return d_b if k == 1 else d_b @ build_Dk(g, k - 1)
-
-
 def spectral_frequencies(g: Grid) -> np.ndarray:
     """Frequency grid 2 pi/(b-a) * (0, 1, ..., N/2-1, -N/2, ..., -1)."""
     k_int = np.fft.fftfreq(g.n, d=1.0 / g.n)

@@ -95,18 +95,21 @@ class SlopeFit:
 
 
 def _parse_scalar(token: str) -> float:
+    """A finite float from literals, pi and -pi joined by /, read left to right; else ConfigError."""
     token = token.strip()
     if "/" in token:
-        num, den = token.split("/", 1)
-        return _parse_scalar(num) / _parse_scalar(den)
-    if token == "pi":
-        return math.pi
-    if token == "-pi":
-        return -math.pi
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse number {token!r}") from exc
+        num, den = (_parse_scalar(part) for part in token.rsplit("/", 1))
+        value = num / den if den else math.inf  # x/0 is rejected as non-finite
+    elif token in ("pi", "-pi"):
+        value = -math.pi if token == "-pi" else math.pi
+    else:
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse number {token!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{token!r} is not a finite number")
+    return value
 
 
 def _parse_value(raw: str):
@@ -296,8 +299,7 @@ def _sort_rows(rows: list[Row]) -> list[Row]:
 
 
 def _row(cfg: RunConfig, metric: str, value: float, p=None, n=0, h=None, dt=None, t=None) -> Row:
-    scheme = "fd" if cfg.scheme is SchemeKind.FINITE_DIFFERENCE else "spectral"
-    return Row(cfg.experiment, p, scheme, n, h, dt, t, metric, value)
+    return Row(cfg.experiment, p, cfg.scheme.value, n, h, dt, t, metric, value)
 
 
 def _grid_size_for(cfg: RunConfig, h: float) -> int:

@@ -8,7 +8,7 @@ unary negation, the binary operators ``+ - * / ^`` and calls to
 Precedence (tightest first): ``^`` (right-assoc), unary minus,
 ``* /`` (left-assoc), ``+ -`` (left-assoc).
 
-ASTs are immutable after parsing and safe to share between workers.
+ASTs are immutable after parsing.
 The function set is fixed; all members are entire or periodic, so a
 periodic expression evaluated on a periodic grid stays consistent with
 the boundary conditions (the parser itself does not verify periodicity).

@@ -1,10 +1,9 @@
 """Semiclassical Hamiltonian pieces and polynomial observables.
 
-The Hamiltonian splits as H = A + B with a kinetic part
-A = -kinetic_coeff * h * (second derivative matrix) and a potential part
-B = (1/h) diag(V(x_j)). The default kinetic_coeff of 1/2 gives the
--(h/2) Laplacian + (1/h) V(x) form used in the numerical experiments;
-height/width structure is insensitive to the constant.
+The Hamiltonian splits as H = A + B with the kinetic part A = -(h/2) D_2,
+D_2 the second-derivative matrix of the scheme (the finite-difference
+Laplacian or the spectral d^2/dx^2), and the potential part
+B = (1/h) diag(V(x_j)).
 
 Observables are polynomial in the derivative: O = sum_m diag(y_m) h^m D_m,
 with D_m the finite-difference ladder (build_Dk) or its spectral analogue.
@@ -22,12 +21,12 @@ from .discretize import (
     SchemeKind,
     build_diag,
     build_Dk,
-    build_Dk_backward,
-    build_laplacian,
     build_spectral_derivative,
     sample,
 )
 from .expr import Expr
+
+_LADDER = {SchemeKind.FINITE_DIFFERENCE: build_Dk, SchemeKind.SPECTRAL: build_spectral_derivative}
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,10 @@ class ModelParams:
     potential: Expr
     grid: Grid
     scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE
-    kinetic_coeff: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.h <= 1.0:
             raise ValueError(f"need 0 < h <= 1, got h={self.h}")
-        if not self.kinetic_coeff > 0.0:
-            raise ValueError(f"need kinetic_coeff > 0, got {self.kinetic_coeff}")
 
 
 @dataclass(frozen=True)
@@ -60,15 +56,9 @@ class PolyObservableSpec:
             raise ValueError(f"duplicate derivative degrees in {degrees}")
 
 
-def second_derivative_matrix(grid: Grid, scheme: SchemeKind) -> np.ndarray:
-    if scheme is SchemeKind.FINITE_DIFFERENCE:
-        return build_laplacian(grid)
-    return build_spectral_derivative(grid, 2)
-
-
 def build_A(p: ModelParams) -> np.ndarray:
-    """Kinetic term -kinetic_coeff * h * (d^2/dx^2 matrix); Hermitian."""
-    a = -p.kinetic_coeff * p.h * second_derivative_matrix(p.grid, p.scheme)
+    """Kinetic term -(h/2) D_2; Hermitian."""
+    a = -0.5 * p.h * _LADDER[p.scheme](p.grid, 2)
     # the FFT-built spectral matrix carries ~1e-16 asymmetry; project it out
     return 0.5 * (a + a.conj().T)
 
@@ -86,22 +76,12 @@ def build_observable(
     spec: PolyObservableSpec,
     grid: Grid,
     scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE,
-    odd_backward: bool = False,
-    symmetrize: bool = False,
 ) -> np.ndarray:
-    """Assemble sum_m diag(y_m) h^m D_m for the chosen scheme.
+    """Assemble O = sum_m diag(y_m) h^m D_m, not symmetrized: the error analysis allows any O.
 
-    odd_backward switches the odd finite-difference factors from D_F to
-    D_B; symmetrize replaces the result by its Hermitian part (off by
-    default, the error analysis does not require Hermitian observables).
+    D_m is the D_F ladder of build_Dk (finite differences) or the spectral d^m/dx^m.
     """
     out = np.zeros((grid.n, grid.n))
     for m, y_m in spec.terms:
-        if scheme is SchemeKind.FINITE_DIFFERENCE:
-            deriv = build_Dk_backward(grid, m) if odd_backward else build_Dk(grid, m)
-        else:
-            deriv = build_spectral_derivative(grid, m)
-        out += sample(grid, y_m)[:, None] * deriv * spec.h**m
-    if symmetrize:
-        out = 0.5 * (out + out.conj().T)
+        out += sample(grid, y_m)[:, None] * _LADDER[scheme](grid, m) * spec.h**m
     return out

@@ -33,7 +33,6 @@ Stage = tuple[float, str]
 
 @dataclass(frozen=True)
 class StagePlan:
-    order: int
     stages: tuple[Stage, ...]
 
     def coefficient_sum(self, generator: str) -> float:
@@ -56,7 +55,7 @@ def _merge_adjacent(stages: list[Stage]) -> list[Stage]:
 def suzuki_plan(p: int) -> StagePlan:
     """Stage schedule for the order-p scheme (p = 1 or even, p <= 10)."""
     if p == 1:
-        return StagePlan(1, ((1.0, "A"), (1.0, "B")))
+        return StagePlan(((1.0, "A"), (1.0, "B")))
     if p < 2 or p % 2 != 0 or p > 10:
         raise ValueError(f"order must be 1 or an even integer <= 10, got {p}")
     stages: list[Stage] = [(0.5, "A"), (1.0, "B"), (0.5, "A")]
@@ -66,7 +65,7 @@ def suzuki_plan(p: int) -> StagePlan:
         for factor in (u, u, 1.0 - 4.0 * u, u, u):
             scaled.extend((c * factor, g) for c, g in stages)
         stages = _merge_adjacent(scaled)
-    return StagePlan(p, tuple(stages))
+    return StagePlan(tuple(stages))
 
 
 def trotter_step(plan: StagePlan, a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -76,17 +75,19 @@ def trotter_step(plan: StagePlan, a: np.ndarray, b: np.ndarray, dt: float) -> np
     x to ifft(e^{-i dt c_j lam} fft(x)), lam its real DFT symbol. B is the
     potential, a diagonal: its stage scales rows by e^{-i dt c_j d}. A that
     is not exactly circulant(a[:, 0]), or B that is not exactly diagonal,
-    raises ValueError.
+    raises ValueError, and a non-finite A or B ConvergenceError.
     """
     a = linalg.as_matrix(a)
     b = linalg.as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise linalg.DimensionMismatchError(f"need equal square A and B: {a.shape} vs {b.shape}")
     potential = np.diag(b)
-    if not np.array_equal(b, np.diag(potential)):
+    if not np.array_equal(b, np.diag(potential), equal_nan=True):
         raise ValueError("B must be diagonal")
-    if not np.array_equal(a, linalg.circulant(a[:, 0])):
+    if not np.array_equal(a, linalg.circulant(a[:, 0]), equal_nan=True):
         raise ValueError("A must be circulant")
+    if not (np.isfinite(a[:, 0]).all() and np.isfinite(potential).all()):
+        raise linalg.ConvergenceError("A or B has non-finite entries")
     symbol = linalg.hermitian_circulant_symbol(a[0])
     # build U^T = u_1^T ... u_l^T, so the FFTs run along contiguous rows
     step_t = np.eye(a.shape[0], dtype=np.complex128)

@@ -100,13 +100,25 @@ def test_beta_pruning_skips_norms(monkeypatch):
     assert 1 <= len(calls) < 8
 
 
-@pytest.mark.parametrize("operand", [0, 2])
-def test_beta_non_finite_chain_raises(operand):
-    # a NaN in A leaves the finite chain (B, B, B), which must not end the visit
+def _nan_at_3_5(operand):
     ops = [m.copy() for m in _setup(n=16)]
     ops[operand][3, 5] = np.nan
+    return ops
+
+
+@pytest.mark.parametrize(
+    "p, ops",
+    [
+        pytest.param(2, _nan_at_3_5(0), id="0"),
+        pytest.param(2, _nan_at_3_5(2), id="2"),
+        pytest.param(1, [np.eye(3), np.diag([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
+    ],
+)
+def test_beta_non_finite_chain_raises(p, ops):
+    # a NaN in A leaves the finite chain (B, B, B), which must not end the visit;
+    # a NaN on B's diagonal is a non-finite B, not a B that fails to be diagonal
     with pytest.raises(ConvergenceError):
-        compute_beta_comm(2, *ops)
+        compute_beta_comm(p, *ops)
 
 
 def test_b_must_be_diagonal():

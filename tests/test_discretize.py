@@ -11,7 +11,6 @@ from semitrotter.discretize import (
     build_backward_diff,
     build_diag,
     build_Dk,
-    build_Dk_backward,
     build_forward_diff,
     build_laplacian,
     build_spectral_derivative,
@@ -90,22 +89,12 @@ def test_build_Dk_ladder():
         build_Dk(g, -1)
 
 
-def test_build_Dk_backward_variant():
-    g = Grid(-math.pi, math.pi, 8)
-    assert np.array_equal(build_Dk_backward(g, 2), build_Dk(g, 2))
-    assert np.array_equal(build_Dk_backward(g, 1), build_backward_diff(g))
-
-
 def test_build_Dk_first_order_and_dtype():
     # k = 1 is the first-order matrix itself; every order is real
     g = Grid(-math.pi, math.pi, 8)
     assert np.array_equal(build_Dk(g, 1), build_forward_diff(g))
-    assert np.array_equal(build_Dk_backward(g, 3), build_backward_diff(g) @ build_laplacian(g))
     for k in range(5):
         assert build_Dk(g, k).dtype == np.float64
-        assert build_Dk_backward(g, k).dtype == np.float64
-    with pytest.raises(ValueError):
-        build_Dk_backward(g, -1)
 
 
 def test_Dk_family_commutes():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 import runpy
 from pathlib import Path
@@ -14,15 +15,34 @@ SOURCES = sorted((ROOT / "src").rglob("*.py"))
 ENV_NAME = re.compile(r"SEMITROTTER_[A-Z_]+")
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_imports_resolve(demo):
-    # checked without running the demo, which may take seconds and write plots
-    tree = ast.parse(demo.read_text(encoding="utf-8"), filename=str(demo))
+def _semitrotter_imports(tree):
+    """(module, imported name, local name) for each `from semitrotter... import` name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "semitrotter":
             module = importlib.import_module(node.module)
             for alias in node.names:
-                assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+                yield module, alias.name, alias.asname or alias.name
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_imports_resolve(demo):
+    # checked without running the demo, which may take seconds and write plots
+    tree = ast.parse(demo.read_text(encoding="utf-8"), filename=str(demo))
+    for module, name, _ in _semitrotter_imports(tree):
+        assert hasattr(module, name), f"{demo.name}: {module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_keywords_are_parameters(demo):
+    # a keyword a demo passes must still be a parameter, also where the demo is not run
+    tree = ast.parse(demo.read_text(encoding="utf-8"), filename=str(demo))
+    imported = {local: getattr(module, name) for module, name, local in _semitrotter_imports(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported:
+            params = inspect.signature(imported[node.func.id]).parameters
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    assert keyword.arg in params, f"{demo.name}:{node.lineno}: {node.func.id}({keyword.arg}=)"
 
 
 @pytest.mark.parametrize("name", ["suzuki_schedules.py", "local_error_budget.py"])

@@ -64,7 +64,7 @@ def test_config_text_parsing():
         # reference run
         N = 32
         h = 1/64
-        dt = 1/4, 1/8   # list
+        dt = 1/4, 1/2/4   # list; a/b/c is (a/b)/c, as in expressions
         potential = "cos(x) + 0.5*sin(x)"
         scheme = spectral
         """
@@ -110,6 +110,10 @@ def test_config_rejections():
         build_config("h-sweep", {"dt": "1/10, 1/20"})
     with pytest.raises(ConfigError):
         build_config("comm-sweep", {"orders": "2, 4"})
+    # every number must be finite: no division by zero, overflow or nan
+    for key, value in (("dt", "1/0"), ("N", "1e400"), ("t_final", "nan")):
+        with pytest.raises(ConfigError):
+            build_config("dt-sweep", {key: value})
     # lists an experiment ignores are not rejected
     build_config("verify-symbolic", {"h": "1/8, 1/16", "orders": "2, 4"})
 
@@ -378,6 +382,8 @@ def test_cli_config_error_exit_code(tmp_path):
     config.write_text("dt = 0.3\n", encoding="utf-8")
     assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert main(["h-sweep", "--config", str(tmp_path / "missing.cfg"), "--out", "o"]) == 2
+    config.write_text("dt = 1/0\n", encoding="utf-8")
+    assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("experiment", ["beta", "dt-sweep"])

@@ -30,8 +30,6 @@ def test_params_validation():
         _params(h=0.0)
     with pytest.raises(ValueError):
         _params(h=1.5)
-    with pytest.raises(ValueError):
-        ModelParams(h=0.5, potential=COS, grid=Grid(0, 1, 8), kinetic_coeff=0.0)
 
 
 def test_observable_spec_validation():
@@ -108,8 +106,7 @@ def test_operators_are_real():
         p = _params(h=1.0 / 16, n=16, scheme=scheme)
         assert build_A(p).dtype == np.float64
         assert build_B(p).dtype == np.float64
-        for flags in ({}, {"odd_backward": True}, {"symmetrize": True}):
-            assert build_observable(spec, p.grid, scheme, **flags).dtype == np.float64
+        assert build_observable(spec, p.grid, scheme).dtype == np.float64
 
 
 def test_observable_degenerate_multiplication():
@@ -123,21 +120,6 @@ def test_observable_first_order_term():
     spec = PolyObservableSpec(terms=((1, parse_expr("1")),), h=p.h)
     got = build_observable(spec, p.grid, SchemeKind.FINITE_DIFFERENCE)
     assert np.allclose(got, p.h * build_forward_diff(p.grid), atol=1e-15)
-
-
-def test_observable_odd_backward_switch():
-    p = _params(n=16)
-    spec = PolyObservableSpec(terms=((1, SIN),), h=p.h)
-    forward = build_observable(spec, p.grid, SchemeKind.FINITE_DIFFERENCE)
-    backward = build_observable(spec, p.grid, SchemeKind.FINITE_DIFFERENCE, odd_backward=True)
-    assert not np.allclose(forward, backward)
-
-
-def test_observable_symmetrize_flag():
-    p = _params(n=16)
-    spec = PolyObservableSpec(terms=((0, COS), (1, SIN)), h=p.h)
-    sym = build_observable(spec, p.grid, p.scheme, symmetrize=True)
-    assert hermiticity_defect(sym) <= 1e-14
 
 
 def test_observable_norm_uniform_in_h():

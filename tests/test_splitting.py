@@ -7,7 +7,7 @@ import pytest
 
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import LinalgError, NonHermitianError, spectral_norm, unitarity_defect, unitary_exp
+from semitrotter.linalg import ConvergenceError, LinalgError, NonHermitianError, spectral_norm, unitarity_defect, unitary_exp
 from semitrotter.model import ModelParams, build_A, build_B, build_H
 from semitrotter.splitting import (
     compute_steps,
@@ -116,6 +116,14 @@ def test_trotter_step_rejects_dense_generator():
         trotter_step(suzuki_plan(2), dense, b, 0.1)
     with pytest.raises(ValueError, match="B must be diagonal"):
         trotter_step(suzuki_plan(2), a, dense, 0.1)
+
+
+def test_trotter_step_rejects_non_finite_generator():
+    # NaN != NaN must not turn a non-finite generator into a role error
+    with pytest.raises(ConvergenceError):
+        trotter_step(suzuki_plan(2), np.eye(4), np.diag([1.0, np.nan, 2.0, 3.0]), 0.1)
+    with pytest.raises(ConvergenceError):
+        trotter_step(suzuki_plan(2), np.full((4, 4), np.nan), np.diag([1.0, 2.0, 3.0, 4.0]), 0.1)
 
 
 def test_trotter_step_halving_dt_cuts_error_eightfold():
