@@ -4,9 +4,16 @@ Matrices are numpy arrays, row-major, square for all operator uses: float64
 for real operators (A, B, observables), complex128 for unitaries. Nothing
 here mutates its inputs, so results can be shared freely.
 
-The spectral norm is the root of the Gram matrix's top eigenvalue, exact to
-rounding; commutator matrices often have a degenerate top singular value,
-which defeats iterative estimates started from a fixed vector.
+The spectral norm is the root of the Gram matrix's top eigenvalue. Small or
+real Grams read it from a full eigenvalue solve. A large complex Gram G gets
+it from Lanczos started at a seeded random vector, which reaches the top of
+the spectrum even when that eigenvalue is degenerate (as for the commutator
+and unitary matrices the sweeps build), because a random start has a nonzero
+component in the top eigenspace with probability one (Kuczynski &
+Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992). The Ritz value theta is a
+lower bound, and a Cholesky factorization of theta (1 + tau) I - G proves
+the upper bound; if it fails, the eigenvalue is read exactly from that
+shifted matrix. So no value rests on the iteration having converged.
 """
 
 from __future__ import annotations
@@ -87,11 +94,26 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     return (v * np.exp(-1j * theta * w)) @ v.conj().T
 
 
+# Complex Grams with more rows than this take the Lanczos path. Eigenvalue solve
+# against Lanczos plus certificate, on the h-sweep's matrices (2-core x86-64,
+# OpenBLAS 0.3.31): 1.4-1.9 ms against 1.1-3.5 ms at N = 128, 11-13 ms against
+# 5-10 ms at N = 256, 0.31-0.33 s against 0.09-0.14 s at N = 1024. Real Grams
+# always keep the solve: the real tridiagonalization costs about a third of
+# the complex one (82 ms against 268 ms at N = 1024).
+_EIGVALSH_MAX_N = 128
+_TAU = 1e-10  # relative accuracy of the certified top eigenvalue
+_LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108; the certificate catches a shortfall
+_LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
+
+
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value s sqrt(lambda_max((M/s)^dagger (M/s))), s = max |M_ij|.
 
-    The top eigenvalue of a PSD matrix is backward-stable (exact to O(N eps) relative),
-    and the scaling rules out overflow and underflow. Non-finite entries raise ConvergenceError.
+    The scaling rules out overflow and underflow. Real and small Grams take a full
+    eigenvalue solve, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
+    backward-stable). Large complex Grams take a certified Lanczos value, within 1e-10
+    (tau) relative plus O(N eps) of lambda_max, so the norm is within half that.
+    Non-finite entries raise ConvergenceError.
     """
     m = as_matrix(m)
     scale = float(np.max(np.abs(m)))
@@ -100,11 +122,67 @@ def spectral_norm(m: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     m = m / scale
+    gram = m.conj().T @ m
+    del m  # the certificate's Cholesky buffers take the place of the scaled copy
     try:
-        top = np.linalg.eigvalsh(m.conj().T @ m)[-1]
+        if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
+            top = np.linalg.eigvalsh(gram)[-1]
+        else:
+            top = _certified_top(gram, _lanczos_top(gram))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
+
+
+def _lanczos_top(gram: np.ndarray) -> float:
+    """Top Ritz value of a Hermitian PSD matrix, a lower bound on lambda_max.
+
+    Lanczos with full reorthogonalization (two Gram-Schmidt passes) from a start
+    vector seeded afresh on every call, so a value never depends on earlier calls.
+    Stops once the top Ritz pair's residual is at most tau times its value.
+    """
+    n = gram.shape[0]
+    steps = min(n, _LANCZOS_MAX_STEPS)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    basis = np.empty((steps, n), dtype=np.complex128)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        basis[k] = v
+        w = gram @ v
+        alpha[k] = np.vdot(v, w).real
+        q = basis[: k + 1]
+        for _ in range(2):
+            w -= (q @ w.conj()).conj() @ q
+        b = float(np.linalg.norm(w))
+        stop = b == 0.0 or k + 1 == steps  # an invariant subspace, or the step budget
+        if stop or (k + 1) % _LANCZOS_CHECK_EVERY == 0:
+            ritz, vecs = np.linalg.eigh(
+                np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            )
+            if stop or b * abs(vecs[-1, -1]) <= _TAU * ritz[-1]:
+                break
+        beta[k] = b
+        v = w / b
+    return float(ritz[-1])
+
+
+def _certified_top(gram: np.ndarray, theta: float) -> float:
+    """lambda_max of a Hermitian PSD Gram, given a Ritz value theta <= lambda_max.
+
+    Overwrites gram with theta (1 + tau) I - gram. If that has a Cholesky factor,
+    lambda_max <= theta (1 + tau) (1 + O(N eps)) and theta is returned; otherwise the
+    exact top eigenvalue is read off the shifted matrix.
+    """
+    shift = theta * (1.0 + _TAU)
+    np.negative(gram, out=gram)
+    gram[np.diag_indices_from(gram)] += shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return shift - float(np.linalg.eigvalsh(gram)[0])
+    return theta
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -26,6 +26,7 @@ from semitrotter.experiments import (
     rows_to_csv,
     run_beta,
     run_dt_sweep,
+    run_h_sweep,
     run_verify_symbolic,
     series_from_rows,
 )
@@ -211,8 +212,6 @@ def test_h_sweep_exact_for_zero_potential():
         {"h": "1/8, 1/16", "N": "16", "dt": "1/4", "t_final": "1/2",
          "orders": "2", "potential": "0", "observable": "0:cos(x)"},
     )
-    from semitrotter.experiments import run_h_sweep
-
     for r in run_h_sweep(cfg):
         assert r.value <= 1e-9
 
@@ -294,6 +293,15 @@ def test_csv_determinism_across_runs(tmp_path):
     cfg = build_config("dt-sweep", FAST_DT)
     p1 = emit_csv(run_dt_sweep(cfg), str(tmp_path / "a.csv"))
     p2 = emit_csv(run_dt_sweep(cfg), str(tmp_path / "b.csv"))
+    with open(p1, "rb") as f1, open(p2, "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+def test_h_sweep_csv_determinism_at_defaults(tmp_path):
+    # N = 256 ... 1024 take the Lanczos norm, whose start must not depend on earlier calls
+    cfg = build_config("h-sweep")
+    p1 = emit_csv(run_h_sweep(cfg), str(tmp_path / "a.csv"))
+    p2 = emit_csv(run_h_sweep(cfg), str(tmp_path / "b.csv"))
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
 

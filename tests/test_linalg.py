@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from semitrotter import linalg
 from semitrotter.discretize import Grid, build_forward_diff, build_backward_diff, build_laplacian
 from semitrotter.linalg import (
     ConvergenceError,
@@ -198,6 +199,105 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
     assert len(pairs) == 2 * len(ex.COMM_WORD_LABELS) + 2 * 2
     for value, oracle in pairs:
         assert value == pytest.approx(oracle, rel=1e-8)
+
+
+def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
+    # the h-sweep's [O, W - I] and W - I at N = 256 and 512 take the Lanczos path,
+    # and so does a unitary, whose top singular value is fully degenerate
+    import semitrotter.experiments as ex
+
+    pairs = []
+
+    def checked(m):
+        assert m.shape[0] > linalg._EIGVALSH_MAX_N and np.iscomplexobj(m)
+        pairs.append((spectral_norm(m), _norm_oracle(m)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(ex, "spectral_norm", checked)
+    for scheme in ("fd", "spectral"):
+        raw = {"h": "1/256, 1/512", "orders": "2, 4, 6", "scheme": scheme}
+        ex.run_h_sweep(ex.build_config("h-sweep", raw))
+    assert len(pairs) == 2 * 2 * 3 * 2
+    rng = np.random.default_rng(14)
+    m = _random_complex(rng, 256)
+    _, v = hermitian_eig(m + m.conj().T)
+    pairs.append((spectral_norm(v), _norm_oracle(v)))
+    for value, oracle in pairs:
+        assert value == pytest.approx(oracle, rel=1e-10)
+
+
+def _complex_gram(n, seed):
+    m = _random_complex(np.random.default_rng(seed), n)
+    return m.conj().T @ m
+
+
+def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
+    gram = _complex_gram(200, 15)
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        try:
+            cholesky(a)
+        except np.linalg.LinAlgError:
+            factored.append(False)
+            raise
+        factored.append(True)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
+    assert factored == [False]
+    theta = linalg._lanczos_top(gram)
+    assert theta <= top * (1 + 1e-14)
+    assert linalg._certified_top(gram.copy(), theta) == theta
+    assert factored == [False, True]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_spectral_norm_non_finite_above_crossover_raises(bad):
+    m = _random_complex(np.random.default_rng(16), linalg._EIGVALSH_MAX_N + 1)
+    m[3, 5] = bad
+    with pytest.raises(ConvergenceError):
+        spectral_norm(m)
+
+
+def test_spectral_norm_is_deterministic():
+    # the Lanczos start is seeded afresh on every call: no state carries over
+    rng = np.random.default_rng(17)
+    m = _random_complex(rng, 256)
+    first = spectral_norm(m)
+    spectral_norm(_random_complex(rng, 300))
+    assert spectral_norm(m) == first
+
+
+def test_spectral_norm_routes_by_dtype_and_size(monkeypatch):
+    krylov, solved = [], []
+    lanczos_top = linalg._lanczos_top
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_lanczos(g):
+        krylov.append(g.shape[0])
+        return lanczos_top(g)
+
+    def counting_eigvalsh(g):
+        solved.append((g.dtype, g.shape[0]))
+        return eigvalsh(g)
+
+    monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rng = np.random.default_rng(18)
+    crossover = linalg._EIGVALSH_MAX_N
+    for n in (2, crossover, crossover + 1, 512):
+        spectral_norm(rng.standard_normal((n, n)))
+    for n in (2, 64, crossover):
+        spectral_norm(_random_complex(rng, n))
+    assert krylov == []
+    assert solved == [(np.float64, n) for n in (2, crossover, crossover + 1, 512)] + [
+        (np.complex128, n) for n in (2, 64, crossover)
+    ]
+    spectral_norm(_random_complex(rng, crossover + 1))
+    assert krylov == [crossover + 1]
 
 
 def test_commutator_keeps_dtype_family():
