@@ -52,8 +52,14 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape or x.shape[0] != x.shape[1]:
         raise DimensionMismatchError(f"need equal square shapes: {x.shape}, {y.shape}")
     if np.iscomplexobj(x) != np.iscomplexobj(y):  # real with complex: half the flops
-        r, c, sign = (x, y, 1.0) if np.isrealobj(x) else (y, x, -1.0)
-        return sign * (commutator(r, c.real.copy()) + 1j * commutator(r, c.imag.copy()))
+        out = np.empty(x.shape, dtype=np.complex128)
+        if np.isrealobj(x):
+            out.real = commutator(x, y.real.copy())
+            out.imag = commutator(x, y.imag.copy())
+        else:
+            out.real = commutator(x.real.copy(), y)
+            out.imag = commutator(x.imag.copy(), y)
+        return out
     return x @ y - y @ x
 
 

@@ -306,6 +306,19 @@ def test_h_sweep_csv_determinism_at_defaults(tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_h_sweep_csv_does_not_depend_on_block_count(tmp_path, monkeypatch):
+    import semitrotter.splitting as splitting
+
+    cfg = build_config("h-sweep", {"h": "1/128, 1/256", "orders": "1, 6"})
+    monkeypatch.setattr(splitting, "_MIN_THREAD_ROWS", 1)
+    texts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(splitting, "_WORKERS", workers)
+        with open(emit_csv(run_h_sweep(cfg), str(tmp_path / f"{workers}.csv")), "rb") as fh:
+            texts.append(fh.read())
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
 def test_verify_symbolic_rows():
     cfg = build_config("verify-symbolic", {"trials": "50"})
     rows = run_verify_symbolic(cfg)

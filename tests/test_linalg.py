@@ -313,6 +313,16 @@ def test_commutator_keeps_dtype_family():
         assert np.max(np.abs(commutator(p, q) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
+def test_real_complex_commutator_is_two_real_commutators():
+    # the real x complex path writes [R, C.real] and [R, C.imag] into one output
+    rng = np.random.default_rng(13)
+    r = rng.standard_normal((8, 8))
+    c = _random_complex(rng, 8)
+    parts = commutator(r, c.real) + 1j * commutator(r, c.imag)
+    assert np.array_equal(commutator(r, c), parts)
+    assert np.array_equal(commutator(c, r), -parts)
+
+
 def test_spectral_norm_keeps_dtype_family(monkeypatch):
     seen = []
     eigvalsh = np.linalg.eigvalsh

@@ -1,10 +1,12 @@
 """Suzuki plan and Trotter-step tests."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from semitrotter import linalg, splitting
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import ConvergenceError, LinalgError, NonHermitianError, spectral_norm, unitarity_defect, unitary_exp
@@ -18,12 +20,12 @@ from semitrotter.splitting import (
 )
 
 
-def _operators(h=1.0 / 64, n=64):
+def _operators(h=1.0 / 64, n=64, scheme=SchemeKind.FINITE_DIFFERENCE):
     p = ModelParams(
         h=h,
         potential=parse_expr("cos(x)"),
         grid=Grid(-math.pi, math.pi, n),
-        scheme=SchemeKind.FINITE_DIFFERENCE,
+        scheme=scheme,
     )
     return build_A(p), build_B(p), build_H(p)
 
@@ -124,6 +126,96 @@ def test_trotter_step_rejects_non_finite_generator():
         trotter_step(suzuki_plan(2), np.eye(4), np.diag([1.0, np.nan, 2.0, 3.0]), 0.1)
     with pytest.raises(ConvergenceError):
         trotter_step(suzuki_plan(2), np.full((4, 4), np.nan), np.diag([1.0, 2.0, 3.0, 4.0]), 0.1)
+
+
+def test_trotter_step_role_checks_see_one_entry():
+    a, b, _ = _operators(n=16)
+    off = a.copy()
+    off[5, 9] += 1e-13  # one entry of an otherwise exact circulant
+    with pytest.raises(ValueError, match="A must be circulant"):
+        trotter_step(suzuki_plan(2), off, b, 0.1)
+    for value in (1e-300, np.nan):  # one entry off B's diagonal
+        off = b.copy()
+        off[15, 14] = value
+        with pytest.raises(ValueError, match="B must be diagonal"):
+            trotter_step(suzuki_plan(2), a, off, 0.1)
+    off = np.eye(4)
+    off[1, 2] = np.nan  # outside the first column, where the circulant has a 0
+    with pytest.raises(ValueError, match="A must be circulant"):
+        trotter_step(suzuki_plan(2), off, np.eye(4), 0.1)
+    signed_zero = np.diag([1.0, 2.0, 3.0, 4.0])
+    signed_zero[0, 1] = -0.0
+    trotter_step(suzuki_plan(2), np.eye(4), signed_zero, 0.1)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
+def test_trotter_step_bits_do_not_depend_on_block_count(monkeypatch, scheme):
+    a, b, _ = _operators(h=1.0 / 256, n=256, scheme=scheme)
+    plan = suzuki_plan(6)
+    monkeypatch.setattr(splitting, "_MIN_THREAD_ROWS", 1)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(splitting, "_WORKERS", workers)
+        results.append((trotter_step(plan, a, b, 0.1), trotter_step(plan, a, b, 0.1, steps=5)))
+    for step, power in results[1:]:
+        assert np.array_equal(step, results[0][0])
+        assert np.array_equal(power, results[0][1])
+
+
+def test_trotter_step_worker_failure_reaches_caller(monkeypatch):
+    a, b, _ = _operators(n=16)
+    apply_stages = splitting._split_step_rows
+
+    def failing_off_main(rows, phases):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("worker")
+        apply_stages(rows, phases)
+
+    monkeypatch.setattr(splitting, "_split_step_rows", failing_off_main)
+    monkeypatch.setattr(splitting, "_MIN_THREAD_ROWS", 1)
+    monkeypatch.setattr(splitting, "_WORKERS", 2)
+    with pytest.raises(MemoryError, match="worker"):
+        trotter_step(suzuki_plan(2), a, b, 0.1)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
+def test_palindromic_step_is_complex_symmetric(scheme):
+    a, b, _ = _operators(h=1.0 / 256, n=256, scheme=scheme)
+    for p in (2, 4, 6):
+        step = trotter_step(suzuki_plan(p), a, b, 0.1)
+        assert np.max(np.abs(step - step.T)) <= 1e-14
+    step = trotter_step(suzuki_plan(1), a, b, 0.1)
+    assert np.max(np.abs(step - step.T)) > 1e-3
+
+
+@pytest.mark.parametrize("n", (64, 256))
+def test_step_power_matches_matrix_power(n):
+    a, b, _ = _operators(h=1.0 / n, n=n)
+    for p in (1, 2, 4, 6):
+        step = trotter_step(suzuki_plan(p), a, b, 0.1)
+        for steps in (1, 5, 32):
+            power = trotter_step(suzuki_plan(p), a, b, 0.1, steps=steps)
+            assert np.max(np.abs(power - np.linalg.matrix_power(step, steps))) <= 1e-13
+    assert np.array_equal(trotter_step(suzuki_plan(2), a, b, 0.1, steps=0), np.eye(n))
+    with pytest.raises(ValueError, match="non-negative"):
+        trotter_step(suzuki_plan(2), a, b, 0.1, steps=-1)
+
+
+def test_complex_hermitian_circulant_takes_general_squaring():
+    # a real part plus i times an odd real column: Hermitian, not symmetric, so the
+    # palindromic step is not symmetric and X^T X is not its square
+    n = 64
+    rng = np.random.default_rng(16)
+    even, odd = rng.standard_normal(n), rng.standard_normal(n)
+    column = (even + np.roll(even[::-1], 1)) + 1j * (odd - np.roll(odd[::-1], 1))
+    a = linalg.circulant(column)
+    assert np.array_equal(a, a.conj().T)
+    _, b, _ = _operators(n=n)
+    step = trotter_step(suzuki_plan(4), a, b, 0.1)
+    assert np.max(np.abs(step - step.T)) > 1e-3
+    expected = np.linalg.matrix_power(step, 5)
+    assert np.max(np.abs(trotter_step(suzuki_plan(4), a, b, 0.1, steps=5) - expected)) <= 1e-13
+    assert np.max(np.abs(splitting._power(step, 5, symmetric=True) - expected)) > 1e-3
 
 
 def test_trotter_step_halving_dt_cuts_error_eightfold():
