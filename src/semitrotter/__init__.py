@@ -22,7 +22,7 @@ from .discretize import (
     build_laplacian,
     build_spectral_derivative,
 )
-from .expr import ExprError, ExprEvalError, ExprSyntaxError, eval_expr, parse_expr, to_source
+from .expr import ExprError, ExprEvalError, ExprSyntaxError, eval_expr, parse_expr
 from .linalg import (
     ConvergenceError,
     DimensionMismatchError,
@@ -39,7 +39,6 @@ from .model import (
     PolyObservableSpec,
     build_A,
     build_B,
-    build_H,
     build_observable,
 )
 from .splitting import (

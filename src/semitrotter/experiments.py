@@ -23,9 +23,11 @@ reference lines.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import product
 from typing import Callable
@@ -588,36 +590,13 @@ def run_experiment(cfg: RunConfig) -> list[Row]:
 # -- CSV ----------------------------------------------------------------------
 
 
-def _csv_quote(fieldtext: str) -> str:
-    if any(ch in fieldtext for ch in ',"\n'):
-        return '"' + fieldtext.replace('"', '""') + '"'
-    return fieldtext
-
-
-def _format_number(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def rows_to_csv(rows: list[Row]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        fields = [
-            r.experiment,
-            _format_number(r.p),
-            r.scheme,
-            _format_number(r.n),
-            _format_number(r.h),
-            _format_number(r.dt),
-            _format_number(r.t),
-            r.metric,
-            _format_number(r.value),
-        ]
-        lines.append(",".join(_csv_quote(f) for f in fields))
-    return "\n".join(lines) + "\n"
+    """The header and one line per row: Row's fields in column order, floats by repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(astuple(r) for r in rows)
+    return out.getvalue()
 
 
 def emit_csv(rows: list[Row], path: str) -> str:
@@ -678,7 +657,7 @@ def emit_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_SVG_W // 2}" y="24" text-anchor="middle" font-size="15">{_xml_escape(title)}</text>',
     ]
     # axes
     x_axis_y = _MARGIN_T + plot_h
@@ -704,12 +683,12 @@ def emit_svg(
     if xlabel:
         parts.append(
             f'<text x="{_MARGIN_L + plot_w // 2}" y="{_SVG_H - 10}" text-anchor="middle" '
-            f'font-size="13">{xlabel}</text>'
+            f'font-size="13">{_xml_escape(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="18" y="{_MARGIN_T + plot_h // 2}" font-size="13" text-anchor="middle" '
-            f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{ylabel}</text>'
+            f'transform="rotate(-90 18 {_MARGIN_T + plot_h // 2})">{_xml_escape(ylabel)}</text>'
         )
 
     legend_x, legend_y = _MARGIN_L + plot_w + 12, _MARGIN_T + 10

@@ -217,7 +217,7 @@ def parse_expr(source: str) -> Expr:
 
 
 def eval_expr(e: Expr, x: float) -> float:
-    """Evaluate an AST at a point. Raises ExprEvalError on 1/0 or 0^negative."""
+    """Evaluate an AST at a point. Raises ExprEvalError on 1/0, 0^negative, overflow or sin(inf)."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -229,8 +229,8 @@ def eval_expr(e: Expr, x: float) -> float:
     if isinstance(e, Call):
         try:
             return FUNCTIONS[e.func](eval_expr(e.arg, x))
-        except OverflowError as exc:
-            raise ExprEvalError(f"overflow in {e.func}") from exc
+        except (OverflowError, ValueError) as exc:  # ValueError: sin or cos of inf
+            raise ExprEvalError(f"overflow or domain error in {e.func}") from exc
     if isinstance(e, BinOp):
         a = eval_expr(e.left, x)
         b = eval_expr(e.right, x)
@@ -250,52 +250,4 @@ def eval_expr(e: Expr, x: float) -> float:
             raise ExprEvalError("division by zero") from exc
         except (ValueError, OverflowError) as exc:
             raise ExprEvalError(f"domain error in {a!r} {e.op} {b!r}") from exc
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return 5
-
-
-def to_source(e: Expr) -> str:
-    """Render an AST back to parseable text.
-
-    Parenthesization is strict enough that parse_expr(to_source(e))
-    reconstructs a structurally identical AST.
-    """
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Neg):
-        inner = to_source(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({to_source(e.arg)})"
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        left = to_source(e.left)
-        right = to_source(e.right)
-        if e.op == "^":
-            if _prec(e.left) <= p:
-                left = f"({left})"
-            if _prec(e.right) < p:
-                right = f"({right})"
-        else:
-            if _prec(e.left) < p:
-                left = f"({left})"
-            if _prec(e.right) <= p:
-                right = f"({right})"
-        return f"{left}{e.op}{right}"
     raise TypeError(f"not an Expr node: {e!r}")

@@ -68,10 +68,6 @@ def build_B(p: ModelParams) -> np.ndarray:
     return build_diag(p.grid, p.potential) / p.h
 
 
-def build_H(p: ModelParams) -> np.ndarray:
-    return build_A(p) + build_B(p)
-
-
 def build_observable(
     spec: PolyObservableSpec,
     grid: Grid,

@@ -16,7 +16,7 @@ negative and are exponentiated directly.
 trotter_step is the time-splitting spectral method (Bao, Jin & Markowich,
 J. Comput. Phys. 175, 2002) and reads the generators by role: A is the
 periodic kinetic term of either scheme, a Hermitian circulant, and B the
-potential, a diagonal. An A stage is an FFT pair and a B stage a row
+potential, a real diagonal. An A stage is an FFT pair and a B stage a row
 scaling, not an N^3 product; the rows are independent, so blocks of them
 run on separate threads.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +80,11 @@ def suzuki_plan(p: int) -> StagePlan:
 
 
 # The split-step runs on row blocks of U^T, one per CPU this process may use, each
-# on its own thread (pocketfft and the phase scalings release the GIL), but no
-# block has fewer than _MIN_THREAD_ROWS rows; a single block runs in the calling
-# thread. p = 6 steps on a 2-core x86-64 box, one block against two: 6.5-7.8 ms
-# against 5.1-7.7 ms at N = 128, 20.6-24.1 ms against 15.8-16.9 ms at N = 256,
-# 0.51 s against 0.27-0.30 s at N = 1024.
+# on its own pool thread (pocketfft and the phase scalings release the GIL), but
+# no block has fewer than _MIN_THREAD_ROWS rows. p = 6 steps on a 2-core x86-64
+# box, one block against two: 6.5-7.8 ms against 5.1-7.7 ms at N = 128,
+# 20.6-24.1 ms against 15.8-16.9 ms at N = 256, 0.51 s against 0.27-0.30 s at
+# N = 1024.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MIN_THREAD_ROWS = 128
 
@@ -96,9 +96,10 @@ def trotter_step(
 
     A is the kinetic term, a Hermitian circulant: its stage maps each column
     x to ifft(e^{-i dt c_j lam} fft(x)), lam its real DFT symbol. B is the
-    potential, a diagonal: its stage scales rows by e^{-i dt c_j d}. A that
-    is not exactly circulant(a[:, 0]), or B that is not exactly diagonal,
-    raises ValueError, and a non-finite A or B ConvergenceError.
+    potential, a real diagonal: its stage scales rows by e^{-i dt c_j d}. A
+    that is not exactly circulant(a[:, 0]), or B that is not exactly diagonal,
+    raises ValueError, a non-finite A or B ConvergenceError, and a complex
+    symbol of A or a complex diagonal of B NonHermitianError.
 
     The power is taken by binary powering. For a palindromic plan and a real A
     the step is complex symmetric (see the module docstring), so each square
@@ -124,6 +125,8 @@ def trotter_step(
     potential = np.diag(b)
     if not (np.isfinite(a[:, 0]).all() and np.isfinite(potential).all()):
         raise linalg.ConvergenceError("A or B has non-finite entries")
+    if potential.imag.any():
+        raise linalg.NonHermitianError("B must have a real diagonal")
     symbol = linalg.hermitian_circulant_symbol(a[0])
     # the inverse FFTs run unnormalized, with 1/N folded into the A phases; scaling
     # by a power of two is exact, so at power-of-two N this changes no bit
@@ -137,25 +140,9 @@ def trotter_step(
     step_t = np.eye(n, dtype=np.complex128)
     count = max(1, min(_WORKERS, n // _MIN_THREAD_ROWS))
     bounds = [n * k // count for k in range(count + 1)]
-    blocks = [step_t[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    errors: list[Exception] = []
-
-    def work(block: np.ndarray) -> None:
-        try:
-            _split_step_rows(block, phases)
-        except Exception as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(block,)) for block in blocks[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        _split_step_rows(blocks[0], phases)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    blocks = [step_t[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(_split_step_rows, blocks, [phases] * count))  # re-raises a block's error
     return _power(step_t.T, steps, symmetric=plan.is_palindromic() and np.isrealobj(a))
 
 
@@ -206,6 +193,8 @@ def compute_steps(t: float, eps: float, p: int, c: float) -> int:
     """Smallest step count n with C t^(p+1) / n^p <= eps."""
     if t <= 0 or eps <= 0 or c <= 0:
         raise ValueError("t, eps and C must be positive")
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
     n = max(1, math.ceil((c * t ** (p + 1) / eps) ** (1.0 / p) - 1e-12))
     while c * t ** (p + 1) / n**p > eps:
         n += 1

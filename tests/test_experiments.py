@@ -354,6 +354,15 @@ def test_svg_series_and_refs(tmp_path):
     assert "alpha" in texts and "x^2" in texts
 
 
+def test_svg_escapes_title_and_axis_labels(tmp_path):
+    path = emit_svg(
+        [("a<b", [(1.0, 1.0), (2.0, 2.0)])], [], str(tmp_path / "esc.svg"),
+        title="err < 1e-3 & flat", xlabel="h > 0", ylabel="<O> & err",
+    )
+    texts = [t.text for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert {"err < 1e-3 & flat", "h > 0", "<O> & err", "a<b"} <= set(texts)
+
+
 def test_svg_rejects_nonpositive(tmp_path):
     with pytest.raises(ValueError):
         emit_svg([("s", [(0.0, 1.0)])], [], str(tmp_path / "bad.svg"))

@@ -5,19 +5,7 @@ import random
 
 import pytest
 
-from semitrotter.expr import (
-    BinOp,
-    Call,
-    ExprEvalError,
-    ExprSyntaxError,
-    Neg,
-    Num,
-    Pi,
-    Var,
-    eval_expr,
-    parse_expr,
-    to_source,
-)
+from semitrotter.expr import Call, ExprEvalError, ExprSyntaxError, Var, eval_expr, parse_expr
 
 
 def test_parse_cos_x():
@@ -85,44 +73,54 @@ def test_eval_errors():
         eval_expr(parse_expr("x^-1"), 0.0)  # 0^negative
     with pytest.raises(ExprEvalError):
         eval_expr(parse_expr("(-4)^(1/2)"), 0.0)  # stays real-valued
+    with pytest.raises(ExprEvalError):
+        eval_expr(parse_expr("sin(1e200*1e200)"), 0.0)  # sin of inf
 
 
-def _random_ast(rng: random.Random, depth: int):
-    # literals are kept nonnegative: the printer renders a negative value
-    # as unary minus, which reparses to Neg(Num(...)) rather than Num(-...)
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh}
+
+
+def _random_text(rng: random.Random, depth: int) -> str:
+    """Random source text over the whole grammar; literals are floats, as in the parser."""
     if depth == 0:
-        return rng.choice(
-            [Num(abs(round(rng.uniform(-5, 5), 3))), Var(), Pi(), Num(float(rng.randint(1, 9)))]
-        )
-    kind = rng.randrange(7)
-    if kind < 4:
-        op = rng.choice("+-*/")
-        return BinOp(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        return rng.choice(["x", "pi", f"{rng.uniform(0, 5):.3f}", f"{rng.randint(1, 9)}.", ".5", "2e-1"])
+    kind = rng.randrange(6)
+    sub = lambda: _random_text(rng, depth - 1)
+    if kind < 2:
+        space = rng.choice(["", " "])
+        return f"{sub()}{space}{rng.choice('+-*/')}{space}{sub()}"
+    if kind == 2:
+        return f"-{sub()}"
+    if kind == 3:
+        return f"{rng.choice(sorted(_FUNCTIONS))}({sub()})"
     if kind == 4:
-        return Neg(_random_ast(rng, depth - 1))
-    if kind == 5:
-        return Call(rng.choice(["sin", "cos", "exp", "tanh"]), _random_ast(rng, depth - 1))
-    # keep exponents small constants so values stay finite
-    return BinOp("^", _random_ast(rng, depth - 1), Num(float(rng.randint(0, 3))))
+        return f"({sub()})"
+    return f"{sub()}^{rng.choice([sub(), str(rng.randint(0, 3)) + '.', '-1.'])}"
 
 
-def test_roundtrip_property():
-    """parse(print(e)) rebuilds a structurally identical AST, 1000 random trees."""
+def test_random_text_matches_python_eval():
+    """parse + eval agrees with Python's eval of the same text, ^ read as **, on 1000 texts.
+
+    The precedence rules are Python's: ^ binds tighter than unary minus and is
+    right associative, so -2^2 = -4, 2^3^2 = 512 and 2^-1 = 0.5 in both. A text
+    Python cannot evaluate to a real number must raise ExprEvalError.
+    """
     rng = random.Random(2024)
     checked = 0
     for _ in range(1000):
-        e = _random_ast(rng, rng.randint(1, 5))
-        text = to_source(e)
-        e2 = parse_expr(text)
-        assert e2 == e, f"round trip changed {text!r}"
+        text = _random_text(rng, rng.randint(1, 5))
         x = rng.uniform(-math.pi, math.pi)
         try:
-            v1 = eval_expr(e, x)
-        except ExprEvalError:
+            expected = eval(text.replace("^", "**"), {"__builtins__": {}}, dict(_FUNCTIONS, x=x, pi=math.pi))
+        except (ZeroDivisionError, OverflowError, ValueError, TypeError):  # TypeError: complex into math
+            expected = None
+        if isinstance(expected, complex):
+            expected = None
+        if expected is None:
+            with pytest.raises(ExprEvalError):
+                eval_expr(parse_expr(text), x)
             continue
-        v2 = eval_expr(e2, x)
-        assert v2 == pytest.approx(v1, rel=1e-14, abs=1e-300) or (
-            math.isnan(v1) and math.isnan(v2)
-        )
+        got = eval_expr(parse_expr(text), x)
+        assert got == expected or (math.isnan(got) and math.isnan(expected)), text
         checked += 1
-    assert checked > 500  # most random trees evaluate cleanly
+    assert checked > 500  # most random texts evaluate cleanly

@@ -13,7 +13,6 @@ from semitrotter.model import (
     PolyObservableSpec,
     build_A,
     build_B,
-    build_H,
     build_observable,
 )
 
@@ -85,18 +84,10 @@ def test_build_B_commutes_with_diag():
     assert np.all(commutator(b, y) == 0)
 
 
-def test_build_H_pieces():
-    p = _params(potential=parse_expr("0"))
-    assert np.array_equal(build_H(p), build_A(p))
-    p = _params()
-    assert spectral_norm(build_H(p)) <= spectral_norm(build_A(p)) + spectral_norm(build_B(p)) + 1e-12
-    assert math.isfinite(spectral_norm(build_H(p)))
-
-
 def test_model_pieces_hermitian():
     for scheme in (SchemeKind.FINITE_DIFFERENCE, SchemeKind.SPECTRAL):
         p = _params(scheme=scheme)
-        for mat in (build_A(p), build_B(p), build_H(p)):
+        for mat in (build_A(p), build_B(p), build_A(p) + build_B(p)):
             assert hermiticity_defect(mat) <= 1e-12
 
 

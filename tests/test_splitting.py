@@ -10,7 +10,7 @@ from semitrotter import linalg, splitting
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import ConvergenceError, LinalgError, NonHermitianError, spectral_norm, unitarity_defect, unitary_exp
-from semitrotter.model import ModelParams, build_A, build_B, build_H
+from semitrotter.model import ModelParams, build_A, build_B
 from semitrotter.splitting import (
     compute_steps,
     exact_unitary,
@@ -27,7 +27,8 @@ def _operators(h=1.0 / 64, n=64, scheme=SchemeKind.FINITE_DIFFERENCE):
         grid=Grid(-math.pi, math.pi, n),
         scheme=scheme,
     )
-    return build_A(p), build_B(p), build_H(p)
+    a, b = build_A(p), build_B(p)
+    return a, b, a + b
 
 
 def test_plan_order_one():
@@ -126,6 +127,15 @@ def test_trotter_step_rejects_non_finite_generator():
         trotter_step(suzuki_plan(2), np.eye(4), np.diag([1.0, np.nan, 2.0, 3.0]), 0.1)
     with pytest.raises(ConvergenceError):
         trotter_step(suzuki_plan(2), np.full((4, 4), np.nan), np.diag([1.0, 2.0, 3.0, 4.0]), 0.1)
+
+
+def test_trotter_step_rejects_complex_potential():
+    # a complex diagonal B would make a non-unitary "step"; the complex-A case raises the same
+    a, _, _ = _operators(n=8)
+    with pytest.raises(NonHermitianError):
+        trotter_step(suzuki_plan(2), a, np.diag(np.linspace(0.0, 1.0, 8) + 0.5j), 0.1)
+    real_as_complex = np.diag(np.linspace(0.0, 1.0, 8) + 0j)
+    assert unitarity_defect(trotter_step(suzuki_plan(2), a, real_as_complex, 0.1)) <= 1e-12
 
 
 def test_trotter_step_role_checks_see_one_entry():
@@ -285,6 +295,9 @@ def test_compute_steps_examples():
         assert compute_steps(1.5, 2 * eps, 4, 3.0) <= compute_steps(1.5, eps, 4, 3.0)
     with pytest.raises(ValueError):
         compute_steps(-1.0, 1e-3, 2, 1.0)
+    for p in (0, -1):  # p = 0 divided by zero, p = -1 looped forever
+        with pytest.raises(ValueError, match="p >= 1"):
+            compute_steps(1.0, 1e-3, p, 1.0)
 
 
 def test_compute_steps_satisfies_bound():
