@@ -3,8 +3,9 @@
 Subcommands: dt-sweep, h-sweep, comm-sweep, beta, verify-symbolic.
 Each takes --config <path> (defaults apply when omitted) and --out <dir>
 and writes CSV plus SVG artifacts there. Exit codes: 0 on success, 2 on
-a configuration error, 3 on a numerical-convergence failure. Sweeps run
-their jobs one after another; BLAS supplies the threads.
+a configuration error or an output that cannot be written, 3 on a
+numerical-convergence failure. Sweeps run their jobs one after another;
+BLAS supplies the threads.
 
 Plots and printed slope fits leave out zero-valued points (the CSV keeps
 them). A list the sweep holds fixed (h, dt or orders) must have one value.
@@ -74,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
         _write_artifacts(cfg, rows, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reading the config raises ConfigError instead
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"numerical convergence failure: {exc}", file=sys.stderr)

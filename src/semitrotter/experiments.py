@@ -210,7 +210,7 @@ def load_config(experiment: str, path: str | None, state: bool = False) -> RunCo
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return build_config(experiment, raw, state=state)
 

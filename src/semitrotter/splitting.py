@@ -17,21 +17,21 @@ trotter_step is the time-splitting spectral method (Bao, Jin & Markowich,
 J. Comput. Phys. 175, 2002) and reads the generators by role: A is the
 periodic kinetic term of either scheme, a Hermitian circulant, and B the
 potential, a real diagonal. An A stage is an FFT pair and a B stage a row
-scaling, not an N^3 product; the rows are independent, so blocks of them
-run on separate threads.
+scaling, not an N^3 product.
 
 A palindromic step of real generators is complex symmetric. The exponential
 of a symmetric matrix is symmetric, and a real Hermitian A is symmetric, as
 is the diagonal B, so every u_j is symmetric; transposing u_l ... u_1
 reverses the order of the factors, which leaves a palindrome unchanged.
-The step power uses this to square as U^T U.
+So the palindrome u_1 ... u_m u_{m+1} u_m ... u_1 is X^T X with
+X = u_{m+1}^{1/2} u_m ... u_1 (no middle factor when l = 2m is even): half
+the stages and one symmetric product build the step, and its power
+squares as U^T U.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +79,6 @@ def suzuki_plan(p: int) -> StagePlan:
     return StagePlan(tuple(stages))
 
 
-# The split-step runs on row blocks of U^T, one per CPU this process may use, each
-# on its own pool thread (pocketfft and the phase scalings release the GIL), but
-# no block has fewer than _MIN_THREAD_ROWS rows. p = 6 steps on a 2-core x86-64
-# box, one block against two: 6.5-7.8 ms against 5.1-7.7 ms at N = 128,
-# 20.6-24.1 ms against 15.8-16.9 ms at N = 256, 0.51 s against 0.27-0.30 s at
-# N = 1024.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_MIN_THREAD_ROWS = 128
-
-
 def trotter_step(
     plan: StagePlan, a: np.ndarray, b: np.ndarray, dt: float, steps: int = 1
 ) -> np.ndarray:
@@ -101,11 +91,12 @@ def trotter_step(
     raises ValueError, a non-finite A or B ConvergenceError, and a complex
     symbol of A or a complex diagonal of B NonHermitianError.
 
-    The power is taken by binary powering. For a palindromic plan and a real A
-    the step is complex symmetric (see the module docstring), so each square
-    X X is formed as X^T X, which BLAS computes as a symmetric rank-k update
-    at half the flops; order 1, or a complex Hermitian A, squares as X X. The
-    result does not depend on how many threads build the step.
+    For a palindromic plan and a real A the step is complex symmetric (see
+    the module docstring): the split-step runs the first l // 2 stages and,
+    for odd l, the middle one at half its coefficient, and the step is X^T X,
+    which BLAS computes as a symmetric rank-k update. The power is taken by
+    binary powering, each square of this step formed as X^T X too. Order 1,
+    or a complex Hermitian A, runs every stage and squares as X X.
     """
     a = linalg.as_matrix(a)
     b = linalg.as_matrix(b)
@@ -128,33 +119,24 @@ def trotter_step(
     if potential.imag.any():
         raise linalg.NonHermitianError("B must have a real diagonal")
     symbol = linalg.hermitian_circulant_symbol(a[0])
-    # the inverse FFTs run unnormalized, with 1/N folded into the A phases; scaling
-    # by a power of two is exact, so at power-of-two N this changes no bit
-    phases = [
-        (True, np.exp(-1j * (c * dt) * symbol) / n)
-        if g == "A"
-        else (False, np.exp(-1j * (c * dt) * potential))
-        for c, g in plan.stages
-    ]
-    # build U^T = u_1^T ... u_l^T, so the FFTs run along contiguous rows
-    step_t = np.eye(n, dtype=np.complex128)
-    count = max(1, min(_WORKERS, n // _MIN_THREAD_ROWS))
-    bounds = [n * k // count for k in range(count + 1)]
-    blocks = [step_t[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(count) as pool:
-        list(pool.map(_split_step_rows, blocks, [phases] * count))  # re-raises a block's error
-    return _power(step_t.T, steps, symmetric=plan.is_palindromic() and np.isrealobj(a))
-
-
-def _split_step_rows(rows: np.ndarray, phases: list[tuple[bool, np.ndarray]]) -> None:
-    """Apply every stage, in place, to a block of rows of U^T."""
-    for is_a, phase in phases:
-        if is_a:
-            np.fft.fft(rows, axis=1, out=rows)
-            rows *= phase
-            np.fft.ifft(rows, axis=1, out=rows, norm="forward")
+    symmetric = plan.is_palindromic() and np.isrealobj(a)
+    stages = plan.stages
+    if symmetric:  # the first half, then the middle stage (if any) at half its coefficient
+        half = len(stages) // 2
+        stages = stages[:half] + tuple((c / 2, g) for c, g in stages[half : len(stages) - half])
+    # build the transpose u_1^T ... u_k^T of the stage product, so the FFTs run along
+    # contiguous rows; the inverse FFTs run unnormalized, with 1/N folded into the A
+    # phases; scaling by a power of two is exact, so at power-of-two N this changes no bit
+    x_t = np.eye(n, dtype=np.complex128)
+    for c, g in stages:
+        if g == "A":
+            np.fft.fft(x_t, axis=1, out=x_t)
+            x_t *= np.exp(-1j * (c * dt) * symbol) / n
+            np.fft.ifft(x_t, axis=1, out=x_t, norm="forward")
         else:
-            rows *= phase
+            x_t *= np.exp(-1j * (c * dt) * potential)
+    # x_t @ x_t.T reads one buffer twice, which numpy runs as a zsyrk
+    return _power(x_t @ x_t.T if symmetric else x_t.T, steps, symmetric)
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
@@ -180,6 +162,8 @@ def heisenberg_evolve(u: np.ndarray, obs: np.ndarray, n: int) -> np.ndarray:
     obs = linalg.as_matrix(obs)
     if u.shape != obs.shape:
         raise linalg.DimensionMismatchError(f"shapes differ: {u.shape} vs {obs.shape}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     defect = linalg.unitarity_defect(u)
     if defect > 1e-8:
         raise linalg.LinalgError(f"U is not unitary (defect {defect:.3e})")

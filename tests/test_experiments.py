@@ -21,6 +21,7 @@ from semitrotter.experiments import (
     emit_csv,
     emit_svg,
     fit_slope,
+    load_config,
     parse_config_text,
     parse_observable_spec,
     rows_to_csv,
@@ -306,19 +307,6 @@ def test_h_sweep_csv_determinism_at_defaults(tmp_path):
         assert f1.read() == f2.read()
 
 
-def test_h_sweep_csv_does_not_depend_on_block_count(tmp_path, monkeypatch):
-    import semitrotter.splitting as splitting
-
-    cfg = build_config("h-sweep", {"h": "1/128, 1/256", "orders": "1, 6"})
-    monkeypatch.setattr(splitting, "_MIN_THREAD_ROWS", 1)
-    texts = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(splitting, "_WORKERS", workers)
-        with open(emit_csv(run_h_sweep(cfg), str(tmp_path / f"{workers}.csv")), "rb") as fh:
-            texts.append(fh.read())
-    assert texts[1] == texts[0] and texts[2] == texts[0]
-
-
 def test_verify_symbolic_rows():
     cfg = build_config("verify-symbolic", {"trials": "50"})
     rows = run_verify_symbolic(cfg)
@@ -425,6 +413,25 @@ def test_cli_expression_undefined_at_node_exit_code(tmp_path, capsys, experiment
     assert main([experiment, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     # the message names the expression that failed
     assert repr(line.split('"')[1]) in capsys.readouterr().err
+
+
+def test_cli_config_not_utf8_exit_code(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"h = 1/64\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config("dt-sweep", str(config))
+    assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_out_naming_a_file_exit_code(tmp_path, capsys):
+    config = tmp_path / "v.cfg"
+    config.write_text("trials = 5\n", encoding="utf-8")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main(["verify-symbolic", "--config", str(config), "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_cli_verify_symbolic(tmp_path, capsys):

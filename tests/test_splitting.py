@@ -1,7 +1,6 @@
 """Suzuki plan and Trotter-step tests."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -158,34 +157,75 @@ def test_trotter_step_role_checks_see_one_entry():
     trotter_step(suzuki_plan(2), np.eye(4), signed_zero, 0.1)
 
 
+@pytest.mark.parametrize(
+    "stages",
+    [
+        ((0.3, "A"), (0.5, "B"), (0.5, "B"), (0.3, "A")),  # even: no middle stage
+        ((0.3, "B"), (0.5, "A"), (0.5, "A"), (0.3, "B")),
+        ((1.0, "A"),),
+        ((1.0, "B"),),
+        ((0.2, "A"), (0.4, "B"), (-0.6, "A"), (0.7, "B"), (-0.6, "A"), (0.4, "B"), (0.2, "A")),
+    ],
+    ids=["even", "even-b-outside", "a-alone", "b-alone", "odd-b-middle"],
+)
+def test_palindromes_of_every_length_match_dense_stage_product(stages):
+    a, b, _ = _operators(n=32)
+    plan = splitting.StagePlan(stages)
+    assert plan.is_palindromic()
+    dense = np.eye(32, dtype=np.complex128)
+    for c, g in stages:
+        dense = unitary_exp(a if g == "A" else b, c * 0.1) @ dense
+    assert np.max(np.abs(trotter_step(plan, a, b, 0.1) - dense)) <= 1e-12
+    power = np.linalg.matrix_power(dense, 3)
+    assert np.max(np.abs(trotter_step(plan, a, b, 0.1, steps=3) - power)) <= 1e-12
+
+
+def _long_double_trotter_power(plan, a, b, dt, steps):
+    """(u_l ... u_1)^steps in clongdouble, from an explicit DFT matrix and dense products.
+
+    Independent of the package's kernels: no FFT, no eigensolver, no unitary_exp.
+    A = F^-1 diag(F a[:, 0]) F with F_jk = e^{-2 pi i jk/N}; every stage
+    exponential is cos - i sin of a long-double angle.
+    """
+    n = a.shape[0]
+    ld = np.longdouble
+    k = np.arange(n)
+    angle = (-2 * (4 * np.arctan(ld(1))) / n) * (np.outer(k, k) % n).astype(ld)
+    f = np.cos(angle) + 1j * np.sin(angle)
+    f_inv = f.conj().T / n
+    symbol = (f @ a[:, 0].astype(ld)).real
+    potential = np.diag(b).astype(ld)
+    step = np.eye(n, dtype=np.clongdouble)
+    for c, g in plan.stages:
+        theta = ld(c) * ld(dt) * (symbol if g == "A" else potential)
+        phase = np.cos(theta) - 1j * np.sin(theta)
+        step = (f_inv * phase) @ (f @ step) if g == "A" else phase[:, None] * step
+    result = np.eye(n, dtype=np.clongdouble)
+    while steps:
+        if steps & 1:
+            result = result @ step
+        steps >>= 1
+        if steps:
+            step = step @ step
+    return result
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
 @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
-def test_trotter_step_bits_do_not_depend_on_block_count(monkeypatch, scheme):
-    a, b, _ = _operators(h=1.0 / 256, n=256, scheme=scheme)
-    plan = suzuki_plan(6)
-    monkeypatch.setattr(splitting, "_MIN_THREAD_ROWS", 1)
-    results = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(splitting, "_WORKERS", workers)
-        results.append((trotter_step(plan, a, b, 0.1), trotter_step(plan, a, b, 0.1, steps=5)))
-    for step, power in results[1:]:
-        assert np.array_equal(step, results[0][0])
-        assert np.array_equal(power, results[0][1])
-
-
-def test_trotter_step_worker_failure_reaches_caller(monkeypatch):
-    a, b, _ = _operators(n=16)
-    apply_stages = splitting._split_step_rows
-
-    def failing_off_main(rows, phases):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("worker")
-        apply_stages(rows, phases)
-
-    monkeypatch.setattr(splitting, "_split_step_rows", failing_off_main)
-    monkeypatch.setattr(splitting, "_MIN_THREAD_ROWS", 1)
-    monkeypatch.setattr(splitting, "_WORKERS", 2)
-    with pytest.raises(MemoryError, match="worker"):
-        trotter_step(suzuki_plan(2), a, b, 0.1)
+@pytest.mark.parametrize("n", (32, 64))
+def test_trotter_power_matches_long_double_oracle(scheme, n):
+    params = ModelParams(
+        h=1.0 / n, potential=parse_expr("cos(x)"), grid=Grid(-math.pi, math.pi, n), scheme=scheme
+    )
+    a, b = build_A(params), build_B(params)
+    t = 0.5
+    for dt in (1.0 / 16, 1.0 / 64):
+        steps = round(t / dt)
+        for p in (1, 2, 4, 6):
+            plan = suzuki_plan(p)
+            reference = _long_double_trotter_power(plan, a, b, dt, steps)
+            error = trotter_step(plan, a, b, dt, steps) - reference.astype(np.complex128)
+            assert np.linalg.norm(error, 2) <= 1e-12, (p, dt)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
@@ -259,6 +299,8 @@ def test_heisenberg_evolve_trivial_cases():
     _, _, h = _operators(n=16)
     u = exact_unitary(h, 0.3)
     assert np.array_equal(heisenberg_evolve(u, obs, 0), obs)
+    with pytest.raises(ValueError, match="non-negative"):
+        heisenberg_evolve(u, obs, -1)
 
 
 def test_heisenberg_evolve_rejects_non_unitary():
