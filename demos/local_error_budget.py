@@ -38,8 +38,9 @@ obs = build_observable(spec, grid)
 
 p = 2
 plan = suzuki_plan(p)
-beta = compute_beta_comm(p, a, b, obs)
-alpha = compute_alpha_comm(p, len(plan.stages), a, b, obs)
+potential = np.diag(b)  # the commutator coefficients take B as its diagonal
+beta = compute_beta_comm(p, a, potential, obs)
+alpha = compute_alpha_comm(p, len(plan.stages), a, potential, obs)
 alpha_tilde = compute_alpha_tilde(p, a + b, obs)
 print(f"order p = {p}:  beta {beta:.3f}   alpha {alpha:.3f}   alpha~ {alpha_tilde:.3f}")
 print(f"alpha~ <= 2^(p+1) beta: {alpha_tilde:.3f} <= {2**(p+1) * beta:.3f}")
@@ -47,7 +48,7 @@ print(f"alpha~ <= 2^(p+1) beta: {alpha_tilde:.3f} <= {2**(p+1) * beta:.3f}")
 print("\none-step observable error vs the (alpha + alpha~) dt^3 budget:")
 prev = None
 for dt in (1 / 8, 1 / 16, 1 / 32):
-    u = trotter_step(plan, a, b, dt)
+    u = trotter_step(plan, a[0], potential, dt)
     t_trot = heisenberg_evolve(u, obs, 1)
     t_exact = heisenberg_evolve(exact_unitary(a + b, dt), obs, 1)
     err = spectral_norm(t_trot - t_exact)

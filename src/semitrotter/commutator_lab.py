@@ -15,8 +15,8 @@ splitting:
   alpha_tilde: ||ad_H^{p+1}(O)|| for the full Hamiltonian H.
 
 All enumerations are over at most 2^(p+1) distinct matrix chains, shared
-through a prefix tree, so desk-scale orders (p <= 8) stay cheap. B is the
-diagonal by role, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); beta skips
+through a prefix tree, so desk-scale orders (p <= 8) stay cheap. B comes as
+its diagonal b, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); beta skips
 the norms of chains whose bound sqrt(||M||_1 ||M||_inf) cannot set the maximum.
 """
 
@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, spectral_norm
+from .linalg import DimensionMismatchError, as_matrix, commutator, spectral_norm
 
 CommWord = Sequence[str]
 
@@ -42,14 +42,14 @@ def nested_comm(word: CommWord, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -
     return result
 
 
-def _word_chains(p: int, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -> dict[tuple[str, ...], np.ndarray]:
-    """Every (p+1)-letter ad-chain, via a shared prefix tree; B is the diagonal by role."""
-    b = as_matrix(b)
-    d = np.diag(b)
-    if not np.array_equal(b, np.diag(d), equal_nan=True):
-        raise ValueError("B must be diagonal")
+def _word_chains(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> dict[tuple[str, ...], np.ndarray]:
+    """Every (p+1)-letter ad-chain, via a shared prefix tree; potential is B's diagonal."""
+    obs = as_matrix(obs)
+    d = np.asarray(potential)
+    if d.shape != obs.shape[:1]:
+        raise DimensionMismatchError(f"need B's diagonal of length {obs.shape[0]}, got shape {d.shape}")
     ad = {"A": lambda m: commutator(a, m), "B": lambda m: d[:, None] * m - m * d}
-    level: dict[tuple[str, ...], np.ndarray] = {(): as_matrix(obs)}
+    level: dict[tuple[str, ...], np.ndarray] = {(): obs}
     for _ in range(p + 1):
         level = {word + (label,): ad[label](mat) for word, mat in level.items() for label in "AB"}
     return level
@@ -61,8 +61,8 @@ def _norm_bound(m: np.ndarray) -> float:
     return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
-def compute_beta_comm(p: int, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -> float:
-    """Largest ||ad-chain(O)|| over all (p+1)-letter words in {A, B}; B is the diagonal.
+def compute_beta_comm(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> float:
+    """Largest ||ad-chain(O)|| over all (p+1)-letter words in {A, B}; potential is B's diagonal.
 
     Visits chains by decreasing bound sqrt(||M||_1 ||M||_inf) >= ||M||_2 and stops once
     bound * (1 + 1e-8) is below the running maximum. The margin covers the O(N eps)
@@ -70,7 +70,7 @@ def compute_beta_comm(p: int, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -> 
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    bounded = [(_norm_bound(m), m) for m in _word_chains(p, a, b, obs).values()]
+    bounded = [(_norm_bound(m), m) for m in _word_chains(p, a, potential, obs).values()]
     best = 0.0
     for bound, mat in sorted(bounded, key=lambda item: item[0], reverse=True):
         if bound * (1.0 + 1e-8) < best:
@@ -109,8 +109,8 @@ def _subsequence_counts(seq: Sequence[str], pattern: Sequence[str]) -> int:
     return counts[len(pattern)]
 
 
-def compute_alpha_comm(p: int, plan_len: int, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -> float:
-    """Multinomial-weighted nested-commutator sum for an order-p plan.
+def compute_alpha_comm(p: int, plan_len: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> float:
+    """Multinomial-weighted nested-commutator sum for an order-p plan; potential is B's diagonal.
 
     The stage-generator sequence is the alternating word A, B, A, ... of
     length plan_len (the canonical form of a merged Suzuki plan); the
@@ -121,7 +121,7 @@ def compute_alpha_comm(p: int, plan_len: int, a: np.ndarray, b: np.ndarray, obs:
         raise ValueError(f"need p >= 1, got {p}")
     if plan_len < 1:
         raise ValueError(f"need plan_len >= 1, got {plan_len}")
-    norms = {word: spectral_norm(m) for word, m in _word_chains(p, a, b, obs).items()}
+    norms = {word: spectral_norm(m) for word, m in _word_chains(p, a, potential, obs).items()}
     labels = tuple("A" if i % 2 == 0 else "B" for i in range(plan_len))
 
     # Group compositions by their effective chain: positions with q_j = 0

@@ -122,7 +122,7 @@ def spectral_norm(m: np.ndarray) -> float:
     Non-finite entries raise ConvergenceError.
     """
     m = as_matrix(m)
-    scale = float(np.max(np.abs(m)))
+    scale = float(np.max(np.abs(m), initial=0.0))  # an empty M has norm 0
     if not np.isfinite(scale):
         raise ConvergenceError("spectral norm of a matrix with non-finite entries")
     if scale == 0.0:

@@ -14,10 +14,10 @@ the same generator are merged, which yields the canonical
 negative and are exponentiated directly.
 
 trotter_step is the time-splitting spectral method (Bao, Jin & Markowich,
-J. Comput. Phys. 175, 2002) and reads the generators by role: A is the
-periodic kinetic term of either scheme, a Hermitian circulant, and B the
-potential, a real diagonal. An A stage is an FFT pair and a B stage a row
-scaling, not an N^3 product.
+J. Comput. Phys. 175, 2002). It takes each generator as the vector that
+defines it: A, the periodic kinetic term of either scheme, as the first row
+of its Hermitian circulant, and B as its real diagonal, the potential. An A
+stage is an FFT pair and a B stage a row scaling, not an N^3 product.
 
 A palindromic step of real generators is complex symmetric. The exponential
 of a symmetric matrix is symmetric, and a real Hermitian A is symmetric, as
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 
@@ -80,16 +79,16 @@ def suzuki_plan(p: int) -> StagePlan:
 
 
 def trotter_step(
-    plan: StagePlan, a: np.ndarray, b: np.ndarray, dt: float, steps: int = 1
+    plan: StagePlan, a_row: np.ndarray, potential: np.ndarray, dt: float, steps: int = 1
 ) -> np.ndarray:
     """U_p(dt)^steps, with U_p(dt) = u_l ... u_1 built by the FFT split-step method.
 
-    A is the kinetic term, a Hermitian circulant: its stage maps each column
-    x to ifft(e^{-i dt c_j lam} fft(x)), lam its real DFT symbol. B is the
-    potential, a real diagonal: its stage scales rows by e^{-i dt c_j d}. A
-    that is not exactly circulant(a[:, 0]), or B that is not exactly diagonal,
-    raises ValueError, a non-finite A or B ConvergenceError, and a complex
-    symbol of A or a complex diagonal of B NonHermitianError.
+    a_row is the first row of A, a Hermitian circulant: its stage maps each
+    column x to ifft(e^{-i dt c_j lam} fft(x)), lam its real DFT symbol.
+    potential is the diagonal of B: its stage scales rows by e^{-i dt c_j d}.
+    Vectors that are not 1-D of one nonzero length raise DimensionMismatchError,
+    non-finite entries ConvergenceError, and a complex symbol of A or a complex
+    potential NonHermitianError.
 
     For a palindromic plan and a real A the step is complex symmetric (see
     the module docstring): the split-step runs the first l // 2 stages and,
@@ -98,28 +97,21 @@ def trotter_step(
     binary powering, each square of this step formed as X^T X too. Order 1,
     or a complex Hermitian A, runs every stage and squares as X X.
     """
-    a = linalg.as_matrix(a)
-    b = linalg.as_matrix(b)
-    n = a.shape[0]
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise linalg.DimensionMismatchError(f"need equal square A and B: {a.shape} vs {b.shape}")
+    a_row = np.asarray(a_row)
+    potential = np.asarray(potential)
+    n = a_row.size
+    if a_row.ndim != 1 or a_row.shape != potential.shape or n == 0:
+        raise linalg.DimensionMismatchError(
+            f"need A's first row and B's diagonal of one nonzero length: {a_row.shape} vs {potential.shape}"
+        )
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    # the off-diagonal entries of B, and circulant(a[:, 0]) as windows of the
-    # doubled reversed column: row i is windows[n - 1 - i]; views, no N x N gather
-    if b.ravel()[1:].reshape(n - 1, n + 1)[:, :-1].any():
-        raise ValueError("B must be diagonal")
-    reversed_column = a[::-1, 0]
-    windows = sliding_window_view(np.concatenate((reversed_column, reversed_column)), n)
-    if not np.array_equal(a, windows[n - 1 :: -1], equal_nan=True):
-        raise ValueError("A must be circulant")
-    potential = np.diag(b)
-    if not (np.isfinite(a[:, 0]).all() and np.isfinite(potential).all()):
+    if not (np.isfinite(a_row).all() and np.isfinite(potential).all()):
         raise linalg.ConvergenceError("A or B has non-finite entries")
     if potential.imag.any():
         raise linalg.NonHermitianError("B must have a real diagonal")
-    symbol = linalg.hermitian_circulant_symbol(a[0])
-    symmetric = plan.is_palindromic() and np.isrealobj(a)
+    symbol = linalg.hermitian_circulant_symbol(a_row)
+    symmetric = plan.is_palindromic() and np.isrealobj(a_row)
     stages = plan.stages
     if symmetric:  # the first half, then the middle stage (if any) at half its coefficient
         half = len(stages) // 2

@@ -126,7 +126,7 @@ def test_criterion_4_beta_uniformity(tmp_path):
 def test_criterion_5_local_bound_witness(tmp_path):
     a, b, obs = _default_operators()
     plan = suzuki_plan(2)
-    alpha = compute_alpha_comm(2, len(plan.stages), a, b, obs)
+    alpha = compute_alpha_comm(2, len(plan.stages), a, np.diag(b), obs)
     alpha_tilde = compute_alpha_tilde(2, a + b, obs)
 
     errs = {}
@@ -221,7 +221,7 @@ def test_criterion_8_structural_invariants():
     ok = True
     detail = []
 
-    defects = [unitarity_defect(trotter_step(suzuki_plan(p), a, b, 0.25)) for p in (1, 2, 4, 6)]
+    defects = [unitarity_defect(trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.25)) for p in (1, 2, 4, 6)]
     defects.append(unitarity_defect(exact_unitary(h_mat, 0.5)))
     defects.append(unitarity_defect(circulant_exp(a[0], 0.37)))
     ok = ok and max(defects) <= 1e-10

@@ -16,7 +16,7 @@ from semitrotter.commutator_lab import (
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.experiments import _build_operators, build_config, run_comm_sweep
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import ConvergenceError, commutator, spectral_norm
+from semitrotter.linalg import ConvergenceError, DimensionMismatchError, commutator, spectral_norm
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 
 
@@ -51,14 +51,14 @@ def test_beta_all_diagonal_is_zero():
     d1 = np.diag([1.0, 2.0, 3.0]).astype(complex)
     d2 = np.diag([0.5, -1.0, 2.0]).astype(complex)
     d3 = np.diag([4.0, 0.0, 1.0]).astype(complex)
-    assert compute_beta_comm(1, d1, d2, d3) == 0.0
+    assert compute_beta_comm(1, d1, np.diag(d2), d3) == 0.0
 
 
 def test_beta_p1_brute_force_oracle():
     a, b, obs = _setup()
     words = [("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")]
     oracle = max(spectral_norm(nested_comm(w, a, b, obs)) for w in words)
-    assert compute_beta_comm(1, a, b, obs) == pytest.approx(oracle, rel=1e-12)
+    assert compute_beta_comm(1, a, np.diag(b), obs) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_beta_p2_enumerates_eight_words():
@@ -66,13 +66,13 @@ def test_beta_p2_enumerates_eight_words():
     oracle = max(
         spectral_norm(nested_comm(w, a, b, obs)) for w in itertools.product("AB", repeat=3)
     )
-    assert compute_beta_comm(2, a, b, obs) == pytest.approx(oracle, rel=1e-12)
+    assert compute_beta_comm(2, a, np.diag(b), obs) == pytest.approx(oracle, rel=1e-12)
 
 
 def _sweep_operators(scheme, n):
     cfg = build_config("comm-sweep", {"scheme": scheme})
-    _, a, b, obs = _build_operators(cfg, 1.0 / n, n)
-    return a, b, obs
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n, n)
+    return a, np.diag(potential), obs
 
 
 @pytest.mark.parametrize("scheme", ["fd", "spectral"])
@@ -82,9 +82,9 @@ def test_beta_pruning_equals_full_maximum(scheme, n):
     for p in (1, 2, 3):
         words = list(itertools.product("AB", repeat=p + 1))
         dense = {w: nested_comm(w, a, b, obs) for w in words}
-        chains = commutator_lab._word_chains(p, a, b, obs)
+        chains = commutator_lab._word_chains(p, a, np.diag(b), obs)
         assert all(np.array_equal(chains[w], dense[w]) for w in words)  # ad_B scaling is exact
-        assert compute_beta_comm(p, a, b, obs) == max(spectral_norm(m) for m in dense.values())
+        assert compute_beta_comm(p, a, np.diag(b), obs) == max(spectral_norm(m) for m in dense.values())
 
 
 def test_beta_pruning_skips_norms(monkeypatch):
@@ -96,12 +96,13 @@ def test_beta_pruning_skips_norms(monkeypatch):
         return spectral_norm(m)
 
     monkeypatch.setattr(commutator_lab, "spectral_norm", counting_norm)
-    compute_beta_comm(2, a, b, obs)
+    compute_beta_comm(2, a, np.diag(b), obs)
     assert 1 <= len(calls) < 8
 
 
 def _nan_at_3_5(operand):
-    ops = [m.copy() for m in _setup(n=16)]
+    a, b, obs = _setup(n=16)
+    ops = [a.copy(), np.diag(b), obs.copy()]
     ops[operand][3, 5] = np.nan
     return ops
 
@@ -111,22 +112,24 @@ def _nan_at_3_5(operand):
     [
         pytest.param(2, _nan_at_3_5(0), id="0"),
         pytest.param(2, _nan_at_3_5(2), id="2"),
-        pytest.param(1, [np.eye(3), np.diag([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
+        pytest.param(1, [np.eye(3), np.array([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
     ],
 )
 def test_beta_non_finite_chain_raises(p, ops):
     # a NaN in A leaves the finite chain (B, B, B), which must not end the visit;
-    # a NaN on B's diagonal is a non-finite B, not a B that fails to be diagonal
+    # a NaN in B's diagonal is a non-finite B
     with pytest.raises(ConvergenceError):
         compute_beta_comm(p, *ops)
 
 
-def test_b_must_be_diagonal():
+def test_potential_length_must_match():
     a, b, obs = _setup(n=16)
-    with pytest.raises(ValueError, match="B must be diagonal"):
-        compute_beta_comm(1, a, a, obs)
-    with pytest.raises(ValueError, match="B must be diagonal"):
-        compute_alpha_comm(1, 2, a, a, obs)
+    with pytest.raises(DimensionMismatchError):
+        compute_beta_comm(1, a, np.diag(b)[:8], obs)
+    with pytest.raises(DimensionMismatchError):
+        compute_alpha_comm(1, 2, a, np.diag(b)[:8], obs)
+    with pytest.raises(DimensionMismatchError):
+        compute_beta_comm(1, a, b, obs)  # the dense B is not its diagonal
 
 
 def test_comm_sweep_ab_row_is_dense_commutator_norm():
@@ -139,14 +142,14 @@ def test_comm_sweep_ab_row_is_dense_commutator_norm():
 def test_beta_rejects_p_zero():
     a, b, obs = _setup(n=16)
     with pytest.raises(ValueError):
-        compute_beta_comm(0, a, b, obs)
+        compute_beta_comm(0, a, np.diag(b), obs)
 
 
 def test_alpha_commuting_is_zero():
     d1 = np.diag([1.0, 2.0]).astype(complex)
     d2 = np.diag([3.0, 4.0]).astype(complex)
     d3 = np.diag([5.0, 6.0]).astype(complex)
-    assert compute_alpha_comm(1, 2, d1, d2, d3) == 0.0
+    assert compute_alpha_comm(1, 2, d1, np.diag(d2), d3) == 0.0
     assert compute_alpha_tilde(1, d1, d3) == 0.0
 
 
@@ -159,12 +162,12 @@ def test_alpha_p1_hand_computed_sum():
         + 2.0 * spectral_norm(nested_comm(("A", "B"), a, b, obs))
         + spectral_norm(nested_comm(("B", "B"), a, b, obs))
     )
-    assert compute_alpha_comm(1, 2, a, b, obs) == pytest.approx(expected, rel=1e-12)
+    assert compute_alpha_comm(1, 2, a, np.diag(b), obs) == pytest.approx(expected, rel=1e-12)
 
 
 def test_alpha_dominates_any_single_term():
     a, b, obs = _setup(n=32)
-    alpha = compute_alpha_comm(2, 3, a, b, obs)
+    alpha = compute_alpha_comm(2, 3, a, np.diag(b), obs)
     single = spectral_norm(nested_comm(("A", "B", "A"), a, b, obs))
     assert alpha >= single
 
@@ -183,7 +186,7 @@ def test_alpha_tilde_bounded_by_beta():
     a, b, obs = _setup(n=32)
     for p in (1, 2):
         alpha_tilde = compute_alpha_tilde(p, a + b, obs)
-        beta = compute_beta_comm(p, a, b, obs)
+        beta = compute_beta_comm(p, a, np.diag(b), obs)
         assert alpha_tilde <= 2 ** (p + 1) * beta * (1 + 1e-10)
 
 

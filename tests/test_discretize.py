@@ -178,12 +178,15 @@ def test_build_diag_outputs_commute():
 
 @pytest.mark.parametrize("n", (16, 64, 1024))
 def test_periodic_operators_are_exact_circulants(n):
-    # trotter_step takes A as circulant(A[:, 0]) and checks that equality exactly
+    # the sweeps pass A to trotter_step as its first row and check no structure at run
+    # time: this test holds the equality exactly, and A[0] = A[:, 0] (A is symmetric)
     g = Grid(-math.pi, math.pi, n)
     matrices = [build_forward_diff(g), build_laplacian(g)]
     matrices += [build_spectral_derivative(g, k) for k in range(5)]
     for scheme in SchemeKind:
         params = ModelParams(h=1.0 / n, potential=parse_expr("cos(x)"), grid=g, scheme=scheme)
-        matrices.append(build_A(params))
+        a = build_A(params)
+        assert np.array_equal(a[0], a[:, 0])
+        matrices.append(a)
     for m in matrices:
         assert np.array_equal(m, circulant(m[:, 0]))

@@ -120,6 +120,29 @@ def test_config_rejections():
     build_config("verify-symbolic", {"h": "1/8, 1/16", "orders": "2, 4"})
 
 
+def test_config_repeated_key_names_both_lines(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"line 3: key 'h' is already set on line 1"):
+        parse_config_text("h = 1/64\nN = 64\nh = 1/32\n")
+    config = tmp_path / "twice.cfg"
+    config.write_text("h = 1/64\nh = 1/32\n", encoding="utf-8")
+    assert main(["h-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "'h'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [("h-sweep", "h", "1/32, 1/32"), ("dt-sweep", "dt", "1/4, 0.25"), ("h-sweep", "orders", "2, 4, 2")],
+)
+def test_config_repeated_list_value(tmp_path, capsys, experiment, key, value):
+    # a repeated value would run one cell twice and write rows with identical keys
+    with pytest.raises(ConfigError, match=key):
+        build_config(experiment, {key: value})
+    config = tmp_path / "twice.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert main([experiment, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_observable_spec_parsing():
     spec = parse_observable_spec("0:cos(x), 1:sin(x)", h=0.5)
     assert [m for m, _ in spec.terms] == [0, 1]
@@ -199,7 +222,7 @@ def test_expectation_error_matches_state_computation(scheme):
     for r in run_dt_sweep(cfg):
         if r.metric != "expectation_error" or r.value < 1e-8:
             continue
-        step = trotter_step(suzuki_plan(r.p), a, b, r.dt)
+        step = trotter_step(suzuki_plan(r.p), a[0], np.diag(b), r.dt)
         trot = np.linalg.matrix_power(step, round(t / r.dt)) @ psi
         expected = abs(np.vdot(trot, obs @ trot) - exact_value)
         assert r.value == pytest.approx(expected, rel=1e-8, abs=1e-14)

@@ -120,6 +120,8 @@ def test_spectral_norm_identity_and_diag():
     assert spectral_norm(np.eye(7)) == pytest.approx(1.0, rel=1e-8)
     assert spectral_norm(np.diag([3.0, -4.0]).astype(complex)) == pytest.approx(4.0, rel=1e-8)
     assert spectral_norm(np.zeros((5, 5))) == 0.0
+    assert spectral_norm(np.zeros((0, 0))) == 0.0  # the empty operator
+    assert unitarity_defect(np.zeros((0, 0), dtype=np.complex128)) == 0.0
 
 
 def test_spectral_norm_forward_diff_symbol():
