@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_matrix, commutator, spectral_norm
+from .linalg import DimensionMismatchError, NonHermitianError, as_matrix, commutator, spectral_norm
 
 CommWord = Sequence[str]
 
@@ -48,6 +48,8 @@ def _word_chains(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) 
     d = np.asarray(potential)
     if d.shape != obs.shape[:1]:
         raise DimensionMismatchError(f"need B's diagonal of length {obs.shape[0]}, got shape {d.shape}")
+    if d.imag.any():
+        raise NonHermitianError("B must have a real diagonal")
     ad = {"A": lambda m: commutator(a, m), "B": lambda m: d[:, None] * m - m * d}
     level: dict[tuple[str, ...], np.ndarray] = {(): obs}
     for _ in range(p + 1):

@@ -64,9 +64,9 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dagger| relative to max |M| (0 for the zero matrix)."""
+    """max |M - M^dagger| relative to max |M| (0 for the zero and the empty matrix)."""
     m = as_matrix(m)
-    scale = float(np.max(np.abs(m)))
+    scale = float(np.max(np.abs(m), initial=0.0))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(m - m.conj().T))) / scale
@@ -95,9 +95,15 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
-    """e^{-i theta M} for Hermitian M, via eigendecomposition."""
+    """e^{-i theta M} for Hermitian M, via eigendecomposition; real V takes two real products."""
     w, v = hermitian_eig(m)
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+    phases = np.exp(-1j * theta * w)
+    if np.iscomplexobj(v):
+        return (v * phases) @ v.conj().T
+    out = np.empty(v.shape, dtype=np.complex128)
+    out.real = (v * phases.real) @ v.T
+    out.imag = (v * phases.imag) @ v.T
+    return out
 
 
 # Complex Grams with more rows than this take the Lanczos path. Eigenvalue solve

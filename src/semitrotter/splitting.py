@@ -127,20 +127,31 @@ def trotter_step(
             np.fft.ifft(x_t, axis=1, out=x_t, norm="forward")
         else:
             x_t *= np.exp(-1j * (c * dt) * potential)
-    # x_t @ x_t.T reads one buffer twice, which numpy runs as a zsyrk
-    return _power(x_t @ x_t.T if symmetric else x_t.T, steps, symmetric)
+    # x_t @ x_t.T reads one buffer twice (a zsyrk); rebinding frees the split-step buffer
+    x_t = x_t @ x_t.T if symmetric else x_t.T
+    return _power(x_t, steps, symmetric)
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
-    """x^steps by binary powering; squares as x^T x (a zsyrk) when x is symmetric."""
+    """x^steps by binary powering; squares as x^T x (a zsyrk) when x is symmetric.
+
+    x is consumed: np.matmul writes each product, by the plain product's BLAS call, into
+    a buffer an earlier one left free, so at most three are alive besides an F-ordered x
+    (order 1's x_t.T), which is never written: numpy fills an F-ordered out by swapping.
+    """
     result = np.eye(x.shape[0], dtype=x.dtype) if steps == 0 else None
-    while steps:
+    spare = None
+    while True:
         if steps & 1:
-            result = x if result is None else result @ x
+            result, spare = (x, spare) if result is None else (np.matmul(result, x, out=spare), result)
         steps >>= 1
-        if steps:
-            x = x.T @ x if symmetric else x @ x
-    return result
+        if not steps:
+            return result
+        if spare is not None and not spare.flags.c_contiguous:
+            spare = None
+        x, spare = np.matmul(x.T if symmetric else x, x, out=spare), x
+        if spare is result:
+            spare = None
 
 
 def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:

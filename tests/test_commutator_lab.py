@@ -16,7 +16,7 @@ from semitrotter.commutator_lab import (
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.experiments import _build_operators, build_config, run_comm_sweep
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import ConvergenceError, DimensionMismatchError, commutator, spectral_norm
+from semitrotter.linalg import ConvergenceError, DimensionMismatchError, NonHermitianError, commutator, spectral_norm
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 
 
@@ -130,6 +130,15 @@ def test_potential_length_must_match():
         compute_alpha_comm(1, 2, a, np.diag(b)[:8], obs)
     with pytest.raises(DimensionMismatchError):
         compute_beta_comm(1, a, b, obs)  # the dense B is not its diagonal
+
+
+def test_complex_potential_is_rejected():
+    # a potential with an imaginary part is no Hermitian B, as trotter_step holds too
+    potential = np.array([1.0, 2.0, 3.0, 4.0]) + 1j
+    with pytest.raises(NonHermitianError):
+        compute_beta_comm(1, np.eye(4), potential, np.ones((4, 4)))
+    with pytest.raises(NonHermitianError):
+        compute_alpha_comm(1, 2, np.eye(4), potential, np.ones((4, 4)))
 
 
 def test_comm_sweep_ab_row_is_dense_commutator_norm():

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -228,6 +229,20 @@ def test_expectation_error_matches_state_computation(scheme):
         assert r.value == pytest.approx(expected, rel=1e-8, abs=1e-14)
         checked += 1
     assert checked >= 12
+
+
+def test_resolved_h_sweep_point_peaks_at_most_seven_buffers():
+    # one default h-sweep point at N = 256 (orders 2, 4, 6), measured in complex N x N
+    # buffers of 16 N^2 bytes; LAPACK workspaces are not traced
+    cfg = build_config("h-sweep", {"h": "1/256"})
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run_h_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 16 * 256**2, peak / (16 * 256**2)
 
 
 def test_h_sweep_exact_for_zero_potential():

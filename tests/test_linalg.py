@@ -13,6 +13,7 @@ from semitrotter.linalg import (
     circulant_exp,
     commutator,
     hermitian_eig,
+    hermiticity_defect,
     spectral_norm,
     unitarity_defect,
     unitary_exp,
@@ -109,6 +110,17 @@ def test_unitary_exp_semigroup():
     assert spectral_norm(lhs - rhs) < 1e-9
 
 
+def test_unitary_exp_of_real_symmetric_matches_complex_product():
+    # real eigenvectors take two real products; the complex product is the reference
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((40, 40))
+    m = m + m.T
+    w, v = hermitian_eig(m)
+    reference = (v * np.exp(-1j * 0.8 * w)) @ v.T.astype(complex)
+    assert np.max(np.abs(unitary_exp(m, 0.8) - reference)) <= 1e-14
+    assert unitary_exp(m, 0.8).dtype == np.complex128
+
+
 def test_unitary_exp_is_unitary():
     rng = np.random.default_rng(8)
     m = _random_complex(rng, 16)
@@ -122,6 +134,10 @@ def test_spectral_norm_identity_and_diag():
     assert spectral_norm(np.zeros((5, 5))) == 0.0
     assert spectral_norm(np.zeros((0, 0))) == 0.0  # the empty operator
     assert unitarity_defect(np.zeros((0, 0), dtype=np.complex128)) == 0.0
+    assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+    w, v = hermitian_eig(np.zeros((0, 0)))
+    assert w.shape == (0,) and v.shape == (0, 0)
+    assert unitary_exp(np.zeros((0, 0)), 0.5).shape == (0, 0)
 
 
 def test_spectral_norm_forward_diff_symbol():
