@@ -348,8 +348,9 @@ def _gaussian_state(grid: Grid) -> np.ndarray:
 def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     """Error rows for every order and dt on one h's grid, built once with its U_exact.
 
-    Each N x N buffer goes once nothing reads it, so beside a norm's own buffers only
-    U_exact^dagger (U_exact conjugated in place), O and W - I are alive.
+    Each N x N buffer goes once nothing reads it: beside a norm's own buffers only
+    U_exact^dagger (U_exact conjugated in place), O and the normed matrix are alive,
+    W - I for the unitary error and [O, W - I] for the observable error.
     """
     n_grid = _grid_size_for(cfg, h)
     grid, a, b, obs = _build_operators(cfg, h, n_grid)
@@ -374,15 +375,18 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
         del u_trot
         deviation[np.diag_indices(n_grid)] -= 1.0
         row = partial(_row, cfg, p=p, n=n_grid, h=h, dt=dt, t=cfg.t_final)
+        rows.append(row("unitary_error", spectral_norm(deviation)))
+        if cfg.state:
+            w_phi = deviation @ phi + phi
+        obs_comm = commutator(obs, deviation)
+        del deviation  # so only [O, W - I] sits beside the observable norm
+        rows.append(row("observable_error", spectral_norm(obs_comm)))
         if cfg.state:
             # witness for the expectation-error inequality: the state-level
             # error <phi|W^dagger [O, W - I]|phi> is bounded by the operator-norm
-            # observable error; matrix-vector products only, with d = (W - I) phi
-            d = deviation @ phi
-            rows.append(row("expectation_error", float(abs(np.vdot(d + phi, obs @ d - deviation @ (obs @ phi))))))
-        rows.append(row("observable_error", spectral_norm(commutator(obs, deviation))))
-        rows.append(row("unitary_error", spectral_norm(deviation)))
-        del deviation
+            # observable error; two matrix-vector products, W phi and [O, W - I] phi
+            rows.append(row("expectation_error", float(abs(np.vdot(w_phi, obs_comm @ phi)))))
+        del obs_comm
     return rows
 
 

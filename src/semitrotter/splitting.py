@@ -133,25 +133,15 @@ def trotter_step(
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
-    """x^steps by binary powering; squares as x^T x (a zsyrk) when x is symmetric.
-
-    x is consumed: np.matmul writes each product, by the plain product's BLAS call, into
-    a buffer an earlier one left free, so at most three are alive besides an F-ordered x
-    (order 1's x_t.T), which is never written: numpy fills an F-ordered out by swapping.
-    """
+    """x^steps by binary powering; squares as x^T x (a zsyrk) when x is symmetric."""
     result = np.eye(x.shape[0], dtype=x.dtype) if steps == 0 else None
-    spare = None
-    while True:
+    while steps:
         if steps & 1:
-            result, spare = (x, spare) if result is None else (np.matmul(result, x, out=spare), result)
+            result = x if result is None else result @ x
         steps >>= 1
-        if not steps:
-            return result
-        if spare is not None and not spare.flags.c_contiguous:
-            spare = None
-        x, spare = np.matmul(x.T if symmetric else x, x, out=spare), x
-        if spare is result:
-            spare = None
+        if steps:
+            x = x.T @ x if symmetric else x @ x
+    return result
 
 
 def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:

@@ -240,17 +240,14 @@ def test_step_power_matches_matrix_power(n):
         trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=-1)
 
 
-def _complex_hermitian_circulant(n, seed):
+def test_complex_hermitian_circulant_takes_general_squaring():
     # a real part plus i times an odd real column: Hermitian, not symmetric, so the
     # palindromic step is not symmetric and X^T X is not its square
-    rng = np.random.default_rng(seed)
-    even, odd = rng.standard_normal(n), rng.standard_normal(n)
-    return linalg.circulant((even + np.roll(even[::-1], 1)) + 1j * (odd - np.roll(odd[::-1], 1)))
-
-
-def test_complex_hermitian_circulant_takes_general_squaring():
     n = 64
-    a = _complex_hermitian_circulant(n, 16)
+    rng = np.random.default_rng(16)
+    even, odd = rng.standard_normal(n), rng.standard_normal(n)
+    column = (even + np.roll(even[::-1], 1)) + 1j * (odd - np.roll(odd[::-1], 1))
+    a = linalg.circulant(column)
     assert np.array_equal(a, a.conj().T)
     _, b, _ = _operators(n=n)
     step = trotter_step(suzuki_plan(4), a[0], np.diag(b), 0.1)
@@ -258,40 +255,6 @@ def test_complex_hermitian_circulant_takes_general_squaring():
     expected = np.linalg.matrix_power(step, 5)
     assert np.max(np.abs(trotter_step(suzuki_plan(4), a[0], np.diag(b), 0.1, steps=5) - expected)) <= 1e-13
     assert np.max(np.abs(splitting._power(step, 5, symmetric=True) - expected)) > 1e-3
-
-
-def _fresh_buffer_power(step, steps, symmetric):
-    """Binary powering with a new array for every product, the reference for buffer reuse."""
-    result = np.eye(step.shape[0], dtype=step.dtype) if steps == 0 else None
-    while steps:
-        if steps & 1:
-            result = step if result is None else result @ step
-        steps >>= 1
-        if steps:
-            step = step.T @ step if symmetric else step @ step
-    return result
-
-
-@pytest.mark.parametrize(
-    "stages, complex_a",
-    [
-        (suzuki_plan(2).stages, False),
-        (suzuki_plan(4).stages, False),
-        (((0.3, "A"), (0.5, "B"), (0.5, "B"), (0.3, "A")), False),
-        (suzuki_plan(1).stages, False),
-        (suzuki_plan(2).stages, True),
-    ],
-    ids=["p2", "p4", "even-palindrome", "p1", "complex-a"],
-)
-def test_power_into_reused_buffers_changes_no_bit(stages, complex_a):
-    a, b, _ = _operators(h=1.0 / 128, n=128)
-    a_row = _complex_hermitian_circulant(128, 16)[0] if complex_a else a[0]
-    plan = splitting.StagePlan(stages)
-    step = trotter_step(plan, a_row, np.diag(b), 0.1)
-    symmetric = plan.is_palindromic() and not complex_a
-    for steps in (0, 1, 2, 3, 5, 6, 7, 32):
-        power = trotter_step(plan, a_row, np.diag(b), 0.1, steps=steps)
-        assert np.array_equal(power, _fresh_buffer_power(step, steps, symmetric)), steps
 
 
 def test_trotter_step_halving_dt_cuts_error_eightfold():
