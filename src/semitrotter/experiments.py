@@ -1,8 +1,9 @@
 """Batch experiments: convergence sweeps, commutator scaling, reports.
 
 Configs are plain ``key = value`` text: ``#`` starts a comment, lists are
-comma-separated, expressions are quoted strings, and numeric tokens may
-be plain floats, fractions like ``1/64``, or ``pi``/``-pi``. Defaults
+comma-separated, expressions are quoted strings, and a number may be any
+finite constant expression in the grammar of ``expr``, such as ``1/64``,
+``-pi/2`` or ``2^-6``. Defaults
 reproduce the reference setup: V(x) = cos(x) on [-pi, pi], N = 64,
 t = 0.5, time steps 1/4 ... 1/64 at h = 1/64 for the dt sweep, and
 h = 1/32 ... 1/1024 at fixed dt = 0.1 for the h sweep.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .commutator_lab import compute_beta_comm
 from .discretize import Grid, SchemeKind
-from .expr import Expr, ExprError, parse_expr
+from .expr import Expr, ExprError, eval_expr, parse_expr
 from .linalg import commutator, spectral_norm
 from .model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 from .splitting import exact_unitary, suzuki_plan, trotter_step
@@ -97,20 +98,16 @@ class SlopeFit:
 
 
 def _parse_scalar(token: str) -> float:
-    """A finite float from literals, pi and -pi joined by /, read left to right; else ConfigError."""
-    token = token.strip()
-    if "/" in token:
-        num, den = (_parse_scalar(part) for part in token.rsplit("/", 1))
-        value = num / den if den else math.inf  # x/0 is rejected as non-finite
-    elif token in ("pi", "-pi"):
-        value = -math.pi if token == "-pi" else math.pi
-    else:
-        try:
-            value = float(token)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse number {token!r}") from exc
+    """A finite constant expression, such as ``1/64``, ``-pi/2`` or ``2^-6``; else ConfigError.
+
+    It is evaluated at x = NaN, so a token whose value depends on x reads NaN and is rejected.
+    """
+    try:
+        value = eval_expr(parse_expr(token), math.nan)
+    except ExprError as exc:
+        raise ConfigError(f"cannot parse number {token!r}: {exc}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{token!r} is not a finite number")
+        raise ConfigError(f"{token!r} is not a finite constant")
     return value
 
 

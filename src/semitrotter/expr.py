@@ -1,12 +1,14 @@
-"""Parser and evaluator for scalar real functions of one variable.
+"""Reader and evaluator for scalar real functions of one variable.
 
-Used for potentials V(x) and observable coefficient functions y_m(x).
-The grammar covers real literals, the variable ``x``, the constant ``pi``,
-unary negation, the binary operators ``+ - * / ^`` and calls to
-``sin``, ``cos``, ``exp``, ``tanh``.
-
-Precedence (tightest first): ``^`` (right-assoc), unary minus,
-``* /`` (left-assoc), ``+ -`` (left-assoc).
+Used for potentials V(x), observable coefficients y_m(x) and config
+numbers. The grammar is Python's arithmetic with ``^`` for ``**``:
+``parse_expr`` reads the text with ``ast.parse`` and allows only
+int and float literals (not bool or complex), the names ``x`` and ``pi``,
+unary ``-`` and ``+``, the binary ``+ - * / **`` and a call of ``sin``,
+``cos``, ``exp`` or ``tanh`` on one positional argument. Any other node
+is an ExprSyntaxError; the text is never evaluated or compiled by Python.
+Precedence is Python's (tightest first): ``^`` (right-assoc), unary
+minus, ``* /`` (left-assoc), ``+ -`` (left-assoc).
 
 ASTs are immutable after parsing.
 The function set is fixed; all members are entire or periodic, so a
@@ -16,8 +18,9 @@ the boundary conditions (the parser itself does not verify periodicity).
 
 from __future__ import annotations
 
+import ast
 import math
-import re
+import warnings
 from dataclasses import dataclass
 
 FUNCTIONS = {
@@ -79,145 +82,75 @@ class Call:
 
 Expr = Num | Var | Pi | Neg | BinOp | Call
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
+def _python_text(source: str) -> tuple[str, list[int]]:
+    """The source as one line of Python in parentheses, and the source byte offset of each column.
 
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(source) - len(stripped)
-            raise ExprSyntaxError(
-                f"unexpected character {source[bad]!r}", _byte_offset(source, bad)
-            )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.index = 0
-
-    def _peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ExprSyntaxError(
-                "unexpected end of input", _byte_offset(self.source, len(self.source))
-            )
-        self.index += 1
-        return tok
-
-    def _expect_op(self, op: str) -> None:
-        tok = self._peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            pos = tok[2] if tok is not None else len(self.source)
-            raise ExprSyntaxError(f"expected {op!r}", _byte_offset(self.source, pos))
-        self.index += 1
-
-    def parse(self) -> Expr:
-        e = self._sum()
-        tok = self._peek()
-        if tok is not None:
-            raise ExprSyntaxError(
-                f"trailing input {tok[1]!r}", _byte_offset(self.source, tok[2])
-            )
-        return e
-
-    def _sum(self) -> Expr:
-        e = self._product()
-        while (tok := self._peek()) is not None and tok[1] in ("+", "-"):
-            self.index += 1
-            e = BinOp(tok[1], e, self._product())
-        return e
-
-    def _product(self) -> Expr:
-        e = self._unary()
-        while (tok := self._peek()) is not None and tok[1] in ("*", "/"):
-            self.index += 1
-            e = BinOp(tok[1], e, self._unary())
-        return e
-
-    def _unary(self) -> Expr:
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "-":
-            self.index += 1
-            return Neg(self._unary())
-        return self._power()
-
-    def _power(self) -> Expr:
-        base = self._atom()
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.index += 1
-            # right-associative; exponent may carry a unary minus
-            return BinOp("^", base, self._unary())
-        return base
-
-    def _atom(self) -> Expr:
-        kind, text, pos = self._next()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if text == "x":
-                return Var()
-            if text == "pi":
-                return Pi()
-            if text in FUNCTIONS:
-                self._expect_op("(")
-                arg = self._sum()
-                self._expect_op(")")
-                return Call(text, arg)
-            raise ExprSyntaxError(
-                f"unknown identifier {text!r}", _byte_offset(self.source, pos)
-            )
-        if text == "(":
-            e = self._sum()
-            self._expect_op(")")
-            return e
-        raise ExprSyntaxError(
-            f"unexpected token {text!r}", _byte_offset(self.source, pos)
-        )
+    ``^`` becomes ``**``; a blank, which Python ends a line at or refuses,
+    becomes a space; the leading zeros of a number, as in ``007``, which
+    ``float`` reads and Python refuses, are dropped. A typed ``**``, a ``#``,
+    an unmatched ``)`` and a character that is not printable ASCII are errors.
+    """
+    text, where = ["("], [0]
+    offset = depth = 0
+    for i, c in enumerate(source):
+        depth += (c == "(") - (c == ")")
+        if depth < 0 or c == "#" or c == text[-1] == "*" or not (c.isspace() or c.isascii() and c.isprintable()):
+            raise ExprSyntaxError(f"unexpected character {c!r}", offset)
+        in_word = text[-1][-1].isalnum() or text[-1][-1] in "._"
+        if not (c == "0" and source[i + 1: i + 2].isdecimal() and not in_word):
+            text.append("**" if c == "^" else " " if c.isspace() else c)
+            where += [offset] * len(text[-1])
+        offset += len(c.encode("utf-8"))
+    return "".join(text) + ")", where + [offset, offset]  # the closing parenthesis and the end
 
 
 def parse_expr(source: str) -> Expr:
     """Parse source text into an expression AST.
 
-    Raises ExprSyntaxError (with byte offset) on malformed input or
-    unknown identifiers.
+    Raises ExprSyntaxError (with the UTF-8 byte offset in ``source``) on malformed input,
+    on a node outside the grammar, such as an unknown identifier, and on too deep nesting.
     """
-    if not source or not source.strip():
-        raise ExprSyntaxError("empty expression", 0)
-    return _Parser(source).parse()
+    text, where = _python_text(source)
+
+    def convert(node: ast.expr) -> Expr:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return Num(float(str(node.value)))  # an integer past the float range reads inf, not OverflowError
+        if isinstance(node, ast.Name) and node.id in ("x", "pi"):
+            return Var() if node.id == "x" else Pi()
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            operand = convert(node.operand)
+            return Neg(operand) if isinstance(node.op, ast.USub) else operand
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], convert(node.left), convert(node.right))
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in FUNCTIONS  # only a Name has an id
+                and len(node.args) == 1 and not node.keywords):
+            return Call(node.func.id, convert(node.args[0]))
+        start, end = where[node.col_offset], where[node.end_col_offset]
+        raise ExprSyntaxError(f"{source.encode('utf-8')[start:end].decode('utf-8')!r} is not allowed", start)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SyntaxWarning on texts such as 1if, which convert refuses
+            tree = ast.parse(text, mode="eval")
+        return convert(tree.body)
+    except SyntaxError as exc:  # exc.offset counts characters from 1; text is ASCII
+        raise ExprSyntaxError(exc.msg, where[min((exc.offset or 1) - 1, len(text))]) from exc
+    except (RecursionError, MemoryError) as exc:  # MemoryError: the parser's own nesting limit
+        raise ExprSyntaxError("expression nested too deeply", 0) from exc
 
 
 def eval_expr(e: Expr, x: float) -> float:
-    """Evaluate an AST at a point. Raises ExprEvalError on 1/0, 0^negative, overflow or sin(inf)."""
+    """Evaluate an AST at a point. Raises ExprEvalError on 1/0, 0^negative, overflow, sin(inf) or deep nesting."""
+    try:
+        return _eval(e, x)
+    except RecursionError as exc:
+        raise ExprEvalError("expression nested too deeply to evaluate") from exc
+
+
+def _eval(e: Expr, x: float) -> float:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -225,15 +158,15 @@ def eval_expr(e: Expr, x: float) -> float:
     if isinstance(e, Pi):
         return math.pi
     if isinstance(e, Neg):
-        return -eval_expr(e.operand, x)
+        return -_eval(e.operand, x)
     if isinstance(e, Call):
         try:
-            return FUNCTIONS[e.func](eval_expr(e.arg, x))
+            return FUNCTIONS[e.func](_eval(e.arg, x))
         except (OverflowError, ValueError) as exc:  # ValueError: sin or cos of inf
             raise ExprEvalError(f"overflow or domain error in {e.func}") from exc
     if isinstance(e, BinOp):
-        a = eval_expr(e.left, x)
-        b = eval_expr(e.right, x)
+        a = _eval(e.left, x)
+        b = _eval(e.right, x)
         try:
             if e.op == "+":
                 return a + b

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from semitrotter.experiments import build_config, parse_config_text
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -59,6 +61,12 @@ def test_readme_library_quick_start_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) < 1e-3
+
+
+def test_readme_config_example_is_the_dt_sweep_default():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    assert build_config("dt-sweep", parse_config_text(block)) == build_config("dt-sweep")
 
 
 def _env_names_read(tree):

@@ -78,6 +78,11 @@ def test_config_text_parsing():
     assert cfg.dt_values == (0.25, 0.125)
     assert cfg.potential == "cos(x) + 0.5*sin(x)"
     assert cfg.scheme is SchemeKind.SPECTRAL
+    # a number is any finite constant expression
+    for token in ("+1/4", "2^-2", "0.25", "1/2^2"):
+        assert build_config("dt-sweep", {"dt": token}).dt_values == (0.25,), token
+    assert build_config("dt-sweep", {"a": "-pi/2", "b": "2*pi"}).a == -math.pi / 2
+    assert build_config("verify-symbolic", {"trials": "1_000"}).trials == 1000
 
 
 def test_config_pi_tokens():
@@ -113,8 +118,8 @@ def test_config_rejections():
         build_config("h-sweep", {"dt": "1/10, 1/20"})
     with pytest.raises(ConfigError):
         build_config("comm-sweep", {"orders": "2, 4"})
-    # every number must be finite: no division by zero, overflow or nan
-    for key, value in (("dt", "1/0"), ("N", "1e400"), ("t_final", "nan")):
+    # every number must be a finite constant: no division by zero, overflow, nan or x
+    for key, value in (("dt", "1/0"), ("N", "1e400"), ("t_final", "nan"), ("dt", "x/10"), ("a", "sin(x)")):
         with pytest.raises(ConfigError):
             build_config("dt-sweep", {key: value})
     # lists an experiment ignores are not rejected
@@ -440,6 +445,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["h-sweep", "--config", str(tmp_path / "missing.cfg"), "--out", "o"]) == 2
     config.write_text("dt = 1/0\n", encoding="utf-8")
     assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("potential", ["-" * 1000 + "x", "+".join(["x"] * 5001)], ids=["minus-1000", "sum-5001"])
+def test_cli_deeply_nested_expression_exit_code(tmp_path, capsys, potential):
+    # nesting past Python's recursion limit is a config error, not a traceback
+    config = tmp_path / "deep.cfg"
+    config.write_text(f'N = 16\nh = 1/16\npotential = "{potential}"\n', encoding="utf-8")
+    assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["beta", "dt-sweep"])

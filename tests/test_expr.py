@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from semitrotter.expr import Call, ExprEvalError, ExprSyntaxError, Var, eval_expr, parse_expr
+from semitrotter.expr import BinOp, Call, ExprEvalError, ExprSyntaxError, Neg, Num, Var, eval_expr, parse_expr
 
 
 def test_parse_cos_x():
@@ -49,6 +49,20 @@ def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("1+$2")
     assert err.value.offset == 2
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("x**2")  # power is spelled ^
+    assert err.value.offset == 2
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("1)+(2")  # would close the parenthesis the text is read in
+    assert err.value.offset == 1
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("1 # comment")
+    assert err.value.offset == 2
+    # nodes outside the grammar, reported where they start
+    for text in ("x if x else 1", "x[0]", "x.real", "lambda: 1", "1j", "True", '"s"', "(x, x)", "x < 1"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(f"1+({text})")
+        assert err.value.offset == 3, text
     with pytest.raises(ExprSyntaxError):
         parse_expr("sin(x")
     with pytest.raises(ExprSyntaxError):
@@ -64,6 +78,34 @@ def test_unknown_identifier():
     assert err.value.offset == 4
     with pytest.raises(ExprSyntaxError):
         parse_expr("log(x)")
+    for text in ("sin(x, x)", "sin(x=1)", "abs(x)", "__import__('os').getcwd()", "(sin)", "sin(*x)"):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text)
+
+
+def test_blanks_and_number_spellings():
+    assert parse_expr("\tx") == Var()
+    assert parse_expr("1\n+2") == BinOp("+", Num(1.0), Num(2.0))
+    assert parse_expr("x\u00a0*\r\n2") == BinOp("*", Var(), Num(2.0))  # any str.isspace blank
+    assert parse_expr("007") == Num(7.0)  # leading zeros, which Python refuses in integers
+    assert parse_expr("2e-01") == Num(0.2)  # a zero after the exponent sign is not dropped wrongly
+    assert parse_expr("1.007-00.5") == BinOp("-", Num(1.007), Num(0.5))
+    assert parse_expr("9" * 400) == Num(math.inf)  # as float() reads it
+    assert parse_expr("+x") == Var()
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("2*\u0663")  # a non-ASCII digit
+    assert err.value.offset == 2
+
+
+def test_deep_nesting_is_an_expr_error():
+    for text in ("-" * 1000 + "x", "+".join(["x"] * 5001), "(" * 300 + "x" + ")" * 300, "-" * 100000 + "x"):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text)
+    deep = Var()
+    for _ in range(5000):
+        deep = Neg(deep)
+    with pytest.raises(ExprEvalError):
+        eval_expr(deep, 1.0)
 
 
 def test_eval_errors():
