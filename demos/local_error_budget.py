@@ -18,9 +18,8 @@ from semitrotter import (
     compute_alpha_tilde,
     compute_beta_comm,
     compute_steps,
+    evolution_errors,
     exact_unitary,
-    heisenberg_evolve,
-    spectral_norm,
     suzuki_plan,
     trotter_step,
 )
@@ -48,10 +47,8 @@ print(f"alpha~ <= 2^(p+1) beta: {alpha_tilde:.3f} <= {2**(p+1) * beta:.3f}")
 print("\none-step observable error vs the (alpha + alpha~) dt^3 budget:")
 prev = None
 for dt in (1 / 8, 1 / 16, 1 / 32):
-    u = trotter_step(plan, a[0], potential, dt)
-    t_trot = heisenberg_evolve(u, obs, 1)
-    t_exact = heisenberg_evolve(exact_unitary(a + b, dt), obs, 1)
-    err = spectral_norm(t_trot - t_exact)
+    w = trotter_step(plan, a[0], potential, dt) @ exact_unitary(a + b, dt).conj().T
+    _, err, _ = evolution_errors(w, obs)  # ||U_trot^dag O U_trot - U_exact^dag O U_exact||
     budget = (alpha + alpha_tilde) * dt**3
     note = f"  ({prev/err:.2f}x down)" if prev else ""
     print(f"  dt = 1/{round(1/dt):<3}  err {err:.3e}  <=  {budget:.3e}{note}")

@@ -1,9 +1,9 @@
 """Trotter-Suzuki splitting of the semiclassical Schrodinger equation.
 
 Desk-scale tooling for uniform-in-h observable error studies: discrete
-operators, arbitrary-order Suzuki schedules, exact vs Trotterized
-Heisenberg evolution, nested-commutator coefficients, and a symbolic
-height/width verifier for the underlying operator algebra.
+operators, arbitrary-order Suzuki schedules, the propagator and observable
+errors of a Trotterized evolution, nested-commutator coefficients, and a
+symbolic height/width verifier for the underlying operator algebra.
 """
 
 from .commutator_lab import (
@@ -22,12 +22,12 @@ from .discretize import (
     build_laplacian,
     build_spectral_derivative,
 )
+from .experiments import evolution_errors
 from .expr import ExprError, ExprEvalError, ExprSyntaxError, eval_expr, parse_expr
 from .linalg import (
     ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
-    circulant_exp,
     commutator,
     hermitian_eig,
     spectral_norm,
@@ -45,7 +45,6 @@ from .splitting import (
     StagePlan,
     compute_steps,
     exact_unitary,
-    heisenberg_evolve,
     suzuki_plan,
     trotter_step,
 )

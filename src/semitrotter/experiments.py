@@ -13,7 +13,10 @@ grid to the semiclassical parameter (N = 1/h) unless the config pins N
 explicitly; the uniform error and commutator bounds concern the
 resolved regime where the grid tracks the oscillation scale, and a
 fixed grid leaves the small-h tail unresolved (observable error then
-grows like a power of 1/h instead of staying flat).
+grows like a power of 1/h instead of staying flat). In operator norm they
+are h-uniform for the finite-difference scheme only: cos(x) aliases the top
+modes across the Nyquist wrap, where the spectral (i xi)^k is not smooth,
+so the spectral [[A,B],O] grows like 1/h (see README).
 
 CSV rows carry exactly the columns
 ``experiment,p,scheme,N,h,dt,t,metric,value`` with RFC-4180-style
@@ -342,12 +345,33 @@ def _gaussian_state(grid: Grid) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def evolution_errors(w: np.ndarray, obs: np.ndarray, phi=None) -> tuple[float, float, float | None]:
+    """(||W - I||, ||[O, W - I]||, expectation error or None) for W = U_trot U_exact^dagger.
+
+    By unitary invariance these are ||U_trot - U_exact|| and the observable error
+    ||U_trot^dagger O U_trot - U_exact^dagger O U_exact||, read without the cancellation
+    of two conjugated observables, so high-order tails stay above roundoff. Given
+    phi = U_exact psi, the third is the state-level error |<W phi|[O, W - I]|phi>|,
+    which the observable error bounds.
+
+    Overwrites w with W - I and drops it before the observable norm, which frees a W passed
+    as a temporary (Python 3.10 keeps call arguments alive until return; peak not measured).
+    """
+    w[np.diag_indices(w.shape[0])] -= 1.0
+    unitary_error = spectral_norm(w)
+    w_phi = None if phi is None else w @ phi + phi
+    obs_comm = commutator(obs, w)
+    del w
+    observable_error = spectral_norm(obs_comm)
+    expectation_error = None if phi is None else float(abs(np.vdot(w_phi, obs_comm @ phi)))
+    return unitary_error, observable_error, expectation_error
+
+
 def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     """Error rows for every order and dt on one h's grid, built once with its U_exact.
 
-    Each N x N buffer goes once nothing reads it: beside a norm's own buffers only
-    U_exact^dagger (U_exact conjugated in place), O and the normed matrix are alive,
-    W - I for the unitary error and [O, W - I] for the observable error.
+    W goes to evolution_errors as a temporary, so that call frees it before the observable
+    norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
     """
     n_grid = _grid_size_for(cfg, h)
     grid, a, b, obs = _build_operators(cfg, h, n_grid)
@@ -355,35 +379,15 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     del a  # the Trotter step reads only A's first row
     u_exact = exact_unitary(hamiltonian, cfg.t_final)
     del hamiltonian
-    if cfg.state:
-        phi = u_exact @ _gaussian_state(grid)
+    phi = u_exact @ _gaussian_state(grid) if cfg.state else None
     u_exact_h = np.conjugate(u_exact, out=u_exact).T
+    metrics = ("unitary_error", "observable_error", "expectation_error")  # evolution_errors' order
     rows = []
     for p, dt in product(cfg.orders, cfg.dt_values):
-        u_trot = trotter_step(suzuki_plan(p), a_row, b, dt, steps=int(round(cfg.t_final / dt)))
-
-        # Evaluate both error norms through the deviation unitary
-        # W = U_trot U_exact^dagger: by unitary invariance,
-        #   || T_trot - T_exact || = || W^dagger O W - O || = || [O, W - I] ||
-        #   || U_trot^n - e^{-iHt} || = || W - I ||,
-        # which avoids the cancellation of two separately conjugated
-        # observables and keeps the high-order tails above roundoff.
-        deviation = u_trot @ u_exact_h
-        del u_trot
-        deviation[np.diag_indices(n_grid)] -= 1.0
+        steps = int(round(cfg.t_final / dt))
+        errors = evolution_errors(trotter_step(suzuki_plan(p), a_row, b, dt, steps) @ u_exact_h, obs, phi)
         row = partial(_row, cfg, p=p, n=n_grid, h=h, dt=dt, t=cfg.t_final)
-        rows.append(row("unitary_error", spectral_norm(deviation)))
-        if cfg.state:
-            w_phi = deviation @ phi + phi
-        obs_comm = commutator(obs, deviation)
-        del deviation  # so only [O, W - I] sits beside the observable norm
-        rows.append(row("observable_error", spectral_norm(obs_comm)))
-        if cfg.state:
-            # witness for the expectation-error inequality: the state-level
-            # error <phi|W^dagger [O, W - I]|phi> is bounded by the operator-norm
-            # observable error; two matrix-vector products, W phi and [O, W - I] phi
-            rows.append(row("expectation_error", float(abs(np.vdot(w_phi, obs_comm @ phi)))))
-        del obs_comm
+        rows += [row(metric, value) for metric, value in zip(metrics, errors) if value is not None]
     return rows
 
 

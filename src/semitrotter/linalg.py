@@ -217,17 +217,6 @@ def hermitian_circulant_symbol(first_row: np.ndarray) -> np.ndarray:
     return lam.real
 
 
-def circulant_exp(first_row: np.ndarray, theta: float) -> np.ndarray:
-    """e^{-i theta C} for the Hermitian circulant C with the given first row.
-
-    Diagonalized by the DFT: the circulant with first column ifft(phases), O(N^2)
-    instead of a dense eigendecomposition. Raises NonHermitianError if the
-    circulant is not Hermitian (its DFT symbol must be real).
-    """
-    phases = np.exp(-1j * theta * hermitian_circulant_symbol(first_row))
-    return circulant(np.fft.ifft(phases))
-
-
 def circulant(first_column: np.ndarray) -> np.ndarray:
     """C[i, j] = c[(i - j) mod N], i.e. IDFT diag(fft(c)) DFT."""
     c = np.asarray(first_column).ravel()

@@ -149,23 +149,6 @@ def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return linalg.unitary_exp(h, t)
 
 
-def heisenberg_evolve(u: np.ndarray, obs: np.ndarray, n: int) -> np.ndarray:
-    """(U^dagger)^n O U^n by successive conjugation."""
-    u = linalg.as_matrix(u)
-    obs = linalg.as_matrix(obs)
-    if u.shape != obs.shape:
-        raise linalg.DimensionMismatchError(f"shapes differ: {u.shape} vs {obs.shape}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    defect = linalg.unitarity_defect(u)
-    if defect > 1e-8:
-        raise linalg.LinalgError(f"U is not unitary (defect {defect:.3e})")
-    uh = u.conj().T
-    for _ in range(n):
-        obs = uh @ obs @ u
-    return obs
-
-
 def compute_steps(t: float, eps: float, p: int, c: float) -> int:
     """Smallest step count n with C t^(p+1) / n^p <= eps."""
     if t <= 0 or eps <= 0 or c <= 0:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semitrotter.experiments import build_config, parse_config_text
+from semitrotter.experiments import build_config, parse_config_text, run_dt_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -60,7 +60,14 @@ def test_readme_library_quick_start_runs(capsys):
     section = readme.split("## Quick start (library)", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
-    assert float(capsys.readouterr().out) < 1e-3
+    printed = float(capsys.readouterr().out)
+    assert printed < 1e-3
+    # the same number as the default dt-sweep's CSV, through the same evolution_errors
+    (row,) = [
+        r for r in run_dt_sweep(build_config("dt-sweep"))
+        if (r.p, r.dt, r.metric) == (4, 1 / 16, "observable_error")
+    ]
+    assert printed == row.value
 
 
 def test_readme_config_example_is_the_dt_sweep_default():

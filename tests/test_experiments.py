@@ -21,6 +21,7 @@ from semitrotter.experiments import (
     build_config,
     emit_csv,
     emit_svg,
+    evolution_errors,
     fit_slope,
     load_config,
     parse_config_text,
@@ -33,6 +34,7 @@ from semitrotter.experiments import (
     series_from_rows,
 )
 from semitrotter.expr import parse_expr
+from semitrotter.linalg import commutator
 from semitrotter.model import ModelParams, build_A, build_B, build_observable
 from semitrotter.splitting import exact_unitary, suzuki_plan, trotter_step
 
@@ -236,6 +238,46 @@ def test_expectation_error_matches_state_computation(scheme):
     assert checked >= 12
 
 
+def test_evolution_errors_of_the_identity_are_exactly_zero():
+    rng = np.random.default_rng(3)
+    obs = rng.standard_normal((16, 16))
+    phi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    assert evolution_errors(np.eye(16, dtype=complex), obs, phi) == (0.0, 0.0, 0.0)
+    assert evolution_errors(np.eye(16, dtype=complex), obs) == (0.0, 0.0, None)
+
+
+def test_evolution_errors_match_the_subtractive_formulas():
+    # p = 2 at dt = 1/4 on N = 16: errors far above roundoff, so the cancellation-free
+    # norms must equal the textbook differences; np.linalg.norm is the independent oracle
+    h, t = 1.0 / 16, 0.5
+    grid = Grid(-math.pi, math.pi, 16)
+    params = ModelParams(h=h, potential=parse_expr("cos(x)"), grid=grid, scheme=SchemeKind.FINITE_DIFFERENCE)
+    a, b = build_A(params), build_B(params)
+    obs = build_observable(parse_observable_spec("0:cos(x), 1:sin(x)", h), grid)
+    u_trot = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.25, steps=2)
+    u_exact = exact_unitary(a + b, t)
+    psi = np.exp(1j * grid.nodes) * np.exp(-grid.nodes**2)
+    psi /= np.linalg.norm(psi)
+
+    unitary, observable, expectation = evolution_errors(u_trot @ u_exact.conj().T, obs, u_exact @ psi)
+
+    t_trot, t_exact = u_trot.conj().T @ obs @ u_trot, u_exact.conj().T @ obs @ u_exact
+    assert unitary > 1e-3 and observable > 1e-4
+    assert unitary == pytest.approx(np.linalg.norm(u_trot - u_exact, 2), rel=1e-10)
+    assert observable == pytest.approx(np.linalg.norm(t_trot - t_exact, 2), rel=1e-10)
+    assert expectation == pytest.approx(abs(np.vdot(psi, (t_trot - t_exact) @ psi)), rel=1e-10)
+
+
+def test_evolution_errors_overwrite_w_with_w_minus_identity():
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    expected = w - np.eye(8)
+    obs = rng.standard_normal((8, 8))
+    _, observable, _ = evolution_errors(w, obs)
+    assert np.array_equal(w, expected)
+    assert observable == pytest.approx(np.linalg.norm(commutator(obs, expected), 2), rel=1e-12)
+
+
 def test_resolved_h_sweep_point_peaks_at_most_seven_buffers():
     # one default h-sweep point at N = 256 (orders 2, 4, 6), measured in complex N x N
     # buffers of 16 N^2 bytes; LAPACK workspaces are not traced
@@ -341,13 +383,11 @@ def test_csv_determinism_across_runs(tmp_path):
         assert f1.read() == f2.read()
 
 
-def test_h_sweep_csv_determinism_at_defaults(tmp_path):
-    # N = 256 ... 1024 take the Lanczos norm, whose start must not depend on earlier calls
-    cfg = build_config("h-sweep")
-    p1 = emit_csv(run_h_sweep(cfg), str(tmp_path / "a.csv"))
-    p2 = emit_csv(run_h_sweep(cfg), str(tmp_path / "b.csv"))
-    with open(p1, "rb") as f1, open(p2, "rb") as f2:
-        assert f1.read() == f2.read()
+def test_h_sweep_csv_determinism_at_defaults(default_h_sweep):
+    # N = 256 ... 1024 take the Lanczos norm, whose start must not depend on earlier calls;
+    # a second full run, through the library, against the session's run through the CLI
+    _, csv_bytes = default_h_sweep
+    assert rows_to_csv(run_h_sweep(build_config("h-sweep"))).encode("utf-8") == csv_bytes
 
 
 def test_verify_symbolic_rows():

@@ -10,7 +10,6 @@ from semitrotter.discretize import Grid, build_forward_diff, build_backward_diff
 from semitrotter.linalg import (
     ConvergenceError,
     NonHermitianError,
-    circulant_exp,
     commutator,
     hermitian_eig,
     hermiticity_defect,
@@ -367,31 +366,6 @@ def test_spectral_norm_real_matches_complex_svd():
         assert m.dtype == np.float64
         oracle = float(np.linalg.norm(m.astype(np.complex128), 2))
         assert spectral_norm(m) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_circulant_exp_zero_row():
-    assert np.allclose(circulant_exp(np.zeros(6), 1.7), np.eye(6), atol=1e-12)
-
-
-def test_circulant_exp_theta_zero():
-    g = Grid(0.0, 1.0, 8)
-    first_row = build_laplacian(g)[0]
-    assert np.allclose(circulant_exp(first_row, 0.0), np.eye(8), atol=1e-12)
-
-
-def test_circulant_exp_matches_dense_oracle():
-    g = Grid(-math.pi, math.pi, 8)
-    c = -build_laplacian(g)
-    theta = 0.23
-    fast = circulant_exp(c[0], theta)
-    dense = unitary_exp(c, theta)
-    assert spectral_norm(fast - dense) <= 1e-10
-    assert unitarity_defect(fast) <= 1e-10
-
-
-def test_circulant_exp_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        circulant_exp(np.array([0.0, 1.0, 0.0, 0.0]), 0.5)  # pure shift is not Hermitian
 
 
 def test_convergence_error_message_has_no_iteration_count():

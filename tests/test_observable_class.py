@@ -4,6 +4,13 @@ On the resolved grid (N = 1/h) a term y h^m d^d has a norm that scales like
 h^(m - d), so a symbol's predicted h-exponent is min(m - d) over its terms.
 The symbolic engine predicts the comm-sweep slopes from that rule, and the
 h-sweep must show observables outside the class growing like 1/h.
+
+The operator-norm bounds are h-uniform for the finite-difference scheme
+only. The spectral xi^2 has a kink where the frequency grid wraps at the
+Nyquist mode, with a second difference of about 2N, and multiplying by
+cos(x) aliases the top modes across it: so the spectral [[A,B],O], which
+takes that second difference through A's D_2, grows like 1/h although the
+symbol predicts 0. Swapping the spectral D_2 for the FD one flattens it.
 """
 
 import csv
@@ -12,7 +19,14 @@ import io
 import itertools
 
 from semitrotter import experiments
-from semitrotter.experiments import build_config, fit_slope, rows_to_csv, run_comm_sweep, run_h_sweep
+from semitrotter.experiments import (
+    build_config,
+    fit_slope,
+    rows_to_csv,
+    run_beta,
+    run_comm_sweep,
+    run_h_sweep,
+)
 from semitrotter.symbolic_lie import (
     SymOp,
     kinetic_symbol,
@@ -61,6 +75,23 @@ def test_comm_sweep_slopes_follow_symbolic_exponents():
     no_h = SymOp.term(1, (("y", 0),), hpow=0, dord=1)  # y d, outside the class
     assert _exponent(no_h) == -1
     assert min(_chain_exponents(no_h, 3)) == -1
+
+
+def test_operator_norm_uniformity_holds_for_fd_only():
+    # criterion 3's 0.15: FD's [[A,B],O] is flat as the symbol predicts, spectral's grows like 1/h
+    for scheme, exponent in (("fd", 0.0), ("spectral", -1.0)):
+        cfg = build_config("comm-sweep", {"h": "1/32, 1/64, 1/128, 1/256", "scheme": scheme})
+        slope = fit_slope([(r.h, r.value) for r in run_comm_sweep(cfg) if r.metric == "[[A,B],O]"]).slope
+        assert abs(slope - exponent) <= 0.15, (scheme, slope)
+
+
+def test_beta_is_uniform_at_orders_4_and_6():
+    # the paper's arbitrary order on the commutator side: criterion 4's max/min ratio <= 2
+    rows = run_beta(build_config("beta", {"h": "1/32, 1/64, 1/128, 1/256", "orders": "2, 4, 6"}))
+    for p in (2, 4, 6):
+        values = [r.value for r in rows if r.p == p and r.metric == "beta_comm"]
+        assert len(values) == 4
+        assert max(values) / min(values) <= 2.0, (p, values)
 
 
 def test_h_sweep_negative_control(monkeypatch):

@@ -11,7 +11,6 @@ from semitrotter.expr import parse_expr
 from semitrotter.linalg import (
     ConvergenceError,
     DimensionMismatchError,
-    LinalgError,
     NonHermitianError,
     spectral_norm,
     unitarity_defect,
@@ -21,7 +20,6 @@ from semitrotter.model import ModelParams, build_A, build_B
 from semitrotter.splitting import (
     compute_steps,
     exact_unitary,
-    heisenberg_evolve,
     suzuki_plan,
     trotter_step,
 )
@@ -130,6 +128,8 @@ def test_trotter_step_rejects_complex_potential():
     a, _, _ = _operators(n=8)
     with pytest.raises(NonHermitianError):
         trotter_step(suzuki_plan(2), a[0], np.linspace(0.0, 1.0, 8) + 0.5j, 0.1)
+    with pytest.raises(NonHermitianError):  # a pure shift is a circulant with a complex symbol
+        trotter_step(suzuki_plan(2), np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4), 0.1)
     real_as_complex = np.linspace(0.0, 1.0, 8) + 0j
     assert unitarity_defect(trotter_step(suzuki_plan(2), a[0], real_as_complex, 0.1)) <= 1e-12
 
@@ -279,43 +279,6 @@ def test_exact_unitary_properties():
     u = exact_unitary(h, 0.4)
     assert spectral_norm(u @ exact_unitary(h, -0.4) - np.eye(32)) <= 1e-10
     assert spectral_norm(exact_unitary(h, 0.7) - u @ exact_unitary(h, 0.3)) <= 1e-9
-
-
-def test_heisenberg_evolve_trivial_cases():
-    rng = np.random.default_rng(12)
-    obs = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    assert np.array_equal(heisenberg_evolve(np.eye(16), obs, 5), obs)
-    _, _, h = _operators(n=16)
-    u = exact_unitary(h, 0.3)
-    assert np.array_equal(heisenberg_evolve(u, obs, 0), obs)
-    with pytest.raises(ValueError, match="non-negative"):
-        heisenberg_evolve(u, obs, -1)
-
-
-def test_heisenberg_evolve_rejects_non_unitary():
-    obs = np.eye(16)
-    _, _, h = _operators(n=16)
-    with pytest.raises(LinalgError, match="not unitary") as info:
-        heisenberg_evolve(1.01 * exact_unitary(h, 0.3), obs, 1)
-    assert not isinstance(info.value, NonHermitianError)
-
-
-def test_heisenberg_evolve_is_isometry():
-    rng = np.random.default_rng(13)
-    obs = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    _, _, h = _operators(n=32)
-    u = exact_unitary(h, 0.21)
-    evolved = heisenberg_evolve(u, obs, 7)
-    assert spectral_norm(evolved) == pytest.approx(spectral_norm(obs), rel=1e-9)
-
-
-def test_heisenberg_evolve_matches_power():
-    rng = np.random.default_rng(14)
-    obs = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    _, _, h = _operators(n=16)
-    u = exact_unitary(h, 0.11)
-    u3 = np.linalg.matrix_power(u, 3)
-    assert spectral_norm(heisenberg_evolve(u, obs, 3) - u3.conj().T @ obs @ u3) < 1e-11
 
 
 def test_compute_steps_examples():
