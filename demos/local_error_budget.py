@@ -19,9 +19,9 @@ from semitrotter import (
     compute_beta_comm,
     compute_steps,
     evolution_errors,
-    exact_unitary,
     suzuki_plan,
     trotter_step,
+    unitary_exp,
 )
 from semitrotter.discretize import SchemeKind
 from semitrotter.expr import parse_expr
@@ -47,7 +47,7 @@ print(f"alpha~ <= 2^(p+1) beta: {alpha_tilde:.3f} <= {2**(p+1) * beta:.3f}")
 print("\none-step observable error vs the (alpha + alpha~) dt^3 budget:")
 prev = None
 for dt in (1 / 8, 1 / 16, 1 / 32):
-    w = trotter_step(plan, a[0], potential, dt) @ exact_unitary(a + b, dt).conj().T
+    w = trotter_step(plan, a[0], potential, dt) @ unitary_exp(a + b, dt).conj().T
     _, err, _ = evolution_errors(w, obs)  # ||U_trot^dag O U_trot - U_exact^dag O U_exact||
     budget = (alpha + alpha_tilde) * dt**3
     note = f"  ({prev/err:.2f}x down)" if prev else ""

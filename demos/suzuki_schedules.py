@@ -12,7 +12,7 @@ Run: python demos/suzuki_schedules.py
 
 import numpy as np
 
-from semitrotter import Grid, suzuki_plan, trotter_step, exact_unitary, spectral_norm
+from semitrotter import Grid, spectral_norm, suzuki_plan, trotter_step, unitary_exp
 from semitrotter.discretize import SchemeKind
 from semitrotter.expr import parse_expr
 from semitrotter.model import ModelParams, build_A, build_B
@@ -46,7 +46,7 @@ header = "     dt " + "".join(f"{f'p={p}':>12}" for p in (1, 2, 4))
 print(header)
 for dt in dts:
     errs = [
-        spectral_norm(trotter_step(suzuki_plan(p), a[0], np.diag(b), dt) - exact_unitary(h_full, dt))
+        spectral_norm(trotter_step(suzuki_plan(p), a[0], np.diag(b), dt) - unitary_exp(h_full, dt))
         for p in (1, 2, 4)
     ]
     print(f"  1/{round(1/dt):<4} " + "".join(f"{e:>12.2e}" for e in errs))

@@ -44,7 +44,6 @@ from .model import (
 from .splitting import (
     StagePlan,
     compute_steps,
-    exact_unitary,
     suzuki_plan,
     trotter_step,
 )

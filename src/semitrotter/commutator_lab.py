@@ -14,8 +14,8 @@ splitting:
                of the sequence, which dominates every stage index),
   alpha_tilde: ||ad_H^{p+1}(O)|| for the full Hamiltonian H.
 
-All enumerations are over at most 2^(p+1) distinct matrix chains, shared
-through a prefix tree, so desk-scale orders (p <= 8) stay cheap. B comes as
+The 2^(p+1) chains are walked depth-first, each prefix's chain built once and
+dropped after its subtree, so at most p + 2 N x N chains are alive. B comes as
 its diagonal b, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); beta skips
 the norms of chains whose bound sqrt(||M||_1 ||M||_inf) cannot set the maximum.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +42,12 @@ def nested_comm(word: CommWord, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -
     return result
 
 
-def _word_chains(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> dict[tuple[str, ...], np.ndarray]:
-    """Every (p+1)-letter ad-chain, via a shared prefix tree; potential is B's diagonal."""
+def _word_chains(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> Iterator[tuple[CommWord, np.ndarray]]:
+    """Yield every (p+1)-letter word with its ad-chain, depth-first; potential is B's diagonal.
+
+    B comes before A: on the sweeps' operators the first leaf, ad_B^(p+1)(O), is the
+    largest, so beta's pruning takes a single norm.
+    """
     obs = as_matrix(obs)
     d = np.asarray(potential)
     if d.shape != obs.shape[:1]:
@@ -51,10 +55,15 @@ def _word_chains(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) 
     if d.imag.any():
         raise NonHermitianError("B must have a real diagonal")
     ad = {"A": lambda m: commutator(a, m), "B": lambda m: d[:, None] * m - m * d}
-    level: dict[tuple[str, ...], np.ndarray] = {(): obs}
-    for _ in range(p + 1):
-        level = {word + (label,): ad[label](mat) for word, mat in level.items() for label in "AB"}
-    return level
+
+    def walk(word: tuple[str, ...], mat: np.ndarray) -> Iterator[tuple[CommWord, np.ndarray]]:
+        if len(word) == p + 1:
+            yield word, mat
+            return
+        for label in "BA":
+            yield from walk(word + (label,), ad[label](mat))
+
+    return walk((), obs)
 
 
 def _norm_bound(m: np.ndarray) -> float:
@@ -66,18 +75,16 @@ def _norm_bound(m: np.ndarray) -> float:
 def compute_beta_comm(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> float:
     """Largest ||ad-chain(O)|| over all (p+1)-letter words in {A, B}; potential is B's diagonal.
 
-    Visits chains by decreasing bound sqrt(||M||_1 ||M||_inf) >= ||M||_2 and stops once
-    bound * (1 + 1e-8) is below the running maximum. The margin covers the O(N eps)
-    rounding of the bound and the Gram norm, so the result is the full maximum's float.
+    Norms each streamed chain unless bound * (1 + 1e-8) is below the running maximum, with
+    bound = sqrt(||M||_1 ||M||_inf) >= ||M||_2; the margin covers the bound's and the Gram norm's
+    O(N eps) rounding. A NaN bound is not below it, so a non-finite chain is normed and raises.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    bounded = [(_norm_bound(m), m) for m in _word_chains(p, a, potential, obs).values()]
     best = 0.0
-    for bound, mat in sorted(bounded, key=lambda item: item[0], reverse=True):
-        if bound * (1.0 + 1e-8) < best:
-            break
-        best = max(best, spectral_norm(mat))
+    for _, mat in _word_chains(p, a, potential, obs):
+        if not _norm_bound(mat) * (1.0 + 1e-8) < best:
+            best = max(best, spectral_norm(mat))
     return best
 
 
@@ -123,29 +130,27 @@ def compute_alpha_comm(p: int, plan_len: int, a: np.ndarray, potential: np.ndarr
         raise ValueError(f"need p >= 1, got {p}")
     if plan_len < 1:
         raise ValueError(f"need plan_len >= 1, got {plan_len}")
-    norms = {word: spectral_norm(m) for word, m in _word_chains(p, a, potential, obs).items()}
+    norms = {word: spectral_norm(m) for word, m in _word_chains(p, a, potential, obs)}
     labels = tuple("A" if i % 2 == 0 else "B" for i in range(plan_len))
 
     # Group compositions by their effective chain: positions with q_j = 0
     # drop out, so a pattern of r labeled blocks with positive exponents
     # contributes once per embedding of its labels into the suffix.
-    patterns: list[tuple[tuple[str, ...], tuple[int, ...], int, float]] = []
+    patterns: list[tuple[tuple[str, ...], int, float]] = []
     for r in range(1, p + 2):
         for word in itertools.product("AB", repeat=r):
             for exponents in _positive_compositions(p + 1, r):
                 expanded = tuple(
                     g for g, e in zip(word, exponents) for _ in range(e)
                 )
-                patterns.append(
-                    (word, exponents, _multinomial(exponents), norms[expanded])
-                )
+                patterns.append((word, _multinomial(exponents), norms[expanded]))
 
     best = 0.0
     for k in range(1, plan_len + 1):
         suffix = labels[plan_len - k:]
         value = sum(
             weight * count * norm
-            for word, _, weight, norm in patterns
+            for word, weight, norm in patterns
             if (count := _subsequence_counts(suffix, word)) > 0
         )
         best = max(best, value)

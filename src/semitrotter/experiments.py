@@ -41,9 +41,9 @@ import numpy as np
 from .commutator_lab import compute_beta_comm
 from .discretize import Grid, SchemeKind
 from .expr import Expr, ExprError, eval_expr, parse_expr
-from .linalg import commutator, spectral_norm
+from .linalg import commutator, spectral_norm, unitary_exp
 from .model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
-from .splitting import exact_unitary, suzuki_plan, trotter_step
+from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
 
 CSV_HEADER = "experiment,p,scheme,N,h,dt,t,metric,value"
@@ -377,7 +377,7 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     grid, a, b, obs = _build_operators(cfg, h, n_grid)
     hamiltonian, a_row = a + np.diag(b), a[0].copy()
     del a  # the Trotter step reads only A's first row
-    u_exact = exact_unitary(hamiltonian, cfg.t_final)
+    u_exact = unitary_exp(hamiltonian, cfg.t_final)
     del hamiltonian
     phi = u_exact @ _gaussian_state(grid) if cfg.state else None
     u_exact_h = np.conjugate(u_exact, out=u_exact).T

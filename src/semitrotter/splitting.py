@@ -144,11 +144,6 @@ def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
     return result
 
 
-def exact_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} for Hermitian H."""
-    return linalg.unitary_exp(h, t)
-
-
 def compute_steps(t: float, eps: float, p: int, c: float) -> int:
     """Smallest step count n with C t^(p+1) / n^p <= eps."""
     if t <= 0 or eps <= 0 or c <= 0:

@@ -24,9 +24,9 @@ from semitrotter.discretize import (
     build_laplacian,
 )
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import commutator, unitarity_defect
+from semitrotter.linalg import commutator, unitarity_defect, unitary_exp
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
-from semitrotter.splitting import exact_unitary, suzuki_plan, trotter_step
+from semitrotter.splitting import suzuki_plan, trotter_step
 from semitrotter.symbolic_lie import (
     SymOp,
     discrete_height_estimate,
@@ -222,7 +222,7 @@ def test_criterion_8_structural_invariants():
     detail = []
 
     defects = [unitarity_defect(trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.25)) for p in (1, 2, 4, 6)]
-    defects.append(unitarity_defect(exact_unitary(h_mat, 0.5)))
+    defects.append(unitarity_defect(unitary_exp(h_mat, 0.5)))
     ok = ok and max(defects) <= 1e-10
     detail.append(f"max unitarity defect {max(defects):.2e}")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,13 +83,13 @@ def test_beta_pruning_equals_full_maximum(scheme, n):
     for p in (1, 2, 3):
         words = list(itertools.product("AB", repeat=p + 1))
         dense = {w: nested_comm(w, a, b, obs) for w in words}
-        chains = commutator_lab._word_chains(p, a, np.diag(b), obs)
+        chains = dict(commutator_lab._word_chains(p, a, np.diag(b), obs))
         assert all(np.array_equal(chains[w], dense[w]) for w in words)  # ad_B scaling is exact
         assert compute_beta_comm(p, a, np.diag(b), obs) == max(spectral_norm(m) for m in dense.values())
 
 
 def test_beta_pruning_skips_norms(monkeypatch):
-    a, b, obs = _sweep_operators("fd", 256)
+    # B comes first in the walk, and ad_B^(p+1)(O) is the largest chain on these operators
     calls = []
 
     def counting_norm(m):
@@ -96,8 +97,26 @@ def test_beta_pruning_skips_norms(monkeypatch):
         return spectral_norm(m)
 
     monkeypatch.setattr(commutator_lab, "spectral_norm", counting_norm)
-    compute_beta_comm(2, a, np.diag(b), obs)
-    assert 1 <= len(calls) < 8
+    for scheme in ("fd", "spectral"):
+        a, b, obs = _sweep_operators(scheme, 256)
+        for p in (2, 4, 6):
+            calls.clear()
+            compute_beta_comm(p, a, np.diag(b), obs)
+            assert len(calls) == 1, (scheme, p)
+
+
+def test_beta_holds_few_chains():
+    # the walk keeps at most p + 2 chains alive, plus the ad-steps' and the norm's temporaries
+    n, p = 256, 6
+    cfg = build_config("beta")
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n, n)
+    tracemalloc.start()
+    try:
+        compute_beta_comm(p, a, potential, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (p + 6) * 8 * n * n
 
 
 def _nan_at_3_5(operand):
@@ -120,6 +139,19 @@ def test_beta_non_finite_chain_raises(p, ops):
     # a NaN in B's diagonal is a non-finite B
     with pytest.raises(ConvergenceError):
         compute_beta_comm(p, *ops)
+
+
+@pytest.mark.parametrize(
+    "p, ops",
+    [
+        pytest.param(2, _nan_at_3_5(0), id="0"),
+        pytest.param(2, _nan_at_3_5(2), id="2"),
+        pytest.param(1, [np.eye(3), np.array([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
+    ],
+)
+def test_alpha_non_finite_chain_raises(p, ops):
+    with pytest.raises(ConvergenceError):
+        compute_alpha_comm(p, 3, *ops)
 
 
 def test_potential_length_must_match():
@@ -179,6 +211,25 @@ def test_alpha_dominates_any_single_term():
     alpha = compute_alpha_comm(2, 3, a, np.diag(b), obs)
     single = spectral_norm(nested_comm(("A", "B", "A"), a, b, obs))
     assert alpha >= single
+
+
+def test_alpha_p2_brute_force_sum():
+    # plan (A, B, A), p = 2: every suffix, every composition of 3 over its stages
+    # (zero parts included), multinomial weights, innermost stage first
+    a, b, obs = _setup(n=32)
+    labels = ("A", "B", "A")
+    sums = []
+    for k in range(1, 4):
+        suffix = labels[3 - k:]
+        total = 0.0
+        for qs in itertools.product(range(4), repeat=k):
+            if sum(qs) != 3:
+                continue
+            word = tuple(g for g, q in zip(suffix, qs) for _ in range(q))
+            weight = math.factorial(3) // math.prod(math.factorial(q) for q in qs)
+            total += weight * spectral_norm(nested_comm(word, a, b, obs))
+        sums.append(total)
+    assert compute_alpha_comm(2, 3, a, np.diag(b), obs) == pytest.approx(max(sums), rel=1e-12)
 
 
 def test_alpha_tilde_2x2_hand_case():

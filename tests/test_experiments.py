@@ -34,9 +34,9 @@ from semitrotter.experiments import (
     series_from_rows,
 )
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import commutator
+from semitrotter.linalg import commutator, unitary_exp
 from semitrotter.model import ModelParams, build_A, build_B, build_observable
-from semitrotter.splitting import exact_unitary, suzuki_plan, trotter_step
+from semitrotter.splitting import suzuki_plan, trotter_step
 
 FAST_DT = {"N": "16", "h": "1/8", "dt": "1/4, 1/8", "orders": "1, 2", "t_final": "1/2"}
 
@@ -224,7 +224,7 @@ def test_expectation_error_matches_state_computation(scheme):
     x = grid.nodes
     psi = np.exp(-((x - STATE_CENTER) ** 2) / (2 * STATE_WIDTH**2) + 1j * STATE_MOMENTUM * x)
     psi /= np.linalg.norm(psi)
-    exact = exact_unitary(a + b, t) @ psi
+    exact = unitary_exp(a + b, t) @ psi
     exact_value = np.vdot(exact, obs @ exact)
     checked = 0
     for r in run_dt_sweep(cfg):
@@ -255,7 +255,7 @@ def test_evolution_errors_match_the_subtractive_formulas():
     a, b = build_A(params), build_B(params)
     obs = build_observable(parse_observable_spec("0:cos(x), 1:sin(x)", h), grid)
     u_trot = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.25, steps=2)
-    u_exact = exact_unitary(a + b, t)
+    u_exact = unitary_exp(a + b, t)
     psi = np.exp(1j * grid.nodes) * np.exp(-grid.nodes**2)
     psi /= np.linalg.norm(psi)
 
@@ -317,9 +317,9 @@ def test_one_exact_propagator_per_grid(monkeypatch, experiment, raw):
 
     def counting(h, t):
         calls.append(h.shape[0])
-        return exact_unitary(h, t)
+        return unitary_exp(h, t)
 
-    monkeypatch.setattr(ex, "exact_unitary", counting)
+    monkeypatch.setattr(ex, "unitary_exp", counting)
     rows = run_dt_sweep(cfg)
     assert len(calls) == len(cfg.h_values)
     # sharing the propagator across orders and steps changes no value:

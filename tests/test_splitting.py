@@ -19,7 +19,6 @@ from semitrotter.linalg import (
 from semitrotter.model import ModelParams, build_A, build_B
 from semitrotter.splitting import (
     compute_steps,
-    exact_unitary,
     suzuki_plan,
     trotter_step,
 )
@@ -94,7 +93,7 @@ def test_trotter_step_commuting_case_exact():
             h=1.0 / 64, potential=parse_expr("0.7"), grid=Grid(-math.pi, math.pi, 64), scheme=scheme
         )
         a, b = build_A(params), build_B(params)
-        exact = exact_unitary(a + b, dt)
+        exact = unitary_exp(a + b, dt)
         for p in (1, 2, 4, 6):
             assert spectral_norm(trotter_step(suzuki_plan(p), a[0], np.diag(b), dt) - exact) <= 1e-13
 
@@ -262,7 +261,7 @@ def test_trotter_step_halving_dt_cuts_error_eightfold():
     errs = []
     for dt in (1.0 / 16, 1.0 / 32):
         u = trotter_step(suzuki_plan(2), a[0], np.diag(b), dt)
-        errs.append(spectral_norm(u - exact_unitary(h, dt)))
+        errs.append(spectral_norm(u - unitary_exp(h, dt)))
     ratio = errs[0] / errs[1]
     assert 2**2.5 <= ratio <= 2**3.5
 
@@ -275,10 +274,10 @@ def test_trotter_step_unitary():
 
 def test_exact_unitary_properties():
     _, _, h = _operators(n=32)
-    assert np.allclose(exact_unitary(h, 0.0), np.eye(32), atol=1e-12)
-    u = exact_unitary(h, 0.4)
-    assert spectral_norm(u @ exact_unitary(h, -0.4) - np.eye(32)) <= 1e-10
-    assert spectral_norm(exact_unitary(h, 0.7) - u @ exact_unitary(h, 0.3)) <= 1e-9
+    assert np.allclose(unitary_exp(h, 0.0), np.eye(32), atol=1e-12)
+    u = unitary_exp(h, 0.4)
+    assert spectral_norm(u @ unitary_exp(h, -0.4) - np.eye(32)) <= 1e-10
+    assert spectral_norm(unitary_exp(h, 0.7) - u @ unitary_exp(h, 0.3)) <= 1e-9
 
 
 def test_compute_steps_examples():
@@ -309,7 +308,7 @@ def test_order_condition_slopes():
     dts = [1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32, 1.0 / 64]
     for p in (1, 2, 4, 6):
         errs = [
-            spectral_norm(trotter_step(suzuki_plan(p), a[0], np.diag(b), dt) - exact_unitary(h, dt))
+            spectral_norm(trotter_step(suzuki_plan(p), a[0], np.diag(b), dt) - unitary_exp(h, dt))
             for dt in dts
         ]
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
