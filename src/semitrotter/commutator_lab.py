@@ -18,11 +18,12 @@ The 2^(p+1) chains are walked depth-first, each prefix's chain built once and
 dropped after its subtree, so at most p + 2 N x N chains are alive. B comes as
 its diagonal b, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); beta skips
 the norms of chains whose bound sqrt(||M||_1 ||M||_inf) cannot set the maximum.
+Alpha norms every chain and weighs it by one backward recurrence over the
+stages, which yields its multinomial weight in every suffix at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
 
@@ -88,73 +89,32 @@ def compute_beta_comm(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndar
     return best
 
 
-def _multinomial(parts: Sequence[int]) -> int:
-    total = sum(parts)
-    out = 1
-    for q in parts:
-        out *= math.comb(total, q)
-        total -= q
-    return out
-
-
-def _positive_compositions(total: int, parts: int):
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _subsequence_counts(seq: Sequence[str], pattern: Sequence[str]) -> int:
-    """Number of index-increasing embeddings of pattern into seq."""
-    counts = [0] * (len(pattern) + 1)
-    counts[0] = 1
-    for letter in seq:
-        for i in range(len(pattern), 0, -1):
-            if pattern[i - 1] == letter:
-                counts[i] += counts[i - 1]
-    return counts[len(pattern)]
-
-
 def compute_alpha_comm(p: int, plan_len: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> float:
     """Multinomial-weighted nested-commutator sum for an order-p plan; potential is B's diagonal.
 
-    The stage-generator sequence is the alternating word A, B, A, ... of
-    length plan_len (the canonical form of a merged Suzuki plan); the
-    returned value is the maximum of the composition sum over all
-    suffixes of that sequence.
+    The stage-generator sequence is the alternating word A, B, A, ... of length plan_len
+    (the canonical form of a merged Suzuki plan); the returned value is the maximum of the
+    composition sum over all suffixes of that sequence. One backward pass over the stages
+    weighs each word: w[i] sums the multinomial weights of the ways stages s, s+1, ... spell
+    word[i:], so stage s adds comb(p+1-i, t) w[i+t] per run word[i:i+t] of its label.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if plan_len < 1:
         raise ValueError(f"need plan_len >= 1, got {plan_len}")
-    norms = {word: spectral_norm(m) for word, m in _word_chains(p, a, potential, obs)}
-    labels = tuple("A" if i % 2 == 0 else "B" for i in range(plan_len))
-
-    # Group compositions by their effective chain: positions with q_j = 0
-    # drop out, so a pattern of r labeled blocks with positive exponents
-    # contributes once per embedding of its labels into the suffix.
-    patterns: list[tuple[tuple[str, ...], int, float]] = []
-    for r in range(1, p + 2):
-        for word in itertools.product("AB", repeat=r):
-            for exponents in _positive_compositions(p + 1, r):
-                expanded = tuple(
-                    g for g, e in zip(word, exponents) for _ in range(e)
-                )
-                patterns.append((word, _multinomial(exponents), norms[expanded]))
-
-    best = 0.0
-    for k in range(1, plan_len + 1):
-        suffix = labels[plan_len - k:]
-        value = sum(
-            weight * count * norm
-            for word, weight, norm in patterns
-            if (count := _subsequence_counts(suffix, word)) > 0
-        )
-        best = max(best, value)
-    return best
+    sums = [0.0] * plan_len
+    for word, mat in _word_chains(p, a, potential, obs):
+        norm = spectral_norm(mat)
+        w = [0] * (p + 1) + [1]
+        for s in range(plan_len - 1, -1, -1):
+            label = "AB"[s % 2]
+            for i in range(p + 1):  # ascending, so w[i + t] still holds stage s + 1's weight
+                t = 0
+                while i + t <= p and word[i + t] == label:
+                    t += 1
+                    w[i] += math.comb(p + 1 - i, t) * w[i + t]
+            sums[s] += w[0] * norm
+    return max(sums)
 
 
 def compute_alpha_tilde(p: int, h: np.ndarray, obs: np.ndarray) -> float:

@@ -39,10 +39,10 @@ from typing import Callable
 import numpy as np
 
 from .commutator_lab import compute_beta_comm
-from .discretize import Grid, SchemeKind
+from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
 from .linalg import commutator, spectral_norm, unitary_exp
-from .model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
+from .model import ModelParams, PolyObservableSpec, build_A, build_observable
 from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
 
@@ -326,7 +326,7 @@ def _build_operators(cfg: RunConfig, h: float, n: int):
     )
     a = build_A(params)
     try:
-        b = np.diag(build_B(params)).copy()  # the potential; np.diag would view, and keep, dense B
+        b = sample(grid, params.potential) / h  # the potential: B's diagonal, without dense B
     except ExprError as exc:
         raise ConfigError(f"potential {cfg.potential!r} fails on the N={n} grid: {exc}") from exc
     obs_spec = parse_observable_spec(cfg.observable, h=h)

@@ -81,11 +81,14 @@ def _require_hermitian(m: np.ndarray, tol: float = 1e-10) -> None:
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition M = V diag(w) V^dagger of a Hermitian matrix.
 
-    Returns (w, V) with w real ascending and V unitary.
+    Returns (w, V) with w real ascending and V unitary. Non-finite entries raise
+    ConvergenceError (eigh reads one triangle; a NaN passes the Hermiticity check).
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"not square: {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConvergenceError("eigendecomposition of a matrix with non-finite entries")
     _require_hermitian(m)
     try:
         w, v = np.linalg.eigh(m)

@@ -19,6 +19,7 @@ from semitrotter.experiments import _build_operators, build_config, run_comm_swe
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import ConvergenceError, DimensionMismatchError, NonHermitianError, commutator, spectral_norm
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
+from semitrotter.splitting import suzuki_plan
 
 
 def _setup(h=1.0 / 64, n=64):
@@ -213,23 +214,46 @@ def test_alpha_dominates_any_single_term():
     assert alpha >= single
 
 
-def test_alpha_p2_brute_force_sum():
-    # plan (A, B, A), p = 2: every suffix, every composition of 3 over its stages
+@pytest.mark.parametrize("p, plan_len", [(1, 1), (1, 2), (2, 3), (2, 5), (4, 5)])
+def test_alpha_brute_force_sum(p, plan_len):
+    # plan A, B, A, ...: every suffix, every composition of p + 1 over its stages
     # (zero parts included), multinomial weights, innermost stage first
     a, b, obs = _setup(n=32)
-    labels = ("A", "B", "A")
+    labels = tuple("AB"[s % 2] for s in range(plan_len))
     sums = []
-    for k in range(1, 4):
-        suffix = labels[3 - k:]
+    for k in range(1, plan_len + 1):
+        suffix = labels[plan_len - k:]
         total = 0.0
-        for qs in itertools.product(range(4), repeat=k):
-            if sum(qs) != 3:
+        for qs in itertools.product(range(p + 2), repeat=k):
+            if sum(qs) != p + 1:
                 continue
             word = tuple(g for g, q in zip(suffix, qs) for _ in range(q))
-            weight = math.factorial(3) // math.prod(math.factorial(q) for q in qs)
+            weight = math.factorial(p + 1) // math.prod(math.factorial(q) for q in qs)
             total += weight * spectral_norm(nested_comm(word, a, b, obs))
         sums.append(total)
-    assert compute_alpha_comm(2, 3, a, np.diag(b), obs) == pytest.approx(max(sums), rel=1e-12)
+    assert compute_alpha_comm(p, plan_len, a, np.diag(b), obs) == pytest.approx(max(sums), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_alpha_at_high_order_weighs_every_word(p):
+    # with plan_len >= 2 (p + 1) every word embeds in the plan with all exponents 1,
+    # so the full plan's sum holds (p + 1)! times the largest chain's norm
+    a, b, obs = _sweep_operators("fd", 32)
+    plan_len = len(suzuki_plan(p).stages)
+    assert plan_len >= 2 * (p + 1)
+    alpha = compute_alpha_comm(p, plan_len, a, np.diag(b), obs)
+    assert alpha >= math.factorial(p + 1) * compute_beta_comm(p, a, np.diag(b), obs)
+
+
+def test_alpha_is_uniform_at_orders_4_and_6():
+    # criterion 4's max/min ratio <= 2, for alpha on the Suzuki plans over h = 1/32 ... 1/256
+    for p in (4, 6):
+        plan_len = len(suzuki_plan(p).stages)
+        values = []
+        for n in (32, 64, 128, 256):
+            a, b, obs = _sweep_operators("fd", n)
+            values.append(compute_alpha_comm(p, plan_len, a, np.diag(b), obs))
+        assert max(values) / min(values) <= 2.0, (p, values)
 
 
 def test_alpha_tilde_2x2_hand_case():

@@ -67,6 +67,18 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+# a NaN above the diagonal alone: eigh reads only the lower triangle and would return [1, 1, 1, 1]
+@pytest.mark.parametrize("index, value", [((2, 2), np.inf), ((0, 1), np.nan)], ids=["inf-diagonal", "nan-upper"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_eig_non_finite_raises(index, value, dtype):
+    m = np.eye(4, dtype=dtype)
+    m[index] = value
+    with pytest.raises(ConvergenceError):
+        hermitian_eig(m)
+    with pytest.raises(ConvergenceError):
+        unitary_exp(m, 0.5)
+
+
 def test_hermitian_eig_reconstruction_random():
     rng = np.random.default_rng(4)
     for _ in range(100):
