@@ -17,12 +17,12 @@ from semitrotter.experiments import (
     build_config,
     emit_svg,
     fit_slope,
-    run_comm_sweep,
+    run_experiment,
 )
 
 hs = ", ".join(f"1/{2**k}" for k in range(5, 10))
 cfg = build_config("comm-sweep", {"h": hs})
-rows = run_comm_sweep(cfg)
+rows = run_experiment(cfg)
 
 series = []
 for label in COMM_WORD_LABELS + ("beta_comm",):

@@ -14,13 +14,13 @@ from semitrotter.experiments import (
     build_config,
     emit_svg,
     fit_slope,
-    run_dt_sweep,
+    run_experiment,
     series_from_rows,
 )
 
 cfg = build_config("dt-sweep")
 print(f"grid N={cfg.n}, h={cfg.h_values[0]}, t={cfg.t_final}, V = {cfg.potential}")
-rows = run_dt_sweep(cfg)
+rows = run_experiment(cfg)
 
 for metric in ("observable_error", "unitary_error"):
     print(f"\n{metric}:")

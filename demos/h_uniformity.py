@@ -22,7 +22,7 @@ from semitrotter.experiments import (
     build_config,
     emit_svg,
     fit_slope,
-    run_h_sweep,
+    run_experiment,
     series_from_rows,
 )
 
@@ -30,13 +30,13 @@ hs = ", ".join(f"1/{2**k}" for k in range(5, 10))
 base = build_config("h-sweep", {"h": hs, "orders": "2, 4"})
 
 print("resolved grid (N = 1/h):")
-rows = run_h_sweep(base)
+rows = run_experiment(base)
 for metric in ("observable_error", "unitary_error"):
     for label, pts in series_from_rows(rows, metric, "h"):
         print(f"  {label:<24} slope {fit_slope(pts).slope:+.3f}")
 
 print("\nfrozen grid (N = 64):")
-frozen_rows = run_h_sweep(replace(base, n=64))
+frozen_rows = run_experiment(replace(base, n=64))
 for metric in ("observable_error", "unitary_error"):
     for label, pts in series_from_rows(frozen_rows, metric, "h"):
         print(f"  {label:<24} slope {fit_slope(pts).slope:+.3f}")

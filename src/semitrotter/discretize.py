@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, eval_expr
+from .expr import Expr, ExprEvalError, eval_expr
 from .linalg import circulant
 
 
@@ -105,8 +105,11 @@ def build_spectral_derivative(g: Grid, k: int) -> np.ndarray:
 
 
 def sample(g: Grid, f: Expr) -> np.ndarray:
-    """Samples f(x_j) at the grid nodes."""
-    return np.asarray([eval_expr(f, x) for x in g.nodes], dtype=np.float64)
+    """Samples f(x_j) at the grid nodes; ExprEvalError if one is not finite."""
+    values = np.asarray([eval_expr(f, x) for x in g.nodes], dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ExprEvalError(f"not finite at x = {float(g.nodes[~np.isfinite(values)][0])!r}")
+    return values
 
 
 def build_diag(g: Grid, f: Expr) -> np.ndarray:

@@ -15,7 +15,7 @@ from semitrotter.commutator_lab import (
     nested_comm,
 )
 from semitrotter.discretize import Grid, SchemeKind
-from semitrotter.experiments import _build_operators, build_config, run_comm_sweep
+from semitrotter.experiments import _build_operators, build_config, run_experiment
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import ConvergenceError, DimensionMismatchError, NonHermitianError, commutator, spectral_norm
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
@@ -176,7 +176,7 @@ def test_complex_potential_is_rejected():
 
 def test_comm_sweep_ab_row_is_dense_commutator_norm():
     cfg = build_config("comm-sweep", {"h": "0.03125"})
-    (value,) = [r.value for r in run_comm_sweep(cfg) if r.metric == "[A,B]"]
+    (value,) = [r.value for r in run_experiment(cfg) if r.metric == "[A,B]"]
     a, b, _ = _sweep_operators("fd", 32)
     assert value == spectral_norm(commutator(a, b))
 

@@ -14,9 +14,10 @@ from semitrotter.discretize import (
     build_forward_diff,
     build_laplacian,
     build_spectral_derivative,
+    sample,
     spectral_frequencies,
 )
-from semitrotter.expr import parse_expr
+from semitrotter.expr import ExprEvalError, parse_expr
 from semitrotter.linalg import circulant, commutator, spectral_norm
 from semitrotter.model import ModelParams, build_A
 
@@ -167,6 +168,16 @@ def test_build_diag_cos_samples():
     g = Grid(-math.pi, math.pi, 4)
     d = build_diag(g, parse_expr("cos(x)"))
     assert np.allclose(np.diag(d), [-1.0, 0.0, 1.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("text", ["1e200*1e200*cos(x)", "1e308*2*x"])
+def test_sample_refuses_a_non_finite_value(text):
+    # the arithmetic overflows to inf (or inf * 0 = nan) without raising in eval_expr
+    g = Grid(-math.pi, math.pi, 8)
+    with pytest.raises(ExprEvalError, match="not finite"):
+        sample(g, parse_expr(text))
+    with pytest.raises(ExprEvalError):
+        build_diag(g, parse_expr(text))
 
 
 def test_build_diag_outputs_commute():

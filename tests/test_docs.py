@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semitrotter.experiments import build_config, parse_config_text, run_dt_sweep
+from semitrotter.experiments import build_config, parse_config_text, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -64,7 +64,7 @@ def test_readme_library_quick_start_runs(capsys):
     assert printed < 1e-3
     # the same number as the default dt-sweep's CSV, through the same evolution_errors
     (row,) = [
-        r for r in run_dt_sweep(build_config("dt-sweep"))
+        r for r in run_experiment(build_config("dt-sweep"))
         if (r.p, r.dt, r.metric) == (4, 1 / 16, "observable_error")
     ]
     assert printed == row.value

@@ -27,9 +27,7 @@ from semitrotter.experiments import (
     parse_config_text,
     parse_observable_spec,
     rows_to_csv,
-    run_beta,
-    run_dt_sweep,
-    run_h_sweep,
+    run_experiment,
     run_verify_symbolic,
     series_from_rows,
 )
@@ -158,6 +156,39 @@ def test_observable_spec_parsing():
         parse_observable_spec("cos(x)", h=0.5)
     with pytest.raises(ConfigError):
         parse_observable_spec("0:cos(x), 0:sin(x)", h=0.5)
+    # the degree is a config integer, as N and orders are: 1.0 reads 1, a full-width digit is refused
+    assert [m for m, _ in parse_observable_spec("1.0:cos(x)", h=0.5).terms] == [1]
+    with pytest.raises(ConfigError, match="cannot parse number"):
+        parse_observable_spec("\uff11:cos(x)", h=0.5)
+
+
+@pytest.mark.parametrize(
+    "key, value, owner_message",
+    [("b", "-4", "need b > a"), ("N", "2", "need N >= 4"), ("orders", "12", "order must be"), ("h", "2", "need 0 < h")],
+)
+def test_config_rules_owned_by_the_model_are_config_errors(key, value, owner_message):
+    # Grid, ModelParams and suzuki_plan check these; build_config reports their message
+    with pytest.raises(ConfigError, match=owner_message):
+        build_config("dt-sweep", {key: value})
+
+
+def test_config_scheme_spellings(tmp_path):
+    assert build_config("dt-sweep", {"scheme": "FD"}).scheme is SchemeKind.FINITE_DIFFERENCE
+    assert build_config("dt-sweep", {"scheme": " Spectral "}).scheme is SchemeKind.SPECTRAL
+    config = tmp_path / "scheme.cfg"
+    config.write_text("scheme = finite-difference\n", encoding="utf-8")
+    assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_dt_sweep_auto_grid_is_one_over_h(tmp_path):
+    # N = auto means N = 1/h in every experiment, so at h = 1/64 it is the pinned N = 64
+    outputs = []
+    for n in ("auto", "64"):
+        config = tmp_path / f"{n}.cfg"
+        config.write_text(f"N = {n}\nh = 1/64\ndt = 1/4, 1/8\norders = 2\n", encoding="utf-8")
+        assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / n)]) == 0
+        outputs.append((tmp_path / n / "dt_sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_fit_slope_exact_power_law():
@@ -183,7 +214,7 @@ def test_fit_slope_errors():
 
 def test_dt_sweep_row_count_and_order():
     cfg = build_config("dt-sweep", FAST_DT)
-    rows = run_dt_sweep(cfg)
+    rows = run_experiment(cfg)
     assert len(rows) == 2 * len(cfg.orders) * len(cfg.dt_values)
     keys = [(r.p, r.dt, r.metric) for r in rows]
     assert keys == sorted(keys, key=lambda k: (k[0], k[1], 0 if k[2] == "observable_error" else 1))
@@ -196,14 +227,14 @@ def test_dt_sweep_exact_for_constant_potential():
     # constant V commutes with the kinetic term's... it does not, but V
     # constant makes B a multiple of the identity, so splitting is exact
     cfg = build_config("dt-sweep", dict(FAST_DT, potential="1", observable="0:cos(x)"))
-    rows = run_dt_sweep(cfg)
+    rows = run_experiment(cfg)
     for r in rows:
         assert r.value <= 1e-9
 
 
 def test_dt_sweep_state_metric_bounded_by_operator_norm():
     cfg = build_config("dt-sweep", FAST_DT, state=True)
-    rows = run_dt_sweep(cfg)
+    rows = run_experiment(cfg)
     by_key = {(r.p, r.dt, r.metric): r.value for r in rows}
     for (p, dt, metric), value in by_key.items():
         if metric == "expectation_error":
@@ -227,7 +258,7 @@ def test_expectation_error_matches_state_computation(scheme):
     exact = unitary_exp(a + b, t) @ psi
     exact_value = np.vdot(exact, obs @ exact)
     checked = 0
-    for r in run_dt_sweep(cfg):
+    for r in run_experiment(cfg):
         if r.metric != "expectation_error" or r.value < 1e-8:
             continue
         step = trotter_step(suzuki_plan(r.p), a[0], np.diag(b), r.dt)
@@ -285,7 +316,7 @@ def test_resolved_h_sweep_point_peaks_at_most_seven_buffers():
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        run_h_sweep(cfg)
+        run_experiment(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,7 +329,7 @@ def test_h_sweep_exact_for_zero_potential():
         {"h": "1/8, 1/16", "N": "16", "dt": "1/4", "t_final": "1/2",
          "orders": "2", "potential": "0", "observable": "0:cos(x)"},
     )
-    for r in run_h_sweep(cfg):
+    for r in run_experiment(cfg):
         assert r.value <= 1e-9
 
 
@@ -320,7 +351,7 @@ def test_one_exact_propagator_per_grid(monkeypatch, experiment, raw):
         return unitary_exp(h, t)
 
     monkeypatch.setattr(ex, "unitary_exp", counting)
-    rows = run_dt_sweep(cfg)
+    rows = run_experiment(cfg)
     assert len(calls) == len(cfg.h_values)
     # sharing the propagator across orders and steps changes no value:
     # the sweep equals its single-order, single-step runs
@@ -328,20 +359,19 @@ def test_one_exact_propagator_per_grid(monkeypatch, experiment, raw):
         row
         for p in cfg.orders
         for dt in cfg.dt_values
-        for row in run_dt_sweep(replace(cfg, orders=(p,), dt_values=(dt,)))
+        for row in run_experiment(replace(cfg, orders=(p,), dt_values=(dt,)))
     ]
     assert rows == sorted(alone, key=lambda r: (r.p, r.h, r.dt, r.metric != "observable_error"))
 
 
 def test_comm_sweep_constant_potential_commutes():
-    from semitrotter.experiments import run_comm_sweep
     from semitrotter.discretize import Grid
     from semitrotter.expr import parse_expr
     from semitrotter.model import ModelParams, build_A, build_B
     from semitrotter.linalg import spectral_norm
 
     cfg = build_config("comm-sweep", {"h": "1/8", "N": "16", "potential": "2"})
-    rows = run_comm_sweep(cfg)
+    rows = run_experiment(cfg)
     ab = next(r.value for r in rows if r.metric == "[A,B]")
     params = ModelParams(h=1 / 8, potential=parse_expr("2"), grid=Grid(cfg.a, cfg.b, 16))
     bound = 1e-12 * spectral_norm(build_A(params)) * spectral_norm(build_B(params))
@@ -350,7 +380,7 @@ def test_comm_sweep_constant_potential_commutes():
 
 def test_csv_format_and_roundtrip():
     cfg = build_config("dt-sweep", FAST_DT)
-    rows = run_dt_sweep(cfg)
+    rows = run_experiment(cfg)
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "experiment,p,scheme,N,h,dt,t,metric,value"
@@ -363,11 +393,9 @@ def test_csv_format_and_roundtrip():
 
 def test_csv_quoting_of_comm_metrics():
     cfg = build_config("beta", {"h": "1/8", "N": "8"})
-    rows = run_beta(cfg)
+    rows = run_experiment(cfg)
     comm_cfg = RunConfig(experiment="comm-sweep", n=8, h_values=(1.0 / 8,))
-    from semitrotter.experiments import run_comm_sweep
-
-    comm_rows = run_comm_sweep(comm_cfg)
+    comm_rows = run_experiment(comm_cfg)
     text = rows_to_csv(comm_rows + rows)
     assert '"[A,B]"' in text  # commas force quotes
     parsed = list(csv.reader(io.StringIO(text)))
@@ -377,8 +405,8 @@ def test_csv_quoting_of_comm_metrics():
 
 def test_csv_determinism_across_runs(tmp_path):
     cfg = build_config("dt-sweep", FAST_DT)
-    p1 = emit_csv(run_dt_sweep(cfg), str(tmp_path / "a.csv"))
-    p2 = emit_csv(run_dt_sweep(cfg), str(tmp_path / "b.csv"))
+    p1 = emit_csv(run_experiment(cfg), str(tmp_path / "a.csv"))
+    p2 = emit_csv(run_experiment(cfg), str(tmp_path / "b.csv"))
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
 
@@ -387,7 +415,7 @@ def test_h_sweep_csv_determinism_at_defaults(default_h_sweep):
     # N = 256 ... 1024 take the Lanczos norm, whose start must not depend on earlier calls;
     # a second full run, through the library, against the session's run through the CLI
     _, csv_bytes = default_h_sweep
-    assert rows_to_csv(run_h_sweep(build_config("h-sweep"))).encode("utf-8") == csv_bytes
+    assert rows_to_csv(run_experiment(build_config("h-sweep"))).encode("utf-8") == csv_bytes
 
 
 def test_verify_symbolic_rows():
@@ -441,7 +469,7 @@ def test_svg_rejects_nonpositive(tmp_path):
 
 def test_series_from_rows_grouping():
     cfg = build_config("dt-sweep", FAST_DT)
-    rows = run_dt_sweep(cfg)
+    rows = run_experiment(cfg)
     series = series_from_rows(rows, "observable_error", "dt")
     assert [label for label, _ in series] == ["observable_error p=1", "observable_error p=2"]
     assert all(len(pts) == 2 for _, pts in series)
@@ -504,6 +532,19 @@ def test_cli_expression_undefined_at_node_exit_code(tmp_path, capsys, experiment
     config.write_text(f"h = 1/16\nN = 16\n{line}\n", encoding="utf-8")
     assert main([experiment, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     # the message names the expression that failed
+    assert repr(line.split('"')[1]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["h-sweep", "comm-sweep"])
+@pytest.mark.parametrize(
+    "line",
+    ['potential = "1e200*1e200*cos(x)"', 'potential = "1e308*2*x"', 'observable = "0:1e200*1e200*cos(x)"'],
+)
+def test_cli_expression_not_finite_on_grid_exit_code(tmp_path, capsys, experiment, line):
+    # an overflow to inf on the grid is a config error, not a convergence failure downstream
+    config = tmp_path / "overflow.cfg"
+    config.write_text(f"h = 1/16\nN = 16\n{line}\n", encoding="utf-8")
+    assert main([experiment, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert repr(line.split('"')[1]) in capsys.readouterr().err
 
 

@@ -222,9 +222,9 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
         return pairs[-1][0]
 
     monkeypatch.setattr(ex, "spectral_norm", checked)
-    ex.run_comm_sweep(ex.build_config("comm-sweep", {"h": "1/32"}))
-    ex.run_comm_sweep(ex.build_config("comm-sweep", {"h": "1/32", "scheme": "spectral"}))
-    ex.run_h_sweep(ex.build_config("h-sweep", {"h": "1/32, 1/64", "orders": "6"}))
+    ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/32"}))
+    ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/32", "scheme": "spectral"}))
+    ex.run_experiment(ex.build_config("h-sweep", {"h": "1/32, 1/64", "orders": "6"}))
     assert len(pairs) == 2 * len(ex.COMM_WORD_LABELS) + 2 * 2
     for value, oracle in pairs:
         assert value == pytest.approx(oracle, rel=1e-8)
@@ -245,7 +245,7 @@ def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
     monkeypatch.setattr(ex, "spectral_norm", checked)
     for scheme in ("fd", "spectral"):
         raw = {"h": "1/256, 1/512", "orders": "2, 4, 6", "scheme": scheme}
-        ex.run_h_sweep(ex.build_config("h-sweep", raw))
+        ex.run_experiment(ex.build_config("h-sweep", raw))
     assert len(pairs) == 2 * 2 * 3 * 2
     rng = np.random.default_rng(14)
     m = _random_complex(rng, 256)

@@ -23,9 +23,7 @@ from semitrotter.experiments import (
     build_config,
     fit_slope,
     rows_to_csv,
-    run_beta,
-    run_comm_sweep,
-    run_h_sweep,
+    run_experiment,
 )
 from semitrotter.symbolic_lie import (
     SymOp,
@@ -63,7 +61,7 @@ def test_comm_sweep_slopes_follow_symbolic_exponents():
     predicted = {label: _exponent(op) for label, op in words.items()}
     assert list(predicted.values()) == [-1, 0, 0, 0]
 
-    records = list(csv.DictReader(io.StringIO(rows_to_csv(run_comm_sweep(build_config("comm-sweep"))))))
+    records = list(csv.DictReader(io.StringIO(rows_to_csv(run_experiment(build_config("comm-sweep"))))))
     for label, exponent in predicted.items():
         slope = fit_slope([(float(r["h"]), float(r["value"])) for r in records if r["metric"] == label]).slope
         # criterion 3's tolerances: 0.1 on [A,B], 0.15 on the words with O
@@ -81,13 +79,13 @@ def test_operator_norm_uniformity_holds_for_fd_only():
     # criterion 3's 0.15: FD's [[A,B],O] is flat as the symbol predicts, spectral's grows like 1/h
     for scheme, exponent in (("fd", 0.0), ("spectral", -1.0)):
         cfg = build_config("comm-sweep", {"h": "1/32, 1/64, 1/128, 1/256", "scheme": scheme})
-        slope = fit_slope([(r.h, r.value) for r in run_comm_sweep(cfg) if r.metric == "[[A,B],O]"]).slope
+        slope = fit_slope([(r.h, r.value) for r in run_experiment(cfg) if r.metric == "[[A,B],O]"]).slope
         assert abs(slope - exponent) <= 0.15, (scheme, slope)
 
 
 def test_beta_is_uniform_at_orders_4_and_6():
     # the paper's arbitrary order on the commutator side: criterion 4's max/min ratio <= 2
-    rows = run_beta(build_config("beta", {"h": "1/32, 1/64, 1/128, 1/256", "orders": "2, 4, 6"}))
+    rows = run_experiment(build_config("beta", {"h": "1/32, 1/64, 1/128, 1/256", "orders": "2, 4, 6"}))
     for p in (2, 4, 6):
         values = [r.value for r in rows if r.p == p and r.metric == "beta_comm"]
         assert len(values) == 4
@@ -106,7 +104,7 @@ def test_h_sweep_negative_control(monkeypatch):
             "parse_observable_spec",
             lambda text, h: dataclasses.replace(parse(text, h), h=spec_h(h)),
         )
-        rows = run_h_sweep(dataclasses.replace(cfg, observable=observable))
+        rows = run_experiment(dataclasses.replace(cfg, observable=observable))
         series = experiments.series_from_rows(rows, "observable_error", "h")
         assert [label for label, _ in series] == ["observable_error p=2", "observable_error p=4"]
         return [fit_slope(pts).slope for _, pts in series]
