@@ -32,6 +32,7 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import product
@@ -253,7 +254,7 @@ def _validate(cfg: RunConfig) -> None:
         for p in cfg.orders:
             suzuki_plan(p)
         for h in cfg.h_values:
-            _model(cfg, h, _grid_size_for(cfg, h))
+            _model(cfg, h)
     except (ValueError, ExprError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -304,35 +305,36 @@ def _row(cfg: RunConfig, metric: str, value: float, p=None, n=0, h=None, dt=None
     return Row(cfg.experiment, p, cfg.scheme.value, n, h, dt, t, metric, value)
 
 
-def _grid_size_for(cfg: RunConfig, h: float) -> int:
-    """Config N when pinned, else the resolved grid N = 1/h (even, >= 4)."""
-    if cfg.n is not None:
-        return cfg.n
-    size = int(round(1.0 / h))
-    if size % 2:
-        size += 1
-    return max(size, 4)
+def _model(cfg: RunConfig, h: float) -> tuple[ModelParams, PolyObservableSpec]:
+    """The model and observable spec of one h: no arrays, only their checks.
 
-
-def _model(cfg: RunConfig, h: float, n: int) -> tuple[ModelParams, PolyObservableSpec]:
-    """The model and observable spec of one h on the N-point grid: no arrays, only their checks."""
+    N is the config's when pinned, else 1/h rounded up to even and at least 4."""
+    n = cfg.n
+    if n is None:
+        if not math.isfinite(1.0 / h):
+            raise ValueError(f"N = 1/h is not finite at h = {h:.3g}")
+        n = round(1.0 / h)
+        n = max(n + n % 2, 4)
+    if 16 * n * n > sys.maxsize:  # bytes of an N x N complex128 matrix
+        raise ValueError(f"N = {n:.3g} at h = {h:.3g} is too large for N x N matrices")
     grid = Grid(cfg.a, cfg.b, n)
     params = ModelParams(h=h, potential=parse_expr(cfg.potential), grid=grid, scheme=cfg.scheme)
     return params, parse_observable_spec(cfg.observable, h=h)
 
 
-def _build_operators(cfg: RunConfig, h: float, n: int):
-    params, obs_spec = _model(cfg, h, n)
+def _build_operators(cfg: RunConfig, h: float):
+    params, obs_spec = _model(cfg, h)
     grid = params.grid
     a = build_A(params)
     try:
-        b = sample(grid, params.potential) / h  # the potential: B's diagonal, without dense B
-    except ExprError as exc:
-        raise ConfigError(f"potential {cfg.potential!r} fails on the N={n} grid: {exc}") from exc
+        with np.errstate(over="raise"):  # B = V/h must be finite, as V is
+            b = sample(grid, params.potential) / h  # the potential: B's diagonal, without dense B
+    except (ExprError, FloatingPointError) as exc:
+        raise ConfigError(f"potential {cfg.potential!r} fails on the N={grid.n} grid at h = {h:.3g}: {exc}") from exc
     try:
         obs = build_observable(obs_spec, grid, cfg.scheme)
     except ExprError as exc:
-        raise ConfigError(f"observable {cfg.observable!r} fails on the N={n} grid: {exc}") from exc
+        raise ConfigError(f"observable {cfg.observable!r} fails on the N={grid.n} grid: {exc}") from exc
     return grid, a, b, obs
 
 
@@ -372,12 +374,11 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     W goes to evolution_errors as a temporary, so that call frees it before the observable
     norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
     """
-    n_grid = _grid_size_for(cfg, h)
-    grid, a, b, obs = _build_operators(cfg, h, n_grid)
-    hamiltonian, a_row = a + np.diag(b), a[0].copy()
-    del a  # the Trotter step reads only A's first row
-    u_exact = unitary_exp(hamiltonian, cfg.t_final)
-    del hamiltonian
+    grid, a, b, obs = _build_operators(cfg, h)
+    a_row = a[0].copy()  # the Trotter step reads only A's first row
+    a[np.diag_indices_from(a)] += b  # A's fresh array becomes H = A + B
+    u_exact = unitary_exp(a, cfg.t_final)
+    del a
     phi = u_exact @ _gaussian_state(grid) if cfg.state else None
     u_exact_h = np.conjugate(u_exact, out=u_exact).T
     metrics = ("unitary_error", "observable_error", "expectation_error")  # evolution_errors' order
@@ -385,15 +386,14 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     for p, dt in product(cfg.orders, cfg.dt_values):
         steps = int(round(cfg.t_final / dt))
         errors = evolution_errors(trotter_step(suzuki_plan(p), a_row, b, dt, steps) @ u_exact_h, obs, phi)
-        row = partial(_row, cfg, p=p, n=n_grid, h=h, dt=dt, t=cfg.t_final)
+        row = partial(_row, cfg, p=p, n=grid.n, h=h, dt=dt, t=cfg.t_final)
         rows += [row(metric, value) for metric, value in zip(metrics, errors) if value is not None]
     return rows
 
 
 def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
-    n_grid = _grid_size_for(cfg, h)
-    _, a, b, obs = _build_operators(cfg, h, n_grid)
-    row = partial(_row, cfg, n=n_grid, h=h)
+    grid, a, b, obs = _build_operators(cfg, h)
+    row = partial(_row, cfg, n=grid.n, h=h)
     # beta first, so no word of the chain is alive while it runs
     rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
     if words:

@@ -96,10 +96,9 @@ def test_criterion_2_h_uniformity(default_h_sweep):
     _report(2, "h-uniformity (resolved grid N=1/h): " + "; ".join(detail), ok)
 
 
-def test_criterion_3_commutator_scaling(tmp_path):
-    start = time.monotonic()
-    records = _run_cli(["comm-sweep"], tmp_path, "comm_sweep.csv")
-    elapsed = time.monotonic() - start
+def test_criterion_3_commutator_scaling(default_comm_sweep):
+    elapsed, csv_bytes = default_comm_sweep  # the CLI run is shared with the symbolic-exponent test
+    records = list(csv.DictReader(io.StringIO(csv_bytes.decode("utf-8"))))
     ok = elapsed <= 30.0
     detail = [f"runtime {elapsed:.1f}s"]
     ab = fit_slope(_series(records, "[A,B]", "h"))

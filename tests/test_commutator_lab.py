@@ -73,7 +73,7 @@ def test_beta_p2_enumerates_eight_words():
 
 def _sweep_operators(scheme, n):
     cfg = build_config("comm-sweep", {"scheme": scheme})
-    _, a, potential, obs = _build_operators(cfg, 1.0 / n, n)
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
     return a, np.diag(potential), obs
 
 
@@ -110,7 +110,7 @@ def test_beta_holds_few_chains():
     # the walk keeps at most p + 2 chains alive, plus the ad-steps' and the norm's temporaries
     n, p = 256, 6
     cfg = build_config("beta")
-    _, a, potential, obs = _build_operators(cfg, 1.0 / n, n)
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
     tracemalloc.start()
     try:
         compute_beta_comm(p, a, potential, obs)

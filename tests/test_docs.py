@@ -28,7 +28,7 @@ def _semitrotter_imports(tree):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_imports_resolve(demo):
-    # checked without running the demo, which may take seconds and write plots
+    # checked statically, so a renamed package name fails here by name, not as a demo's traceback
     tree = ast.parse(demo.read_text(encoding="utf-8"), filename=str(demo))
     for module, name, _ in _semitrotter_imports(tree):
         assert hasattr(module, name), f"{demo.name}: {module.__name__}.{name}"
@@ -47,12 +47,13 @@ def test_demo_keywords_are_parameters(demo):
                     assert keyword.arg in params, f"{demo.name}:{node.lineno}: {node.func.id}({keyword.arg}=)"
 
 
-@pytest.mark.parametrize("name", ["suzuki_schedules.py", "local_error_budget.py"])
-def test_trotter_step_demo_runs(name, tmp_path, monkeypatch):
-    # these demos call trotter_step on the model operators and write no files
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    # a demo leaves the file its docstring names as "(writes X.svg)", and no other
+    writes = re.findall(r"\(writes (\S+)\)", ast.get_docstring(ast.parse(demo.read_text(encoding="utf-8"))))
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
-    assert not any(tmp_path.iterdir())
+    runpy.run_path(str(demo), run_name="__main__")
+    assert sorted(path.name for path in tmp_path.iterdir()) == writes
 
 
 def test_readme_library_quick_start_runs(capsys):

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from semitrotter.experiments import (
     STATE_WIDTH,
     ConfigError,
     RunConfig,
+    _model,
     build_config,
     emit_csv,
     emit_svg,
@@ -189,6 +191,17 @@ def test_dt_sweep_auto_grid_is_one_over_h(tmp_path):
         assert main(["dt-sweep", "--config", str(config), "--out", str(tmp_path / n)]) == 0
         outputs.append((tmp_path / n / "dt_sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "h, n",
+    [(1 / 64, 64), (1 / 33, 34), (1 / 65.4, 66), (1 / 3, 4), (0.4, 4), (1.0, 4)],
+    ids=["1/64", "1/33", "1/65.4", "1/3", "0.4", "1"],
+)
+def test_auto_grid_rounds_one_over_h_up_to_even(h, n):
+    # _model resolves each h's grid: 1/h to the nearest integer, then up to even, then at least 4
+    assert _model(build_config("beta"), h)[0].grid.n == n
+    assert _model(build_config("beta", {"N": "16"}), h)[0].grid.n == 16  # a pinned N is kept
 
 
 def test_fit_slope_exact_power_law():
@@ -546,6 +559,48 @@ def test_cli_expression_not_finite_on_grid_exit_code(tmp_path, capsys, experimen
     config.write_text(f"h = 1/16\nN = 16\n{line}\n", encoding="utf-8")
     assert main([experiment, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert repr(line.split('"')[1]) in capsys.readouterr().err
+
+
+def _one_line_exit_2(args, capsys) -> str:
+    """Run the CLI, check exit 2 with one stderr line and no warning; return that line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "experiment, lines, message",
+    [
+        ("beta", ["h = 1e-320"], "N = 1/h is not finite at h = 1e-320"),
+        ("beta", ["h = 1e-300"], "N = 1e+300 at h = 1e-300 is too large"),
+        ("beta", ["N = 1e9"], "N = 1e+09 at h = 0.0312 is too large"),
+        ("dt-sweep", ["h = 1e-310", "N = 16"], "'cos(x)' fails on the N=16 grid at h = 1e-310: overflow"),
+        ("comm-sweep", ["h = 1e-310", "N = 16"], "'cos(x)' fails on the N=16 grid at h = 1e-310: overflow"),
+    ],
+    ids=["beta-h=1e-320", "beta-h=1e-300", "beta-N=1e9", "dt-sweep-h=1e-310", "comm-sweep-h=1e-310"],
+)
+def test_cli_grid_or_potential_out_of_range_exit_code(tmp_path, capsys, experiment, lines, message):
+    # a grid N x N matrices cannot hold, or a B = V/h past the float range, is a config error
+    config = tmp_path / "range.cfg"
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = _one_line_exit_2([experiment, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert err.startswith("config error: ") and message in err, err
+
+
+def test_cli_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    from semitrotter import experiments as exp_mod
+
+    def boom(cfg):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(exp_mod, "run_experiment", boom)
+    err = _one_line_exit_2(["beta", "--out", str(tmp_path)], capsys)
+    assert err.startswith("out of memory, lower N or raise h: Unable to allocate 74.5 GiB"), err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_config_not_utf8_exit_code(tmp_path, capsys):

@@ -22,7 +22,6 @@ from semitrotter import experiments
 from semitrotter.experiments import (
     build_config,
     fit_slope,
-    rows_to_csv,
     run_experiment,
 )
 from semitrotter.symbolic_lie import (
@@ -53,7 +52,7 @@ def _chain_exponents(obs: SymOp, letters: int) -> list[float]:
     return exponents
 
 
-def test_comm_sweep_slopes_follow_symbolic_exponents():
+def test_comm_sweep_slopes_follow_symbolic_exponents(default_comm_sweep):
     ab = sym_commutator(A, B)
     ab_o = sym_commutator(ab, DEFAULT_O)
     a_ab_o = sym_commutator(A, ab_o)
@@ -61,7 +60,7 @@ def test_comm_sweep_slopes_follow_symbolic_exponents():
     predicted = {label: _exponent(op) for label, op in words.items()}
     assert list(predicted.values()) == [-1, 0, 0, 0]
 
-    records = list(csv.DictReader(io.StringIO(rows_to_csv(run_experiment(build_config("comm-sweep"))))))
+    records = list(csv.DictReader(io.StringIO(default_comm_sweep[1].decode("utf-8"))))  # criterion 3's run
     for label, exponent in predicted.items():
         slope = fit_slope([(float(r["h"]), float(r["value"])) for r in records if r["metric"] == label]).slope
         # criterion 3's tolerances: 0.1 on [A,B], 0.15 on the words with O
