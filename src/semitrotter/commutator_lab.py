@@ -16,7 +16,8 @@ splitting:
 
 The 2^(p+1) chains are walked depth-first, each prefix's chain built once and
 dropped after its subtree, so at most p + 2 N x N chains are alive. B comes as
-its diagonal b, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); beta skips
+its diagonal b, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); A and O come in
+declared form (see ad), FD's as stencils, so ad_A costs O(N^2) too. Beta skips
 the norms of chains whose bound sqrt(||M||_1 ||M||_inf) cannot set the maximum.
 Alpha norms every chain and weighs it by one backward recurrence over the
 stages, which yields its multinomial weight in every suffix at once.
@@ -29,7 +30,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonHermitianError, as_matrix, commutator, spectral_norm
+from .linalg import DimensionMismatchError, NonHermitianError, as_matrix, commutator, spectral_norm, stencil_commutator, stencil_matrix
 
 CommWord = Sequence[str]
 
@@ -43,26 +44,37 @@ def nested_comm(word: CommWord, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -
     return result
 
 
-def _word_chains(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> Iterator[tuple[CommWord, np.ndarray]]:
+def ad(x, m: np.ndarray) -> np.ndarray:
+    """[X, M], X a stencil (FD's A, O), a diagonal's entries (B) or a matrix; FloatingPointError on overflow."""
+    with np.errstate(over="raise", invalid="raise"):
+        if isinstance(x, dict):
+            return stencil_commutator(x, m)
+        if np.ndim(x) == 1:
+            return x[:, None] * m - m * x
+        return commutator(x, m)
+
+
+def _word_chains(p: int, a, potential: np.ndarray, obs) -> Iterator[tuple[CommWord, np.ndarray]]:
     """Yield every (p+1)-letter word with its ad-chain, depth-first; potential is B's diagonal.
 
+    A and O are stencils or matrices (see ad); a stencil O is made dense as the walk's root.
     B comes before A: on the sweeps' operators the first leaf, ad_B^(p+1)(O), is the
     largest, so beta's pruning takes a single norm.
     """
-    obs = as_matrix(obs)
     d = np.asarray(potential)
+    obs = stencil_matrix(obs, len(d)) if isinstance(obs, dict) else as_matrix(obs)
     if d.shape != obs.shape[:1]:
         raise DimensionMismatchError(f"need B's diagonal of length {obs.shape[0]}, got shape {d.shape}")
     if d.imag.any():
         raise NonHermitianError("B must have a real diagonal")
-    ad = {"A": lambda m: commutator(a, m), "B": lambda m: d[:, None] * m - m * d}
+    generators = {"A": a, "B": d}
 
     def walk(word: tuple[str, ...], mat: np.ndarray) -> Iterator[tuple[CommWord, np.ndarray]]:
         if len(word) == p + 1:
             yield word, mat
             return
         for label in "BA":
-            yield from walk(word + (label,), ad[label](mat))
+            yield from walk(word + (label,), ad(generators[label], mat))
 
     return walk((), obs)
 
@@ -73,7 +85,7 @@ def _norm_bound(m: np.ndarray) -> float:
     return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
 
 
-def compute_beta_comm(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> float:
+def compute_beta_comm(p: int, a, potential: np.ndarray, obs) -> float:
     """Largest ||ad-chain(O)|| over all (p+1)-letter words in {A, B}; potential is B's diagonal.
 
     Norms each streamed chain unless bound * (1 + 1e-8) is below the running maximum, with
@@ -89,7 +101,7 @@ def compute_beta_comm(p: int, a: np.ndarray, potential: np.ndarray, obs: np.ndar
     return best
 
 
-def compute_alpha_comm(p: int, plan_len: int, a: np.ndarray, potential: np.ndarray, obs: np.ndarray) -> float:
+def compute_alpha_comm(p: int, plan_len: int, a, potential: np.ndarray, obs) -> float:
     """Multinomial-weighted nested-commutator sum for an order-p plan; potential is B's diagonal.
 
     The stage-generator sequence is the alternating word A, B, A, ... of length plan_len

@@ -4,7 +4,8 @@ Finite-difference matrices follow the periodic first-order stencils:
 the forward difference D_F has -1/dx on the diagonal and +1/dx on the
 superdiagonal with wraparound, D_B = -D_F^dagger, and the Laplacian
 D_2 = D_B D_F = D_F D_B is the (-2, 1, 1)/dx^2 circulant. Higher orders
-compose as D_2^(k/2) for even k and D_F D_2^((k-1)/2) for odd k.
+compose as D_2^(k/2) for even k and D_F D_2^((k-1)/2) for odd k, the
+stencil dx^-k (S - I)^k S^-(k//2) of the shift S: M[i] -> M[i + 1].
 
 The scaling convention uses the physical 1/dx = N/(b-a) so that D_F
 approximates d/dx on any interval; on a length-1 domain this coincides
@@ -20,12 +21,13 @@ then Hermitian-symmetric, so every matrix here is real (float64).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import Expr, ExprEvalError, eval_expr
-from .linalg import circulant
+from .linalg import circulant, stencil_matrix
 
 
 class SchemeKind(enum.Enum):
@@ -56,11 +58,14 @@ class Grid:
         return self.a + (self.b - self.a) * np.arange(self.n) / self.n
 
 
+def fd_stencil(g: Grid, k: int) -> dict[int, float]:
+    """Taps {r: D_k[i, i + r mod N]}, r = j - k//2 for j = 0 ... k; D_1 and D_2 bit for bit."""
+    scale = math.prod([1.0 / g.dx] * k, start=1.0)
+    return {j - k // 2: (-1) ** (k - j) * math.comb(k, j) * scale for j in range(k + 1)}
+
+
 def build_forward_diff(g: Grid) -> np.ndarray:
-    inv_dx = 1.0 / g.dx
-    col = np.zeros(g.n)
-    col[0], col[-1] = -inv_dx, inv_dx
-    return circulant(col)
+    return stencil_matrix(fd_stencil(g, 1), g.n)
 
 
 def build_backward_diff(g: Grid) -> np.ndarray:
@@ -69,11 +74,7 @@ def build_backward_diff(g: Grid) -> np.ndarray:
 
 def build_laplacian(g: Grid) -> np.ndarray:
     """(-2, 1, 1)/dx^2 periodic circulant; equals D_B @ D_F entrywise."""
-    inv_dx = 1.0 / g.dx
-    w = inv_dx * inv_dx
-    col = np.zeros(g.n)
-    col[0], col[1], col[-1] = -2.0 * w, w, w
-    return circulant(col)
+    return stencil_matrix(fd_stencil(g, 2), g.n)
 
 
 def build_Dk(g: Grid, k: int) -> np.ndarray:

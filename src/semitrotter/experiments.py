@@ -40,11 +40,11 @@ from typing import Callable
 
 import numpy as np
 
-from .commutator_lab import compute_beta_comm
+from .commutator_lab import ad, compute_beta_comm
 from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
 from .linalg import commutator, spectral_norm, unitary_exp
-from .model import ModelParams, PolyObservableSpec, build_A, build_observable
+from .model import ModelParams, PolyObservableSpec, build_A, build_observable, declared_operators
 from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
 
@@ -322,17 +322,20 @@ def _model(cfg: RunConfig, h: float) -> tuple[ModelParams, PolyObservableSpec]:
     return params, parse_observable_spec(cfg.observable, h=h)
 
 
-def _build_operators(cfg: RunConfig, h: float):
+def _build_operators(cfg: RunConfig, h: float, declared: bool = False):
     params, obs_spec = _model(cfg, h)
     grid = params.grid
-    a = build_A(params)
     try:
         with np.errstate(over="raise"):  # B = V/h must be finite, as V is
             b = sample(grid, params.potential) / h  # the potential: B's diagonal, without dense B
     except (ExprError, FloatingPointError) as exc:
         raise ConfigError(f"potential {cfg.potential!r} fails on the N={grid.n} grid at h = {h:.3g}: {exc}") from exc
     try:
-        obs = build_observable(obs_spec, grid, cfg.scheme)
+        if declared:
+            a, obs = declared_operators(params, obs_spec)
+        else:  # O first, so glibc keeps A (freed as H mid-cell) on the heap for reuse: -8 MB RSS at N = 1024
+            obs = build_observable(obs_spec, grid, cfg.scheme)
+            a = build_A(params)
     except ExprError as exc:
         raise ConfigError(f"observable {cfg.observable!r} fails on the N={grid.n} grid: {exc}") from exc
     return grid, a, b, obs
@@ -392,18 +395,23 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
 
 
 def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
-    grid, a, b, obs = _build_operators(cfg, h)
+    """Beta and the words' norms from A and O in declared form (FD's stencils)."""
+    grid, a, b, obs = _build_operators(cfg, h, declared=True)
     row = partial(_row, cfg, n=grid.n, h=h)
-    # beta first, so no word of the chain is alive while it runs
-    rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
-    if words:
-        chain = a * b - b[:, None] * a  # [A, B] = A_ij (b_j - b_i)
-        rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
-        chain = commutator(chain, obs)
-        rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))
-        for label in COMM_WORD_LABELS[2:]:
-            chain = commutator(a, chain)
-            rows.append(row(label, spectral_norm(chain)))
+    try:
+        # beta first, so no word of the chain is alive while it runs
+        rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
+        if words:
+            # [A, B] = A_ij (b_j - b_i); a dense A takes it as -ad_B(A), not by products
+            chain = ad(a, np.diag(b)) if isinstance(a, dict) else -ad(b, a)
+            rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
+            chain = -ad(obs, chain)
+            rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))
+            for label in COMM_WORD_LABELS[2:]:
+                chain = ad(a, chain)
+                rows.append(row(label, spectral_norm(chain)))
+    except FloatingPointError as exc:
+        raise ConfigError(f"commutators of potential {cfg.potential!r} overflow at h = {h:.3g}: {exc}") from exc
     return rows
 
 

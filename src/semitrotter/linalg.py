@@ -1,8 +1,9 @@
-"""Dense matrix kernel.
+"""Matrix kernel: dense matrices and banded stencils.
 
-Matrices are numpy arrays, row-major, square for all operator uses: float64
-for real operators (A, B, observables), complex128 for unitaries. Nothing
-here mutates its inputs, so results can be shared freely.
+Matrices are numpy arrays, row-major, square for all operator uses: float64 for real operators
+(A, B, observables), complex128 for unitaries. Nothing here mutates its inputs, so results can be
+shared freely. A stencil is a banded periodic matrix given by its taps {r: c_r}, with S[i, (i + r)
+mod N] = c_r a scalar or one value per row i: FD's A and O are stencils, spectral ones are dense.
 
 The spectral norm is the root of the Gram matrix's top eigenvalue. Small or
 real Grams read it from a full eigenvalue solve. A large complex Gram G gets
@@ -61,6 +62,29 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             out.imag = commutator(x.imag.copy(), y)
         return out
     return x @ y - y @ x
+
+
+def stencil_commutator(stencil: dict, m: np.ndarray) -> np.ndarray:
+    """[S, M] in O(taps N^2): row i of SM adds c_r[i] M[i + r], column j of MS M[:, j - r] c_r[j - r]."""
+    n = m.shape[0]
+    out = np.zeros((n, n), np.result_type(m, *stencil.values()))
+    for r, c in stencil.items():
+        k = r % n
+        if k == 0 and np.ndim(c) == 0:
+            continue  # a multiple of I commutes with M
+        c = np.broadcast_to(c, (n,))
+        for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
+            out[dst] += c[dst, None] * m[src]
+            out[:, src] -= m[:, dst] * c[dst]
+    return out
+
+
+def stencil_matrix(stencil: dict, n: int) -> np.ndarray:
+    """The dense N x N matrix of a stencil; taps whose offsets agree mod N add up."""
+    out = np.zeros((n, n), np.result_type(*stencil.values()))
+    for r, c in stencil.items():
+        out[np.arange(n), (np.arange(n) + r) % n] += c
+    return out
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -221,6 +245,6 @@ def hermitian_circulant_symbol(first_row: np.ndarray) -> np.ndarray:
 
 
 def circulant(first_column: np.ndarray) -> np.ndarray:
-    """C[i, j] = c[(i - j) mod N], i.e. IDFT diag(fft(c)) DFT."""
+    """C[i, j] = c[(i - j) mod N], i.e. IDFT diag(fft(c)) DFT; row i reversed is c doubled from i + 1."""
     c = np.asarray(first_column).ravel()
-    return c[(np.arange(c.size)[:, None] - np.arange(c.size)) % c.size]
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((c, c)), c.size)[1:, ::-1].copy()

@@ -22,6 +22,7 @@ from .discretize import (
     build_diag,
     build_Dk,
     build_spectral_derivative,
+    fd_stencil,
     sample,
 )
 from .expr import Expr
@@ -81,3 +82,16 @@ def build_observable(
     for m, y_m in spec.terms:
         out += sample(grid, y_m)[:, None] * _LADDER[scheme](grid, m) * spec.h**m
     return out
+
+
+def declared_operators(p: ModelParams, spec: PolyObservableSpec):
+    """A and O in declared form: FD's stencils (see linalg), bit for bit build_A's entries and, up
+    to degree 2, build_observable's (O's taps hold one value per row); the spectral dense matrices."""
+    if p.scheme is SchemeKind.SPECTRAL:
+        return build_A(p), build_observable(spec, p.grid, p.scheme)
+    taps = {}
+    for m, y_m in spec.terms:
+        y = sample(p.grid, y_m)
+        for r, c in fd_stencil(p.grid, m).items():
+            taps[r] = taps.get(r, 0.0) + y * c * spec.h**m
+    return {r: -0.5 * p.h * c for r, c in fd_stencil(p.grid, 2).items()}, taps

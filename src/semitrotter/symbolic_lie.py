@@ -238,6 +238,7 @@ def verify_height_width(trials: int, seed: int) -> VerificationReport:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
     report = VerificationReport(trials=trials, checks=0, failures=0)
+    grade_n = lru_cache(maxsize=None)(grade_n_commutator)  # at most 30 words; SymOps are never mutated
 
     def check(condition: bool, describe: Callable[[], str]) -> None:
         report.checks += 1
@@ -263,7 +264,7 @@ def verify_height_width(trials: int, seed: int) -> VerificationReport:
         word = _random_word(rng)
         n = len(word)
         m = word.count("A")
-        c_n = grade_n_commutator(word)
+        c_n = grade_n(word)
         if not c_n.is_zero():
             check(
                 height(c_n) <= 2 * m - (n - 1),
@@ -280,7 +281,7 @@ def verify_height_width(trials: int, seed: int) -> VerificationReport:
         layers = rng.randint(1, 3)
         nested = obs
         for _ in range(layers):
-            nested = sym_commutator(grade_n_commutator(_random_word(rng)), nested)
+            nested = sym_commutator(grade_n(_random_word(rng)), nested)
             if not nested.is_zero():
                 check(
                     height(nested) <= width(nested),

@@ -1,5 +1,6 @@
 """Nested-commutator coefficient tests with hand-computed oracles."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -7,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semitrotter import commutator_lab
+from semitrotter import commutator_lab, experiments
 from semitrotter.commutator_lab import (
+    ad,
     compute_alpha_comm,
     compute_alpha_tilde,
     compute_beta_comm,
@@ -17,7 +19,14 @@ from semitrotter.commutator_lab import (
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.experiments import _build_operators, build_config, run_experiment
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import ConvergenceError, DimensionMismatchError, NonHermitianError, commutator, spectral_norm
+from semitrotter.linalg import (
+    ConvergenceError,
+    DimensionMismatchError,
+    NonHermitianError,
+    commutator,
+    spectral_norm,
+    stencil_matrix,
+)
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 from semitrotter.splitting import suzuki_plan
 
@@ -72,21 +81,25 @@ def test_beta_p2_enumerates_eight_words():
 
 
 def _sweep_operators(scheme, n):
+    # A and O in declared form, as the sweeps build them: FD's are stencils
     cfg = build_config("comm-sweep", {"scheme": scheme})
-    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n, declared=True)
     return a, np.diag(potential), obs
 
 
 @pytest.mark.parametrize("scheme", ["fd", "spectral"])
 @pytest.mark.parametrize("n", [32, 256])
 def test_beta_pruning_equals_full_maximum(scheme, n):
+    # the reference chains fold the walk's own ad steps from the dense O
     a, b, obs = _sweep_operators(scheme, n)
+    generators = {"A": a, "B": np.diag(b)}
+    root = stencil_matrix(obs, n) if isinstance(obs, dict) else obs
     for p in (1, 2, 3):
         words = list(itertools.product("AB", repeat=p + 1))
-        dense = {w: nested_comm(w, a, b, obs) for w in words}
+        folded = {w: functools.reduce(lambda m, label: ad(generators[label], m), w, root) for w in words}
         chains = dict(commutator_lab._word_chains(p, a, np.diag(b), obs))
-        assert all(np.array_equal(chains[w], dense[w]) for w in words)  # ad_B scaling is exact
-        assert compute_beta_comm(p, a, np.diag(b), obs) == max(spectral_norm(m) for m in dense.values())
+        assert all(np.array_equal(chains[w], folded[w]) for w in words)
+        assert compute_beta_comm(p, a, np.diag(b), obs) == max(spectral_norm(m) for m in folded.values())
 
 
 def test_beta_pruning_skips_norms(monkeypatch):
@@ -106,11 +119,24 @@ def test_beta_pruning_skips_norms(monkeypatch):
             assert len(calls) == 1, (scheme, p)
 
 
+@pytest.mark.parametrize("scheme, per_h", [("fd", {"comm-sweep": 0, "beta": 0}), ("spectral", {"comm-sweep": 10, "beta": 7})])
+def test_only_dense_operators_take_dense_commutators(monkeypatch, scheme, per_h):
+    # FD's A and O are stencils; the spectral ones keep ad_A's 7 products of beta at p = 2,
+    # plus [[A,B],O] and two ad_A for the words
+    calls = []
+    for module in (commutator_lab, experiments):
+        monkeypatch.setattr(module, "commutator", lambda x, y, f=module.commutator: calls.append(1) or f(x, y))
+    for experiment, count in per_h.items():
+        calls.clear()
+        run_experiment(build_config(experiment, {"h": "1/32, 1/64", "scheme": scheme}))
+        assert len(calls) == 2 * count, experiment
+
+
 def test_beta_holds_few_chains():
     # the walk keeps at most p + 2 chains alive, plus the ad-steps' and the norm's temporaries
     n, p = 256, 6
     cfg = build_config("beta")
-    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n, declared=True)
     tracemalloc.start()
     try:
         compute_beta_comm(p, a, potential, obs)
@@ -177,8 +203,8 @@ def test_complex_potential_is_rejected():
 def test_comm_sweep_ab_row_is_dense_commutator_norm():
     cfg = build_config("comm-sweep", {"h": "0.03125"})
     (value,) = [r.value for r in run_experiment(cfg) if r.metric == "[A,B]"]
-    a, b, _ = _sweep_operators("fd", 32)
-    assert value == spectral_norm(commutator(a, b))
+    params, _ = experiments._model(cfg, 0.03125)
+    assert value == spectral_norm(commutator(build_A(params), build_B(params)))
 
 
 def test_beta_rejects_p_zero():

@@ -14,11 +14,12 @@ from semitrotter.discretize import (
     build_forward_diff,
     build_laplacian,
     build_spectral_derivative,
+    fd_stencil,
     sample,
     spectral_frequencies,
 )
 from semitrotter.expr import ExprEvalError, parse_expr
-from semitrotter.linalg import circulant, commutator, spectral_norm
+from semitrotter.linalg import circulant, commutator, spectral_norm, stencil_matrix
 from semitrotter.model import ModelParams, build_A
 
 
@@ -201,3 +202,16 @@ def test_periodic_operators_are_exact_circulants(n):
         matrices.append(a)
     for m in matrices:
         assert np.array_equal(m, circulant(m[:, 0]))
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_fd_stencil_is_the_difference_ladder(n):
+    # D_k has k + 1 taps; D_0 ... D_2 are bit for bit build_Dk, higher orders to rounding
+    g = Grid(-math.pi, math.pi, n)
+    for k in range(6):
+        s = fd_stencil(g, k)
+        assert len(s) == k + 1
+        dense, expected = stencil_matrix(s, n), build_Dk(g, k)
+        if k <= 2:
+            assert np.array_equal(dense, expected)
+        assert np.max(np.abs(dense - expected)) <= 1e-13 * np.max(np.abs(expected))

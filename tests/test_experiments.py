@@ -580,11 +580,17 @@ def _one_line_exit_2(args, capsys) -> str:
         ("beta", ["N = 1e9"], "N = 1e+09 at h = 0.0312 is too large"),
         ("dt-sweep", ["h = 1e-310", "N = 16"], "'cos(x)' fails on the N=16 grid at h = 1e-310: overflow"),
         ("comm-sweep", ["h = 1e-310", "N = 16"], "'cos(x)' fails on the N=16 grid at h = 1e-310: overflow"),
+        ("comm-sweep", ["h = 1e-300", "N = 16"], "potential 'cos(x)' overflow at h = 1e-300: overflow"),
+        ("beta", ["h = 1e-300", "N = 16"], "potential 'cos(x)' overflow at h = 1e-300: overflow"),
     ],
-    ids=["beta-h=1e-320", "beta-h=1e-300", "beta-N=1e9", "dt-sweep-h=1e-310", "comm-sweep-h=1e-310"],
+    ids=[
+        "beta-h=1e-320", "beta-h=1e-300", "beta-N=1e9", "dt-sweep-h=1e-310", "comm-sweep-h=1e-310",
+        "comm-sweep-huge-B", "beta-huge-B",
+    ],
 )
 def test_cli_grid_or_potential_out_of_range_exit_code(tmp_path, capsys, experiment, lines, message):
-    # a grid N x N matrices cannot hold, or a B = V/h past the float range, is a config error
+    # a grid N x N matrices cannot hold, or a B = V/h past the float range or whose
+    # commutator chains overflow it, is a config error
     config = tmp_path / "range.cfg"
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     err = _one_line_exit_2([experiment, "--config", str(config), "--out", str(tmp_path / "o")], capsys)

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from semitrotter import linalg
-from semitrotter.discretize import Grid, build_forward_diff, build_backward_diff, build_laplacian
+from semitrotter.discretize import Grid, build_forward_diff, build_backward_diff, build_laplacian, fd_stencil
 from semitrotter.linalg import (
     ConvergenceError,
     NonHermitianError,
+    circulant,
     commutator,
     hermitian_eig,
     hermiticity_defect,
     spectral_norm,
+    stencil_commutator,
+    stencil_matrix,
     unitarity_defect,
     unitary_exp,
 )
@@ -387,3 +390,37 @@ def test_convergence_error_message_has_no_iteration_count():
         spectral_norm(m)
     assert str(exc.value) == "spectral norm of a matrix with non-finite entries"
     assert not hasattr(exc.value, "iterations")
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 63, 256, 1024])
+def test_circulant_matches_index_formula(n):
+    rng = np.random.default_rng(n)
+    for c in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        expected = c[(np.arange(n)[:, None] - np.arange(n)) % n]
+        assert np.array_equal(circulant(c), expected)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_stencil_commutator_matches_dense(n):
+    # FD's D_0 ... D_3 and A, plain and with a coefficient per row (as in O), on real and complex M
+    rng = np.random.default_rng(n)
+    grid = Grid(-math.pi, math.pi, n)
+    stencils = [fd_stencil(grid, k) for k in range(4)]
+    stencils.append({r: -0.5 / n * c for r, c in fd_stencil(grid, 2).items()})
+    stencils += [{r: rng.standard_normal(n) * c for r, c in s.items()} for s in stencils]
+    for s in stencils:
+        dense = stencil_matrix(s, n)
+        for m in (rng.standard_normal((n, n)), _random_complex(rng, n)):
+            expected = commutator(dense, m)
+            got = stencil_commutator(s, m)
+            assert got.dtype == expected.dtype
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_stencil_matrix_adds_taps_that_wrap_onto_each_other():
+    # D_4 at N = 4 has taps at -2 and 2, the same diagonal mod 4
+    s = fd_stencil(Grid(0.0, 4.0, 4), 4)
+    assert s == {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}
+    assert np.array_equal(stencil_matrix(s, 4)[0], [6.0, -4.0, 2.0, -4.0])
+    m = np.arange(16.0).reshape(4, 4)
+    assert np.allclose(stencil_commutator(s, m), commutator(stencil_matrix(s, 4), m), rtol=0, atol=1e-12)

@@ -7,13 +7,14 @@ import pytest
 
 from semitrotter.discretize import Grid, SchemeKind, build_diag, build_forward_diff, build_laplacian
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import commutator, hermiticity_defect, spectral_norm
+from semitrotter.linalg import commutator, hermiticity_defect, spectral_norm, stencil_matrix
 from semitrotter.model import (
     ModelParams,
     PolyObservableSpec,
     build_A,
     build_B,
     build_observable,
+    declared_operators,
 )
 
 COS = parse_expr("cos(x)")
@@ -139,3 +140,22 @@ def test_observable_fd_spectral_agree_as_N_grows():
         errs.append(np.max(np.abs((o_fd - o_sp) @ u)))
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
     assert slope < 0
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 1024])
+def test_declared_fd_operators_are_the_dense_ones(n):
+    # FD's stencils hold bit for bit the entries of build_A and, for degrees up to 2, build_observable
+    for h in (1.0 / n, 0.3, 1e-5):
+        params = _params(h=h, n=n)
+        spec = PolyObservableSpec(((0, COS), (1, SIN), (2, parse_expr("exp(sin(x))"))), h)
+        a, obs = declared_operators(params, spec)
+        assert np.array_equal(stencil_matrix(a, n), build_A(params))
+        assert np.array_equal(stencil_matrix(obs, n), build_observable(spec, params.grid))
+
+
+def test_declared_spectral_operators_are_dense():
+    params = _params(scheme=SchemeKind.SPECTRAL)
+    spec = PolyObservableSpec(((0, COS), (1, SIN)), params.h)
+    a, obs = declared_operators(params, spec)
+    assert np.array_equal(a, build_A(params))
+    assert np.array_equal(obs, build_observable(spec, params.grid, SchemeKind.SPECTRAL))

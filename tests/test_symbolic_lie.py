@@ -151,8 +151,11 @@ def test_verifier_clean_run():
 
 def test_verifier_pinned_report():
     # pins the random stream: integer scalars draw exactly what the Fractions drew
+    # and grade_n_commutator's cache shares each word's SymOp without changing a check
     report = verify_height_width(1000, 42)
     assert (report.trials, report.checks, report.failures) == (1000, 4531, 0)
+    report = verify_height_width(1000, 1)
+    assert (report.trials, report.checks, report.failures) == (1000, 4594, 0)
 
 
 def test_verifier_describes_only_failures(monkeypatch):
