@@ -15,11 +15,8 @@ from .commutator_lab import (
 from .discretize import (
     Grid,
     SchemeKind,
-    build_backward_diff,
     build_diag,
     build_Dk,
-    build_forward_diff,
-    build_laplacian,
     build_spectral_derivative,
 )
 from .experiments import evolution_errors

@@ -1,11 +1,12 @@
 """Periodic grid and discrete derivative operators.
 
-Finite-difference matrices follow the periodic first-order stencils:
-the forward difference D_F has -1/dx on the diagonal and +1/dx on the
-superdiagonal with wraparound, D_B = -D_F^dagger, and the Laplacian
-D_2 = D_B D_F = D_F D_B is the (-2, 1, 1)/dx^2 circulant. Higher orders
-compose as D_2^(k/2) for even k and D_F D_2^((k-1)/2) for odd k, the
-stencil dx^-k (S - I)^k S^-(k//2) of the shift S: M[i] -> M[i + 1].
+Finite differences form one periodic ladder, D_k = D_F^(k mod 2) D_2^(k//2),
+built from its k + 1 taps: the stencil dx^-k (S - I)^k S^-(k//2) of the
+shift S: M[i] -> M[i + 1] (fd_stencil). The forward difference
+D_F = build_Dk(g, 1) has -1/dx on the diagonal and +1/dx on the
+superdiagonal with wraparound, D_B = -D_F^dagger = -build_Dk(g, 1).T, and
+the Laplacian D_2 = build_Dk(g, 2) = D_B D_F = D_F D_B is the
+(-2, 1, 1)/dx^2 circulant.
 
 The scaling convention uses the physical 1/dx = N/(b-a) so that D_F
 approximates d/dx on any interval; on a length-1 domain this coincides
@@ -59,32 +60,16 @@ class Grid:
 
 
 def fd_stencil(g: Grid, k: int) -> dict[int, float]:
-    """Taps {r: D_k[i, i + r mod N]}, r = j - k//2 for j = 0 ... k; D_1 and D_2 bit for bit."""
+    """Taps {r: D_k[i, i + r mod N]} = (-1)^(k-j) C(k, j) dx^-k at r = j - k//2, j = 0 ... k."""
     scale = math.prod([1.0 / g.dx] * k, start=1.0)
     return {j - k // 2: (-1) ** (k - j) * math.comb(k, j) * scale for j in range(k + 1)}
 
 
-def build_forward_diff(g: Grid) -> np.ndarray:
-    return stencil_matrix(fd_stencil(g, 1), g.n)
-
-
-def build_backward_diff(g: Grid) -> np.ndarray:
-    return -build_forward_diff(g).T
-
-
-def build_laplacian(g: Grid) -> np.ndarray:
-    """(-2, 1, 1)/dx^2 periodic circulant; equals D_B @ D_F entrywise."""
-    return stencil_matrix(fd_stencil(g, 2), g.n)
-
-
 def build_Dk(g: Grid, k: int) -> np.ndarray:
-    """k-th order difference: D_2^(k/2) for even k, D_F D_2^((k-1)/2) for odd."""
+    """k-th order difference D_F^(k mod 2) D_2^(k//2), the dense matrix of fd_stencil(g, k)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if k % 2 == 0:
-        return np.linalg.matrix_power(build_laplacian(g), k // 2)
-    d_f = build_forward_diff(g)
-    return d_f if k == 1 else d_f @ build_Dk(g, k - 1)
+    return stencil_matrix(fd_stencil(g, k), g.n)
 
 
 def spectral_frequencies(g: Grid) -> np.ndarray:

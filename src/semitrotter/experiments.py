@@ -331,13 +331,19 @@ def _build_operators(cfg: RunConfig, h: float, declared: bool = False):
     except (ExprError, FloatingPointError) as exc:
         raise ConfigError(f"potential {cfg.potential!r} fails on the N={grid.n} grid at h = {h:.3g}: {exc}") from exc
     try:
-        if declared:
-            a, obs = declared_operators(params, obs_spec)
-        else:  # O first, so glibc keeps A (freed as H mid-cell) on the heap for reuse: -8 MB RSS at N = 1024
-            obs = build_observable(obs_spec, grid, cfg.scheme)
-            a = build_A(params)
-    except ExprError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite O is refused below
+            if declared:
+                a, obs = declared_operators(params, obs_spec)
+            else:
+                # O first: its per-term N x N temporaries raise glibc's mmap threshold, so A (freed
+                # as H mid-cell) is then taken from the heap; A first, or O densified from its
+                # stencil, raised the default h-sweep's peak RSS from 132 to 139-141 MB
+                obs = build_observable(obs_spec, grid, cfg.scheme)
+                a = build_A(params)
+    except (ExprError, OverflowError) as exc:  # OverflowError: a D_m tap past float range
         raise ConfigError(f"observable {cfg.observable!r} fails on the N={grid.n} grid: {exc}") from exc
+    if not all(np.isfinite(o).all() for o in (obs.values() if isinstance(obs, dict) else [obs])):
+        raise ConfigError(f"observable {cfg.observable!r} is not finite on the N={grid.n} grid at h = {h:.3g}")
     return grid, a, b, obs
 
 
@@ -378,6 +384,8 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
     """
     grid, a, b, obs = _build_operators(cfg, h)
+    if cfg.t_final * sys.float_info.epsilon * float(np.max(np.abs(b))) >= 1.0:
+        raise ConfigError(f"phases t_final V/h of potential {cfg.potential!r} keep no digit at h = {h:.3g}")
     a_row = a[0].copy()  # the Trotter step reads only A's first row
     a[np.diag_indices_from(a)] += b  # A's fresh array becomes H = A + B
     u_exact = unitary_exp(a, cfg.t_final)

@@ -85,8 +85,9 @@ def build_observable(
 
 
 def declared_operators(p: ModelParams, spec: PolyObservableSpec):
-    """A and O in declared form: FD's stencils (see linalg), bit for bit build_A's entries and, up
-    to degree 2, build_observable's (O's taps hold one value per row); the spectral dense matrices."""
+    """A and O in declared form: FD's stencils (see linalg), bit for bit build_A's and
+    build_observable's entries while no taps wrap onto each other (O's taps hold one value per
+    row); the spectral dense matrices."""
     if p.scheme is SchemeKind.SPECTRAL:
         return build_A(p), build_observable(spec, p.grid, p.scheme)
     taps = {}

@@ -14,15 +14,7 @@ import numpy as np
 
 from semitrotter.cli import main
 from semitrotter.commutator_lab import compute_alpha_comm, compute_alpha_tilde
-from semitrotter.discretize import (
-    Grid,
-    SchemeKind,
-    build_backward_diff,
-    build_diag,
-    build_Dk,
-    build_forward_diff,
-    build_laplacian,
-)
+from semitrotter.discretize import Grid, SchemeKind, build_diag, build_Dk
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import commutator, unitarity_defect, unitary_exp
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
@@ -191,7 +183,7 @@ def test_criterion_7_discrete_height_ledger():
 
     slope = discrete_height_estimate(
         lambda n: commutator(
-            build_forward_diff(Grid(-math.pi, math.pi, n)),
+            build_Dk(Grid(-math.pi, math.pi, n), 1),
             build_diag(Grid(-math.pi, math.pi, n), COS),
         ),
         sizes,
@@ -226,7 +218,7 @@ def test_criterion_8_structural_invariants():
     detail.append(f"max unitarity defect {max(defects):.2e}")
 
     g = Grid(-math.pi, math.pi, 64)
-    d_f, d_b, d2 = build_forward_diff(g), build_backward_diff(g), build_laplacian(g)
+    d_f, d_b, d2 = build_Dk(g, 1), -build_Dk(g, 1).T, build_Dk(g, 2)
     exact = np.array_equal(d2, d_b @ d_f) and np.array_equal(d2, d_f @ d_b)
     ok = ok and exact
     detail.append(f"D_2 factorizations exact: {exact}")

@@ -8,18 +8,15 @@ import pytest
 from semitrotter.discretize import (
     Grid,
     SchemeKind,
-    build_backward_diff,
     build_diag,
     build_Dk,
-    build_forward_diff,
-    build_laplacian,
     build_spectral_derivative,
     fd_stencil,
     sample,
     spectral_frequencies,
 )
 from semitrotter.expr import ExprEvalError, parse_expr
-from semitrotter.linalg import circulant, commutator, spectral_norm, stencil_matrix
+from semitrotter.linalg import circulant, commutator, spectral_norm
 from semitrotter.model import ModelParams, build_A
 
 
@@ -44,7 +41,7 @@ def test_grid_validation():
 
 def test_forward_diff_stencil():
     g = Grid(0.0, 1.0, 4)
-    d = build_forward_diff(g)
+    d = build_Dk(g, 1)
     assert np.array_equal(d[0].real, np.array([-4.0, 4.0, 0.0, 0.0]))
     assert d[3, 0] == 4.0  # wraparound
     assert np.allclose(d @ np.ones(4), 0.0)
@@ -54,47 +51,64 @@ def test_forward_diff_first_order_accuracy():
     # Taylor-remainder oracle: |D_F f - f'| <= dx/2 * max|f''| for f = e^{ix}
     g = Grid(-math.pi, math.pi, 64)
     f = np.exp(1j * g.nodes)
-    err = np.max(np.abs(build_forward_diff(g) @ f - 1j * f))
+    err = np.max(np.abs(build_Dk(g, 1) @ f - 1j * f))
     assert err <= 0.5 * g.dx * 1.0 * 1.05
 
 
 def test_backward_diff_is_minus_adjoint():
+    # D_B = -D_F^dagger is the backward difference (f_i - f_{i-1})/dx
     g = Grid(-math.pi, math.pi, 16)
-    d_f = build_forward_diff(g)
-    assert np.array_equal(build_backward_diff(g), -d_f.conj().T)
-    assert np.allclose(build_backward_diff(g) @ np.ones(16), 0.0)
+    d_b = -build_Dk(g, 1).T
+    f = np.arange(16.0) ** 2
+    assert np.allclose(d_b @ f, (f - np.roll(f, 1)) / g.dx, rtol=1e-14, atol=0)
+    assert np.allclose(d_b @ np.ones(16), 0.0)
 
 
 def test_backward_forward_product_symmetric():
     g = Grid(-math.pi, math.pi, 16)
-    m = build_backward_diff(g) @ build_forward_diff(g)
+    m = -build_Dk(g, 1).T @ build_Dk(g, 1)
     assert np.max(np.abs(m - m.conj().T)) == 0.0
 
 
 def test_laplacian_entries_and_factorizations():
     g = Grid(0.0, 1.0, 4)
-    d2 = build_laplacian(g)
+    d2 = build_Dk(g, 2)
     assert np.all(np.diag(d2) == -32.0)
     assert np.allclose(d2 @ np.ones(4), 0.0)
-    d_f, d_b = build_forward_diff(g), build_backward_diff(g)
+    d_f, d_b = build_Dk(g, 1), -build_Dk(g, 1).T
     assert np.array_equal(d2, d_b @ d_f)
     assert np.array_equal(d2, d_f @ d_b)
+
+
+def _product_ladder(g, k):
+    """D_F^(k mod 2) D_2^(k//2) by matrix products, from D_F = (S - I)/dx and D_2 = D_B D_F."""
+    eye = np.eye(g.n)
+    d_f = (np.roll(eye, 1, axis=1) - eye) / g.dx
+    out = np.linalg.matrix_power(-d_f.T @ d_f, k // 2)
+    return d_f @ out if k % 2 else out
+
+
+def _assert_is_product_ladder(g, k):
+    # equal to rounding above k = 2: the taps scale C(k, j) by (1/dx)^k, the products round per factor
+    got, expected = build_Dk(g, k), _product_ladder(g, k)
+    if k <= 2:
+        assert np.array_equal(got, expected)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_build_Dk_ladder():
     g = Grid(-math.pi, math.pi, 8)
     assert np.array_equal(build_Dk(g, 0), np.eye(8))
-    assert np.array_equal(build_Dk(g, 2), build_laplacian(g))
-    assert np.array_equal(build_Dk(g, 3), build_forward_diff(g) @ build_laplacian(g))
-    assert np.array_equal(build_Dk(g, 4), np.linalg.matrix_power(build_laplacian(g), 2))
+    for k in range(6):
+        _assert_is_product_ladder(g, k)
     with pytest.raises(ValueError):
         build_Dk(g, -1)
 
 
 def test_build_Dk_first_order_and_dtype():
-    # k = 1 is the first-order matrix itself; every order is real
+    # D_F is (S - I)/dx to the bit; every order is real
     g = Grid(-math.pi, math.pi, 8)
-    assert np.array_equal(build_Dk(g, 1), build_forward_diff(g))
+    assert np.array_equal(build_Dk(g, 1), (np.roll(np.eye(8), 1, axis=1) - np.eye(8)) / g.dx)
     for k in range(5):
         assert build_Dk(g, k).dtype == np.float64
 
@@ -193,7 +207,7 @@ def test_periodic_operators_are_exact_circulants(n):
     # the sweeps pass A to trotter_step as its first row and check no structure at run
     # time: this test holds the equality exactly, and A[0] = A[:, 0] (A is symmetric)
     g = Grid(-math.pi, math.pi, n)
-    matrices = [build_forward_diff(g), build_laplacian(g)]
+    matrices = [build_Dk(g, 1), build_Dk(g, 2)]
     matrices += [build_spectral_derivative(g, k) for k in range(5)]
     for scheme in SchemeKind:
         params = ModelParams(h=1.0 / n, potential=parse_expr("cos(x)"), grid=g, scheme=scheme)
@@ -206,12 +220,10 @@ def test_periodic_operators_are_exact_circulants(n):
 
 @pytest.mark.parametrize("n", [8, 64])
 def test_fd_stencil_is_the_difference_ladder(n):
-    # D_k has k + 1 taps; D_0 ... D_2 are bit for bit build_Dk, higher orders to rounding
-    g = Grid(-math.pi, math.pi, n)
+    # D_k's k + 1 taps are (-1)^(k-j) C(k, j) dx^-k at offset j - k//2 (exact where 1/dx = n),
+    # and build_Dk, their matrix, is the product ladder
+    for k in range(9):
+        s = fd_stencil(Grid(0.0, 1.0, n), k)
+        assert s == {j - k // 2: (-1) ** (k - j) * math.comb(k, j) * n**k for j in range(k + 1)}
     for k in range(6):
-        s = fd_stencil(g, k)
-        assert len(s) == k + 1
-        dense, expected = stencil_matrix(s, n), build_Dk(g, k)
-        if k <= 2:
-            assert np.array_equal(dense, expected)
-        assert np.max(np.abs(dense - expected)) <= 1e-13 * np.max(np.abs(expected))
+        _assert_is_product_ladder(Grid(-math.pi, math.pi, n), k)

@@ -582,10 +582,12 @@ def _one_line_exit_2(args, capsys) -> str:
         ("comm-sweep", ["h = 1e-310", "N = 16"], "'cos(x)' fails on the N=16 grid at h = 1e-310: overflow"),
         ("comm-sweep", ["h = 1e-300", "N = 16"], "potential 'cos(x)' overflow at h = 1e-300: overflow"),
         ("beta", ["h = 1e-300", "N = 16"], "potential 'cos(x)' overflow at h = 1e-300: overflow"),
+        ("dt-sweep", ["h = 1e-300", "N = 16"], "potential 'cos(x)' keep no digit at h = 1e-300"),
+        ("h-sweep", ["h = 1e-300", "N = 16"], "potential 'cos(x)' keep no digit at h = 1e-300"),
     ],
     ids=[
         "beta-h=1e-320", "beta-h=1e-300", "beta-N=1e9", "dt-sweep-h=1e-310", "comm-sweep-h=1e-310",
-        "comm-sweep-huge-B", "beta-huge-B",
+        "comm-sweep-huge-B", "beta-huge-B", "dt-sweep-huge-B", "h-sweep-huge-B",
     ],
 )
 def test_cli_grid_or_potential_out_of_range_exit_code(tmp_path, capsys, experiment, lines, message):
@@ -595,6 +597,17 @@ def test_cli_grid_or_potential_out_of_range_exit_code(tmp_path, capsys, experime
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     err = _one_line_exit_2([experiment, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     assert err.startswith("config error: ") and message in err, err
+
+
+@pytest.mark.parametrize("experiment", ["dt-sweep", "h-sweep", "comm-sweep", "beta"])
+@pytest.mark.parametrize("scheme", ["fd", "spectral"])
+@pytest.mark.parametrize("observable", ["400:cos(x)", "1100:cos(x)"])
+def test_cli_observable_not_finite_exit_code(tmp_path, capsys, experiment, scheme, observable):
+    # D_400's (1/dx)^400 overflows and h^400 underflows; D_1100's binomials pass the float range
+    config = tmp_path / "degree.cfg"
+    config.write_text(f'h = 1/64\nscheme = {scheme}\nobservable = "{observable}"\n', encoding="utf-8")
+    err = _one_line_exit_2([experiment, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert err.startswith(f"config error: observable {observable!r} ") and "N=64 grid" in err, err
 
 
 def test_cli_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):

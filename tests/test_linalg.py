@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semitrotter import linalg
-from semitrotter.discretize import Grid, build_forward_diff, build_backward_diff, build_laplacian, fd_stencil
+from semitrotter.discretize import Grid, build_Dk, fd_stencil
 from semitrotter.linalg import (
     ConvergenceError,
     NonHermitianError,
@@ -34,7 +34,7 @@ def test_commutator_self_is_zero():
 
 def test_forward_backward_commute():
     g = Grid(-math.pi, math.pi, 16)
-    c = commutator(build_forward_diff(g), build_backward_diff(g))
+    c = commutator(build_Dk(g, 1), -build_Dk(g, 1).T)
     assert np.all(c == 0)
 
 
@@ -59,7 +59,7 @@ def test_hermitian_eig_discrete_laplacian_spectrum():
     # oracle: eigenvalues of -D_2 on [0,1) are 2 N^2 (1 - cos(2 pi k / N))
     n = 4
     g = Grid(0.0, 1.0, n)
-    w, _ = hermitian_eig(-build_laplacian(g))
+    w, _ = hermitian_eig(-build_Dk(g, 2))
     expected = sorted(2.0 * n**2 * (1.0 - np.cos(2.0 * np.pi * k / n)) for k in range(n))
     assert np.allclose(sorted(w), expected, atol=1e-9)
     assert sorted(round(v / n**2) for v in w) == [0, 2, 2, 4]
@@ -159,7 +159,7 @@ def test_spectral_norm_forward_diff_symbol():
     # oracle 2: brute-force SVD
     n = 8
     g = Grid(-math.pi, math.pi, n)
-    d_f = build_forward_diff(g)
+    d_f = build_Dk(g, 1)
     symbol_max = max(abs(np.exp(2j * np.pi * k / n) - 1.0) for k in range(n)) / g.dx
     svd_max = float(np.linalg.svd(d_f, compute_uv=False)[0])
     assert symbol_max == pytest.approx(svd_max, rel=1e-12)
@@ -373,7 +373,7 @@ def test_spectral_norm_keeps_dtype_family(monkeypatch):
 def test_spectral_norm_real_matches_complex_svd():
     rng = np.random.default_rng(13)
     g = Grid(-math.pi, math.pi, 64)
-    d = build_laplacian(g)
+    d = build_Dk(g, 2)
     v = np.diag(np.cos(g.nodes))
     word = commutator(commutator(d, v), d)  # a sweep-like word, ||.|| ~ N^3
     mats = [rng.standard_normal((n, n)) for n in (2, 7, 33, 128)] + [word, 1e-200 * word]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from semitrotter import symbolic_lie
-from semitrotter.discretize import Grid, build_diag, build_Dk, build_forward_diff
+from semitrotter.discretize import Grid, build_diag, build_Dk
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import commutator
 from semitrotter.symbolic_lie import (
@@ -212,7 +212,7 @@ def test_discrete_height_estimate_commutator_with_diag():
     cos = parse_expr("cos(x)")
     slope = discrete_height_estimate(
         lambda n: commutator(
-            build_forward_diff(Grid(-math.pi, math.pi, n)),
+            build_Dk(Grid(-math.pi, math.pi, n), 1),
             build_diag(Grid(-math.pi, math.pi, n), cos),
         ),
         (16, 32, 64, 128),
@@ -241,9 +241,7 @@ def test_cross_validation_three_ledgers():
 
     def numeric_c(n, h):
         g = Grid(-math.pi, math.pi, n)
-        a = -0.5 * h * np.linalg.matrix_power(build_forward_diff(g), 0) @ (
-            build_Dk(g, 2)
-        )
+        a = -0.5 * h * build_Dk(g, 2)
         b = build_diag(g, cos) / h
         return commutator(a, b)
 
