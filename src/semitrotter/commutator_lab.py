@@ -57,12 +57,12 @@ def ad(x, m: np.ndarray) -> np.ndarray:
 def _word_chains(p: int, a, potential: np.ndarray, obs) -> Iterator[tuple[CommWord, np.ndarray]]:
     """Yield every (p+1)-letter word with its ad-chain, depth-first; potential is B's diagonal.
 
-    A and O are stencils or matrices (see ad); a stencil O is made dense as the walk's root.
+    A and O are stencils or matrices (see ad); O is made dense as the walk's root.
     B comes before A: on the sweeps' operators the first leaf, ad_B^(p+1)(O), is the
     largest, so beta's pruning takes a single norm.
     """
     d = np.asarray(potential)
-    obs = stencil_matrix(obs, len(d)) if isinstance(obs, dict) else as_matrix(obs)
+    obs = as_matrix(stencil_matrix(obs, len(d)))
     if d.shape != obs.shape[:1]:
         raise DimensionMismatchError(f"need B's diagonal of length {obs.shape[0]}, got shape {d.shape}")
     if d.imag.any():

@@ -43,8 +43,8 @@ import numpy as np
 from .commutator_lab import ad, compute_beta_comm
 from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
-from .linalg import commutator, spectral_norm, unitary_exp
-from .model import ModelParams, PolyObservableSpec, build_A, build_observable, declared_operators
+from .linalg import is_finite, spectral_norm, stencil_matrix, unitary_exp
+from .model import ModelParams, PolyObservableSpec, declared_A, declared_observable
 from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
 
@@ -322,7 +322,8 @@ def _model(cfg: RunConfig, h: float) -> tuple[ModelParams, PolyObservableSpec]:
     return params, parse_observable_spec(cfg.observable, h=h)
 
 
-def _build_operators(cfg: RunConfig, h: float, declared: bool = False):
+def _build_operators(cfg: RunConfig, h: float):
+    """The grid, A, B's diagonal and O of one h, A and O in declared form (see model)."""
     params, obs_spec = _model(cfg, h)
     grid = params.grid
     try:
@@ -330,19 +331,15 @@ def _build_operators(cfg: RunConfig, h: float, declared: bool = False):
             b = sample(grid, params.potential) / h  # the potential: B's diagonal, without dense B
     except (ExprError, FloatingPointError) as exc:
         raise ConfigError(f"potential {cfg.potential!r} fails on the N={grid.n} grid at h = {h:.3g}: {exc}") from exc
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite O is refused below
-            if declared:
-                a, obs = declared_operators(params, obs_spec)
-            else:
-                # O first: its per-term N x N temporaries raise glibc's mmap threshold, so A (freed
-                # as H mid-cell) is then taken from the heap; A first, or O densified from its
-                # stencil, raised the default h-sweep's peak RSS from 132 to 139-141 MB
-                obs = build_observable(obs_spec, grid, cfg.scheme)
-                a = build_A(params)
-    except (ExprError, OverflowError) as exc:  # OverflowError: a D_m tap past float range
-        raise ConfigError(f"observable {cfg.observable!r} fails on the N={grid.n} grid: {exc}") from exc
-    if not all(np.isfinite(o).all() for o in (obs.values() if isinstance(obs, dict) else [obs])):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A or O is refused below
+        a = declared_A(params)
+        if not is_finite(a):
+            raise ConfigError(f"kinetic term -(h/2) D_2 is not finite on the N={grid.n} grid of [{cfg.a:.3g}, {cfg.b:.3g}) at h = {h:.3g}")
+        try:
+            obs = declared_observable(obs_spec, grid, cfg.scheme)
+        except (ExprError, OverflowError) as exc:  # OverflowError: a D_m tap past float range
+            raise ConfigError(f"observable {cfg.observable!r} fails on the N={grid.n} grid: {exc}") from exc
+    if not is_finite(obs):
         raise ConfigError(f"observable {cfg.observable!r} is not finite on the N={grid.n} grid at h = {h:.3g}")
     return grid, a, b, obs
 
@@ -364,13 +361,14 @@ def evolution_errors(w: np.ndarray, obs: np.ndarray, phi=None) -> tuple[float, f
     phi = U_exact psi, the third is the state-level error |<W phi|[O, W - I]|phi>|,
     which the observable error bounds.
 
+    O is a stencil or a matrix: [O, W - I] is commutator_lab.ad's, so FloatingPointError on overflow.
     Overwrites w with W - I and drops it before the observable norm, which frees a W passed
     as a temporary (Python 3.10 keeps call arguments alive until return; peak not measured).
     """
     w[np.diag_indices(w.shape[0])] -= 1.0
     unitary_error = spectral_norm(w)
     w_phi = None if phi is None else w @ phi + phi
-    obs_comm = commutator(obs, w)
+    obs_comm = ad(obs, w)
     del w
     observable_error = spectral_norm(obs_comm)
     expectation_error = None if phi is None else float(abs(np.vdot(w_phi, obs_comm @ phi)))
@@ -386,8 +384,9 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     grid, a, b, obs = _build_operators(cfg, h)
     if cfg.t_final * sys.float_info.epsilon * float(np.max(np.abs(b))) >= 1.0:
         raise ConfigError(f"phases t_final V/h of potential {cfg.potential!r} keep no digit at h = {h:.3g}")
+    a = stencil_matrix(a, grid.n)  # the cell's one dense operator: it becomes H = A + B
     a_row = a[0].copy()  # the Trotter step reads only A's first row
-    a[np.diag_indices_from(a)] += b  # A's fresh array becomes H = A + B
+    a[np.diag_indices_from(a)] += b
     u_exact = unitary_exp(a, cfg.t_final)
     del a
     phi = u_exact @ _gaussian_state(grid) if cfg.state else None
@@ -404,28 +403,31 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
 
 def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
     """Beta and the words' norms from A and O in declared form (FD's stencils)."""
-    grid, a, b, obs = _build_operators(cfg, h, declared=True)
+    grid, a, b, obs = _build_operators(cfg, h)
     row = partial(_row, cfg, n=grid.n, h=h)
-    try:
-        # beta first, so no word of the chain is alive while it runs
-        rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
-        if words:
-            # [A, B] = A_ij (b_j - b_i); a dense A takes it as -ad_B(A), not by products
-            chain = ad(a, np.diag(b)) if isinstance(a, dict) else -ad(b, a)
-            rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
-            chain = -ad(obs, chain)
-            rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))
-            for label in COMM_WORD_LABELS[2:]:
-                chain = ad(a, chain)
-                rows.append(row(label, spectral_norm(chain)))
-    except FloatingPointError as exc:
-        raise ConfigError(f"commutators of potential {cfg.potential!r} overflow at h = {h:.3g}: {exc}") from exc
+    # beta first, so no word of the chain is alive while it runs
+    rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
+    if words:
+        # [A, B] = A_ij (b_j - b_i), taken as -ad_B(A), not by products
+        chain = -ad(b, stencil_matrix(a, grid.n))
+        rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
+        chain = -ad(obs, chain)
+        rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))
+        for label in COMM_WORD_LABELS[2:]:
+            chain = ad(a, chain)
+            rows.append(row(label, spectral_norm(chain)))
     return rows
 
 
 def _sweep(cell: Callable[[RunConfig, float], list[Row]], cfg: RunConfig) -> list[Row]:
-    """The sorted rows of cell(cfg, h) for every h of the config."""
-    return _sort_rows([row for h in cfg.h_values for row in cell(cfg, h)])
+    """The sorted rows of cell(cfg, h) for every h of the config; a commutator_lab.ad overflow is a ConfigError."""
+    rows = []
+    for h in cfg.h_values:
+        try:
+            rows += cell(cfg, h)
+        except FloatingPointError as exc:
+            raise ConfigError(f"commutators of observable {cfg.observable!r} and potential {cfg.potential!r} overflow at h = {h:.3g}: {exc}") from exc
+    return _sort_rows(rows)
 
 
 def run_verify_symbolic(cfg: RunConfig) -> list[Row]:

@@ -4,6 +4,7 @@ Matrices are numpy arrays, row-major, square for all operator uses: float64 for 
 (A, B, observables), complex128 for unitaries. Nothing here mutates its inputs, so results can be
 shared freely. A stencil is a banded periodic matrix given by its taps {r: c_r}, with S[i, (i + r)
 mod N] = c_r a scalar or one value per row i: FD's A and O are stencils, spectral ones are dense.
+stencil_matrix makes either form dense where a metric needs the matrix.
 
 The spectral norm is the root of the Gram matrix's top eigenvalue. Small or
 real Grams read it from a full eigenvalue solve. A large complex Gram G gets
@@ -79,12 +80,19 @@ def stencil_commutator(stencil: dict, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def stencil_matrix(stencil: dict, n: int) -> np.ndarray:
-    """The dense N x N matrix of a stencil; taps whose offsets agree mod N add up."""
+def stencil_matrix(stencil, n: int) -> np.ndarray:
+    """The dense N x N matrix of a stencil, taps whose offsets agree mod N adding up; a matrix is returned as is."""
+    if not isinstance(stencil, dict):
+        return stencil
     out = np.zeros((n, n), np.result_type(*stencil.values()))
     for r, c in stencil.items():
         out[np.arange(n), (np.arange(n) + r) % n] += c
     return out
+
+
+def is_finite(op) -> bool:
+    """True when every tap of a stencil, or every entry of a matrix, is finite."""
+    return all(np.isfinite(c).all() for c in (op.values() if isinstance(op, dict) else [op]))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -6,8 +6,11 @@ Laplacian or the spectral d^2/dx^2), and the potential part
 B = (1/h) diag(V(x_j)).
 
 Observables are polynomial in the derivative: O = sum_m diag(y_m) h^m D_m,
-with D_m the finite-difference ladder (build_Dk) or its spectral analogue.
+with D_m the finite-difference ladder or its spectral analogue.
 Smooth coefficients keep ||O|| of order h^0 across the semiclassical range.
+
+A and O each have one builder of their declared form (see linalg): FD's are stencils, D_m the m + 1
+taps of fd_stencil, and the spectral ones dense. build_A and build_observable are their matrices.
 """
 
 from __future__ import annotations
@@ -16,18 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (
-    Grid,
-    SchemeKind,
-    build_diag,
-    build_Dk,
-    build_spectral_derivative,
-    fd_stencil,
-    sample,
-)
+from .discretize import Grid, SchemeKind, build_diag, build_spectral_derivative, fd_stencil, sample
 from .expr import Expr
-
-_LADDER = {SchemeKind.FINITE_DIFFERENCE: build_Dk, SchemeKind.SPECTRAL: build_spectral_derivative}
+from .linalg import stencil_matrix
 
 
 @dataclass(frozen=True)
@@ -57,11 +51,18 @@ class PolyObservableSpec:
             raise ValueError(f"duplicate derivative degrees in {degrees}")
 
 
-def build_A(p: ModelParams) -> np.ndarray:
-    """Kinetic term -(h/2) D_2; Hermitian."""
-    a = -0.5 * p.h * _LADDER[p.scheme](p.grid, 2)
+def declared_A(p: ModelParams):
+    """Kinetic term -(h/2) D_2 in declared form; Hermitian."""
+    if p.scheme is SchemeKind.FINITE_DIFFERENCE:
+        return {r: -0.5 * p.h * c for r, c in fd_stencil(p.grid, 2).items()}
+    a = -0.5 * p.h * build_spectral_derivative(p.grid, 2)
     # the FFT-built spectral matrix carries ~1e-16 asymmetry; project it out
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.T)
+
+
+def build_A(p: ModelParams) -> np.ndarray:
+    """Kinetic term -(h/2) D_2 as a dense matrix."""
+    return stencil_matrix(declared_A(p), p.grid.n)
 
 
 def build_B(p: ModelParams) -> np.ndarray:
@@ -69,30 +70,18 @@ def build_B(p: ModelParams) -> np.ndarray:
     return build_diag(p.grid, p.potential) / p.h
 
 
-def build_observable(
-    spec: PolyObservableSpec,
-    grid: Grid,
-    scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE,
-) -> np.ndarray:
-    """Assemble O = sum_m diag(y_m) h^m D_m, not symmetrized: the error analysis allows any O.
-
-    D_m is the D_F ladder of build_Dk (finite differences) or the spectral d^m/dx^m.
-    """
-    out = np.zeros((grid.n, grid.n))
-    for m, y_m in spec.terms:
-        out += sample(grid, y_m)[:, None] * _LADDER[scheme](grid, m) * spec.h**m
-    return out
-
-
-def declared_operators(p: ModelParams, spec: PolyObservableSpec):
-    """A and O in declared form: FD's stencils (see linalg), bit for bit build_A's and
-    build_observable's entries while no taps wrap onto each other (O's taps hold one value per
-    row); the spectral dense matrices."""
-    if p.scheme is SchemeKind.SPECTRAL:
-        return build_A(p), build_observable(spec, p.grid, p.scheme)
+def declared_observable(spec: PolyObservableSpec, grid: Grid, scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE):
+    """O = sum_m diag(y_m) h^m D_m in declared form, not symmetrized: the error analysis allows any O."""
+    if scheme is SchemeKind.SPECTRAL:
+        return sum(sample(grid, y_m)[:, None] * build_spectral_derivative(grid, m) * spec.h**m for m, y_m in spec.terms)
     taps = {}
     for m, y_m in spec.terms:
-        y = sample(p.grid, y_m)
-        for r, c in fd_stencil(p.grid, m).items():
+        y = sample(grid, y_m)
+        for r, c in fd_stencil(grid, m).items():
             taps[r] = taps.get(r, 0.0) + y * c * spec.h**m
-    return {r: -0.5 * p.h * c for r, c in fd_stencil(p.grid, 2).items()}, taps
+    return taps
+
+
+def build_observable(spec: PolyObservableSpec, grid: Grid, scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE) -> np.ndarray:
+    """O = sum_m diag(y_m) h^m D_m as a dense matrix."""
+    return stencil_matrix(declared_observable(spec, grid, scheme), grid.n)

@@ -83,7 +83,7 @@ def test_beta_p2_enumerates_eight_words():
 def _sweep_operators(scheme, n):
     # A and O in declared form, as the sweeps build them: FD's are stencils
     cfg = build_config("comm-sweep", {"scheme": scheme})
-    _, a, potential, obs = _build_operators(cfg, 1.0 / n, declared=True)
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
     return a, np.diag(potential), obs
 
 
@@ -119,24 +119,37 @@ def test_beta_pruning_skips_norms(monkeypatch):
             assert len(calls) == 1, (scheme, p)
 
 
-@pytest.mark.parametrize("scheme, per_h", [("fd", {"comm-sweep": 0, "beta": 0}), ("spectral", {"comm-sweep": 10, "beta": 7})])
+@pytest.mark.parametrize(
+    "scheme, per_h",
+    [
+        ("fd", {"comm-sweep": 0, "beta": 0, "dt-sweep": 0, "h-sweep": 0}),
+        ("spectral", {"comm-sweep": 10, "beta": 7, "dt-sweep": 2 * 2, "h-sweep": 2 * 1}),
+    ],
+)
 def test_only_dense_operators_take_dense_commutators(monkeypatch, scheme, per_h):
-    # FD's A and O are stencils; the spectral ones keep ad_A's 7 products of beta at p = 2,
-    # plus [[A,B],O] and two ad_A for the words
+    # FD's A and O are stencils in every cell. The spectral ones take, per h, ad_A's 7 products
+    # of beta at p = 2, plus [[A,B],O] and two ad_A for the words; and [O, W - I] once per
+    # (p, dt) cell of the evolution sweeps
+    runs = {
+        "comm-sweep": {"h": "1/32, 1/64"},
+        "beta": {"h": "1/32, 1/64"},
+        "dt-sweep": {"N": "32", "orders": "2, 4", "dt": "1/4, 1/8"},
+        "h-sweep": {"h": "1/32, 1/64", "orders": "2, 4", "dt": "1/4"},
+    }
     calls = []
-    for module in (commutator_lab, experiments):
-        monkeypatch.setattr(module, "commutator", lambda x, y, f=module.commutator: calls.append(1) or f(x, y))
+    monkeypatch.setattr(commutator_lab, "commutator", lambda x, y, f=commutator: calls.append(1) or f(x, y))
     for experiment, count in per_h.items():
         calls.clear()
-        run_experiment(build_config(experiment, {"h": "1/32, 1/64", "scheme": scheme}))
-        assert len(calls) == 2 * count, experiment
+        cfg = build_config(experiment, {**runs[experiment], "scheme": scheme})
+        run_experiment(cfg)
+        assert len(calls) == len(cfg.h_values) * count, experiment
 
 
 def test_beta_holds_few_chains():
     # the walk keeps at most p + 2 chains alive, plus the ad-steps' and the norm's temporaries
     n, p = 256, 6
     cfg = build_config("beta")
-    _, a, potential, obs = _build_operators(cfg, 1.0 / n, declared=True)
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
     tracemalloc.start()
     try:
         compute_beta_comm(p, a, potential, obs)

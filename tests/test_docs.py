@@ -3,12 +3,14 @@
 import ast
 import importlib
 import inspect
+import pkgutil
 import re
 import runpy
 from pathlib import Path
 
 import pytest
 
+import semitrotter
 from semitrotter.experiments import build_config, parse_config_text, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +71,16 @@ def test_readme_library_quick_start_runs(capsys):
         if (r.p, r.dt, r.metric) == (4, 1 / 16, "observable_error")
     ]
     assert printed == row.value
+
+
+def test_readme_module_references_resolve():
+    # a `module.name` in the README that names a semitrotter submodule must be one of its attributes
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    submodules = {info.name for info in pkgutil.iter_modules(semitrotter.__path__)}
+    refs = [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", readme) if module in submodules]
+    assert refs
+    for module, name in refs:
+        assert hasattr(importlib.import_module(f"semitrotter.{module}"), name), f"{module}.{name}"
 
 
 def test_readme_config_example_is_the_dt_sweep_default():

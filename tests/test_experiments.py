@@ -610,6 +610,29 @@ def test_cli_observable_not_finite_exit_code(tmp_path, capsys, experiment, schem
     assert err.startswith(f"config error: observable {observable!r} ") and "N=64 grid" in err, err
 
 
+@pytest.mark.parametrize("experiment", ["dt-sweep", "h-sweep", "comm-sweep", "beta"])
+@pytest.mark.parametrize("scheme", ["fd", "spectral"])
+def test_cli_kinetic_term_not_finite_exit_code(tmp_path, capsys, experiment, scheme):
+    # on an interval of length 1e-300, (h/2)/dx^2 overflows: A is refused where it is built,
+    # not as a non-finite H in the eigensolver or as an overflow of the potential's commutators
+    config = tmp_path / "interval.cfg"
+    config.write_text(f"a = 0\nb = 1e-300\nN = 8\nh = 1/8\nscheme = {scheme}\n", encoding="utf-8")
+    err = _one_line_exit_2([experiment, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert err == "config error: kinetic term -(h/2) D_2 is not finite on the N=8 grid of [0, 1e-300) at h = 0.125\n", err
+
+
+@pytest.mark.parametrize("experiment", ["comm-sweep", "beta"])
+@pytest.mark.parametrize("scheme", ["fd", "spectral"])
+def test_cli_commutator_overflow_names_the_observable(tmp_path, capsys, experiment, scheme):
+    # the potential is tame and O near the float range: the message names both
+    observable = "0:1e308*cos(x), 1:1e308"
+    config = tmp_path / "huge-O.cfg"
+    config.write_text(f'observable = "{observable}"\nN = 8\nh = 1/8\nscheme = {scheme}\n', encoding="utf-8")
+    err = _one_line_exit_2([experiment, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    expected = f"config error: commutators of observable {observable!r} and potential 'cos(x)' overflow at h = 0.125: "
+    assert err.startswith(expected), err
+
+
 def test_cli_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     from semitrotter import experiments as exp_mod
 

@@ -1,20 +1,20 @@
 """Hamiltonian assembly and polynomial observable tests."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from semitrotter.discretize import Grid, SchemeKind, build_diag, build_Dk
+from semitrotter.discretize import Grid, SchemeKind, build_diag, build_Dk, sample
 from semitrotter.expr import parse_expr
-from semitrotter.linalg import commutator, hermiticity_defect, spectral_norm, stencil_matrix
+from semitrotter.linalg import commutator, hermiticity_defect, spectral_norm
 from semitrotter.model import (
     ModelParams,
     PolyObservableSpec,
     build_A,
     build_B,
     build_observable,
-    declared_operators,
 )
 
 COS = parse_expr("cos(x)")
@@ -142,24 +142,61 @@ def test_observable_fd_spectral_agree_as_N_grows():
     assert slope < 0
 
 
+def _product_ladder(g, m):
+    """D_F^(m mod 2) D_2^(m//2) by matrix products, from D_F = (S - I)/dx and D_2 = D_B D_F."""
+    eye = np.eye(g.n)
+    d_f = (np.roll(eye, 1, axis=1) - eye) / g.dx
+    out = np.linalg.matrix_power(-d_f.T @ d_f, m // 2)
+    return d_f @ out if m % 2 else out
+
+
+def _spectral_ladder(g, m):
+    """IDFT diag((i xi)^m) DFT from the DFT matrix, the unpaired Nyquist multiplier zeroed for odd m."""
+    xi = 2.0 * np.pi / (g.b - g.a) * np.fft.fftfreq(g.n, d=1.0 / g.n)
+    mult = (1j * xi) ** m
+    if m % 2:
+        mult[g.n // 2] = 0.0
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(g.n), np.arange(g.n)) / g.n)
+    out = dft.conj().T @ (mult[:, None] * dft) / g.n
+    assert np.max(np.abs(out.imag)) <= 1e-12 * np.max(np.abs(out))
+    return out.real
+
+
+def _assembly(ladder, g, spec):
+    """sum_m diag(y_m) h^m D_m, each D_m from the given ladder."""
+    out = np.zeros((g.n, g.n))
+    for m, y_m in spec.terms:
+        out += sample(g, y_m)[:, None] * ladder(g, m) * spec.h**m
+    return out
+
+
 @pytest.mark.parametrize("n", [4, 16, 64, 1024])
-def test_declared_fd_operators_are_the_dense_ones(n):
-    # FD's stencils hold bit for bit the entries of build_A and build_observable; at N = 4 only
-    # up to degree 2, since degree 5's six taps wrap onto each other and add in another order
-    terms = ((0, COS), (1, SIN), (2, parse_expr("exp(sin(x))")))
-    if n > 5:
-        terms += ((3, parse_expr("cos(2*x)")), (5, parse_expr("sin(x)^2")))
+def test_fd_operators_are_the_product_ladder_assembly(n):
+    # exact for degree <= 2, and within rounding to degree 5, where the stencil's taps scale
+    # C(m, j) by (1/dx)^m and the products round per factor; N = 4 keeps degree <= 2, since
+    # degree 5's six taps wrap onto each other
+    low = ((0, COS), (1, SIN), (2, parse_expr("exp(sin(x))")))
+    high = low + ((3, parse_expr("cos(2*x)")), (5, parse_expr("sin(x)^2")))
+    ladder = functools.cache(_product_ladder)
     for h in (1.0 / n, 0.3, 1e-5):
         params = _params(h=h, n=n)
-        spec = PolyObservableSpec(terms, h)
-        a, obs = declared_operators(params, spec)
-        assert np.array_equal(stencil_matrix(a, n), build_A(params))
-        assert np.array_equal(stencil_matrix(obs, n), build_observable(spec, params.grid))
+        g = params.grid
+        assert np.array_equal(build_A(params), -0.5 * h * ladder(g, 2))
+        spec = PolyObservableSpec(low, h)
+        assert np.array_equal(build_observable(spec, g), _assembly(ladder, g, spec))
+        if n > 5:
+            spec = PolyObservableSpec(high, h)
+            expected = _assembly(ladder, g, spec)
+            assert np.max(np.abs(build_observable(spec, g) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_declared_spectral_operators_are_dense():
-    params = _params(scheme=SchemeKind.SPECTRAL)
-    spec = PolyObservableSpec(((0, COS), (1, SIN)), params.h)
-    a, obs = declared_operators(params, spec)
-    assert np.array_equal(a, build_A(params))
-    assert np.array_equal(obs, build_observable(spec, params.grid, SchemeKind.SPECTRAL))
+@pytest.mark.parametrize("n", [16, 64])
+def test_spectral_operators_are_the_dft_assembly(n):
+    params = _params(h=1.0 / n, n=n, scheme=SchemeKind.SPECTRAL)
+    g = params.grid
+    expected = -0.5 * params.h * _spectral_ladder(g, 2)
+    assert np.max(np.abs(build_A(params) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    spec = PolyObservableSpec(((0, COS), (1, SIN), (2, parse_expr("exp(sin(x))")), (3, parse_expr("cos(2*x)"))), params.h)
+    expected = _assembly(_spectral_ladder, g, spec)
+    got = build_observable(spec, g, SchemeKind.SPECTRAL)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -91,6 +91,31 @@ def test_beta_is_uniform_at_orders_4_and_6():
         assert max(values) / min(values) <= 2.0, (p, values)
 
 
+def _fine_end_slope(rows, p: int, metric: str) -> float:
+    """Local slope of one series between its two smallest h."""
+    pts = sorted((r.h, r.value) for r in rows if r.p == p and r.metric == metric)
+    return fit_slope(pts[:2]).slope
+
+
+def test_h_uniformity_at_orders_8_and_10():
+    # the paper's arbitrary order on the evolution side, resolved and above the float64 floor at
+    # dt = 1/2: criterion 2's bands, the observable error's judged by its local slope at the fine end
+    cfg = build_config("h-sweep", {"h": "1/32, 1/64, 1/128, 1/256", "orders": "8, 10", "dt": "1/2"})
+    rows = run_experiment(cfg)
+    for p in (8, 10):
+        observable = _fine_end_slope(rows, p, "observable_error")
+        unitary = _fine_end_slope(rows, p, "unitary_error")
+        assert -0.2 <= observable <= 0.2 and -1.3 <= unitary <= -0.7, (p, observable, unitary)
+
+
+def test_beta_is_uniform_at_order_8():
+    # criterion 4's max/min ratio <= 2 at p = 8
+    rows = run_experiment(build_config("beta", {"h": "1/32, 1/64, 1/128", "orders": "8"}))
+    values = [r.value for r in rows if r.metric == "beta_comm"]
+    assert len(values) == 3
+    assert max(values) / min(values) <= 2.0, values
+
+
 def test_h_sweep_negative_control(monkeypatch):
     """Only the in-class observable keeps its error flat in h."""
     cfg = build_config("h-sweep", {"h": "1/32, 1/64, 1/128, 1/256", "orders": "2, 4"})
