@@ -15,9 +15,12 @@ splitting:
   alpha_tilde: ||ad_H^{p+1}(O)|| for the full Hamiltonian H.
 
 The 2^(p+1) chains are walked depth-first, each prefix's chain built once and
-dropped after its subtree, so at most p + 2 N x N chains are alive. B comes as
-its diagonal b, so ad_B is the O(N^2) scaling M_ij (b_i - b_j); A and O come in
-declared form (see ad), FD's as stencils, so ad_A costs O(N^2) too. Beta skips
+dropped after its subtree, so at most p + 2 chains are alive. B comes as its
+diagonal b and A and O in declared form (see ad). FD's A and O are stencils, so
+every chain is a stencil: ad_B scales its taps by b_i - b_(i+r) and ad_A
+brackets taps, in O(N) per pair of taps, and a chain's norm and bound are read
+from its taps (see linalg.spectral_norm). Spectral chains are dense N x N matrices: ad_B is the
+O(N^2) scaling M_ij (b_i - b_j) and ad_A two products. Beta skips
 the norms of chains whose bound sqrt(||M||_1 ||M||_inf) cannot set the maximum.
 Alpha norms every chain and weighs it by one backward recurrence over the
 stages, which yields its multinomial weight in every suffix at once.
@@ -44,27 +47,38 @@ def nested_comm(word: CommWord, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -
     return result
 
 
-def ad(x, m: np.ndarray) -> np.ndarray:
-    """[X, M], X a stencil (FD's A, O), a diagonal's entries (B) or a matrix; FloatingPointError on overflow."""
+def ad(x, m):
+    """[X, M], X a stencil (FD's A, O), a diagonal's entries (B) or a matrix; FloatingPointError on overflow.
+
+    M is a stencil or a matrix. The result is a stencil when X is a stencil or a diagonal and M a
+    stencil: B is then the stencil {0: b}, so ad_B of taps {r: c_r} is {r: (b_i - b_(i+r)) c_r[i]},
+    the difference first (see linalg.stencil_commutator). A matrix X makes a stencil M dense first.
+    """
     with np.errstate(over="raise", invalid="raise"):
         if isinstance(x, dict):
             return stencil_commutator(x, m)
         if np.ndim(x) == 1:
+            if isinstance(m, dict):
+                return stencil_commutator({0: x}, m)
             return x[:, None] * m - m * x
-        return commutator(x, m)
+        return commutator(x, stencil_matrix(m, len(x)))
 
 
 def _word_chains(p: int, a, potential: np.ndarray, obs) -> Iterator[tuple[CommWord, np.ndarray]]:
     """Yield every (p+1)-letter word with its ad-chain, depth-first; potential is B's diagonal.
 
-    A and O are stencils or matrices (see ad); O is made dense as the walk's root.
+    A and O are stencils or matrices (see ad), and the chains keep O's form.
     B comes before A: on the sweeps' operators the first leaf, ad_B^(p+1)(O), is the
     largest, so beta's pruning takes a single norm.
     """
     d = np.asarray(potential)
-    obs = as_matrix(stencil_matrix(obs, len(d)))
-    if d.shape != obs.shape[:1]:
-        raise DimensionMismatchError(f"need B's diagonal of length {obs.shape[0]}, got shape {d.shape}")
+    if isinstance(obs, dict):
+        sizes = {np.shape(c)[0] for c in obs.values() if np.ndim(c)}
+    else:
+        obs = as_matrix(obs)
+        sizes = {obs.shape[0]}
+    if d.ndim != 1 or sizes - {d.size}:
+        raise DimensionMismatchError(f"need B's diagonal to match O's rows {sorted(sizes)}, got shape {d.shape}")
     if d.imag.any():
         raise NonHermitianError("B must have a real diagonal")
     generators = {"A": a, "B": d}
@@ -79,10 +93,19 @@ def _word_chains(p: int, a, potential: np.ndarray, obs) -> Iterator[tuple[CommWo
     return walk((), obs)
 
 
-def _norm_bound(m: np.ndarray) -> float:
-    """sqrt(||M||_1 ||M||_inf) >= ||M||_2, in O(N^2)."""
-    mag = np.abs(m)
-    return float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max()))
+def _norm_bound(m) -> float:
+    """sqrt(||M||_1 ||M||_inf) >= ||M||_2, in O(N^2), or O(taps N) from a stencil's taps.
+
+    A stencil's row i sums |c_r[i]| and its column j |c_r[j - r]|; taps whose offsets meet
+    mod N only raise the sums, so the bound holds.
+    """
+    if isinstance(m, dict):
+        mags = {r: np.abs(c) for r, c in m.items()}
+        rows, cols = sum(mags.values()), sum(np.roll(g, r) for r, g in mags.items())
+    else:
+        mag = np.abs(m)
+        rows, cols = mag.sum(axis=1), mag.sum(axis=0)
+    return float(np.sqrt(np.max(cols) * np.max(rows)))
 
 
 def compute_beta_comm(p: int, a, potential: np.ndarray, obs) -> float:
@@ -129,12 +152,11 @@ def compute_alpha_comm(p: int, plan_len: int, a, potential: np.ndarray, obs) -> 
     return max(sums)
 
 
-def compute_alpha_tilde(p: int, h: np.ndarray, obs: np.ndarray) -> float:
-    """||ad_H^(p+1)(O)||."""
+def compute_alpha_tilde(p: int, h, obs) -> float:
+    """||ad_H^(p+1)(O)||, H and O each a stencil or a matrix (see ad)."""
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    h = as_matrix(h)
-    result = as_matrix(obs)
+    result = obs
     for _ in range(p + 1):
-        result = commutator(h, result)
+        result = ad(h, result)
     return spectral_norm(result)

@@ -408,10 +408,10 @@ def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
     # beta first, so no word of the chain is alive while it runs
     rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
     if words:
-        # [A, B] = A_ij (b_j - b_i), taken as -ad_B(A), not by products
-        chain = -ad(b, stencil_matrix(a, grid.n))
+        # ad_B(A) = [B, A] = -[A, B], not by products, has [A, B]'s norm; then ad_O of it is [[A, B], O]
+        chain = ad(b, a)
         rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
-        chain = -ad(obs, chain)
+        chain = ad(obs, chain)
         rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))
         for label in COMM_WORD_LABELS[2:]:
             chain = ad(a, chain)

@@ -4,10 +4,13 @@ Matrices are numpy arrays, row-major, square for all operator uses: float64 for 
 (A, B, observables), complex128 for unitaries. Nothing here mutates its inputs, so results can be
 shared freely. A stencil is a banded periodic matrix given by its taps {r: c_r}, with S[i, (i + r)
 mod N] = c_r a scalar or one value per row i: FD's A and O are stencils, spectral ones are dense.
-stencil_matrix makes either form dense where a metric needs the matrix.
+The bracket of two stencils is a stencil, so FD's commutator chains never leave that form; it
+carries its N, so numpy reads it as its dense matrix. stencil_matrix makes either form dense
+where a metric needs the matrix.
 
-The spectral norm is the root of the Gram matrix's top eigenvalue. Small or
-real Grams read it from a full eigenvalue solve. A large complex Gram G gets
+The spectral norm is the root of the Gram matrix's top eigenvalue. A stencil's
+Gram is formed from its taps, in O(taps^2 N), and only that Gram is made dense.
+Small or real Grams read it from a full eigenvalue solve. A large complex Gram G gets
 it from Lanczos started at a seeded random vector, which reaches the top of
 the spectrum even when that eigenvalue is degenerate (as for the commutator
 and unitary matrices the sweeps build), because a random start has a nonzero
@@ -19,6 +22,8 @@ shifted matrix. So no value rests on the iteration having converged.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -65,8 +70,45 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def stencil_commutator(stencil: dict, m: np.ndarray) -> np.ndarray:
-    """[S, M] in O(taps N^2): row i of SM adds c_r[i] M[i + r], column j of MS M[:, j - r] c_r[j - r]."""
+def _size(taps) -> int:
+    """N read from a stencil's per-row taps; 0 when every tap is a scalar."""
+    return max((np.size(c) for c in taps if np.ndim(c)), default=0)
+
+
+class _Stencil(dict):
+    """A bracket's taps with their N: numpy reads it as its dense matrix (np.asarray, shape)."""
+
+    def __init__(self, taps: dict, n: int):
+        super().__init__(taps)
+        self.shape = (n, n)
+
+    def __array__(self, dtype=None, copy=None):
+        m = stencil_matrix(self, self.shape[0])
+        return m if dtype is None else m.astype(dtype)
+
+
+def stencil_commutator(stencil: dict, m):
+    """[S, M] in O(taps N^2): row i of SM adds c_r[i] M[i + r], column j of MS M[:, j - r] c_r[j - r].
+
+    A stencil M = {q: d_q} gives the stencil [S, M] in O(taps_S taps_M N), with taps at
+    (r + q) mod N of c_r[i] d_q[i + r] - d_q[i] c_r[i + q], taken as
+    c_r[i] (d_q[i + r] - d_q[i]) + d_q[i] (c_r[i] - c_r[i + q]): the differences of
+    neighbouring taps cancel before the products, so smooth taps lose no digits to it
+    and a scalar tap's own term is exactly 0. Two scalar taps commute, so two stencils
+    of scalar taps give {}; otherwise the per-row taps give N, and the result has it.
+    """
+    if isinstance(m, dict):
+        n = _size((*stencil.values(), *m.values()))
+        if n == 0:
+            return {}
+        out = {}
+        for (r, c), (q, d) in product(stencil.items(), m.items()):
+            if np.ndim(c) == np.ndim(d) == 0:
+                continue
+            k = (r + q) % n
+            tap = c * (np.roll(d, -r) - d) + d * (c - np.roll(c, -q))
+            out[k] = out[k] + tap if k in out else tap
+        return _Stencil(out, n)
     n = m.shape[0]
     out = np.zeros((n, n), np.result_type(m, *stencil.values()))
     for r, c in stencil.items():
@@ -84,7 +126,7 @@ def stencil_matrix(stencil, n: int) -> np.ndarray:
     """The dense N x N matrix of a stencil, taps whose offsets agree mod N adding up; a matrix is returned as is."""
     if not isinstance(stencil, dict):
         return stencil
-    out = np.zeros((n, n), np.result_type(*stencil.values()))
+    out = np.zeros((n, n), np.result_type(0.0, *stencil.values()))  # {} is the zero matrix
     for r, c in stencil.items():
         out[np.arange(n), (np.arange(n) + r) % n] += c
     return out
@@ -153,23 +195,30 @@ _LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108; the certificate catc
 _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value s sqrt(lambda_max((M/s)^dagger (M/s))), s = max |M_ij|.
+def spectral_norm(m) -> float:
+    """Largest singular value s sqrt(lambda_max((M/s)^dagger (M/s))), s = max |M_ij| or max |tap|.
 
-    The scaling rules out overflow and underflow. Real and small Grams take a full
+    The scaling rules out overflow and underflow. A stencil M (one value per row in some
+    tap) forms its Gram from the taps, G[j, j + q - r] += conj(c_r[j - r]) c_q[j - r] in
+    O(taps^2 N), instead of the N^3 product. Real and small Grams take a full
     eigenvalue solve, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
     backward-stable). Large complex Grams take a certified Lanczos value, within 1e-10
     (tau) relative plus O(N eps) of lambda_max, so the norm is within half that.
-    Non-finite entries raise ConvergenceError.
+    Non-finite entries or taps raise ConvergenceError.
     """
-    m = as_matrix(m)
-    scale = float(np.max(np.abs(m), initial=0.0))  # an empty M has norm 0
+    stencil = isinstance(m, dict)
+    if not stencil:
+        m = as_matrix(m)
+    scale = float(np.max([np.max(np.abs(c), initial=0.0) for c in (m.values() if stencil else [m])], initial=0.0))
     if not np.isfinite(scale):
         raise ConvergenceError("spectral norm of a matrix with non-finite entries")
-    if scale == 0.0:
+    if scale == 0.0:  # the zero or empty M has norm 0
         return 0.0
-    m = m / scale
-    gram = m.conj().T @ m
+    if stencil:
+        gram = _stencil_gram({r: c / scale for r, c in m.items()})
+    else:
+        m = m / scale
+        gram = m.conj().T @ m
     del m  # the certificate's Cholesky buffers take the place of the scaled copy
     try:
         if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
@@ -179,6 +228,19 @@ def spectral_norm(m: np.ndarray) -> float:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
+
+
+def _stencil_gram(taps: dict) -> np.ndarray:
+    """The dense Gram M^dagger M of a stencil M whose per-row taps give N."""
+    n = _size(taps.values())
+    if n == 0:
+        raise DimensionMismatchError("a stencil's size is read from its per-row taps; every tap is a scalar")
+    gram = {}
+    for (r, c), (q, d) in product(taps.items(), repeat=2):
+        k = (q - r) % n
+        g = np.roll(np.conj(c) * d, r)
+        gram[k] = gram[k] + g if k in gram else g
+    return stencil_matrix(gram, n)
 
 
 def _lanczos_top(gram: np.ndarray) -> float:

@@ -90,16 +90,26 @@ def _sweep_operators(scheme, n):
 @pytest.mark.parametrize("scheme", ["fd", "spectral"])
 @pytest.mark.parametrize("n", [32, 256])
 def test_beta_pruning_equals_full_maximum(scheme, n):
-    # the reference chains fold the walk's own ad steps from the dense O
+    # the reference chains fold the walk's ad steps from the dense O. FD's walk keeps stencils,
+    # whose taps add in another order, so their matrices agree to rounding: within 1e-15 of the
+    # largest entry of the same fold on |A|, |B| and |O|, which bounds both roundings (ad_A^3(O)
+    # cancels to 1e-9 of that scale at N = 256, so the chain's own largest entry is no scale)
     a, b, obs = _sweep_operators(scheme, n)
-    generators = {"A": a, "B": np.diag(b)}
-    root = stencil_matrix(obs, n) if isinstance(obs, dict) else obs
+    generators = {"A": stencil_matrix(a, n), "B": np.diag(b)}
+    mags = {"A": np.abs(generators["A"]), "B": np.abs(b)}
+    root = stencil_matrix(obs, n)
     for p in (1, 2, 3):
-        words = list(itertools.product("AB", repeat=p + 1))
-        folded = {w: functools.reduce(lambda m, label: ad(generators[label], m), w, root) for w in words}
         chains = dict(commutator_lab._word_chains(p, a, np.diag(b), obs))
-        assert all(np.array_equal(chains[w], folded[w]) for w in words)
-        assert compute_beta_comm(p, a, np.diag(b), obs) == max(spectral_norm(m) for m in folded.values())
+        for w in itertools.product("AB", repeat=p + 1):
+            folded = functools.reduce(lambda m, label: ad(generators[label], m), w, root)
+            chain = stencil_matrix(chains[w], n)
+            assert isinstance(chains[w], dict) == isinstance(obs, dict)
+            if scheme == "fd":
+                scale = functools.reduce(lambda m, label: mags[label] @ m + m @ mags[label], w, np.abs(root))
+                assert np.max(np.abs(chain - folded)) <= 1e-15 * np.max(scale), w
+            else:
+                assert np.array_equal(chain, folded), w
+        assert compute_beta_comm(p, a, np.diag(b), obs) == max(spectral_norm(m) for m in chains.values())
 
 
 def test_beta_pruning_skips_norms(monkeypatch):
@@ -172,6 +182,7 @@ def _nan_at_3_5(operand):
         pytest.param(2, _nan_at_3_5(0), id="0"),
         pytest.param(2, _nan_at_3_5(2), id="2"),
         pytest.param(1, [np.eye(3), np.array([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
+        pytest.param(2, [{-1: 1.0, 0: -2.0, 1: 1.0}, np.arange(16.0), {0: np.where(np.arange(16) == 3, np.nan, 1.0)}], id="nan-in-stencil-O"),
     ],
 )
 def test_beta_non_finite_chain_raises(p, ops):
@@ -187,11 +198,46 @@ def test_beta_non_finite_chain_raises(p, ops):
         pytest.param(2, _nan_at_3_5(0), id="0"),
         pytest.param(2, _nan_at_3_5(2), id="2"),
         pytest.param(1, [np.eye(3), np.array([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
+        pytest.param(2, [{-1: 1.0, 0: -2.0, 1: 1.0}, np.arange(16.0), {0: np.where(np.arange(16) == 3, np.nan, 1.0)}], id="nan-in-stencil-O"),
     ],
 )
 def test_alpha_non_finite_chain_raises(p, ops):
     with pytest.raises(ConvergenceError):
         compute_alpha_comm(p, 3, *ops)
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_ad_on_stencils_matches_dense(n):
+    # ad_B, ad of a stencil and ad of a matrix on a stencil with per-row taps at offsets
+    # that meet mod N at N = 4 and 5, and the norm bound from its taps
+    rng = np.random.default_rng(50 + n)
+    b = 10.0 * rng.standard_normal(n)
+    a = {-1: 3.0, 0: -6.0, 1: 3.0}
+    x = rng.standard_normal((n, n))
+    for m in ({r: rng.standard_normal(n) for r in (-3, -1, 0, 2, 5)}, {0: np.cos(np.arange(n)), 1: 2.0}):
+        dense = stencil_matrix(m, n)
+        for gen, dense_gen in ((b, np.diag(b)), (a, stencil_matrix(a, n))):
+            got = ad(gen, m)
+            assert isinstance(got, dict)
+            scale = np.max(np.abs(dense_gen) @ np.abs(dense) + np.abs(dense) @ np.abs(dense_gen))
+            assert np.max(np.abs(stencil_matrix(got, n) - commutator(dense_gen, dense))) <= 1e-14 * scale
+        assert np.array_equal(ad(x, m), commutator(x, dense))
+        bound = commutator_lab._norm_bound(m)
+        assert bound >= np.linalg.norm(dense, 2)
+        if n > 10:  # no two offsets meet: the bound is the dense matrix's
+            assert bound == pytest.approx(commutator_lab._norm_bound(dense), rel=1e-14)
+    assert commutator_lab._norm_bound({}) == 0.0
+
+
+def test_alpha_tilde_takes_either_form():
+    # H = A + B and O from the FD sweep at N = 16, each as a stencil or as its matrix
+    n = 16
+    _, a, potential, obs = _build_operators(build_config("comm-sweep"), 1.0 / n)
+    h = {**a, 0: a[0] + potential}
+    for p in (1, 2):
+        reference = compute_alpha_tilde(p, stencil_matrix(h, n), stencil_matrix(obs, n))
+        for hh, oo in itertools.product((h, stencil_matrix(h, n)), (obs, stencil_matrix(obs, n))):
+            assert compute_alpha_tilde(p, hh, oo) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
 def test_potential_length_must_match():
@@ -344,3 +390,27 @@ def test_word_set_uniform_in_h_on_resolved_grid():
         assert abs(slope) <= 0.15, f"word {w}: slope {slope}"
     ab_slope = np.polyfit(log_h, np.log(ab_norms), 1)[0]
     assert abs(ab_slope + 1.0) <= 0.1
+
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than float64 here")
+def test_comm_sweep_words_match_long_double_chains():
+    # the four words at N = 512 against their chains folded in long double from the same
+    # float64 taps, by row and column shifts of the dense chain, rounded once and normed by SVD
+    n = 512
+    cfg = build_config("comm-sweep", {"h": "1/512"})
+    values = {r.metric: r.value for r in run_experiment(cfg)}
+    _, a, potential, obs = _build_operators(cfg, 1.0 / n)
+
+    def bracket(taps, m):  # [S, M]: row i of SM adds c_r[i] M[i + r], column j of MS M[:, j - r] c_r[j - r]
+        taps = {r: np.broadcast_to(np.asarray(c, np.longdouble), (n,)) for r, c in taps.items()}
+        return sum(c[:, None] * np.roll(m, -r, axis=0) - np.roll(m * c, r, axis=1) for r, c in taps.items())
+
+    b = potential.astype(np.longdouble)
+    chain = stencil_matrix(a, n).astype(np.longdouble) * (b[None, :] - b[:, None])
+    chains = [chain, -bracket(obs, chain)]
+    chains += [bracket(a, chains[-1])]
+    chains += [bracket(a, chains[-1])]
+    for label, chain in zip(experiments.COMM_WORD_LABELS, chains):
+        reference = float(np.linalg.norm(chain.astype(np.float64), 2))
+        assert values[label] == pytest.approx(reference, rel=2e-14, abs=0), label

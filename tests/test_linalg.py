@@ -209,18 +209,22 @@ def test_spectral_norm_non_finite_raises_convergence_error(dtype, bad):
 
 
 def _norm_oracle(m):
-    # a complex SVD, independent of the Gram eigenvalue that spectral_norm uses
+    # a complex SVD, independent of the Gram eigenvalue that spectral_norm uses; numpy reads a
+    # bracket's stencil as its dense matrix
     return float(np.linalg.norm(np.asarray(m, np.complex128), 2))
 
 
 def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
-    # the comm-sweep word chains at h = 1/32 (FD and spectral) have a degenerate
-    # top singular value, and the order-6 h-sweep [O, W - I] and W - I are below 1e-8
+    # the comm-sweep word chains at h = 1/32 (FD's four are stencils on N = 32, the spectral
+    # ones dense) have a degenerate top singular value, and the order-6 h-sweep [O, W - I]
+    # and W - I are below 1e-8
     import semitrotter.experiments as ex
 
     pairs = []
+    stencils = []
 
     def checked(m):
+        stencils.append(isinstance(m, dict))
         pairs.append((spectral_norm(m), _norm_oracle(m)))
         return pairs[-1][0]
 
@@ -229,6 +233,7 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
     ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/32", "scheme": "spectral"}))
     ex.run_experiment(ex.build_config("h-sweep", {"h": "1/32, 1/64", "orders": "6"}))
     assert len(pairs) == 2 * len(ex.COMM_WORD_LABELS) + 2 * 2
+    assert sum(stencils) == len(ex.COMM_WORD_LABELS)
     for value, oracle in pairs:
         assert value == pytest.approx(oracle, rel=1e-8)
 
@@ -415,6 +420,68 @@ def test_stencil_commutator_matches_dense(n):
             got = stencil_commutator(s, m)
             assert got.dtype == expected.dtype
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# at N = 4 and 5, the offsets -3 and 5 land on others mod N
+_WRAPPING_OFFSETS = (-3, -1, 0, 2, 5)
+
+
+def _random_stencils(rng, n):
+    """Per-row real and complex taps at wrapping offsets, and A-like scalar taps beside per-row ones."""
+    real = {r: rng.standard_normal(n) for r in _WRAPPING_OFFSETS}
+    cplx = {r: rng.standard_normal(n) + 1j * rng.standard_normal(n) for r in _WRAPPING_OFFSETS}
+    mixed = {-1: 0.5, 0: -1.0, 1: 0.5, 3: rng.standard_normal(n)}
+    return [real, cplx, mixed]
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_stencil_bracket_matches_dense_products(n):
+    # [S, T] of two stencils is a stencil; the reference is XY - YX of their dense matrices, and
+    # the tolerance scales with |X||Y| + |Y||X|, which bounds the rounding of both
+    rng = np.random.default_rng(30 + n)
+    stencils = _random_stencils(rng, n) + [{-1: 2.0, 0: -4.0, 1: 2.0}]
+    for s in stencils:
+        for t in stencils:
+            got = stencil_commutator(s, t)
+            assert isinstance(got, dict)
+            x, y = stencil_matrix(s, n), stencil_matrix(t, n)
+            if got:  # numpy reads the bracket as its dense matrix
+                assert got.shape == (n, n) and np.array_equal(np.asarray(got), stencil_matrix(got, n))
+            scale = np.max(np.abs(x) @ np.abs(y) + np.abs(y) @ np.abs(x))
+            assert np.max(np.abs(stencil_matrix(got, n) - commutator(x, y)), initial=0.0) <= 1e-14 * scale
+    assert stencil_commutator({-1: 2.0, 1: 3.0}, {0: 5.0, 2: 1.0}) == {}  # circulants commute
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_stencil_spectral_norm_matches_dense(n):
+    rng = np.random.default_rng(40 + n)
+    for s in _random_stencils(rng, n):
+        expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
+        assert spectral_norm(s) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_stencil_spectral_norm_above_crossover():
+    # a complex stencil's Gram at N > 128 takes the certified Lanczos path
+    n = linalg._EIGVALSH_MAX_N + 72
+    s = _random_stencils(np.random.default_rng(47), n)[1]
+    assert spectral_norm(s) == pytest.approx(float(np.linalg.norm(stencil_matrix(s, n), 2)), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
+def test_stencil_spectral_norm_non_finite_tap_raises(bad):
+    taps = {-1: np.ones(8), 2: np.ones(8, dtype=type(bad))}
+    taps[2][3] = bad
+    with pytest.raises(ConvergenceError):
+        spectral_norm(taps)
+    with pytest.raises(ConvergenceError):
+        spectral_norm({0: np.ones(8), 1: bad})
+
+
+def test_stencil_spectral_norm_of_zero_and_of_scalar_taps():
+    assert spectral_norm({}) == 0.0
+    assert spectral_norm({0: np.zeros(8), 3: 0.0}) == 0.0
+    with pytest.raises(linalg.DimensionMismatchError):  # no per-row tap gives N
+        spectral_norm({-1: 1.0, 1: 1.0})
 
 
 def test_stencil_matrix_adds_taps_that_wrap_onto_each_other():
