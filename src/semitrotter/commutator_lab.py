@@ -38,12 +38,15 @@ from .linalg import DimensionMismatchError, NonHermitianError, as_matrix, commut
 CommWord = Sequence[str]
 
 
-def nested_comm(word: CommWord, a: np.ndarray, b: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Apply the ad-chain for the word to O, innermost label first."""
-    generators = {"A": as_matrix(a), "B": as_matrix(b)}
-    result = as_matrix(obs)
+def nested_comm(word: CommWord, a, b, obs):
+    """Apply the ad-chain for the word to O, innermost label first, each operand in a form ad takes.
+
+    Matrices fold by dense commutators, stencils stay stencils (see ad); B may be its diagonal.
+    """
+    generators = {"A": a, "B": b}
+    result = obs if isinstance(obs, dict) else as_matrix(obs)
     for label in word:
-        result = commutator(generators[label], result)
+        result = ad(generators[label], result)
     return result
 
 

@@ -8,17 +8,23 @@ The bracket of two stencils is a stencil, so FD's commutator chains never leave 
 carries its N, so numpy reads it as its dense matrix. stencil_matrix makes either form dense
 where a metric needs the matrix.
 
-The spectral norm is the root of the Gram matrix's top eigenvalue. A stencil's
-Gram is formed from its taps, in O(taps^2 N), and only that Gram is made dense.
-Small or real Grams read it from a full eigenvalue solve. A large complex Gram G gets
-it from Lanczos started at a seeded random vector, which reaches the top of
-the spectrum even when that eigenvalue is degenerate (as for the commutator
-and unitary matrices the sweeps build), because a random start has a nonzero
-component in the top eigenspace with probability one (Kuczynski &
-Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992). The Ritz value theta is a
-lower bound, and a Cholesky factorization of theta (1 + tau) I - G proves
-the upper bound; if it fails, the eigenvalue is read exactly from that
-shifted matrix. So no value rests on the iteration having converged.
+The spectral norm is the root of the Gram matrix's top eigenvalue (spectral_norm lists
+every route and its accuracy). A stencil with one tap is a weighted shift, whose norm is
+its largest |tap|. Any other stencil forms its Gram's taps from its own, in O(taps^2 N); a
+small one makes that Gram dense, and a large one never does (the banded path below). Small
+or real dense Grams read the eigenvalue from a full eigenvalue solve. A large complex dense
+Gram G, and every banded one, gets it from Lanczos started at a seeded random vector, which
+reaches the top of the spectrum even when that eigenvalue is degenerate (as for the
+commutator and unitary matrices the sweeps build), because a random start has a nonzero
+component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
+Matrix Anal. Appl. 13, 1992). The Ritz value theta is a lower bound, and a Cholesky
+factorization of theta (1 + tau) I - G proves the upper bound; for a dense G that fails,
+the eigenvalue is read exactly from that shifted matrix. A banded G is factored in blocks,
+in O(N w^2) for half-bandwidth w, and that factor then drives a block shift-invert
+iteration whose Rayleigh-Ritz value lands on lambda_max to rounding (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4 and 11); where the band is too wide, Lanczos runs out
+of steps or no factor exists, the Gram is made dense after all. So no value rests on an
+iteration having converged.
 """
 
 from __future__ import annotations
@@ -83,8 +89,10 @@ class _Stencil(dict):
         self.shape = (n, n)
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a stencil's dense matrix is always a new array; copy=False cannot be met")
         m = stencil_matrix(self, self.shape[0])
-        return m if dtype is None else m.astype(dtype)
+        return m if dtype is None else m.astype(dtype, copy=False)
 
 
 def stencil_commutator(stencil: dict, m):
@@ -96,6 +104,7 @@ def stencil_commutator(stencil: dict, m):
     neighbouring taps cancel before the products, so smooth taps lose no digits to it
     and a scalar tap's own term is exactly 0. Two scalar taps commute, so two stencils
     of scalar taps give {}; otherwise the per-row taps give N, and the result has it.
+    Taps that cancel to exactly 0 are dropped: ad_B = [{0: b}, .] zeroes the offset-0 tap.
     """
     if isinstance(m, dict):
         n = _size((*stencil.values(), *m.values()))
@@ -108,7 +117,7 @@ def stencil_commutator(stencil: dict, m):
             k = (r + q) % n
             tap = c * (np.roll(d, -r) - d) + d * (c - np.roll(c, -q))
             out[k] = out[k] + tap if k in out else tap
-        return _Stencil(out, n)
+        return _Stencil({k: tap for k, tap in out.items() if tap.any()}, n)
     n = m.shape[0]
     out = np.zeros((n, n), np.result_type(m, *stencil.values()))
     for r, c in stencil.items():
@@ -198,13 +207,22 @@ _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
 def spectral_norm(m) -> float:
     """Largest singular value s sqrt(lambda_max((M/s)^dagger (M/s))), s = max |M_ij| or max |tap|.
 
-    The scaling rules out overflow and underflow. A stencil M (one value per row in some
-    tap) forms its Gram from the taps, G[j, j + q - r] += conj(c_r[j - r]) c_q[j - r] in
-    O(taps^2 N), instead of the N^3 product. Real and small Grams take a full
-    eigenvalue solve, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
-    backward-stable). Large complex Grams take a certified Lanczos value, within 1e-10
-    (tau) relative plus O(N eps) of lambda_max, so the norm is within half that.
-    Non-finite entries or taps raise ConvergenceError.
+    The scaling rules out overflow and underflow. Routes, with the accuracy of each:
+    - a stencil with one tap is a weighted shift, whose singular values are its |c_i|:
+      the norm is s, exactly;
+    - any other stencil M forms its Gram from the taps, G[j, j + q - r] += conj(c_r[j - r])
+      c_q[j - r] in O(taps^2 N), instead of the N^3 product. With more than 256 rows it
+      takes the banded path (_banded_top): lambda_max is certified to lie within tau
+      (1e-10) relative of the value, or 16 tau where the shift had to widen, plus O(N eps),
+      and the shift-invert refinement puts the value within a few eps of it (within 4e-15
+      of an SVD on the sweeps' words at N = 512 and 1024). Where that path cannot finish,
+      the Gram is made dense and takes the route of a dense Gram below;
+    - a real or small dense Gram takes a full eigenvalue solve, exact to O(N eps)
+      relative (the top eigenvalue of a PSD matrix is backward-stable);
+    - a large complex dense Gram takes a certified Lanczos value, within tau relative
+      plus O(N eps) of lambda_max.
+    The norm's relative error is about half that of lambda_max. Non-finite entries or taps
+    raise ConvergenceError.
     """
     stencil = isinstance(m, dict)
     if not stencil:
@@ -215,32 +233,38 @@ def spectral_norm(m) -> float:
     if scale == 0.0:  # the zero or empty M has norm 0
         return 0.0
     if stencil:
-        gram = _stencil_gram({r: c / scale for r, c in m.items()})
+        n = _size(m.values())
+        if n == 0:
+            raise DimensionMismatchError("a stencil's size is read from its per-row taps; every tap is a scalar")
+        if len(m) == 1:  # row i holds c[i] alone, in a column of its own
+            return scale
+        gram = _stencil_gram({r: c / scale for r, c in m.items()}, n)
     else:
         m = m / scale
         gram = m.conj().T @ m
     del m  # the certificate's Cholesky buffers take the place of the scaled copy
     try:
-        if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
-            top = np.linalg.eigvalsh(gram)[-1]
-        else:
-            top = _certified_top(gram, _lanczos_top(gram))
+        top = _banded_top(gram, n) if stencil and n > _STENCIL_DENSE_MAX_N else None
+        if top is None:
+            if stencil:
+                gram = stencil_matrix(gram, n)
+            if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
+                top = np.linalg.eigvalsh(gram)[-1]
+            else:
+                top = _certified_top(gram, _lanczos_top(gram))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
 
 
-def _stencil_gram(taps: dict) -> np.ndarray:
-    """The dense Gram M^dagger M of a stencil M whose per-row taps give N."""
-    n = _size(taps.values())
-    if n == 0:
-        raise DimensionMismatchError("a stencil's size is read from its per-row taps; every tap is a scalar")
+def _stencil_gram(taps: dict, n: int) -> dict:
+    """The taps {k mod N: g_k} of the Gram M^dagger M of a stencil M on N rows."""
     gram = {}
     for (r, c), (q, d) in product(taps.items(), repeat=2):
         k = (q - r) % n
         g = np.roll(np.conj(c) * d, r)
         gram[k] = gram[k] + g if k in gram else g
-    return stencil_matrix(gram, n)
+    return gram
 
 
 def _lanczos_top(gram: np.ndarray) -> float:
@@ -292,6 +316,154 @@ def _certified_top(gram: np.ndarray, theta: float) -> float:
     except np.linalg.LinAlgError:
         return shift - float(np.linalg.eigvalsh(gram)[0])
     return theta
+
+
+# Stencil Grams with more rows than this take the banded path. Per norm of the default
+# comm-sweep's four words (2-core x86-64, OpenBLAS 0.3.31; median of twelve norms in each of
+# three rounds), eigvalsh of the dense Gram against the banded path: 5.6-6.4 ms against
+# 5.3-6.3 ms at N = 256, 13 ms against 7.6-11 ms at N = 384, 25-28 ms against 9.4-15 ms at
+# N = 512, 113-117 ms against 19-28 ms at N = 1024.
+_STENCIL_DENSE_MAX_N = 256
+# Rows per Cholesky block, raised to the half-bandwidth where that is wider. In the same
+# runs, blocks of 16, 32 and 64 rows took 10-15, 9.4-15 and 11-16 ms at N = 512 and 21-28,
+# 19-28 and 21-31 ms at N = 1024; a block's cost is mostly call overhead.
+_BLOCK = 32
+# Columns of the shift-invert block: the sweeps' words have up to 8 top singular values
+# within 5e-13 of each other (then a 5 % gap), and the block must hold that cluster.
+_REFINE_WIDTH = 16
+# Inverse iterations before Rayleigh-Ritz; each scales the share of an eigenvalue at
+# distance d below the shift by (sigma - lambda_max) / d. One already read the sweeps'
+# words at N = 512 and 1024 as closely as two (within 6e-15 of their chains folded in long
+# double); the second covers a top spectrum with no gap below its cluster.
+_REFINE_STEPS = 2
+_WIDENINGS = (1, 4, 16)  # the certificate's shift is theta (1 + k tau), each k tried in turn
+
+
+class _Band:
+    """A periodic banded Hermitian matrix G[i, (i + k) mod N] = g_k[i], |k| <= w, kept as its taps.
+
+    It has a shape and @ (of a vector or an N x m block, in O(N w m)), so _lanczos_top takes it
+    as it takes a matrix; products counts the vector products, one per Lanczos step.
+    """
+
+    def __init__(self, taps: dict, n: int):
+        self.shape = (n, n)
+        self.width = w = max(abs(k) for k in taps)
+        self.rows = np.zeros((2 * w + 1, n), np.result_type(*taps.values()))
+        for k, g in taps.items():
+            self.rows[w + k] = g
+        self.products = 0
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n, w = self.shape[0], self.width
+        self.products += x.ndim == 1
+        padded = np.concatenate((x[n - w :], x, x[:w]))  # padded[w + i + k] = x[(i + k) mod N]
+        taps = self.rows.reshape(self.rows.shape + (1,) * (x.ndim - 1))
+        return sum(taps[j] * padded[j : j + n] for j in range(2 * w + 1))
+
+    def shifted_rows(self, start: int, stop: int, pad: int, sigma: float) -> np.ndarray:
+        """Rows start:stop of sigma I - G at columns start - pad ... stop + pad, read past either end mod N."""
+        w, size = self.width, stop - start
+        i = np.arange(size)
+        out = np.zeros((size, size + 2 * pad), self.rows.dtype)
+        out[i, pad + i + np.arange(-w, w + 1)[:, None]] = -self.rows[:, start:stop]
+        out[i, pad + i] += sigma
+        return out
+
+
+def _right_solve(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """X L^-dagger for a lower triangular L."""
+    return np.linalg.solve(lower, x.conj().T).conj().T
+
+
+def _cyclic_cholesky(band: _Band, sigma: float, b: int) -> tuple[list, list, np.ndarray]:
+    """The block Cholesky factor L of sigma I - G; LinAlgError unless that matrix is positive definite.
+
+    The rows split into blocks of b >= w rows, the last taking the remainder (b to 2b - 1 rows),
+    and at least 3 of them, so block i meets only blocks i - 1 and i + 1, and the wrap-around
+    corner meets the last block and the first. L is block bidiagonal but for its last block
+    row, which the corner fills in: O(N b^2) work in all. Returns L's diagonal blocks, its
+    subdiagonal blocks L[i + 1, i] up to the last block, and the last block row left of the
+    diagonal.
+    """
+    n = band.shape[0]
+    body = (n // b - 1) * b  # rows before the last block
+    last = band.shifted_rows(body, n, b, sigma)
+    size = n - body
+    row = np.zeros((size, body), last.dtype)
+    row[:, :b] = last[:, b + size :]  # the corner: columns n ... n + b are block 0's
+    row[:, body - b :] = last[:, :b]
+    diag, sub = [], []
+    d = band.shifted_rows(0, b, b, sigma)[:, b : 2 * b]
+    for start in range(0, body, b):
+        block = slice(start, start + b)
+        lower = np.linalg.cholesky(d)
+        diag.append(lower)
+        row[:, block] = _right_solve(row[:, block], lower)
+        if start + b < body:
+            rows = band.shifted_rows(start + b, start + 2 * b, b, sigma)
+            below = _right_solve(rows[:, :b], lower)
+            sub.append(below)
+            d = rows[:, b : 2 * b] - below @ below.conj().T
+            row[:, start + b : start + 2 * b] -= row[:, block] @ below.conj().T
+    diag.append(np.linalg.cholesky(last[:, b : b + size] - row @ row.conj().T))
+    return diag, sub, row
+
+
+def _cyclic_solve(factor: tuple[list, list, np.ndarray], y: np.ndarray) -> np.ndarray:
+    """X with L L^dagger X = Y, by block forward and back substitution, L from _cyclic_cholesky."""
+    diag, sub, row = factor
+    b, body = diag[0].shape[0], row.shape[1]
+    blocks = [slice(start, start + b) for start in range(0, body, b)]
+    x = y.copy()
+    for i, block in enumerate(blocks):  # L Z = Y
+        if i:
+            x[block] -= sub[i - 1] @ x[blocks[i - 1]]
+        x[block] = np.linalg.solve(diag[i], x[block])
+    x[body:] = np.linalg.solve(diag[-1], x[body:] - row @ x[:body])
+    x[body:] = np.linalg.solve(diag[-1].conj().T, x[body:])  # L^dagger X = Z
+    x[:body] -= row.conj().T @ x[body:]
+    for i in range(len(blocks) - 1, -1, -1):
+        if i + 1 < len(blocks):
+            x[blocks[i]] -= sub[i].conj().T @ x[blocks[i + 1]]
+        x[blocks[i]] = np.linalg.solve(diag[i].conj().T, x[blocks[i]])
+    return x
+
+
+def _banded_top(gram: dict, n: int) -> float | None:
+    """lambda_max of a stencil's Gram from its taps {k mod N: g_k}, never making it dense; None where it cannot.
+
+    Lanczos on the band gives theta <= lambda_max. A Cholesky factor of sigma I - G with
+    sigma = theta (1 + tau), widened to 4 and 16 tau if it fails, proves lambda_max <= sigma.
+    Inverse iteration with that factor, which magnifies the top of the spectrum by
+    1 / (sigma - lambda), from a seeded N x 16 block, then Rayleigh-Ritz with G, gives
+    rho <= lambda_max, which no longer sits inside a rounding-split top cluster as a Ritz
+    value may (theta alone normed the sweeps' last two words up to 1.6e-13 low at N = 512
+    and 1e-12 at N = 1024); max(theta, rho) is returned. None when the band is too wide for 3 blocks, Lanczos used its whole step
+    budget, or no shift has a factor.
+    """
+    band = _Band({k - n if 2 * k > n else k: g for k, g in gram.items()}, n)
+    b = max(_BLOCK, band.width)
+    if n < 3 * b:
+        return None
+    theta = _lanczos_top(band)
+    if band.products >= _LANCZOS_MAX_STEPS:
+        return None
+    for widening in _WIDENINGS:
+        try:
+            factor = _cyclic_cholesky(band, theta * (1.0 + widening * _TAU), b)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        return None
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, _REFINE_WIDTH))
+    if np.iscomplexobj(band.rows):
+        x = x + 1j * rng.standard_normal((n, _REFINE_WIDTH))
+    for _ in range(_REFINE_STEPS):
+        x = np.linalg.qr(_cyclic_solve(factor, x))[0]
+    return max(theta, float(np.linalg.eigvalsh(x.conj().T @ (band @ x))[-1]))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

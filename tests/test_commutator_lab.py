@@ -58,6 +58,31 @@ def test_nested_comm_matches_manual_fold():
     assert np.array_equal(nested_comm(("B", "A"), a, b, obs), manual)
 
 
+def test_nested_comm_takes_declared_operators():
+    # FD's A and O are stencils and B comes as its diagonal, as the sweeps build them; each
+    # word's chain is the dense fold of their matrices, to the rounding of both
+    _, a, b, obs = _build_operators(build_config("comm-sweep"), 1.0 / 16)
+    dense = (stencil_matrix(a, 16), np.diag(b), stencil_matrix(obs, 16))
+    scale = functools.reduce(np.maximum, (np.max(np.abs(m)) for m in dense))
+    for word in itertools.product("AB", repeat=3):
+        expected = nested_comm(word, *dense)
+        got = nested_comm(word, a, b, obs)
+        assert isinstance(got, dict)
+        assert np.max(np.abs(stencil_matrix(got, 16) - expected)) <= 1e-13 * scale**4
+        assert np.max(np.abs(nested_comm(word, dense[0], b, dense[2]) - expected)) <= 1e-13 * scale**4
+
+
+def test_ad_b_of_a_stencil_drops_its_offset_0_tap():
+    # B's diagonal commutes with O's offset-0 tap exactly; the one tap left is a weighted shift
+    _, a, b, obs = _build_operators(build_config("comm-sweep"), 1.0 / 64)
+    assert 0 in obs and 0 in a
+    for m in (obs, a, ad(a, obs)):
+        assert 0 not in ad(b, m)
+    chain = ad(b, ad(b, obs))
+    assert list(chain) == [1]
+    assert spectral_norm(chain) == float(np.max(np.abs(chain[1])))
+
+
 def test_beta_all_diagonal_is_zero():
     d1 = np.diag([1.0, 2.0, 3.0]).astype(complex)
     d2 = np.diag([0.5, -1.0, 2.0]).astype(complex)

@@ -1,11 +1,13 @@
 """Dense kernel tests against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from semitrotter import linalg
+from semitrotter.commutator_lab import ad
 from semitrotter.discretize import Grid, build_Dk, fd_stencil
 from semitrotter.linalg import (
     ConvergenceError,
@@ -337,6 +339,47 @@ def test_spectral_norm_routes_by_dtype_and_size(monkeypatch):
     assert krylov == [crossover + 1]
 
 
+def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
+    # FD words at N = 512 and 1024 never make a Gram dense, one N = 1024 word norm peaks below
+    # one N x N float64 array, and the spectral scheme's dense chains route as before
+    import semitrotter.experiments as ex
+
+    solved, krylov = [], []
+    eigvalsh, lanczos_top = np.linalg.eigvalsh, linalg._lanczos_top
+
+    def counting_eigvalsh(g):
+        solved.append((g.dtype, g.shape[0]))
+        return eigvalsh(g)
+
+    def counting_lanczos(g):
+        krylov.append(isinstance(g, np.ndarray))
+        return lanczos_top(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
+    banded = _banded_values(monkeypatch)
+    ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/512, 1/1024"}))
+    assert all(n <= linalg._STENCIL_DENSE_MAX_N for _, n in solved)
+    assert len(banded) >= 2 * len(ex.COMM_WORD_LABELS) and None not in banded
+    assert krylov == [False] * len(banded)
+
+    _, a, b, obs = ex._build_operators(ex.build_config("comm-sweep"), 1.0 / 1024)
+    chain = ad(a, ad(a, ad(obs, ad(b, a))))  # [A,[A,[[A,B],O]]]
+    tracemalloc.start()
+    try:
+        spectral_norm(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
+
+    solved.clear(), krylov.clear(), banded.clear()
+    ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/512", "scheme": "spectral"}))
+    assert len(solved) >= len(ex.COMM_WORD_LABELS)
+    assert solved == [(np.float64, 512)] * len(solved)
+    assert krylov == [] and banded == []
+
+
 def test_commutator_keeps_dtype_family():
     rng = np.random.default_rng(11)
     x, y = rng.standard_normal((2, 6, 6))
@@ -452,12 +495,140 @@ def test_stencil_bracket_matches_dense_products(n):
     assert stencil_commutator({-1: 2.0, 1: 3.0}, {0: 5.0, 2: 1.0}) == {}  # circulants commute
 
 
+def test_stencil_bracket_dense_matrix_is_always_a_copy():
+    # numpy 2's __array__ protocol: copy=False must raise where a copy cannot be avoided
+    s, t = _random_stencils(np.random.default_rng(37), 16)[:2]
+    got = stencil_commutator(s, t)
+    with pytest.raises(ValueError):
+        np.asarray(got, copy=False)
+    dense = stencil_matrix(got, 16)
+    assert np.array_equal(np.asarray(got), dense) and np.array_equal(np.array(got, copy=True), dense)
+    assert np.asarray(got, dtype=np.complex64).dtype == np.complex64
+
+
 @pytest.mark.parametrize("n", [4, 5, 16, 64])
 def test_stencil_spectral_norm_matches_dense(n):
     rng = np.random.default_rng(40 + n)
     for s in _random_stencils(rng, n):
         expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
         assert spectral_norm(s) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _banded_values(monkeypatch):
+    """The values _banded_top returns from here on (None where it leaves the Gram to the dense route)."""
+    values = []
+    banded_top = linalg._banded_top
+
+    def recording(gram, n):
+        values.append(banded_top(gram, n))
+        return values[-1]
+
+    monkeypatch.setattr(linalg, "_banded_top", recording)
+    return values
+
+
+def _dense_route_norm(monkeypatch, stencil):
+    """The norm the dense Gram's route gives, with the banded path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_STENCIL_DENSE_MAX_N", math.inf)
+        return spectral_norm(stencil)
+
+
+# 256 is the last size of the dense route, 257 and 777 are no multiple of the 32-row block
+@pytest.mark.parametrize("n", [256, 257, 512, 777])
+def test_banded_spectral_norm_matches_svd(monkeypatch, n):
+    banded = _banded_values(monkeypatch)
+    rng = np.random.default_rng(50 + n)
+    stencils = _random_stencils(rng, n)
+    for s in stencils:
+        expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
+        assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
+    taken = n > linalg._STENCIL_DENSE_MAX_N
+    assert len(banded) == len(stencils) * taken and None not in banded
+
+
+def _wrapped_stencil(n):
+    """A real stencil whose taps peak on the rows around the wrap-around, where its top singular vector sits."""
+    rng = np.random.default_rng(n)
+    distance = np.minimum(np.arange(n), n - np.arange(n))  # from row 0, around the circle
+    bump = 1.0 + 4.0 * np.exp(-((distance / 6.0) ** 2))
+    return {r: bump * (1.0 + 0.1 * rng.standard_normal(n)) for r in (-2, 0, 1)}
+
+
+def test_banded_certificate_failure_takes_dense_value(monkeypatch):
+    # a Ritz value 10 % low leaves sigma I - G indefinite at every widening of sigma
+    n = 300
+    s = _wrapped_stencil(n)
+    dense = _dense_route_norm(monkeypatch, s)
+    assert dense == pytest.approx(float(np.linalg.norm(stencil_matrix(s, n), 2)), rel=1e-13, abs=0)
+    factored = []
+    cyclic_cholesky, lanczos_top = linalg._cyclic_cholesky, linalg._lanczos_top
+
+    def recording(band, sigma, b):
+        try:
+            factor = cyclic_cholesky(band, sigma, b)
+        except np.linalg.LinAlgError:
+            factored.append(False)
+            raise
+        factored.append(True)
+        return factor
+
+    monkeypatch.setattr(linalg, "_cyclic_cholesky", recording)
+    assert spectral_norm(s) == pytest.approx(dense, rel=1e-13, abs=0)
+    assert factored == [True]
+    monkeypatch.setattr(linalg, "_lanczos_top", lambda gram: 0.9 * lanczos_top(gram))
+    banded = _banded_values(monkeypatch)
+    assert spectral_norm(s) == dense
+    assert banded == [None] and factored == [True] + [False] * len(linalg._WIDENINGS)
+
+
+def test_banded_step_cap_takes_dense_value(monkeypatch):
+    s = _wrapped_stencil(300)
+    dense = _dense_route_norm(monkeypatch, s)
+    monkeypatch.setattr(linalg, "_LANCZOS_MAX_STEPS", 4)
+    banded = _banded_values(monkeypatch)
+    assert spectral_norm(s) == dense
+    assert banded == [None]
+
+
+def test_band_too_wide_for_three_blocks_takes_dense_path(monkeypatch):
+    # taps 120 apart give a Gram of half-bandwidth 120: 3 blocks of 120 rows need 360 > 300
+    n = 300
+    rng = np.random.default_rng(51)
+    s = {0: rng.standard_normal(n), 120: rng.standard_normal(n)}
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(g):
+        solved.append(g.shape[0])
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    banded = _banded_values(monkeypatch)
+    expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
+    assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
+    assert banded == [None] and solved == [n]
+
+
+@pytest.mark.parametrize("n", [8, 300, 1024])
+def test_one_tap_stencil_norm_is_its_largest_tap(monkeypatch, n):
+    # a weighted shift: row i holds c[i] alone, in a column of its own, so no Gram is formed
+    banded = _banded_values(monkeypatch)
+    rng = np.random.default_rng(52)
+    c = rng.standard_normal(n)
+    for s in ({3: c}, {-1: c + 1j * rng.standard_normal(n)}, {0: c}):
+        (tap,) = s.values()
+        assert spectral_norm(s) == float(np.max(np.abs(tap)))
+    assert banded == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_banded_non_finite_tap_raises(bad):
+    n = linalg._STENCIL_DENSE_MAX_N + 44
+    taps = _random_stencils(np.random.default_rng(53), n)[1]
+    taps[2][7] = bad
+    with pytest.raises(ConvergenceError):
+        spectral_norm(taps)
 
 
 def test_stencil_spectral_norm_above_crossover():
