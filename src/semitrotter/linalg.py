@@ -271,17 +271,22 @@ def _lanczos_top(gram: np.ndarray) -> float:
     """Top Ritz value of a Hermitian PSD matrix, a lower bound on lambda_max.
 
     Lanczos with full reorthogonalization (two Gram-Schmidt passes) from a start
-    vector seeded afresh on every call, so a value never depends on earlier calls.
-    Stops once the top Ritz pair's residual is at most tau times its value.
+    vector seeded afresh on every call, so a value never depends on earlier calls;
+    a real matrix keeps a real start vector and basis. The basis doubles as steps
+    are taken. Stops once the top Ritz pair's residual is at most tau times its value.
     """
     n = gram.shape[0]
     steps = min(n, _LANCZOS_MAX_STEPS)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    if np.iscomplexobj(gram):
+        v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    basis = np.empty((steps, n), dtype=np.complex128)
+    basis = np.empty((1, n), v.dtype)
     alpha, beta = np.empty(steps), np.empty(steps)
     for k in range(steps):
+        if k == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty((min(k, steps - k), n), v.dtype)))
         basis[k] = v
         w = gram @ v
         alpha[k] = np.vdot(v, w).real
@@ -342,14 +347,15 @@ _WIDENINGS = (1, 4, 16)  # the certificate's shift is theta (1 + k tau), each k 
 class _Band:
     """A periodic banded Hermitian matrix G[i, (i + k) mod N] = g_k[i], |k| <= w, kept as its taps.
 
-    It has a shape and @ (of a vector or an N x m block, in O(N w m)), so _lanczos_top takes it
-    as it takes a matrix; products counts the vector products, one per Lanczos step.
+    It has a shape, a dtype and @ (of a vector or an N x m block, in O(N w m)), so _lanczos_top
+    takes it as it takes a matrix; products counts the vector products, one per Lanczos step.
     """
 
     def __init__(self, taps: dict, n: int):
         self.shape = (n, n)
         self.width = w = max(abs(k) for k in taps)
         self.rows = np.zeros((2 * w + 1, n), np.result_type(*taps.values()))
+        self.dtype = self.rows.dtype
         for k, g in taps.items():
             self.rows[w + k] = g
         self.products = 0

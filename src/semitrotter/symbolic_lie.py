@@ -7,9 +7,10 @@ makes cancellation exact: commutators expand through the Leibniz rule
 
     d^d o g = sum_r C(d, r) g^(r) d^(d-r)
 
-with exact integer or rational scalars, so the top-order terms of [P, Q] cancel
-term-for-term and every surviving term has derivative order at most
-ht(P) + ht(Q) - 1 while its h-power is at least wd(P) + wd(Q).
+with exact integer or rational scalars. The r = 0 terms of PQ and QP are equal
+and cancel exactly, so [P, Q] is formed in one pass from the r >= 1 terms
+alone; each has derivative order at most ht(P) + ht(Q) - 1 and h-power at
+least wd(P) + wd(Q).
 
 Height of an operator is the largest derivative order among nonzero
 terms (0 for the zero operator); width is the smallest h-power
@@ -87,48 +88,43 @@ class SymOp:
         return f"SymOp({to_string(self)!r})"
 
 
-def _differentiate_factors(factors: Factors) -> dict[Factors, int]:
-    """d/dx of a product of tagged symbols (integer multiplicities)."""
-    out: dict[Factors, int] = {}
-    for i, (name, order) in enumerate(factors):
-        bumped = list(factors)
-        bumped[i] = (name, order + 1)
-        key = tuple(sorted(bumped))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def _derivative_poly(factors: Factors, times: int) -> dict[Factors, int]:
     """times-th derivative of a factor product, as multiplicity-weighted terms (cached: read only)."""
-    if times > 0 and not factors:
-        return {}  # derivative of the constant 1
     poly = {factors: 1}
     for _ in range(times):
         nxt: dict[Factors, int] = {}
         for f, mult in poly.items():
-            for g, m in _differentiate_factors(f).items():
-                nxt[g] = nxt.get(g, 0) + mult * m
+            for i, (name, order) in enumerate(f):  # product rule: bump one factor's order
+                g = tuple(sorted(f[:i] + ((name, order + 1),) + f[i + 1 :]))
+                nxt[g] = nxt.get(g, 0) + mult
         poly = nxt
     return poly
 
 
-def _product(p: SymOp, q: SymOp) -> SymOp:
-    out: dict[TermKey, int | Fraction] = {}
-    for (f1, m1, d1), c1 in p._terms.items():
-        for (f2, m2, d2), c2 in q._terms.items():
-            c12 = c1 * c2
-            for r in range(d1 + 1):
-                binom = math.comb(d1, r)
-                for f2r, mult in _derivative_poly(f2, r).items():
-                    key = (tuple(sorted(f1 + f2r)), m1 + m2, d1 + d2 - r)
-                    out[key] = out.get(key, 0) + c12 * binom * mult
-    return SymOp(out)
+@lru_cache(maxsize=None)
+def _leibniz(factors: Factors, d: int) -> tuple[tuple[Factors, int, int], ...]:
+    """The r >= 1 terms of d^d o f as (f^(r), r, C(d, r) * multiplicity), r = 1 ... d (cached: read only)."""
+    return tuple(
+        (g, r, math.comb(d, r) * mult)
+        for r in range(1, d + 1)
+        for g, mult in _derivative_poly(factors, r).items()
+    )
 
 
 def sym_commutator(p: SymOp, q: SymOp) -> SymOp:
-    """Exact [P, Q] = PQ - QP with Leibniz-rule expansion."""
-    return _product(p, q) - _product(q, p)
+    """Exact [P, Q] = PQ - QP: per pair of terms, the r >= 1 terms of f1 d^d1 o f2 less those of f2 d^d2 o f1."""
+    out: dict[TermKey, int | Fraction] = {}
+    for (f1, m1, d1), c1 in p._terms.items():
+        for (f2, m2, d2), c2 in q._terms.items():
+            c12, m, d = c1 * c2, m1 + m2, d1 + d2
+            for g, r, k in _leibniz(f2, d1):
+                key = (tuple(sorted(f1 + g)) if f1 else g, m, d - r)
+                out[key] = out.get(key, 0) + c12 * k
+            for g, r, k in _leibniz(f1, d2):
+                key = (tuple(sorted(f2 + g)) if f2 else g, m, d - r)
+                out[key] = out.get(key, 0) - c12 * k
+    return SymOp(out)
 
 
 def height(p: SymOp) -> int:
@@ -207,15 +203,16 @@ class VerificationReport:
 def _random_symop(rng: random.Random) -> SymOp:
     """Random operator: <= 4 terms, derivative order <= 4, |h-power| <= 3."""
     names = ("V", "y", "z")
-    op = SymOp.zero()
+    terms: dict[TermKey, int] = {}
     for _ in range(rng.randint(1, 4)):
         # num/den with den in {1, 2, 3}, times 6: an int, with the same heights and widths
         scalar = rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]) * (6 // rng.randint(1, 3))
         factors = tuple(
-            (rng.choice(names), rng.randint(0, 2)) for _ in range(rng.randint(0, 2))
+            sorted((rng.choice(names), rng.randint(0, 2)) for _ in range(rng.randint(0, 2)))
         )
-        op = op + SymOp.term(scalar, factors, hpow=rng.randint(-3, 3), dord=rng.randint(0, 4))
-    return op
+        key = (factors, rng.randint(-3, 3), rng.randint(0, 4))
+        terms[key] = terms.get(key, 0) + scalar
+    return SymOp(terms)
 
 
 def _random_word(rng: random.Random) -> tuple[str, ...]:

@@ -582,6 +582,53 @@ def test_banded_certificate_failure_takes_dense_value(monkeypatch):
     assert banded == [None] and factored == [True] + [False] * len(linalg._WIDENINGS)
 
 
+class _RecordingMatrix:
+    """A matrix whose @ records the dtype of every vector it is applied to."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.dtype, self.seen = matrix, matrix.shape, matrix.dtype, []
+
+    def __matmul__(self, x):
+        self.seen.append(x.dtype)
+        return self.matrix @ x
+
+
+def test_lanczos_on_a_real_band_stays_real_and_lean():
+    # the default comm-sweep's [A,[A,[[A,B],O]]] at N = 1024 has a real band Gram: Lanczos keeps
+    # a real basis that grows with its 36 steps, so one norm peaks at about 1.6 MiB
+    import semitrotter.experiments as ex
+
+    n = 1024
+    _, a, b, obs = ex._build_operators(ex.build_config("comm-sweep"), 1.0 / n)
+    chain = ad(a, ad(a, ad(obs, ad(b, a))))
+    taps = linalg._stencil_gram(chain, n)
+    band = _RecordingMatrix(linalg._Band({k - n if 2 * k > n else k: g for k, g in taps.items()}, n))
+    theta = linalg._lanczos_top(band)
+    assert band.dtype == np.float64 and set(band.seen) == {np.dtype(np.float64)}
+    assert band.matrix.products == len(band.seen) < linalg._LANCZOS_MAX_STEPS
+    top = np.linalg.eigvalsh(stencil_matrix(taps, n))[-1]
+    assert theta <= top * (1 + 1e-13) and theta == pytest.approx(top, rel=2 * linalg._TAU)
+
+    expected = float(np.linalg.norm(stencil_matrix(chain, n), 2))
+    tracemalloc.start()
+    try:
+        norm = spectral_norm(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == pytest.approx(expected, rel=1e-13, abs=0)
+    assert peak < 2 * 1024 * 1024
+
+
+def test_lanczos_on_a_complex_gram_stays_complex():
+    rng = np.random.default_rng(19)
+    m = _random_complex(rng, 300)
+    gram = _RecordingMatrix(m.conj().T @ m)
+    theta = linalg._lanczos_top(gram)
+    assert set(gram.seen) == {np.dtype(np.complex128)}
+    assert theta == pytest.approx(np.linalg.norm(m, 2) ** 2, rel=2 * linalg._TAU)
+
+
 def test_banded_step_cap_takes_dense_value(monkeypatch):
     s = _wrapped_stencil(300)
     dense = _dense_route_norm(monkeypatch, s)

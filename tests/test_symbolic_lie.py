@@ -1,5 +1,6 @@
 """Symbolic height/width algebra tests."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from semitrotter import symbolic_lie
+from semitrotter import experiments, symbolic_lie
 from semitrotter.discretize import Grid, build_diag, build_Dk
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import commutator
@@ -24,6 +25,96 @@ from semitrotter.symbolic_lie import (
     verify_height_width,
     width,
 )
+
+
+def _derivative(factors, r):
+    """r-th derivative of a product of symbols: sum over a_1 + ... + a_k = r of r! / (a_1! ... a_k!) prod f_i^(a_i)."""
+    out = {}
+    for orders in itertools.product(range(r + 1), repeat=len(factors)):
+        if sum(orders) == r:
+            key = tuple(sorted((name, order + a) for (name, order), a in zip(factors, orders)))
+            out[key] = out.get(key, 0) + math.factorial(r) // math.prod(map(math.factorial, orders))
+    return out
+
+
+def _product(p, q):
+    """PQ with every Leibniz term, r = 0 included: d^d1 o f2 = sum_r C(d1, r) f2^(r) d^(d1 - r)."""
+    out = {}
+    for (f1, m1, d1), c1 in p.terms.items():
+        for (f2, m2, d2), c2 in q.terms.items():
+            for r in range(d1 + 1):
+                for f2r, mult in _derivative(f2, r).items():
+                    key = (tuple(sorted(f1 + f2r)), m1 + m2, d1 + d2 - r)
+                    out[key] = out.get(key, 0) + c1 * c2 * math.comb(d1, r) * mult
+    return SymOp(out)
+
+
+def _reference_commutator(p, q):
+    return _product(p, q) - _product(q, p)
+
+
+def _reference_word(word):
+    symbols = {"A": kinetic_symbol(), "B": potential_symbol()}
+    acc = symbols[word[0]]
+    for label in word[1:]:
+        acc = _reference_commutator(symbols[label], acc)
+    return acc
+
+
+def test_commutator_matches_reference_on_random_pairs():
+    rng = random.Random(2026)
+    for _ in range(2000):
+        p, q = symbolic_lie._random_symop(rng), symbolic_lie._random_symop(rng)
+        assert sym_commutator(p, q) == _reference_commutator(p, q)
+
+
+def test_commutator_matches_reference_with_fraction_scalars():
+    rng = random.Random(5)
+
+    def rand_op():
+        op = SymOp.zero()
+        for _ in range(rng.randint(1, 4)):
+            op = op + SymOp.term(
+                Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5)),
+                tuple((rng.choice("Vyz"), rng.randint(0, 3)) for _ in range(rng.randint(0, 3))),
+                hpow=rng.randint(-3, 3),
+                dord=rng.randint(0, 5),
+            )
+        return op
+
+    for _ in range(300):
+        p, q = rand_op(), rand_op()
+        assert sym_commutator(p, q) == _reference_commutator(p, q)
+
+
+def test_commutator_matches_reference_on_words_and_observables():
+    words = [w for n in range(1, 5) for w in itertools.product("AB", repeat=n)]
+    assert len(words) == 30
+    for word in words:
+        c_n = grade_n_commutator(word)
+        assert c_n == _reference_word(word)
+        for q in range(4):
+            assert sym_commutator(c_n, observable_symbol(q)) == _reference_commutator(c_n, observable_symbol(q))
+    rng = random.Random(3)
+    for _ in range(40):  # three nested layers [C_w3, [C_w2, [C_w1, O_q]]]
+        nested = expected = observable_symbol(rng.randint(0, 3))
+        for _ in range(3):
+            word = rng.choice(words)
+            nested = sym_commutator(grade_n_commutator(word), nested)
+            expected = _reference_commutator(_reference_word(word), expected)
+            assert nested == expected
+
+
+def test_verifier_catches_a_commutator_that_does_not_subtract(monkeypatch):
+    # the verifier is not vacuous: PQ alone, with QP never subtracted, breaks the height law
+    monkeypatch.setattr(symbolic_lie, "sym_commutator", _product)
+    report = verify_height_width(50, seed=42)
+    assert report.failures > 0
+    assert report.first_failure is not None
+    rows = experiments.run_experiment(experiments.build_config("verify-symbolic", {"trials": "50"}))
+    by_metric = {r.metric: r.value for r in rows}
+    assert by_metric["ht_wd_violations"] > 0
+    assert by_metric["first_failure_flag"] == 1.0
 
 
 def test_hand_check_potential_with_d2():
@@ -156,6 +247,9 @@ def test_verifier_pinned_report():
     assert (report.trials, report.checks, report.failures) == (1000, 4531, 0)
     report = verify_height_width(1000, 1)
     assert (report.trials, report.checks, report.failures) == (1000, 4594, 0)
+    for seed, checks in ((0, 4559), (7, 4513), (2026, 4562)):
+        report = verify_height_width(1000, seed)
+        assert (report.trials, report.checks, report.failures) == (1000, checks, 0)
 
 
 def test_verifier_describes_only_failures(monkeypatch):
