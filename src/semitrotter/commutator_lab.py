@@ -16,11 +16,12 @@ splitting:
 
 The 2^(p+1) chains are walked depth-first, each prefix's chain built once and
 dropped after its subtree, so at most p + 2 chains are alive. B comes as its
-diagonal b and A and O in declared form (see ad). FD's A and O are stencils, so
-every chain is a stencil: ad_B scales its taps by b_i - b_(i+r) and ad_A
-brackets taps, in O(N) per pair of taps, and a chain's norm and bound are read
-from its taps (see linalg.spectral_norm). Spectral chains are dense N x N matrices: ad_B is the
-O(N^2) scaling M_ij (b_i - b_j) and ad_A two products. Beta skips
+diagonal b, the walk's one-tap stencil {0: b}, and A and O in declared form (see ad).
+FD's A and O are linalg.Stencil, so every chain is a stencil: ad_B scales its
+taps by b_i - b_(i+r) and ad_A brackets taps, in O(N) per pair of taps, and a
+chain's norm and bound are read from its taps (see linalg.spectral_norm).
+Spectral chains are dense N x N matrices: ad_B is the O(N^2) scaling
+M_ij (b_i - b_j) and ad_A two products. Beta skips
 the norms of chains whose bound sqrt(||M||_1 ||M||_inf) cannot set the maximum.
 Alpha norms every chain and weighs it by one backward recurrence over the
 stages, which yields its multinomial weight in every suffix at once.
@@ -33,38 +34,34 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonHermitianError, as_matrix, commutator, spectral_norm, stencil_commutator, stencil_matrix
+from .linalg import DimensionMismatchError, NonHermitianError, Stencil, commutator, spectral_norm
 
 CommWord = Sequence[str]
 
 
 def nested_comm(word: CommWord, a, b, obs):
-    """Apply the ad-chain for the word to O, innermost label first, each operand in a form ad takes.
+    """Apply the ad-chain for the word to O, innermost label first, each operand a stencil or a matrix.
 
-    Matrices fold by dense commutators, stencils stay stencils (see ad); B may be its diagonal.
+    Matrices fold by dense commutators and stencils stay stencils (see ad).
     """
     generators = {"A": a, "B": b}
-    result = obs if isinstance(obs, dict) else as_matrix(obs)
+    result = obs
     for label in word:
         result = ad(generators[label], result)
     return result
 
 
 def ad(x, m):
-    """[X, M], X a stencil (FD's A, O), a diagonal's entries (B) or a matrix; FloatingPointError on overflow.
+    """[X, M], X and M each a stencil or a matrix; FloatingPointError on overflow.
 
-    M is a stencil or a matrix. The result is a stencil when X is a stencil or a diagonal and M a
-    stencil: B is then the stencil {0: b}, so ad_B of taps {r: c_r} is {r: (b_i - b_(i+r)) c_r[i]},
-    the difference first (see linalg.stencil_commutator). A matrix X makes a stencil M dense first.
+    The result is a stencil when X and M are stencils: for B, the stencil {0: b}, ad_B of taps
+    {r: c_r} is {r: (b_i - b_(i+r)) c_r[i]}, the difference first (see linalg.Stencil.commutator).
+    A matrix X makes a stencil M dense first.
     """
     with np.errstate(over="raise", invalid="raise"):
-        if isinstance(x, dict):
-            return stencil_commutator(x, m)
-        if np.ndim(x) == 1:
-            if isinstance(m, dict):
-                return stencil_commutator({0: x}, m)
-            return x[:, None] * m - m * x
-        return commutator(x, stencil_matrix(m, len(x)))
+        if isinstance(x, Stencil):
+            return x.commutator(m)
+        return commutator(x, m)
 
 
 def _word_chains(p: int, a, potential: np.ndarray, obs) -> Iterator[tuple[CommWord, np.ndarray]]:
@@ -75,16 +72,11 @@ def _word_chains(p: int, a, potential: np.ndarray, obs) -> Iterator[tuple[CommWo
     largest, so beta's pruning takes a single norm.
     """
     d = np.asarray(potential)
-    if isinstance(obs, dict):
-        sizes = {np.shape(c)[0] for c in obs.values() if np.ndim(c)}
-    else:
-        obs = as_matrix(obs)
-        sizes = {obs.shape[0]}
-    if d.ndim != 1 or sizes - {d.size}:
-        raise DimensionMismatchError(f"need B's diagonal to match O's rows {sorted(sizes)}, got shape {d.shape}")
+    if d.ndim != 1 or np.shape(obs) != (d.size, d.size):
+        raise DimensionMismatchError(f"need B's diagonal to match O's shape {np.shape(obs)}, got shape {d.shape}")
     if d.imag.any():
         raise NonHermitianError("B must have a real diagonal")
-    generators = {"A": a, "B": d}
+    generators = {"A": a, "B": Stencil({0: d}, d.size)}
 
     def walk(word: tuple[str, ...], mat: np.ndarray) -> Iterator[tuple[CommWord, np.ndarray]]:
         if len(word) == p + 1:
@@ -102,9 +94,8 @@ def _norm_bound(m) -> float:
     A stencil's row i sums |c_r[i]| and its column j |c_r[j - r]|; taps whose offsets meet
     mod N only raise the sums, so the bound holds.
     """
-    if isinstance(m, dict):
-        mags = {r: np.abs(c) for r, c in m.items()}
-        rows, cols = sum(mags.values()), sum(np.roll(g, r) for r, g in mags.items())
+    if isinstance(m, Stencil):
+        rows, cols = m.abs_sums()
     else:
         mag = np.abs(m)
         rows, cols = mag.sum(axis=1), mag.sum(axis=0)

@@ -1,7 +1,7 @@
 """Periodic grid and discrete derivative operators.
 
 Finite differences form one periodic ladder, D_k = D_F^(k mod 2) D_2^(k//2),
-built from its k + 1 taps: the stencil dx^-k (S - I)^k S^-(k//2) of the
+a linalg.Stencil of k + 1 taps: dx^-k (S - I)^k S^-(k//2) for the
 shift S: M[i] -> M[i + 1] (fd_stencil). The forward difference
 D_F = build_Dk(g, 1) has -1/dx on the diagonal and +1/dx on the
 superdiagonal with wraparound, D_B = -D_F^dagger = -build_Dk(g, 1).T, and
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, ExprEvalError, eval_expr
-from .linalg import circulant, stencil_matrix
+from .linalg import Stencil, circulant
 
 
 class SchemeKind(enum.Enum):
@@ -59,17 +59,17 @@ class Grid:
         return self.a + (self.b - self.a) * np.arange(self.n) / self.n
 
 
-def fd_stencil(g: Grid, k: int) -> dict[int, float]:
-    """Taps {r: D_k[i, i + r mod N]} = (-1)^(k-j) C(k, j) dx^-k at r = j - k//2, j = 0 ... k."""
+def fd_stencil(g: Grid, k: int) -> Stencil:
+    """D_k as the stencil of taps D_k[i, i + r mod N] = (-1)^(k-j) C(k, j) dx^-k at r = j - k//2, j = 0 ... k."""
     scale = math.prod([1.0 / g.dx] * k, start=1.0)
-    return {j - k // 2: (-1) ** (k - j) * math.comb(k, j) * scale for j in range(k + 1)}
+    return Stencil({j - k // 2: (-1) ** (k - j) * math.comb(k, j) * scale for j in range(k + 1)}, g.n)
 
 
 def build_Dk(g: Grid, k: int) -> np.ndarray:
     """k-th order difference D_F^(k mod 2) D_2^(k//2), the dense matrix of fd_stencil(g, k)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return stencil_matrix(fd_stencil(g, k), g.n)
+    return np.asarray(fd_stencil(g, k))
 
 
 def spectral_frequencies(g: Grid) -> np.ndarray:

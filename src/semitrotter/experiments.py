@@ -43,7 +43,7 @@ import numpy as np
 from .commutator_lab import ad, compute_beta_comm
 from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
-from .linalg import is_finite, spectral_norm, stencil_matrix, unitary_exp
+from .linalg import Stencil, is_finite, spectral_norm, unitary_exp
 from .model import ModelParams, PolyObservableSpec, declared_A, declared_observable
 from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
@@ -384,7 +384,7 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     grid, a, b, obs = _build_operators(cfg, h)
     if cfg.t_final * sys.float_info.epsilon * float(np.max(np.abs(b))) >= 1.0:
         raise ConfigError(f"phases t_final V/h of potential {cfg.potential!r} keep no digit at h = {h:.3g}")
-    a = stencil_matrix(a, grid.n)  # the cell's one dense operator: it becomes H = A + B
+    a = np.asarray(a)  # the cell's one dense operator: it becomes H = A + B
     a_row = a[0].copy()  # the Trotter step reads only A's first row
     a[np.diag_indices_from(a)] += b
     u_exact = unitary_exp(a, cfg.t_final)
@@ -409,7 +409,7 @@ def _commutator_rows(cfg: RunConfig, h: float, words: bool) -> list[Row]:
     rows = [row("beta_comm", compute_beta_comm(p, a, b, obs), p=p) for p in cfg.orders]
     if words:
         # ad_B(A) = [B, A] = -[A, B], not by products, has [A, B]'s norm; then ad_O of it is [[A, B], O]
-        chain = ad(b, a)
+        chain = ad(Stencil({0: b}, grid.n), a)
         rows.append(row(COMM_WORD_LABELS[0], spectral_norm(chain)))
         chain = ad(obs, chain)
         rows.append(row(COMM_WORD_LABELS[1], spectral_norm(chain)))

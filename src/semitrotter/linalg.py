@@ -2,29 +2,28 @@
 
 Matrices are numpy arrays, row-major, square for all operator uses: float64 for real operators
 (A, B, observables), complex128 for unitaries. Nothing here mutates its inputs, so results can be
-shared freely. A stencil is a banded periodic matrix given by its taps {r: c_r}, with S[i, (i + r)
-mod N] = c_r a scalar or one value per row i: FD's A and O are stencils, spectral ones are dense.
-The bracket of two stencils is a stencil, so FD's commutator chains never leave that form; it
-carries its N, so numpy reads it as its dense matrix. stencil_matrix makes either form dense
-where a metric needs the matrix.
+shared freely. A Stencil is a banded periodic matrix kept as its taps, S[i, (i + r) mod N] = c_r
+a scalar or one value per row i: FD's A and O are stencils, spectral ones are dense, and B is
+the one-tap stencil of its diagonal. The bracket of two stencils is a stencil, so FD's
+commutator chains never leave that form; numpy reads a stencil as its dense matrix where a
+metric needs the matrix.
 
 The spectral norm is the root of the Gram matrix's top eigenvalue (spectral_norm lists
 every route and its accuracy). A stencil with one tap is a weighted shift, whose norm is
-its largest |tap|. Any other stencil forms its Gram's taps from its own, in O(taps^2 N); a
+its largest |tap|. Any other stencil forms its Gram as a stencil, in O(taps^2 N); a
 small one makes that Gram dense, and a large one never does (the banded path below). Small
 or real dense Grams read the eigenvalue from a full eigenvalue solve. A large complex dense
 Gram G, and every banded one, gets it from Lanczos started at a seeded random vector, which
 reaches the top of the spectrum even when that eigenvalue is degenerate (as for the
 commutator and unitary matrices the sweeps build), because a random start has a nonzero
 component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
-Matrix Anal. Appl. 13, 1992). The Ritz value theta is a lower bound, and a Cholesky
-factorization of theta (1 + tau) I - G proves the upper bound; for a dense G that fails,
-the eigenvalue is read exactly from that shifted matrix. A banded G is factored in blocks,
-in O(N w^2) for half-bandwidth w, and that factor then drives a block shift-invert
-iteration whose Rayleigh-Ritz value lands on lambda_max to rounding (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4 and 11); where the band is too wide, Lanczos runs out
-of steps or no factor exists, the Gram is made dense after all. So no value rests on an
-iteration having converged.
+Matrix Anal. Appl. 13, 1992). The Ritz value theta is a lower bound, whether or not Lanczos
+converged, and a Cholesky factorization of theta (1 + tau) I - G proves the upper bound; for
+a dense G that fails, the eigenvalue is read exactly from that shifted matrix. A banded G is
+factored in blocks, in O(N w^2) for half-bandwidth w, and that factor then drives a block
+shift-invert iteration whose Rayleigh-Ritz value lands on lambda_max to rounding (Parlett,
+The Symmetric Eigenvalue Problem, ch. 4 and 11); where the band is too wide or no factor
+exists, the Gram is made dense after all. So no value rests on an iteration having converged.
 """
 
 from __future__ import annotations
@@ -76,74 +75,107 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _size(taps) -> int:
-    """N read from a stencil's per-row taps; 0 when every tap is a scalar."""
-    return max((np.size(c) for c in taps if np.ndim(c)), default=0)
+class Stencil:
+    """A banded periodic N x N matrix S[i, (i + r) mod N] = c_r[i], kept as its taps {r: c_r}.
 
-
-class _Stencil(dict):
-    """A bracket's taps with their N: numpy reads it as its dense matrix (np.asarray, shape)."""
+    Each tap is a scalar or one value per row; taps whose offsets agree mod N add up. It has
+    a shape and a dtype, and numpy reads it as its dense matrix (np.asarray). Its bracket with
+    a stencil is a stencil, in O(taps_S taps_M N), and so is its Gram, in O(taps^2 N); @ applies
+    it to a vector or an N x m block in O(taps N m). Every tap moves along the rows through _shift.
+    """
 
     def __init__(self, taps: dict, n: int):
-        super().__init__(taps)
-        self.shape = (n, n)
+        for r, c in taps.items():
+            if np.ndim(c) and np.shape(c) != (n,):
+                raise DimensionMismatchError(f"tap {r} has shape {np.shape(c)}: a per-row tap of an N = {n} stencil has N values")
+        self.taps, self.n, self.shape = taps, n, (n, n)
+        self.dtype = np.result_type(0.0, *taps.values())
+
+    def _shift(self, c, s: int):
+        """c[(i + s) mod N] at every row i; a scalar tap is its own shift."""
+        s %= self.n
+        if s == 0 or np.ndim(c) == 0:
+            return c
+        return np.concatenate((c[s:], c[:s]))
+
+    def _centred(self, r: int) -> int:
+        """The offset of r mod N in (-N/2, N/2]."""
+        k = r % self.n
+        return k - self.n if 2 * k > self.n else k
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a stencil's dense matrix is always a new array; copy=False cannot be met")
-        m = stencil_matrix(self, self.shape[0])
-        return m if dtype is None else m.astype(dtype, copy=False)
+        out = np.zeros(self.shape, self.dtype)  # no taps: the zero matrix
+        rows = np.arange(self.n)
+        for r, c in self.taps.items():
+            out[rows, (rows + r) % self.n] += c
+        return out if dtype is None else out.astype(dtype, copy=False)
 
+    def commutator(self, m):
+        """[S, M]: a stencil for a stencil M, in O(taps_S taps_M N), else a matrix, in O(taps N^2).
 
-def stencil_commutator(stencil: dict, m):
-    """[S, M] in O(taps N^2): row i of SM adds c_r[i] M[i + r], column j of MS M[:, j - r] c_r[j - r].
+        A dense M takes row i of SM as the sum of c_r[i] M[i + r] and column j of MS as that of
+        M[:, j - r] c_r[j - r]. A stencil M = {q: d_q} gives taps at (r + q) mod N of
+        c_r[i] d_q[i + r] - d_q[i] c_r[i + q], taken as
+        c_r[i] (d_q[i + r] - d_q[i]) + d_q[i] (c_r[i] - c_r[i + q]): the differences of
+        neighbouring taps cancel before the products, so smooth taps lose no digits to it
+        and a scalar tap's own term is exactly 0. Two scalar taps commute and are skipped, and
+        taps that cancel to exactly 0 are dropped: ad_B = [{0: b}, .] zeroes the offset-0 tap.
+        """
+        n = self.n
+        if np.shape(m) != self.shape:
+            raise DimensionMismatchError(f"need equal square shapes: {self.shape}, {np.shape(m)}")
+        if isinstance(m, Stencil):
+            out = {}
+            for (r, c), (q, d) in product(self.taps.items(), m.taps.items()):
+                if np.ndim(c) == np.ndim(d) == 0:
+                    continue
+                k = (r + q) % n
+                tap = c * (self._shift(d, r) - d) + d * (c - self._shift(c, q))
+                out[k] = out[k] + tap if k in out else tap
+            return Stencil({k: tap for k, tap in out.items() if tap.any()}, n)
+        m = as_matrix(m)
+        out = np.zeros(self.shape, np.result_type(m, *self.taps.values()))
+        for r, c in self.taps.items():
+            k = r % n
+            if k == 0 and np.ndim(c) == 0:
+                continue  # a multiple of I commutes with M
+            c = np.broadcast_to(c, (n,))
+            for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
+                out[dst] += c[dst, None] * m[src]
+                out[:, src] -= m[:, dst] * c[dst]
+        return out
 
-    A stencil M = {q: d_q} gives the stencil [S, M] in O(taps_S taps_M N), with taps at
-    (r + q) mod N of c_r[i] d_q[i + r] - d_q[i] c_r[i + q], taken as
-    c_r[i] (d_q[i + r] - d_q[i]) + d_q[i] (c_r[i] - c_r[i + q]): the differences of
-    neighbouring taps cancel before the products, so smooth taps lose no digits to it
-    and a scalar tap's own term is exactly 0. Two scalar taps commute, so two stencils
-    of scalar taps give {}; otherwise the per-row taps give N, and the result has it.
-    Taps that cancel to exactly 0 are dropped: ad_B = [{0: b}, .] zeroes the offset-0 tap.
-    """
-    if isinstance(m, dict):
-        n = _size((*stencil.values(), *m.values()))
-        if n == 0:
-            return {}
+    def gram(self) -> Stencil:
+        """S^dagger S, G[j, j + q - r] += conj(c_r[j - r]) c_q[j - r], with its offsets in (-N/2, N/2]."""
         out = {}
-        for (r, c), (q, d) in product(stencil.items(), m.items()):
-            if np.ndim(c) == np.ndim(d) == 0:
-                continue
-            k = (r + q) % n
-            tap = c * (np.roll(d, -r) - d) + d * (c - np.roll(c, -q))
-            out[k] = out[k] + tap if k in out else tap
-        return _Stencil({k: tap for k, tap in out.items() if tap.any()}, n)
-    n = m.shape[0]
-    out = np.zeros((n, n), np.result_type(m, *stencil.values()))
-    for r, c in stencil.items():
-        k = r % n
-        if k == 0 and np.ndim(c) == 0:
-            continue  # a multiple of I commutes with M
-        c = np.broadcast_to(c, (n,))
-        for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
-            out[dst] += c[dst, None] * m[src]
-            out[:, src] -= m[:, dst] * c[dst]
-    return out
+        for (r, c), (q, d) in product(self.taps.items(), repeat=2):
+            k = self._centred(q - r)
+            g = self._shift(np.conj(c) * d, -r)
+            out[k] = out[k] + g if k in out else g
+        return Stencil(out, self.n)
 
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """S x for a vector or an N x m block: one padded slice of x per tap, offsets added in ascending order."""
+        n = self.n
+        taps = sorted(((self._centred(r), c) for r, c in self.taps.items()), key=lambda tap: tap[0])
+        w = max((abs(k) for k, _ in taps), default=0)
+        padded = np.concatenate((x[n - w :], x, x[:w]))  # padded[w + i + k] = x[(i + k) mod N]
+        out = np.zeros(x.shape, np.result_type(self.dtype, x))
+        for k, c in taps:
+            out += np.reshape(c, np.shape(c) + (1,) * (x.ndim - 1)) * padded[w + k : w + k + n]
+        return out
 
-def stencil_matrix(stencil, n: int) -> np.ndarray:
-    """The dense N x N matrix of a stencil, taps whose offsets agree mod N adding up; a matrix is returned as is."""
-    if not isinstance(stencil, dict):
-        return stencil
-    out = np.zeros((n, n), np.result_type(0.0, *stencil.values()))  # {} is the zero matrix
-    for r, c in stencil.items():
-        out[np.arange(n), (np.arange(n) + r) % n] += c
-    return out
+    def abs_sums(self) -> tuple:
+        """The row and column sums of |S|'s taps: row i adds |c_r[i]|, column j |c_r[j - r]|."""
+        mags = {r: np.abs(c) for r, c in self.taps.items()}
+        return sum(mags.values()), sum(self._shift(g, -r) for r, g in mags.items())
 
 
 def is_finite(op) -> bool:
     """True when every tap of a stencil, or every entry of a matrix, is finite."""
-    return all(np.isfinite(c).all() for c in (op.values() if isinstance(op, dict) else [op]))
+    return all(np.isfinite(c).all() for c in (op.taps.values() if isinstance(op, Stencil) else [op]))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -200,7 +232,7 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
 # the complex one (82 ms against 268 ms at N = 1024).
 _EIGVALSH_MAX_N = 128
 _TAU = 1e-10  # relative accuracy of the certified top eigenvalue
-_LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108; the certificate catches a shortfall
+_LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108 up to N = 1024; the certificate judges a run that stops here
 _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
 
 
@@ -224,30 +256,26 @@ def spectral_norm(m) -> float:
     The norm's relative error is about half that of lambda_max. Non-finite entries or taps
     raise ConvergenceError.
     """
-    stencil = isinstance(m, dict)
+    stencil = isinstance(m, Stencil)
     if not stencil:
         m = as_matrix(m)
-    scale = float(np.max([np.max(np.abs(c), initial=0.0) for c in (m.values() if stencil else [m])], initial=0.0))
+    scale = float(np.max([np.max(np.abs(c), initial=0.0) for c in (m.taps.values() if stencil else [m])], initial=0.0))
     if not np.isfinite(scale):
         raise ConvergenceError("spectral norm of a matrix with non-finite entries")
     if scale == 0.0:  # the zero or empty M has norm 0
         return 0.0
     if stencil:
-        n = _size(m.values())
-        if n == 0:
-            raise DimensionMismatchError("a stencil's size is read from its per-row taps; every tap is a scalar")
-        if len(m) == 1:  # row i holds c[i] alone, in a column of its own
+        if len(m.taps) == 1:  # row i holds c[i] alone, in a column of its own
             return scale
-        gram = _stencil_gram({r: c / scale for r, c in m.items()}, n)
+        gram = Stencil({r: c / scale for r, c in m.taps.items()}, m.n).gram()
     else:
         m = m / scale
         gram = m.conj().T @ m
     del m  # the certificate's Cholesky buffers take the place of the scaled copy
     try:
-        top = _banded_top(gram, n) if stencil and n > _STENCIL_DENSE_MAX_N else None
+        top = _banded_top(gram) if stencil and gram.n > _STENCIL_DENSE_MAX_N else None
         if top is None:
-            if stencil:
-                gram = stencil_matrix(gram, n)
+            gram = np.asarray(gram)
             if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
                 top = np.linalg.eigvalsh(gram)[-1]
             else:
@@ -255,16 +283,6 @@ def spectral_norm(m) -> float:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
-
-
-def _stencil_gram(taps: dict, n: int) -> dict:
-    """The taps {k mod N: g_k} of the Gram M^dagger M of a stencil M on N rows."""
-    gram = {}
-    for (r, c), (q, d) in product(taps.items(), repeat=2):
-        k = (q - r) % n
-        g = np.roll(np.conj(c) * d, r)
-        gram[k] = gram[k] + g if k in gram else g
-    return gram
 
 
 def _lanczos_top(gram: np.ndarray) -> float:
@@ -344,70 +362,51 @@ _REFINE_STEPS = 2
 _WIDENINGS = (1, 4, 16)  # the certificate's shift is theta (1 + k tau), each k tried in turn
 
 
-class _Band:
-    """A periodic banded Hermitian matrix G[i, (i + k) mod N] = g_k[i], |k| <= w, kept as its taps.
-
-    It has a shape, a dtype and @ (of a vector or an N x m block, in O(N w m)), so _lanczos_top
-    takes it as it takes a matrix; products counts the vector products, one per Lanczos step.
-    """
-
-    def __init__(self, taps: dict, n: int):
-        self.shape = (n, n)
-        self.width = w = max(abs(k) for k in taps)
-        self.rows = np.zeros((2 * w + 1, n), np.result_type(*taps.values()))
-        self.dtype = self.rows.dtype
-        for k, g in taps.items():
-            self.rows[w + k] = g
-        self.products = 0
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        n, w = self.shape[0], self.width
-        self.products += x.ndim == 1
-        padded = np.concatenate((x[n - w :], x, x[:w]))  # padded[w + i + k] = x[(i + k) mod N]
-        taps = self.rows.reshape(self.rows.shape + (1,) * (x.ndim - 1))
-        return sum(taps[j] * padded[j : j + n] for j in range(2 * w + 1))
-
-    def shifted_rows(self, start: int, stop: int, pad: int, sigma: float) -> np.ndarray:
-        """Rows start:stop of sigma I - G at columns start - pad ... stop + pad, read past either end mod N."""
-        w, size = self.width, stop - start
-        i = np.arange(size)
-        out = np.zeros((size, size + 2 * pad), self.rows.dtype)
-        out[i, pad + i + np.arange(-w, w + 1)[:, None]] = -self.rows[:, start:stop]
-        out[i, pad + i] += sigma
-        return out
-
-
 def _right_solve(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """X L^-dagger for a lower triangular L."""
     return np.linalg.solve(lower, x.conj().T).conj().T
 
 
-def _cyclic_cholesky(band: _Band, sigma: float, b: int) -> tuple[list, list, np.ndarray]:
+def _cyclic_cholesky(gram: Stencil, sigma: float, b: int) -> tuple[list, list, np.ndarray]:
     """The block Cholesky factor L of sigma I - G; LinAlgError unless that matrix is positive definite.
 
-    The rows split into blocks of b >= w rows, the last taking the remainder (b to 2b - 1 rows),
-    and at least 3 of them, so block i meets only blocks i - 1 and i + 1, and the wrap-around
-    corner meets the last block and the first. L is block bidiagonal but for its last block
-    row, which the corner fills in: O(N b^2) work in all. Returns L's diagonal blocks, its
+    G's taps sit at offsets k in (-N/2, N/2], as Stencil.gram gives them, with |k| <= b. The
+    rows split into blocks of b rows, the last taking the remainder (b to 2b - 1 rows), and at
+    least 3 of them, so block i meets only blocks i - 1 and i + 1, and the wrap-around corner
+    meets the last block and the first. L is block bidiagonal but for its last block row,
+    which the corner fills in: O(N b^2) work in all. Returns L's diagonal blocks, its
     subdiagonal blocks L[i + 1, i] up to the last block, and the last block row left of the
     diagonal.
     """
-    n = band.shape[0]
+    n = gram.n
+    offsets = np.array(list(gram.taps))[:, None]
+    taps = np.empty((len(gram.taps), n), gram.dtype)
+    for j, g in enumerate(gram.taps.values()):
+        taps[j] = g
+
+    def shifted_rows(start: int, stop: int, pad: int) -> np.ndarray:
+        """Rows start:stop of sigma I - G at columns start - pad ... stop + pad, read past either end mod N."""
+        i = np.arange(stop - start)
+        out = np.zeros((stop - start, stop - start + 2 * pad), gram.dtype)
+        out[i, pad + i + offsets] = -taps[:, start:stop]
+        out[i, pad + i] += sigma
+        return out
+
     body = (n // b - 1) * b  # rows before the last block
-    last = band.shifted_rows(body, n, b, sigma)
+    last = shifted_rows(body, n, b)
     size = n - body
     row = np.zeros((size, body), last.dtype)
     row[:, :b] = last[:, b + size :]  # the corner: columns n ... n + b are block 0's
     row[:, body - b :] = last[:, :b]
     diag, sub = [], []
-    d = band.shifted_rows(0, b, b, sigma)[:, b : 2 * b]
+    d = shifted_rows(0, b, b)[:, b : 2 * b]
     for start in range(0, body, b):
         block = slice(start, start + b)
         lower = np.linalg.cholesky(d)
         diag.append(lower)
         row[:, block] = _right_solve(row[:, block], lower)
         if start + b < body:
-            rows = band.shifted_rows(start + b, start + 2 * b, b, sigma)
+            rows = shifted_rows(start + b, start + 2 * b, b)
             below = _right_solve(rows[:, :b], lower)
             sub.append(below)
             d = rows[:, b : 2 * b] - below @ below.conj().T
@@ -436,28 +435,26 @@ def _cyclic_solve(factor: tuple[list, list, np.ndarray], y: np.ndarray) -> np.nd
     return x
 
 
-def _banded_top(gram: dict, n: int) -> float | None:
-    """lambda_max of a stencil's Gram from its taps {k mod N: g_k}, never making it dense; None where it cannot.
+def _banded_top(gram: Stencil) -> float | None:
+    """lambda_max of a stencil's Gram from its taps, never making it dense; None where it cannot.
 
-    Lanczos on the band gives theta <= lambda_max. A Cholesky factor of sigma I - G with
-    sigma = theta (1 + tau), widened to 4 and 16 tau if it fails, proves lambda_max <= sigma.
-    Inverse iteration with that factor, which magnifies the top of the spectrum by
-    1 / (sigma - lambda), from a seeded N x 16 block, then Rayleigh-Ritz with G, gives
-    rho <= lambda_max, which no longer sits inside a rounding-split top cluster as a Ritz
-    value may (theta alone normed the sweeps' last two words up to 1.6e-13 low at N = 512
-    and 1e-12 at N = 1024); max(theta, rho) is returned. None when the band is too wide for 3 blocks, Lanczos used its whole step
-    budget, or no shift has a factor.
+    Lanczos on the band gives theta <= lambda_max, whether it converged or spent its step
+    budget. A Cholesky factor of sigma I - G with sigma = theta (1 + tau), widened to 4 and
+    16 tau if it fails, proves lambda_max <= sigma. Inverse iteration with that factor, which
+    magnifies the top of the spectrum by 1 / (sigma - lambda), from a seeded N x 16 block,
+    then Rayleigh-Ritz with G, gives rho <= lambda_max, which no longer sits inside a
+    rounding-split top cluster as a Ritz value may (theta alone normed the sweeps' last two
+    words up to 1.6e-13 low at N = 512 and 1e-12 at N = 1024); max(theta, rho) is returned.
+    None when the band is too wide for 3 blocks or no shift has a factor.
     """
-    band = _Band({k - n if 2 * k > n else k: g for k, g in gram.items()}, n)
-    b = max(_BLOCK, band.width)
+    n = gram.n
+    b = max(_BLOCK, max(abs(k) for k in gram.taps))
     if n < 3 * b:
         return None
-    theta = _lanczos_top(band)
-    if band.products >= _LANCZOS_MAX_STEPS:
-        return None
+    theta = _lanczos_top(gram)
     for widening in _WIDENINGS:
         try:
-            factor = _cyclic_cholesky(band, theta * (1.0 + widening * _TAU), b)
+            factor = _cyclic_cholesky(gram, theta * (1.0 + widening * _TAU), b)
             break
         except np.linalg.LinAlgError:
             continue
@@ -465,11 +462,11 @@ def _banded_top(gram: dict, n: int) -> float | None:
         return None
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, _REFINE_WIDTH))
-    if np.iscomplexobj(band.rows):
+    if np.iscomplexobj(gram):
         x = x + 1j * rng.standard_normal((n, _REFINE_WIDTH))
     for _ in range(_REFINE_STEPS):
         x = np.linalg.qr(_cyclic_solve(factor, x))[0]
-    return max(theta, float(np.linalg.eigvalsh(x.conj().T @ (band @ x))[-1]))
+    return max(theta, float(np.linalg.eigvalsh(x.conj().T @ (gram @ x))[-1]))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -9,8 +9,8 @@ Observables are polynomial in the derivative: O = sum_m diag(y_m) h^m D_m,
 with D_m the finite-difference ladder or its spectral analogue.
 Smooth coefficients keep ||O|| of order h^0 across the semiclassical range.
 
-A and O each have one builder of their declared form (see linalg): FD's are stencils, D_m the m + 1
-taps of fd_stencil, and the spectral ones dense. build_A and build_observable are their matrices.
+A and O each have one builder of their declared form: FD's are stencils (linalg.Stencil), D_m the
+m + 1 taps of fd_stencil, and the spectral ones dense. build_A and build_observable are their matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .discretize import Grid, SchemeKind, build_diag, build_spectral_derivative, fd_stencil, sample
 from .expr import Expr
-from .linalg import stencil_matrix
+from .linalg import Stencil
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class PolyObservableSpec:
 def declared_A(p: ModelParams):
     """Kinetic term -(h/2) D_2 in declared form; Hermitian."""
     if p.scheme is SchemeKind.FINITE_DIFFERENCE:
-        return {r: -0.5 * p.h * c for r, c in fd_stencil(p.grid, 2).items()}
+        return Stencil({r: -0.5 * p.h * c for r, c in fd_stencil(p.grid, 2).taps.items()}, p.grid.n)
     a = -0.5 * p.h * build_spectral_derivative(p.grid, 2)
     # the FFT-built spectral matrix carries ~1e-16 asymmetry; project it out
     return 0.5 * (a + a.T)
@@ -62,7 +62,7 @@ def declared_A(p: ModelParams):
 
 def build_A(p: ModelParams) -> np.ndarray:
     """Kinetic term -(h/2) D_2 as a dense matrix."""
-    return stencil_matrix(declared_A(p), p.grid.n)
+    return np.asarray(declared_A(p))
 
 
 def build_B(p: ModelParams) -> np.ndarray:
@@ -77,11 +77,11 @@ def declared_observable(spec: PolyObservableSpec, grid: Grid, scheme: SchemeKind
     taps = {}
     for m, y_m in spec.terms:
         y = sample(grid, y_m)
-        for r, c in fd_stencil(grid, m).items():
+        for r, c in fd_stencil(grid, m).taps.items():
             taps[r] = taps.get(r, 0.0) + y * c * spec.h**m
-    return taps
+    return Stencil(taps, grid.n)
 
 
 def build_observable(spec: PolyObservableSpec, grid: Grid, scheme: SchemeKind = SchemeKind.FINITE_DIFFERENCE) -> np.ndarray:
     """O = sum_m diag(y_m) h^m D_m as a dense matrix."""
-    return stencil_matrix(declared_observable(spec, grid, scheme), grid.n)
+    return np.asarray(declared_observable(spec, grid, scheme))

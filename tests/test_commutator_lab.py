@@ -24,8 +24,8 @@ from semitrotter.linalg import (
     DimensionMismatchError,
     NonHermitianError,
     commutator,
+    Stencil,
     spectral_norm,
-    stencil_matrix,
 )
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
 from semitrotter.splitting import suzuki_plan
@@ -62,25 +62,27 @@ def test_nested_comm_takes_declared_operators():
     # FD's A and O are stencils and B comes as its diagonal, as the sweeps build them; each
     # word's chain is the dense fold of their matrices, to the rounding of both
     _, a, b, obs = _build_operators(build_config("comm-sweep"), 1.0 / 16)
-    dense = (stencil_matrix(a, 16), np.diag(b), stencil_matrix(obs, 16))
+    dense = (np.asarray(a), np.diag(b), np.asarray(obs))
+    b = Stencil({0: b}, 16)
     scale = functools.reduce(np.maximum, (np.max(np.abs(m)) for m in dense))
     for word in itertools.product("AB", repeat=3):
         expected = nested_comm(word, *dense)
         got = nested_comm(word, a, b, obs)
-        assert isinstance(got, dict)
-        assert np.max(np.abs(stencil_matrix(got, 16) - expected)) <= 1e-13 * scale**4
+        assert isinstance(got, Stencil)
+        assert np.max(np.abs(np.asarray(got) - expected)) <= 1e-13 * scale**4
         assert np.max(np.abs(nested_comm(word, dense[0], b, dense[2]) - expected)) <= 1e-13 * scale**4
 
 
 def test_ad_b_of_a_stencil_drops_its_offset_0_tap():
     # B's diagonal commutes with O's offset-0 tap exactly; the one tap left is a weighted shift
     _, a, b, obs = _build_operators(build_config("comm-sweep"), 1.0 / 64)
-    assert 0 in obs and 0 in a
+    b = Stencil({0: b}, 64)
+    assert 0 in obs.taps and 0 in a.taps
     for m in (obs, a, ad(a, obs)):
-        assert 0 not in ad(b, m)
+        assert 0 not in ad(b, m).taps
     chain = ad(b, ad(b, obs))
-    assert list(chain) == [1]
-    assert spectral_norm(chain) == float(np.max(np.abs(chain[1])))
+    assert list(chain.taps) == [1]
+    assert spectral_norm(chain) == float(np.max(np.abs(chain.taps[1])))
 
 
 def test_beta_all_diagonal_is_zero():
@@ -120,15 +122,15 @@ def test_beta_pruning_equals_full_maximum(scheme, n):
     # largest entry of the same fold on |A|, |B| and |O|, which bounds both roundings (ad_A^3(O)
     # cancels to 1e-9 of that scale at N = 256, so the chain's own largest entry is no scale)
     a, b, obs = _sweep_operators(scheme, n)
-    generators = {"A": stencil_matrix(a, n), "B": np.diag(b)}
+    generators = {"A": np.asarray(a), "B": Stencil({0: np.diag(b)}, n)}
     mags = {"A": np.abs(generators["A"]), "B": np.abs(b)}
-    root = stencil_matrix(obs, n)
+    root = np.asarray(obs)
     for p in (1, 2, 3):
         chains = dict(commutator_lab._word_chains(p, a, np.diag(b), obs))
         for w in itertools.product("AB", repeat=p + 1):
             folded = functools.reduce(lambda m, label: ad(generators[label], m), w, root)
-            chain = stencil_matrix(chains[w], n)
-            assert isinstance(chains[w], dict) == isinstance(obs, dict)
+            chain = np.asarray(chains[w])
+            assert isinstance(chains[w], Stencil) == isinstance(obs, Stencil)
             if scheme == "fd":
                 scale = functools.reduce(lambda m, label: mags[label] @ m + m @ mags[label], w, np.abs(root))
                 assert np.max(np.abs(chain - folded)) <= 1e-15 * np.max(scale), w
@@ -207,7 +209,7 @@ def _nan_at_3_5(operand):
         pytest.param(2, _nan_at_3_5(0), id="0"),
         pytest.param(2, _nan_at_3_5(2), id="2"),
         pytest.param(1, [np.eye(3), np.array([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
-        pytest.param(2, [{-1: 1.0, 0: -2.0, 1: 1.0}, np.arange(16.0), {0: np.where(np.arange(16) == 3, np.nan, 1.0)}], id="nan-in-stencil-O"),
+        pytest.param(2, [Stencil({-1: 1.0, 0: -2.0, 1: 1.0}, 16), np.arange(16.0), Stencil({0: np.where(np.arange(16) == 3, np.nan, 1.0)}, 16)], id="nan-in-stencil-O"),
     ],
 )
 def test_beta_non_finite_chain_raises(p, ops):
@@ -223,7 +225,7 @@ def test_beta_non_finite_chain_raises(p, ops):
         pytest.param(2, _nan_at_3_5(0), id="0"),
         pytest.param(2, _nan_at_3_5(2), id="2"),
         pytest.param(1, [np.eye(3), np.array([1.0, np.nan, 2.0]), np.eye(3)], id="nan-on-B-diagonal"),
-        pytest.param(2, [{-1: 1.0, 0: -2.0, 1: 1.0}, np.arange(16.0), {0: np.where(np.arange(16) == 3, np.nan, 1.0)}], id="nan-in-stencil-O"),
+        pytest.param(2, [Stencil({-1: 1.0, 0: -2.0, 1: 1.0}, 16), np.arange(16.0), Stencil({0: np.where(np.arange(16) == 3, np.nan, 1.0)}, 16)], id="nan-in-stencil-O"),
     ],
 )
 def test_alpha_non_finite_chain_raises(p, ops):
@@ -237,31 +239,31 @@ def test_ad_on_stencils_matches_dense(n):
     # that meet mod N at N = 4 and 5, and the norm bound from its taps
     rng = np.random.default_rng(50 + n)
     b = 10.0 * rng.standard_normal(n)
-    a = {-1: 3.0, 0: -6.0, 1: 3.0}
+    a = Stencil({-1: 3.0, 0: -6.0, 1: 3.0}, n)
     x = rng.standard_normal((n, n))
-    for m in ({r: rng.standard_normal(n) for r in (-3, -1, 0, 2, 5)}, {0: np.cos(np.arange(n)), 1: 2.0}):
-        dense = stencil_matrix(m, n)
-        for gen, dense_gen in ((b, np.diag(b)), (a, stencil_matrix(a, n))):
+    for m in (Stencil({r: rng.standard_normal(n) for r in (-3, -1, 0, 2, 5)}, n), Stencil({0: np.cos(np.arange(n)), 1: 2.0}, n)):
+        dense = np.asarray(m)
+        for gen, dense_gen in ((Stencil({0: b}, n), np.diag(b)), (a, np.asarray(a))):
             got = ad(gen, m)
-            assert isinstance(got, dict)
+            assert isinstance(got, Stencil)
             scale = np.max(np.abs(dense_gen) @ np.abs(dense) + np.abs(dense) @ np.abs(dense_gen))
-            assert np.max(np.abs(stencil_matrix(got, n) - commutator(dense_gen, dense))) <= 1e-14 * scale
+            assert np.max(np.abs(np.asarray(got) - commutator(dense_gen, dense))) <= 1e-14 * scale
         assert np.array_equal(ad(x, m), commutator(x, dense))
         bound = commutator_lab._norm_bound(m)
         assert bound >= np.linalg.norm(dense, 2)
         if n > 10:  # no two offsets meet: the bound is the dense matrix's
             assert bound == pytest.approx(commutator_lab._norm_bound(dense), rel=1e-14)
-    assert commutator_lab._norm_bound({}) == 0.0
+    assert commutator_lab._norm_bound(Stencil({}, n)) == 0.0
 
 
 def test_alpha_tilde_takes_either_form():
     # H = A + B and O from the FD sweep at N = 16, each as a stencil or as its matrix
     n = 16
     _, a, potential, obs = _build_operators(build_config("comm-sweep"), 1.0 / n)
-    h = {**a, 0: a[0] + potential}
+    h = Stencil({**a.taps, 0: a.taps[0] + potential}, n)
     for p in (1, 2):
-        reference = compute_alpha_tilde(p, stencil_matrix(h, n), stencil_matrix(obs, n))
-        for hh, oo in itertools.product((h, stencil_matrix(h, n)), (obs, stencil_matrix(obs, n))):
+        reference = compute_alpha_tilde(p, np.asarray(h), np.asarray(obs))
+        for hh, oo in itertools.product((h, np.asarray(h)), (obs, np.asarray(obs))):
             assert compute_alpha_tilde(p, hh, oo) == pytest.approx(reference, rel=1e-12, abs=0)
 
 
@@ -432,10 +434,10 @@ def test_comm_sweep_words_match_long_double_chains():
         return sum(c[:, None] * np.roll(m, -r, axis=0) - np.roll(m * c, r, axis=1) for r, c in taps.items())
 
     b = potential.astype(np.longdouble)
-    chain = stencil_matrix(a, n).astype(np.longdouble) * (b[None, :] - b[:, None])
-    chains = [chain, -bracket(obs, chain)]
-    chains += [bracket(a, chains[-1])]
-    chains += [bracket(a, chains[-1])]
+    chain = np.asarray(a).astype(np.longdouble) * (b[None, :] - b[:, None])
+    chains = [chain, -bracket(obs.taps, chain)]
+    chains += [bracket(a.taps, chains[-1])]
+    chains += [bracket(a.taps, chains[-1])]
     for label, chain in zip(experiments.COMM_WORD_LABELS, chains):
         reference = float(np.linalg.norm(chain.astype(np.float64), 2))
         assert values[label] == pytest.approx(reference, rel=2e-14, abs=0), label

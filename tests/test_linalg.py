@@ -11,14 +11,14 @@ from semitrotter.commutator_lab import ad
 from semitrotter.discretize import Grid, build_Dk, fd_stencil
 from semitrotter.linalg import (
     ConvergenceError,
+    DimensionMismatchError,
     NonHermitianError,
+    Stencil,
     circulant,
     commutator,
     hermitian_eig,
     hermiticity_defect,
     spectral_norm,
-    stencil_commutator,
-    stencil_matrix,
     unitarity_defect,
     unitary_exp,
 )
@@ -226,7 +226,7 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
     stencils = []
 
     def checked(m):
-        stencils.append(isinstance(m, dict))
+        stencils.append(isinstance(m, Stencil))
         pairs.append((spectral_norm(m), _norm_oracle(m)))
         return pairs[-1][0]
 
@@ -364,7 +364,7 @@ def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
     assert krylov == [False] * len(banded)
 
     _, a, b, obs = ex._build_operators(ex.build_config("comm-sweep"), 1.0 / 1024)
-    chain = ad(a, ad(a, ad(obs, ad(b, a))))  # [A,[A,[[A,B],O]]]
+    chain = ad(a, ad(a, ad(obs, ad(Stencil({0: b}, 1024), a))))  # [A,[A,[[A,B],O]]]
     tracemalloc.start()
     try:
         spectral_norm(chain)
@@ -454,13 +454,13 @@ def test_stencil_commutator_matches_dense(n):
     rng = np.random.default_rng(n)
     grid = Grid(-math.pi, math.pi, n)
     stencils = [fd_stencil(grid, k) for k in range(4)]
-    stencils.append({r: -0.5 / n * c for r, c in fd_stencil(grid, 2).items()})
-    stencils += [{r: rng.standard_normal(n) * c for r, c in s.items()} for s in stencils]
+    stencils.append(Stencil({r: -0.5 / n * c for r, c in fd_stencil(grid, 2).taps.items()}, n))
+    stencils += [Stencil({r: rng.standard_normal(n) * c for r, c in s.taps.items()}, n) for s in stencils]
     for s in stencils:
-        dense = stencil_matrix(s, n)
+        dense = np.asarray(s)
         for m in (rng.standard_normal((n, n)), _random_complex(rng, n)):
             expected = commutator(dense, m)
-            got = stencil_commutator(s, m)
+            got = s.commutator(m)
             assert got.dtype == expected.dtype
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -474,7 +474,37 @@ def _random_stencils(rng, n):
     real = {r: rng.standard_normal(n) for r in _WRAPPING_OFFSETS}
     cplx = {r: rng.standard_normal(n) + 1j * rng.standard_normal(n) for r in _WRAPPING_OFFSETS}
     mixed = {-1: 0.5, 0: -1.0, 1: 0.5, 3: rng.standard_normal(n)}
-    return [real, cplx, mixed]
+    return [Stencil(real, n), Stencil(cplx, n), Stencil(mixed, n)]
+
+
+def _dense_oracle(s):
+    """S[i, (i + r) mod N] = c_r[i] summed as diag(c_r) times the permutation with ones at (i, (i + r) mod N)."""
+    shifts = np.eye(s.n)
+    return sum((np.broadcast_to(c, (s.n,))[:, None] * np.roll(shifts, r, axis=1) for r, c in s.taps.items()), np.zeros(s.shape))
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_stencil_matmul_matches_dense(n):
+    # S @ x for a vector and an N x 3 block, real and complex: non-Hermitian per-row taps at gapped
+    # offsets that wrap (and collide mod N at N = 4 and 5), scalar taps beside per-row ones, and
+    # scalar taps alone at offsets 7 apart
+    rng = np.random.default_rng(60 + n)
+    stencils = _random_stencils(rng, n) + [Stencil({-5: 1.5, 2: -0.25}, n)]
+    for s in stencils:
+        dense = _dense_oracle(s)
+        assert np.array_equal(np.asarray(s), dense)
+        for shape in ((n,), (n, 3)):
+            for x in (rng.standard_normal(shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+                got = s @ x
+                assert got.shape == shape and got.dtype == np.result_type(dense, x)
+                assert np.max(np.abs(got - dense @ x)) <= 1e-14 * np.max(np.abs(dense) @ np.abs(x))
+
+
+def test_stencil_checks_per_row_tap_length():
+    for tap in (np.ones(7), np.ones(9), np.ones((8, 1))):
+        with pytest.raises(DimensionMismatchError):
+            Stencil({-1: 1.0, 2: tap}, 8)
+    assert Stencil({-1: 1.0, 2: np.ones(8)}, 8).shape == (8, 8)
 
 
 @pytest.mark.parametrize("n", [4, 5, 16, 64])
@@ -482,26 +512,26 @@ def test_stencil_bracket_matches_dense_products(n):
     # [S, T] of two stencils is a stencil; the reference is XY - YX of their dense matrices, and
     # the tolerance scales with |X||Y| + |Y||X|, which bounds the rounding of both
     rng = np.random.default_rng(30 + n)
-    stencils = _random_stencils(rng, n) + [{-1: 2.0, 0: -4.0, 1: 2.0}]
+    stencils = _random_stencils(rng, n) + [Stencil({-1: 2.0, 0: -4.0, 1: 2.0}, n)]
     for s in stencils:
         for t in stencils:
-            got = stencil_commutator(s, t)
-            assert isinstance(got, dict)
-            x, y = stencil_matrix(s, n), stencil_matrix(t, n)
-            if got:  # numpy reads the bracket as its dense matrix
-                assert got.shape == (n, n) and np.array_equal(np.asarray(got), stencil_matrix(got, n))
+            got = s.commutator(t)
+            assert isinstance(got, Stencil)
+            x, y = _dense_oracle(s), _dense_oracle(t)
+            # numpy reads the bracket as its dense matrix
+            assert got.shape == (n, n) and np.array_equal(np.asarray(got), _dense_oracle(got))
             scale = np.max(np.abs(x) @ np.abs(y) + np.abs(y) @ np.abs(x))
-            assert np.max(np.abs(stencil_matrix(got, n) - commutator(x, y)), initial=0.0) <= 1e-14 * scale
-    assert stencil_commutator({-1: 2.0, 1: 3.0}, {0: 5.0, 2: 1.0}) == {}  # circulants commute
+            assert np.max(np.abs(np.asarray(got) - commutator(x, y)), initial=0.0) <= 1e-14 * scale
+    assert Stencil({-1: 2.0, 1: 3.0}, n).commutator(Stencil({0: 5.0, 2: 1.0}, n)).taps == {}  # circulants commute
 
 
 def test_stencil_bracket_dense_matrix_is_always_a_copy():
     # numpy 2's __array__ protocol: copy=False must raise where a copy cannot be avoided
     s, t = _random_stencils(np.random.default_rng(37), 16)[:2]
-    got = stencil_commutator(s, t)
+    got = s.commutator(t)
     with pytest.raises(ValueError):
         np.asarray(got, copy=False)
-    dense = stencil_matrix(got, 16)
+    dense = _dense_oracle(got)
     assert np.array_equal(np.asarray(got), dense) and np.array_equal(np.array(got, copy=True), dense)
     assert np.asarray(got, dtype=np.complex64).dtype == np.complex64
 
@@ -510,7 +540,7 @@ def test_stencil_bracket_dense_matrix_is_always_a_copy():
 def test_stencil_spectral_norm_matches_dense(n):
     rng = np.random.default_rng(40 + n)
     for s in _random_stencils(rng, n):
-        expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
+        expected = float(np.linalg.norm(np.asarray(s), 2))
         assert spectral_norm(s) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -519,8 +549,8 @@ def _banded_values(monkeypatch):
     values = []
     banded_top = linalg._banded_top
 
-    def recording(gram, n):
-        values.append(banded_top(gram, n))
+    def recording(gram):
+        values.append(banded_top(gram))
         return values[-1]
 
     monkeypatch.setattr(linalg, "_banded_top", recording)
@@ -541,7 +571,7 @@ def test_banded_spectral_norm_matches_svd(monkeypatch, n):
     rng = np.random.default_rng(50 + n)
     stencils = _random_stencils(rng, n)
     for s in stencils:
-        expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
+        expected = float(np.linalg.norm(np.asarray(s), 2))
         assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
     taken = n > linalg._STENCIL_DENSE_MAX_N
     assert len(banded) == len(stencils) * taken and None not in banded
@@ -552,7 +582,7 @@ def _wrapped_stencil(n):
     rng = np.random.default_rng(n)
     distance = np.minimum(np.arange(n), n - np.arange(n))  # from row 0, around the circle
     bump = 1.0 + 4.0 * np.exp(-((distance / 6.0) ** 2))
-    return {r: bump * (1.0 + 0.1 * rng.standard_normal(n)) for r in (-2, 0, 1)}
+    return Stencil({r: bump * (1.0 + 0.1 * rng.standard_normal(n)) for r in (-2, 0, 1)}, n)
 
 
 def test_banded_certificate_failure_takes_dense_value(monkeypatch):
@@ -560,7 +590,7 @@ def test_banded_certificate_failure_takes_dense_value(monkeypatch):
     n = 300
     s = _wrapped_stencil(n)
     dense = _dense_route_norm(monkeypatch, s)
-    assert dense == pytest.approx(float(np.linalg.norm(stencil_matrix(s, n), 2)), rel=1e-13, abs=0)
+    assert dense == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-13, abs=0)
     factored = []
     cyclic_cholesky, lanczos_top = linalg._cyclic_cholesky, linalg._lanczos_top
 
@@ -600,16 +630,16 @@ def test_lanczos_on_a_real_band_stays_real_and_lean():
 
     n = 1024
     _, a, b, obs = ex._build_operators(ex.build_config("comm-sweep"), 1.0 / n)
-    chain = ad(a, ad(a, ad(obs, ad(b, a))))
-    taps = linalg._stencil_gram(chain, n)
-    band = _RecordingMatrix(linalg._Band({k - n if 2 * k > n else k: g for k, g in taps.items()}, n))
+    chain = ad(a, ad(a, ad(obs, ad(Stencil({0: b}, n), a))))
+    gram = chain.gram()
+    band = _RecordingMatrix(gram)
     theta = linalg._lanczos_top(band)
     assert band.dtype == np.float64 and set(band.seen) == {np.dtype(np.float64)}
-    assert band.matrix.products == len(band.seen) < linalg._LANCZOS_MAX_STEPS
-    top = np.linalg.eigvalsh(stencil_matrix(taps, n))[-1]
+    assert len(band.seen) < linalg._LANCZOS_MAX_STEPS
+    top = np.linalg.eigvalsh(np.asarray(gram))[-1]
     assert theta <= top * (1 + 1e-13) and theta == pytest.approx(top, rel=2 * linalg._TAU)
 
-    expected = float(np.linalg.norm(stencil_matrix(chain, n), 2))
+    expected = float(np.linalg.norm(np.asarray(chain), 2))
     tracemalloc.start()
     try:
         norm = spectral_norm(chain)
@@ -638,11 +668,37 @@ def test_banded_step_cap_takes_dense_value(monkeypatch):
     assert banded == [None]
 
 
+def test_banded_value_stands_when_lanczos_spends_its_budget(monkeypatch):
+    # [A,[A,[[A,B],O]]] of the default comm-sweep at N = 1024 takes 36 Lanczos steps. With the
+    # budget cut to 36 the run stops on it, and its Ritz value is still a lower bound: the
+    # certificate, not the step count, decides, so the banded path gives the SVD's norm
+    import semitrotter.experiments as ex
+
+    n = 1024
+    _, a, b, obs = ex._build_operators(ex.build_config("comm-sweep"), 1.0 / n)
+    chain = ad(a, ad(a, ad(obs, ad(Stencil({0: b}, n), a))))
+    expected = float(np.linalg.norm(np.asarray(chain), 2))
+    steps = []
+    lanczos_top = linalg._lanczos_top
+
+    def counting_lanczos(gram):
+        band = _RecordingMatrix(gram)
+        theta = lanczos_top(band)
+        steps.append(len(band.seen))
+        return theta
+
+    monkeypatch.setattr(linalg, "_LANCZOS_MAX_STEPS", 36)
+    monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
+    banded = _banded_values(monkeypatch)
+    assert spectral_norm(chain) == pytest.approx(expected, rel=1e-13, abs=0)
+    assert steps == [36] and len(banded) == 1 and banded[0] is not None
+
+
 def test_band_too_wide_for_three_blocks_takes_dense_path(monkeypatch):
     # taps 120 apart give a Gram of half-bandwidth 120: 3 blocks of 120 rows need 360 > 300
     n = 300
     rng = np.random.default_rng(51)
-    s = {0: rng.standard_normal(n), 120: rng.standard_normal(n)}
+    s = Stencil({0: rng.standard_normal(n), 120: rng.standard_normal(n)}, n)
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -652,7 +708,7 @@ def test_band_too_wide_for_three_blocks_takes_dense_path(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     banded = _banded_values(monkeypatch)
-    expected = float(np.linalg.norm(stencil_matrix(s, n), 2))
+    expected = float(np.linalg.norm(np.asarray(s), 2))
     assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
     assert banded == [None] and solved == [n]
 
@@ -663,8 +719,8 @@ def test_one_tap_stencil_norm_is_its_largest_tap(monkeypatch, n):
     banded = _banded_values(monkeypatch)
     rng = np.random.default_rng(52)
     c = rng.standard_normal(n)
-    for s in ({3: c}, {-1: c + 1j * rng.standard_normal(n)}, {0: c}):
-        (tap,) = s.values()
+    for s in (Stencil({3: c}, n), Stencil({-1: c + 1j * rng.standard_normal(n)}, n), Stencil({0: c}, n)):
+        (tap,) = s.taps.values()
         assert spectral_norm(s) == float(np.max(np.abs(tap)))
     assert banded == []
 
@@ -672,17 +728,17 @@ def test_one_tap_stencil_norm_is_its_largest_tap(monkeypatch, n):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_banded_non_finite_tap_raises(bad):
     n = linalg._STENCIL_DENSE_MAX_N + 44
-    taps = _random_stencils(np.random.default_rng(53), n)[1]
-    taps[2][7] = bad
+    s = _random_stencils(np.random.default_rng(53), n)[1]
+    s.taps[2][7] = bad
     with pytest.raises(ConvergenceError):
-        spectral_norm(taps)
+        spectral_norm(s)
 
 
 def test_stencil_spectral_norm_above_crossover():
     # a complex stencil's Gram at N > 128 takes the certified Lanczos path
     n = linalg._EIGVALSH_MAX_N + 72
     s = _random_stencils(np.random.default_rng(47), n)[1]
-    assert spectral_norm(s) == pytest.approx(float(np.linalg.norm(stencil_matrix(s, n), 2)), rel=1e-10, abs=0)
+    assert spectral_norm(s) == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, -np.inf)])
@@ -690,22 +746,24 @@ def test_stencil_spectral_norm_non_finite_tap_raises(bad):
     taps = {-1: np.ones(8), 2: np.ones(8, dtype=type(bad))}
     taps[2][3] = bad
     with pytest.raises(ConvergenceError):
-        spectral_norm(taps)
+        spectral_norm(Stencil(taps, 8))
     with pytest.raises(ConvergenceError):
-        spectral_norm({0: np.ones(8), 1: bad})
+        spectral_norm(Stencil({0: np.ones(8), 1: bad}, 8))
 
 
 def test_stencil_spectral_norm_of_zero_and_of_scalar_taps():
-    assert spectral_norm({}) == 0.0
-    assert spectral_norm({0: np.zeros(8), 3: 0.0}) == 0.0
-    with pytest.raises(linalg.DimensionMismatchError):  # no per-row tap gives N
-        spectral_norm({-1: 1.0, 1: 1.0})
+    assert spectral_norm(Stencil({}, 8)) == 0.0
+    assert spectral_norm(Stencil({0: np.zeros(8), 3: 0.0}, 8)) == 0.0
+    # scalar taps alone: the stencil carries its N; its matrix is the circulant of first column e_1 + e_7
+    column = np.zeros(8)
+    column[[1, 7]] = 1.0
+    assert spectral_norm(Stencil({-1: 1.0, 1: 1.0}, 8)) == spectral_norm(circulant(column))
 
 
 def test_stencil_matrix_adds_taps_that_wrap_onto_each_other():
     # D_4 at N = 4 has taps at -2 and 2, the same diagonal mod 4
     s = fd_stencil(Grid(0.0, 4.0, 4), 4)
-    assert s == {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}
-    assert np.array_equal(stencil_matrix(s, 4)[0], [6.0, -4.0, 2.0, -4.0])
+    assert s.taps == {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}
+    assert np.array_equal(np.asarray(s)[0], [6.0, -4.0, 2.0, -4.0])
     m = np.arange(16.0).reshape(4, 4)
-    assert np.allclose(stencil_commutator(s, m), commutator(stencil_matrix(s, 4), m), rtol=0, atol=1e-12)
+    assert np.allclose(s.commutator(m), commutator(np.asarray(s), m), rtol=0, atol=1e-12)
