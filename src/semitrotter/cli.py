@@ -35,11 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "semiclassical Schrodinger equation",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in experiments.EXPERIMENTS:
+    for name, spec in experiments.EXPERIMENTS.items():
         cmd = sub.add_parser(name, help=f"run the {name} experiment")
         cmd.add_argument("--config", default=None, help="key = value config file")
         cmd.add_argument("--out", default="out", help="output directory")
-        if name == "dt-sweep":
+        if spec.state:
             cmd.add_argument(
                 "--state",
                 action="store_true",

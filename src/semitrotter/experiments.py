@@ -515,6 +515,7 @@ class Experiment:
     fixed: tuple[str, ...] = ()  # config keys the sweep holds fixed, one value each
     plots: tuple[Plot, ...] = ()
     refs: Callable[[RunConfig], list[tuple[str, float]]] = lambda cfg: []  # dashed x^slope guides
+    state: bool = False  # the CLI offers --state, the Gaussian wavepacket's expectation error
 
     def series(self, rows: list[Row], plot: Plot) -> list[tuple[str, list[tuple[float, float]]]]:
         return [s for metric in plot.metrics for s in series_from_rows(rows, metric, self.x_field)]
@@ -560,6 +561,7 @@ EXPERIMENTS = {
             Plot("_unitary_error", ("unitary_error",), "unitary_error vs dt", "unitary_error"),
         ),
         refs=lambda cfg: [(f"dt^{p}", float(p)) for p in cfg.orders],
+        state=True,
     ),
     "h-sweep": Experiment(
         runner=partial(_sweep, _evolution_rows),

@@ -19,15 +19,17 @@ commutator and unitary matrices the sweeps build), because a random start has a 
 component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
 Matrix Anal. Appl. 13, 1992). The Ritz value theta is a lower bound, whether or not Lanczos
 converged, and a Cholesky factorization of theta (1 + tau) I - G proves the upper bound; for
-a dense G that fails, the eigenvalue is read exactly from that shifted matrix. A banded G is
-factored in blocks, in O(N w^2) for half-bandwidth w, and that factor then drives a block
-shift-invert iteration whose Rayleigh-Ritz value lands on lambda_max to rounding (Parlett,
-The Symmetric Eigenvalue Problem, ch. 4 and 11); where the band is too wide or no factor
-exists, the Gram is made dense after all. So no value rests on an iteration having converged.
+a dense G that fails, the eigenvalue is read exactly from that shifted matrix. A banded G of
+half-bandwidth w, its rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of half-width
+2w, factored in blocks in O(N w^2); that factor then drives a block shift-invert iteration
+whose Rayleigh-Ritz value lands on lambda_max to rounding (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4 and 11). Where no shift has a factor, the Gram is made dense after all, if it
+fits in memory. So no value rests on an iteration having converged.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import product
 
 import numpy as np
@@ -247,8 +249,9 @@ def spectral_norm(m) -> float:
       takes the banded path (_banded_top): lambda_max is certified to lie within tau
       (1e-10) relative of the value, or 16 tau where the shift had to widen, plus O(N eps),
       and the shift-invert refinement puts the value within a few eps of it (within 4e-15
-      of an SVD on the sweeps' words at N = 512 and 1024). Where that path cannot finish,
-      the Gram is made dense and takes the route of a dense Gram below;
+      of an SVD on the sweeps' words at N = 512 and 1024). Where no shift has a factor,
+      the Gram is made dense and takes the route of a dense Gram below (ConvergenceError
+      if it and eigvalsh's working copy need more than the machine's physical memory);
     - a real or small dense Gram takes a full eigenvalue solve, exact to O(N eps)
       relative (the top eigenvalue of a PSD matrix is backward-stable);
     - a large complex dense Gram takes a certified Lanczos value, within tau relative
@@ -275,6 +278,12 @@ def spectral_norm(m) -> float:
     try:
         top = _banded_top(gram) if stencil and gram.n > _STENCIL_DENSE_MAX_N else None
         if top is None:
+            need = 2 * gram.shape[0] ** 2 * gram.dtype.itemsize  # the dense Gram and eigvalsh's working copy
+            if stencil and need > _physical_memory():
+                raise ConvergenceError(
+                    f"the dense Gram of an N = {gram.n} stencil needs {need} bytes, "
+                    f"more than the machine's {_physical_memory()} bytes"
+                )
             gram = np.asarray(gram)
             if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
                 top = np.linalg.eigvalsh(gram)[-1]
@@ -283,6 +292,11 @@ def spectral_norm(m) -> float:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
+
+
+def _physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _lanczos_top(gram: np.ndarray) -> float:
@@ -343,13 +357,13 @@ def _certified_top(gram: np.ndarray, theta: float) -> float:
 
 # Stencil Grams with more rows than this take the banded path. Per norm of the default
 # comm-sweep's four words (2-core x86-64, OpenBLAS 0.3.31; median of twelve norms in each of
-# three rounds), eigvalsh of the dense Gram against the banded path: 5.6-6.4 ms against
-# 5.3-6.3 ms at N = 256, 13 ms against 7.6-11 ms at N = 384, 25-28 ms against 9.4-15 ms at
-# N = 512, 113-117 ms against 19-28 ms at N = 1024.
+# three rounds), eigvalsh of the dense Gram against the folded banded path: 3.2-5.4 ms against
+# 4.0-7.8 ms at N = 256, 7.7-12 ms against 5.2-5.9 ms at N = 384, 15-19 ms against 6.7-6.9 ms
+# at N = 512, 95-116 ms against 13-14 ms at N = 1024.
 _STENCIL_DENSE_MAX_N = 256
-# Rows per Cholesky block, raised to the half-bandwidth where that is wider. In the same
-# runs, blocks of 16, 32 and 64 rows took 10-15, 9.4-15 and 11-16 ms at N = 512 and 21-28,
-# 19-28 and 21-31 ms at N = 1024; a block's cost is mostly call overhead.
+# Rows per Cholesky block of the folded band, raised to its half-width 2w where that is wider.
+# In the same runs, blocks of 16, 32 and 64 rows took 7.4, 6.7-7.0 and 7.3-7.5 ms at N = 512
+# and 14-15, 13-15 and 14-15 ms at N = 1024; a block's cost is mostly call overhead.
 _BLOCK = 32
 # Columns of the shift-invert block: the sweeps' words have up to 8 top singular values
 # within 5e-13 of each other (then a 5 % gap), and the block must hold that cluster.
@@ -367,105 +381,88 @@ def _right_solve(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower, x.conj().T).conj().T
 
 
-def _cyclic_cholesky(gram: Stencil, sigma: float, b: int) -> tuple[list, list, np.ndarray]:
-    """The block Cholesky factor L of sigma I - G; LinAlgError unless that matrix is positive definite.
+def _fold(n: int) -> np.ndarray:
+    """The rows 0, N - 1, 1, N - 2, ...: (P M P^T)[p, q] = M[fold[p], fold[q]]."""
+    p = np.arange(n)
+    return np.where(p % 2, n - 1 - p // 2, p // 2)
 
-    G's taps sit at offsets k in (-N/2, N/2], as Stencil.gram gives them, with |k| <= b. The
-    rows split into blocks of b rows, the last taking the remainder (b to 2b - 1 rows), and at
-    least 3 of them, so block i meets only blocks i - 1 and i + 1, and the wrap-around corner
-    meets the last block and the first. L is block bidiagonal but for its last block row,
-    which the corner fills in: O(N b^2) work in all. Returns L's diagonal blocks, its
-    subdiagonal blocks L[i + 1, i] up to the last block, and the last block row left of the
-    diagonal.
+
+def _folded_cholesky(gram: Stencil, sigma: float, b: int) -> tuple[list, list]:
+    """The block Cholesky factor L of P (sigma I - G) P^T, P the fold; LinAlgError unless it is positive definite.
+
+    The fold puts rows i and i + k mod N at most 2|k| apart, so G's taps, at offsets k with
+    2|k| <= b, make it a plain band of half-width b (Golub & Van Loan, Matrix Computations,
+    sec. 4.3). Its rows split into blocks of b rows, the last taking the remainder, so block
+    i meets only blocks i - 1 and i + 1 and L is block bidiagonal: O(N b^2) work, one dense
+    block where b >= N. Returns L's diagonal blocks and its subdiagonal blocks L[i + 1, i].
     """
     n = gram.n
+    fold = _fold(n)
     offsets = np.array(list(gram.taps))[:, None]
-    taps = np.empty((len(gram.taps), n), gram.dtype)
-    for j, g in enumerate(gram.taps.values()):
-        taps[j] = g
-
-    def shifted_rows(start: int, stop: int, pad: int) -> np.ndarray:
-        """Rows start:stop of sigma I - G at columns start - pad ... stop + pad, read past either end mod N."""
-        i = np.arange(stop - start)
-        out = np.zeros((stop - start, stop - start + 2 * pad), gram.dtype)
-        out[i, pad + i + offsets] = -taps[:, start:stop]
-        out[i, pad + i] += sigma
-        return out
-
-    body = (n // b - 1) * b  # rows before the last block
-    last = shifted_rows(body, n, b)
-    size = n - body
-    row = np.zeros((size, body), last.dtype)
-    row[:, :b] = last[:, b + size :]  # the corner: columns n ... n + b are block 0's
-    row[:, body - b :] = last[:, :b]
+    cols = np.argsort(fold)[(fold + offsets) % n]  # tap t of folded row p sits in folded column cols[t, p]
+    taps = np.array([np.broadcast_to(g, (n,))[fold] for g in gram.taps.values()], gram.dtype)
     diag, sub = [], []
-    d = shifted_rows(0, b, b)[:, b : 2 * b]
-    for start in range(0, body, b):
-        block = slice(start, start + b)
-        lower = np.linalg.cholesky(d)
-        diag.append(lower)
-        row[:, block] = _right_solve(row[:, block], lower)
-        if start + b < body:
-            rows = shifted_rows(start + b, start + 2 * b, b)
-            below = _right_solve(rows[:, :b], lower)
+    for start in range(0, n, b):
+        stop, lo = min(start + b, n), max(start - b, 0)
+        t, i = np.nonzero(cols[:, start:stop] < stop)  # the entries left of the next block
+        rows = np.zeros((stop - start, stop - lo), gram.dtype)
+        rows[i, cols[t, start + i] - lo] = -taps[t, start + i]
+        d = rows[:, start - lo :]
+        d[np.diag_indices(stop - start)] += sigma
+        if start:
+            below = _right_solve(rows[:, : start - lo], diag[-1])
             sub.append(below)
-            d = rows[:, b : 2 * b] - below @ below.conj().T
-            row[:, start + b : start + 2 * b] -= row[:, block] @ below.conj().T
-    diag.append(np.linalg.cholesky(last[:, b : b + size] - row @ row.conj().T))
-    return diag, sub, row
+            d = d - below @ below.conj().T
+        diag.append(np.linalg.cholesky(d))
+    return diag, sub
 
 
-def _cyclic_solve(factor: tuple[list, list, np.ndarray], y: np.ndarray) -> np.ndarray:
-    """X with L L^dagger X = Y, by block forward and back substitution, L from _cyclic_cholesky."""
-    diag, sub, row = factor
-    b, body = diag[0].shape[0], row.shape[1]
-    blocks = [slice(start, start + b) for start in range(0, body, b)]
-    x = y.copy()
-    for i, block in enumerate(blocks):  # L Z = Y
+def _folded_solve(factor: tuple[list, list], y: np.ndarray) -> np.ndarray:
+    """X with (sigma I - G) X = Y: block forward and back substitution on P Y with L from _folded_cholesky, then P^T."""
+    diag, sub = factor
+    fold, b = _fold(y.shape[0]), diag[0].shape[0]
+    blocks = [slice(start, start + b) for start in range(0, y.shape[0], b)]
+    x = y[fold]
+    for i, block in enumerate(blocks):  # L Z = P Y
         if i:
             x[block] -= sub[i - 1] @ x[blocks[i - 1]]
         x[block] = np.linalg.solve(diag[i], x[block])
-    x[body:] = np.linalg.solve(diag[-1], x[body:] - row @ x[:body])
-    x[body:] = np.linalg.solve(diag[-1].conj().T, x[body:])  # L^dagger X = Z
-    x[:body] -= row.conj().T @ x[body:]
-    for i in range(len(blocks) - 1, -1, -1):
+    for i in range(len(blocks) - 1, -1, -1):  # L^dagger P X = Z
         if i + 1 < len(blocks):
             x[blocks[i]] -= sub[i].conj().T @ x[blocks[i + 1]]
         x[blocks[i]] = np.linalg.solve(diag[i].conj().T, x[blocks[i]])
-    return x
+    return x[np.argsort(fold)]
 
 
 def _banded_top(gram: Stencil) -> float | None:
     """lambda_max of a stencil's Gram from its taps, never making it dense; None where it cannot.
 
     Lanczos on the band gives theta <= lambda_max, whether it converged or spent its step
-    budget. A Cholesky factor of sigma I - G with sigma = theta (1 + tau), widened to 4 and
-    16 tau if it fails, proves lambda_max <= sigma. Inverse iteration with that factor, which
-    magnifies the top of the spectrum by 1 / (sigma - lambda), from a seeded N x 16 block,
-    then Rayleigh-Ritz with G, gives rho <= lambda_max, which no longer sits inside a
-    rounding-split top cluster as a Ritz value may (theta alone normed the sweeps' last two
-    words up to 1.6e-13 low at N = 512 and 1e-12 at N = 1024); max(theta, rho) is returned.
-    None when the band is too wide for 3 blocks or no shift has a factor.
+    budget. A Cholesky factor of the folded sigma I - G (_folded_cholesky) with
+    sigma = theta (1 + tau), widened to 4 and 16 tau if it fails, proves lambda_max <= sigma.
+    Inverse iteration with that factor, which magnifies the top of the spectrum by
+    1 / (sigma - lambda), from a seeded N x 16 block, then Rayleigh-Ritz with G, gives
+    rho <= lambda_max, which no longer sits inside a rounding-split top cluster as a Ritz
+    value may (theta alone normed the sweeps' last two words up to 1.6e-13 low at N = 512
+    and 1e-12 at N = 1024); max(theta, rho) is returned.
+    None when no shift has a factor; a band of any width factors, as one dense block where 2w >= N.
     """
-    n = gram.n
-    b = max(_BLOCK, max(abs(k) for k in gram.taps))
-    if n < 3 * b:
-        return None
+    b = max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
     theta = _lanczos_top(gram)
     for widening in _WIDENINGS:
         try:
-            factor = _cyclic_cholesky(gram, theta * (1.0 + widening * _TAU), b)
+            factor = _folded_cholesky(gram, theta * (1.0 + widening * _TAU), b)
             break
         except np.linalg.LinAlgError:
             continue
     else:
         return None
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((n, _REFINE_WIDTH))
+    x = rng.standard_normal((gram.n, _REFINE_WIDTH))
     if np.iscomplexobj(gram):
-        x = x + 1j * rng.standard_normal((n, _REFINE_WIDTH))
+        x = x + 1j * rng.standard_normal((gram.n, _REFINE_WIDTH))
     for _ in range(_REFINE_STEPS):
-        x = np.linalg.qr(_cyclic_solve(factor, x))[0]
+        x = np.linalg.qr(_folded_solve(factor, x))[0]
     return max(theta, float(np.linalg.eigvalsh(x.conj().T @ (gram @ x))[-1]))
 
 

@@ -503,6 +503,23 @@ def test_cli_dt_sweep_writes_artifacts(tmp_path, capsys):
     assert "slope" in printed
 
 
+def test_cli_state_flag_comes_from_the_experiment_table(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("N = 16\nh = 1/8\ndt = 1/4, 1/8\norders = 1, 2\nt_final = 1/2\n", encoding="utf-8")
+
+    def metrics(flags):
+        out = tmp_path / "_".join(["out", *flags])
+        assert main(["dt-sweep", *flags, "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "dt_sweep.csv", encoding="utf-8", newline="") as fh:
+            return [rec["metric"] for rec in csv.DictReader(fh)]
+
+    assert metrics(["--state"]).count("expectation_error") == 4
+    assert "expectation_error" not in metrics([])
+    with pytest.raises(SystemExit) as exc:
+        main(["h-sweep", "--state", "--out", str(tmp_path / "h")])
+    assert exc.value.code == 2
+
+
 def test_cli_zero_metric_is_left_out_of_plots(tmp_path):
     # the identity observable commutes with W - I, so observable_error is exactly 0
     config = tmp_path / "zero.cfg"

@@ -592,24 +592,48 @@ def test_banded_certificate_failure_takes_dense_value(monkeypatch):
     dense = _dense_route_norm(monkeypatch, s)
     assert dense == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-13, abs=0)
     factored = []
-    cyclic_cholesky, lanczos_top = linalg._cyclic_cholesky, linalg._lanczos_top
+    folded_cholesky, lanczos_top = linalg._folded_cholesky, linalg._lanczos_top
 
     def recording(band, sigma, b):
         try:
-            factor = cyclic_cholesky(band, sigma, b)
+            factor = folded_cholesky(band, sigma, b)
         except np.linalg.LinAlgError:
             factored.append(False)
             raise
         factored.append(True)
         return factor
 
-    monkeypatch.setattr(linalg, "_cyclic_cholesky", recording)
+    monkeypatch.setattr(linalg, "_folded_cholesky", recording)
     assert spectral_norm(s) == pytest.approx(dense, rel=1e-13, abs=0)
     assert factored == [True]
     monkeypatch.setattr(linalg, "_lanczos_top", lambda gram: 0.9 * lanczos_top(gram))
     banded = _banded_values(monkeypatch)
     assert spectral_norm(s) == dense
     assert banded == [None] and factored == [True] + [False] * len(linalg._WIDENINGS)
+
+
+def test_dense_fallback_that_cannot_fit_raises(monkeypatch):
+    # with no factor the Gram would go dense: its two N x N float64 buffers must fit in memory
+    n = 300
+    s = _wrapped_stencil(n)
+    dense = _dense_route_norm(monkeypatch, s)
+    lanczos_top = linalg._lanczos_top
+    monkeypatch.setattr(linalg, "_lanczos_top", lambda gram: 0.9 * lanczos_top(gram))
+    need = 2 * n * n * 8
+    monkeypatch.setattr(linalg, "_physical_memory", lambda: need - 1)
+    densified = []
+    to_dense = Stencil.__array__
+
+    def recording(self, dtype=None, copy=None):
+        densified.append(self.n)
+        return to_dense(self, dtype, copy)
+
+    monkeypatch.setattr(Stencil, "__array__", recording)
+    with pytest.raises(ConvergenceError, match=f"N = {n} stencil needs {need} bytes"):
+        spectral_norm(s)
+    assert densified == []
+    monkeypatch.setattr(linalg, "_physical_memory", lambda: need)
+    assert spectral_norm(s) == dense and densified == [n]
 
 
 class _RecordingMatrix:
@@ -694,8 +718,9 @@ def test_banded_value_stands_when_lanczos_spends_its_budget(monkeypatch):
     assert steps == [36] and len(banded) == 1 and banded[0] is not None
 
 
-def test_band_too_wide_for_three_blocks_takes_dense_path(monkeypatch):
-    # taps 120 apart give a Gram of half-bandwidth 120: 3 blocks of 120 rows need 360 > 300
+def test_wide_band_takes_banded_path(monkeypatch):
+    # taps 120 apart give a Gram of half-bandwidth 120; folded it is a band of half-width 240,
+    # two blocks of 240 and 60 rows, and no N x N eigenvalue solve runs
     n = 300
     rng = np.random.default_rng(51)
     s = Stencil({0: rng.standard_normal(n), 120: rng.standard_normal(n)}, n)
@@ -706,11 +731,47 @@ def test_band_too_wide_for_three_blocks_takes_dense_path(monkeypatch):
         solved.append(g.shape[0])
         return eigvalsh(g)
 
+    expected = float(np.linalg.norm(np.asarray(s), 2))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     banded = _banded_values(monkeypatch)
-    expected = float(np.linalg.norm(np.asarray(s), 2))
     assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
-    assert banded == [None] and solved == [n]
+    assert len(banded) == 1 and banded[0] is not None and n not in solved
+
+
+@pytest.mark.parametrize("n", [6, 7, 64, 65])
+def test_fold_puts_neighbours_at_most_twice_their_offset_apart(n):
+    fold = linalg._fold(n)
+    assert sorted(fold) == list(range(n))
+    place = np.argsort(fold)
+    rows = np.arange(n)
+    for k in range(-n, n + 1):
+        assert np.max(np.abs(place[rows] - place[(rows + k) % n])) <= 2 * abs(k)
+
+
+def _band_gram(rng, n, w, complex_taps):
+    """The Gram of a stencil with taps at 0 ... w: a Hermitian PSD band of half-width min(w, N/2)."""
+    taps = {r: rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_taps else 0.0) for r in range(w + 1)}
+    return Stencil(taps, n).gram()
+
+
+# 5 and 20 are below one 32-row block, 33 and 257 odd and no multiple of it; 5 at w >= 2 and
+# 20 at w >= 5 have 2w >= N/2, and 5 at w >= 3 wraps its taps around the circle
+@pytest.mark.parametrize("n", [5, 20, 33, 64, 257, 300])
+@pytest.mark.parametrize("w", range(1, 8))
+@pytest.mark.parametrize("complex_taps", [False, True])
+def test_folded_factor_solves_the_shifted_gram(n, w, complex_taps):
+    rng = np.random.default_rng(1000 * n + 10 * w + complex_taps)
+    gram = _band_gram(rng, n, w, complex_taps)
+    dense = np.asarray(gram)
+    top = float(np.linalg.eigvalsh(dense)[-1])
+    b = max(linalg._BLOCK, 2 * max(abs(k) for k in gram.taps))
+    y = rng.standard_normal((n, 3)) + (1j * rng.standard_normal((n, 3)) if complex_taps else 0.0)
+    for sigma in (1.01 * top, 2.0 * top):
+        x = linalg._folded_solve(linalg._folded_cholesky(gram, sigma, b), y)
+        expected = np.linalg.solve(sigma * np.eye(n) - dense, y)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._folded_cholesky(gram, 0.99 * top, b)
 
 
 @pytest.mark.parametrize("n", [8, 300, 1024])
