@@ -226,13 +226,22 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-# Complex Grams with more rows than this take the Lanczos path. Eigenvalue solve
-# against Lanczos plus certificate, on the h-sweep's matrices (2-core x86-64,
-# OpenBLAS 0.3.31): 1.4-1.9 ms against 1.1-3.5 ms at N = 128, 11-13 ms against
-# 5-10 ms at N = 256, 0.31-0.33 s against 0.09-0.14 s at N = 1024. Real Grams
-# always keep the solve: the real tridiagonalization costs about a third of
-# the complex one (82 ms against 268 ms at N = 1024).
-_EIGVALSH_MAX_N = 128
+# Complex Grams with more rows than this take the Lanczos path. Per whole norm of the
+# h-sweep's W - I and [O, W - I] (2-core x86-64, OpenBLAS 0.3.31; medians of thirty
+# norms in each of three rounds), eigenvalue solve against Lanczos plus the in-place
+# certificate: 1.4-2.0 ms against 3.1-4.3 ms at N = 96, 3.1-3.2 against 3.7-5.4 ms at
+# N = 128, 7.0-9.7 against 10.1-10.4 ms at N = 192, 18-21 against 16-18 ms at N = 256
+# (at the last re-timing, 0.31-0.33 s against 0.09-0.14 s at N = 1024). Real Grams
+# always keep the solve: the real tridiagonalization costs about a third of the complex
+# one (82 ms against 268 ms at N = 1024).
+_EIGVALSH_MAX_N = 192
+# Columns per panel of a dense Gram (_dense_gram) and of its certificate's factor
+# (_certified_top). On an N = 1024 h-sweep [O, W - I] (same machine, medians of nine),
+# panels of 64, 96, 128 and 192 columns built the Gram in 79-99, 79-94, 85-94 and
+# 81-87 ms, against 117-129 ms for the full product, and factored in 75, 77, 72 and
+# 79 ms (92 ms at 256, 80-88 ms for np.linalg.cholesky). At 128 a panel is a fifth of
+# an N x N buffer at N = 600 and an eighth at N = 1024.
+_PANEL = 128
 _TAU = 1e-10  # relative accuracy of the certified top eigenvalue
 _LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108 up to N = 1024; the certificate judges a run that stops here
 _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
@@ -252,17 +261,19 @@ def spectral_norm(m) -> float:
       of an SVD on the sweeps' words at N = 512 and 1024). Where no shift has a factor,
       the Gram is made dense and takes the route of a dense Gram below (ConvergenceError
       if it and eigvalsh's working copy need more than the machine's physical memory);
-    - a real or small dense Gram takes a full eigenvalue solve, exact to O(N eps)
+    - a dense M forms its Gram by panels (_dense_gram), the one N x N buffer made beside M.
+      A real or small dense Gram takes a full eigenvalue solve, exact to O(N eps)
       relative (the top eigenvalue of a PSD matrix is backward-stable);
     - a large complex dense Gram takes a certified Lanczos value, within tau relative
-      plus O(N eps) of lambda_max.
+      plus O(N eps) of lambda_max, its certificate factored in the Gram's own buffer.
     The norm's relative error is about half that of lambda_max. Non-finite entries or taps
     raise ConvergenceError.
     """
     stencil = isinstance(m, Stencil)
     if not stencil:
         m = as_matrix(m)
-    scale = float(np.max([np.max(np.abs(c), initial=0.0) for c in (m.taps.values() if stencil else [m])], initial=0.0))
+    pieces = m.taps.values() if stencil else (m[i : i + _PANEL] for i in range(0, m.shape[0], _PANEL))
+    scale = float(np.max([np.max(np.abs(c), initial=0.0) for c in pieces], initial=0.0))
     if not np.isfinite(scale):
         raise ConvergenceError("spectral norm of a matrix with non-finite entries")
     if scale == 0.0:  # the zero or empty M has norm 0
@@ -272,9 +283,8 @@ def spectral_norm(m) -> float:
             return scale
         gram = Stencil({r: c / scale for r, c in m.taps.items()}, m.n).gram()
     else:
-        m = m / scale
-        gram = m.conj().T @ m
-    del m  # the certificate's Cholesky buffers take the place of the scaled copy
+        gram = _dense_gram(m, scale)
+    del m  # frees a copy that as_matrix made of the input (another dtype, a list)
     try:
         top = _banded_top(gram) if stencil and gram.n > _STENCIL_DENSE_MAX_N else None
         if top is None:
@@ -292,6 +302,36 @@ def spectral_norm(m) -> float:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
+
+
+def _dense_gram(m: np.ndarray, scale: float) -> np.ndarray:
+    """(M/s)^dagger (M/s), built by row panels of its lower block triangle in one new array.
+
+    Row panel I is (M[:, I] / s / s)^dagger M[:, :stop(I)]: no scaled copy of M is made, only
+    one N x _PANEL left factor, and about half the flops of the full product are spent. The
+    column above panel I's diagonal block is its mirror, and that block is replaced by its
+    Hermitian part, so G is exactly Hermitian. Dividing by s twice keeps the left factor
+    finite for any finite s, where 1/s^2 overflows once s is below about 1e-154 (and s^2 above
+    1e154); every product of the two factors is then at most 1 in size.
+    A Gram of one panel takes (M/s)^dagger (M/s) from one scaled copy of M, which is no
+    larger than a panel, and so has the same bits as a stencil's Gram made dense.
+    """
+    n = m.shape[1]
+    if n <= _PANEL:
+        m = m / scale
+        return m.conj().T @ m
+    gram, panel = np.empty((n, n), m.dtype), np.empty((m.shape[0], min(n, _PANEL)), m.dtype)
+    for start in range(0, n, _PANEL):
+        stop = min(start + _PANEL, n)
+        left = np.divide(m[:, start:stop], scale, out=panel[:, : stop - start])
+        left /= scale
+        np.matmul(np.conjugate(left, out=left).T, m[:, :stop], out=gram[start:stop, :stop])
+        diagonal = gram[start:stop, start:stop]
+        diagonal += diagonal.conj().T  # its Hermitian part, so G is exactly Hermitian
+        diagonal /= 2
+        for j in range(0, start, _PANEL):  # square blocks: numpy copies the input of an overlapping view
+            np.conjugate(gram[start:stop, j : j + _PANEL].T, out=gram[j : j + _PANEL, start:stop])
+    return gram
 
 
 def _physical_memory() -> int:
@@ -344,14 +384,32 @@ def _certified_top(gram: np.ndarray, theta: float) -> float:
     Overwrites gram with theta (1 + tau) I - gram. If that has a Cholesky factor,
     lambda_max <= theta (1 + tau) (1 + O(N eps)) and theta is returned; otherwise the
     exact top eigenvalue is read off the shifted matrix.
+
+    The factor is a pass/fail test, so it is made in place, panel by panel of _PANEL columns
+    (left-looking; Golub & Van Loan, Matrix Computations, sec. 4.2): each panel first takes
+    away the product of the factor's columns to its left, then its diagonal block is
+    factored and the rows below it solved through _right_solve, never through an explicit
+    inverse (backward stable, Higham, Accuracy and Stability of Numerical Algorithms, ch. 10,
+    where sigma I - G has a condition number near 1 / tau). Only the blocks below the diagonal
+    blocks are written, so the shifted matrix's upper triangle, diagonal included, is still
+    whole when a block fails, and the exact eigenvalue is read from it.
     """
     shift = theta * (1.0 + _TAU)
     np.negative(gram, out=gram)
     gram[np.diag_indices_from(gram)] += shift
+    n = gram.shape[0]
     try:
-        np.linalg.cholesky(gram)
+        for start in range(0, n, _PANEL):
+            stop = min(start + _PANEL, n)
+            diagonal, below = gram[start:stop, start:stop], gram[stop:, start:stop]
+            if start:  # take away the product of the factor's columns left of the panel
+                left = gram[start:, :start] @ gram[start:stop, :start].conj().T
+                diagonal = diagonal - left[: stop - start]
+                below -= left[stop - start :]
+                del left
+            below[...] = _right_solve(below, np.linalg.cholesky(diagonal))
     except np.linalg.LinAlgError:
-        return shift - float(np.linalg.eigvalsh(gram)[0])
+        return shift - float(np.linalg.eigvalsh(gram, UPLO="U")[0])
     return theta
 
 
@@ -377,8 +435,8 @@ _WIDENINGS = (1, 4, 16)  # the certificate's shift is theta (1 + k tau), each k 
 
 
 def _right_solve(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """X L^-dagger for a lower triangular L."""
-    return np.linalg.solve(lower, x.conj().T).conj().T
+    """X L^-dagger for a lower triangular L, as (conj(L)^-1 X^T)^T: no conjugate copy of X."""
+    return np.linalg.solve(lower.conj(), x.T).T
 
 
 def _fold(n: int) -> np.ndarray:

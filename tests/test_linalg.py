@@ -270,27 +270,109 @@ def _complex_gram(n, seed):
     return m.conj().T @ m
 
 
-def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
-    gram = _complex_gram(200, 15)
-    top = float(np.linalg.eigvalsh(gram)[-1])
+def _recording_cholesky(monkeypatch):
+    """Patch np.linalg.cholesky to record, per call, whether its block factored."""
     factored = []
     cholesky = np.linalg.cholesky
 
     def recording(a):
         try:
-            cholesky(a)
+            factor = cholesky(a)
         except np.linalg.LinAlgError:
             factored.append(False)
             raise
         factored.append(True)
+        return factor
 
     monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return factored
+
+
+def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
+    gram = _complex_gram(200, 15)
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    factored = _recording_cholesky(monkeypatch)
     assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
-    assert factored == [False]
+    assert factored[-1] is False and all(factored[:-1])  # the factor stops at its first failed block
+    factored.clear()
     theta = linalg._lanczos_top(gram)
     assert theta <= top * (1 + 1e-14)
     assert linalg._certified_top(gram.copy(), theta) == theta
-    assert factored == [False, True]
+    assert factored == [True] * -(-200 // linalg._PANEL)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_blocked_certificate_at_several_panels(monkeypatch, dtype):
+    n = 600
+    rng = np.random.default_rng(40)
+    m = rng.standard_normal((n, n)).astype(dtype)
+    if dtype == np.complex128:
+        m += 1j * rng.standard_normal((n, n))
+    gram = m.conj().T @ m
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
+    theta = linalg._lanczos_top(gram)
+    assert linalg._certified_top(gram.copy(), theta) == theta
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_certificate_fails_in_its_last_block_only(monkeypatch, dtype):
+    # G = 1000 u u^dagger plus a little noise, u spread evenly: at theta = 0.9 lambda_max,
+    # theta (1 + tau) I - G is positive definite on its first 512 rows (512 / 600 < 0.9) and on
+    # every diagonal block alone, so only the updates from the panels to the left of the last
+    # block make its factor fail
+    n = 600
+    rng = np.random.default_rng(43)
+    m = rng.standard_normal((50, n)).astype(dtype)
+    if dtype == np.complex128:
+        m += 1j * rng.standard_normal((50, n))
+    u = np.full(n, n**-0.5)
+    gram = 1e3 * np.outer(u, u).astype(dtype) + 1e-3 * (m.conj().T @ m) / n
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    factored = _recording_cholesky(monkeypatch)
+    assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
+    assert factored == [True] * (n // linalg._PANEL) + [False]
+
+
+@pytest.mark.parametrize("n", [129, 255, 256, 257, 600])
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_dense_spectral_norm_across_panel_edges(n, dtype):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)).astype(dtype)
+    if dtype == np.complex128:
+        m += 1j * rng.standard_normal((n, n))
+    assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12, abs=0)
+    s = float(np.max(np.abs(m)))
+    gram = linalg._dense_gram(m, s)
+    assert np.array_equal(gram, gram.conj().T)  # the Hermitian mirror holds, and the diagonal is real
+    assert np.max(np.abs(gram - (m / s).conj().T @ (m / s))) <= 1e-14 * n
+
+
+def test_dense_spectral_norm_peaks_below_one_and_a_half_buffers():
+    # the Gram is the one N x N buffer beside M: its row panels and the certificate's panels
+    # are N x 128; the scaled copy of M and its conjugate are gone
+    n = 600
+    m = _random_complex(np.random.default_rng(41), n)
+    expected = np.linalg.norm(m, 2)
+    tracemalloc.start()
+    try:
+        norm = spectral_norm(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == pytest.approx(expected, rel=1e-12, abs=0)
+    assert peak <= 1.5 * 16 * n**2, peak / (16 * n**2)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+def test_dense_spectral_norm_scales_without_overflow(dtype, c):
+    # the Gram divides its left panel by s twice: at c = 1e300 an s^2 overflows, at 1e-300 1/s^2 does
+    rng = np.random.default_rng(42)
+    m = rng.standard_normal((200, 200)).astype(dtype)
+    if dtype == np.complex128:
+        m += 1j * rng.standard_normal((200, 200))
+    assert spectral_norm(c * m) == pytest.approx(c * spectral_norm(m), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
