@@ -45,7 +45,7 @@ from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
 from .linalg import Stencil, is_finite, spectral_norm, unitary_exp
 from .model import ModelParams, PolyObservableSpec, declared_A, declared_observable
-from .splitting import suzuki_plan, trotter_step
+from .splitting import suzuki_plan, trotter_apply
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
 
 CSV_HEADER = "experiment,p,scheme,N,h,dt,t,metric,value"
@@ -363,9 +363,11 @@ def evolution_errors(w: np.ndarray, obs: np.ndarray, phi=None) -> tuple[float, f
 
     O is a stencil or a matrix: [O, W - I] is commutator_lab.ad's, so FloatingPointError on overflow.
     Overwrites w with W - I and drops it before the observable norm, which frees a W passed
-    as a temporary on Python 3.11 and later: after that norm, U_exact^dagger and [O, W - I]
-    are what is left, 2.05 complex N x N buffers traced at N = 1024. Python 3.10 keeps call
-    arguments alive until return, so there W - I stays beside them through that norm.
+    as a temporary on Python 3.11 and later. Traced at N = 1024 in complex N x N buffers,
+    with the sweep's U_exact^dagger alive: each norm peaks at 3.3 (the matrix, its Gram and
+    the certificate's panels), FD's bracket, built by row blocks, at 3.2, and U_exact^dagger
+    and [O, W - I] are what is left, 2.05. Python 3.10 keeps call arguments alive until
+    return, so there W - I stays beside them through the observable norm (4.26).
     """
     w[np.diag_indices(w.shape[0])] -= 1.0
     unitary_error = spectral_norm(w)
@@ -380,7 +382,9 @@ def evolution_errors(w: np.ndarray, obs: np.ndarray, phi=None) -> tuple[float, f
 def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     """Error rows for every order and dt on one h's grid, built once with its U_exact.
 
-    W goes to evolution_errors as a temporary, so that call frees it before the observable
+    W = U_trot U_exact^dagger is built by splitting.trotter_apply, beside U_exact^dagger
+    alone for the default p = 2 and beside U^2 and a panel for p = 4 and 6 (N >= 256), and
+    goes to evolution_errors as a temporary, so that call frees it before the observable
     norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
     """
     grid, a, b, obs = _build_operators(cfg, h)
@@ -397,7 +401,7 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     rows = []
     for p, dt in product(cfg.orders, cfg.dt_values):
         steps = int(round(cfg.t_final / dt))
-        errors = evolution_errors(trotter_step(suzuki_plan(p), a_row, b, dt, steps) @ u_exact_h, obs, phi)
+        errors = evolution_errors(trotter_apply(suzuki_plan(p), a_row, b, dt, steps, u_exact_h), obs, phi)
         row = partial(_row, cfg, p=p, n=grid.n, h=h, dt=dt, t=cfg.t_final)
         rows += [row(metric, value) for metric, value in zip(metrics, errors) if value is not None]
     return rows

@@ -118,7 +118,8 @@ class Stencil:
         """[S, M]: a stencil for a stencil M, in O(taps_S taps_M N), else a matrix, in O(taps N^2).
 
         A dense M takes row i of SM as the sum of c_r[i] M[i + r] and column j of MS as that of
-        M[:, j - r] c_r[j - r]. A stencil M = {q: d_q} gives taps at (r + q) mod N of
+        M[:, j - r] c_r[j - r], _PANEL rows of the result at a time, so its temporaries are
+        two N x _PANEL slices, not two N x N ones; each entry takes its terms in tap order. A stencil M = {q: d_q} gives taps at (r + q) mod N of
         c_r[i] d_q[i + r] - d_q[i] c_r[i + q], taken as
         c_r[i] (d_q[i + r] - d_q[i]) + d_q[i] (c_r[i] - c_r[i + q]): the differences of
         neighbouring taps cancel before the products, so smooth taps lose no digits to it
@@ -139,14 +140,17 @@ class Stencil:
             return Stencil({k: tap for k, tap in out.items() if tap.any()}, n)
         m = as_matrix(m)
         out = np.zeros(self.shape, np.result_type(m, *self.taps.values()))
-        for r, c in self.taps.items():
-            k = r % n
-            if k == 0 and np.ndim(c) == 0:
-                continue  # a multiple of I commutes with M
-            c = np.broadcast_to(c, (n,))
-            for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
-                out[dst] += c[dst, None] * m[src]
-                out[:, src] -= m[:, dst] * c[dst]
+        # a multiple of I commutes with M
+        taps = [(r % n, np.broadcast_to(c, (n,))) for r, c in self.taps.items() if r % n or np.ndim(c)]
+        for start in range(0, n, _PANEL):  # a block of rows at a time, each entry's terms in one order
+            stop = min(start + _PANEL, n)
+            for k, c in taps:
+                for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
+                    lo, hi = max(dst.start, start), min(dst.stop, stop)  # the block's rows in dst
+                    if lo < hi:
+                        shift = src.start - dst.start
+                        out[lo:hi] += c[lo:hi, None] * m[lo + shift : hi + shift]
+                    out[start:stop, src] -= m[start:stop, dst] * c[dst]
         return out
 
     def gram(self) -> Stencil:
@@ -214,9 +218,19 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
+
+
 def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
-    """e^{-i theta M} for Hermitian M, via eigendecomposition; real V takes two real products."""
+    """e^{-i theta M} for Hermitian M, via eigendecomposition; real V takes two real products.
+
+    Entries of V below sqrt(tiny) are set to 0 first, so that no product of two kept entries
+    is subnormal: eigenvectors localized in the wells of a steep potential (V/h at N = 1024)
+    hold thousands of subnormal entries, and BLAS takes several times longer on them. Each
+    dropped term of an entry of the result is below sqrt(tiny) in size.
+    """
     w, v = hermitian_eig(m)
+    v[np.abs(v) < _SQRT_TINY] = 0.0
     phases = np.exp(-1j * theta * w)
     if np.iscomplexobj(v):
         return (v * phases) @ v.conj().T

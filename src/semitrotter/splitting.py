@@ -27,11 +27,18 @@ So the palindrome u_1 ... u_m u_{m+1} u_m ... u_1 is X^T X with
 X = u_{m+1}^{1/2} u_m ... u_1 (no middle factor when l = 2m is even): half
 the stages and one symmetric product build the step, and its power
 squares as U^T U.
+
+trotter_apply forms U_p(dt)^s M, the evolution cells' W = U_p(dt)^s U_exact^dagger,
+without the power's buffers from N = 256 on. A short plan, such as the default
+p = 2, runs its s steps' stages, merged where one step meets the next, on a copy
+of M, which needs M and W alone and no N^3 product; a longer plan builds U and
+U^2 and applies them to M inside U's buffer, panel by panel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +95,7 @@ def trotter_step(
     potential is the diagonal of B: its stage scales rows by e^{-i dt c_j d}.
     Vectors that are not 1-D of one nonzero length raise DimensionMismatchError,
     non-finite entries ConvergenceError, and a complex symbol of A or a complex
-    potential NonHermitianError.
+    potential NonHermitianError; steps must be a non-negative integer.
 
     For a palindromic plan and a real A the step is complex symmetric (see
     the module docstring): the split-step runs the first l // 2 stages and,
@@ -97,10 +104,47 @@ def trotter_step(
     binary powering, each square of this step formed as X^T X too. Order 1,
     or a complex Hermitian A, runs every stage and squares as X X.
     """
+    symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
+    return _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
+
+
+def trotter_apply(
+    plan: StagePlan, a_row: np.ndarray, potential: np.ndarray, dt: float, steps: int, m: np.ndarray
+) -> np.ndarray:
+    """U_p(dt)^steps M in a new N x N array, for an N x N matrix M, which is left as it is.
+
+    The step and the checks are trotter_step's. Below N = _APPLY_MIN_N this is
+    trotter_step(...) @ M, bit for bit. From there on _route picks one of three routes:
+    - stages, where their FFT pairs cost less than the products of the others: the plan's
+      stages, repeated steps times and merged where they meet, run on the rows of a copy of
+      M^T, which is then transposed in place (M and W alone);
+    - in place, unless it takes more products than powering: the step U and its square U^2
+      are built, the odd factor (U M, or U^2 M for even steps) is written into U's own
+      buffer by row panels, and U^2 is applied to that by column panels (M, U, U^2 and one
+      N x 128 panel);
+    - binary powering and one product with M (M, the power's three buffers and W).
+    """
+    symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
+    m = np.asarray(m)
+    if m.shape != (symbol.size, symbol.size):
+        raise linalg.DimensionMismatchError(f"need an N x N matrix for N = {symbol.size}, got {m.shape}")
+    route = _route(plan, symbol.size, steps, symmetric)
+    if route == "stages":
+        return _by_stages(_merge_adjacent(list(plan.stages) * steps), symbol, potential, dt, m)
+    if route == "in place":  # a temporary, which _in_place may replace by a copy
+        return _in_place(_step(plan, symbol, potential, dt, symmetric), steps, symmetric, m)
+    return _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric) @ m
+
+
+def _checked(plan: StagePlan, a_row, potential, steps) -> tuple[np.ndarray, bool, int]:
+    """A's real DFT symbol, whether the step is symmetric, and steps as an int, after trotter_step's checks."""
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise TypeError(f"steps must be an integer, got {steps!r}") from None
     a_row = np.asarray(a_row)
     potential = np.asarray(potential)
-    n = a_row.size
-    if a_row.ndim != 1 or a_row.shape != potential.shape or n == 0:
+    if a_row.ndim != 1 or a_row.shape != potential.shape or a_row.size == 0:
         raise linalg.DimensionMismatchError(
             f"need A's first row and B's diagonal of one nonzero length: {a_row.shape} vs {potential.shape}"
         )
@@ -111,15 +155,17 @@ def trotter_step(
     if potential.imag.any():
         raise linalg.NonHermitianError("B must have a real diagonal")
     symbol = linalg.hermitian_circulant_symbol(a_row)
-    symmetric = plan.is_palindromic() and np.isrealobj(a_row)
-    stages = plan.stages
-    if symmetric:  # the first half, then the middle stage (if any) at half its coefficient
-        half = len(stages) // 2
-        stages = stages[:half] + tuple((c / 2, g) for c, g in stages[half : len(stages) - half])
-    # build the transpose u_1^T ... u_k^T of the stage product, so the FFTs run along
-    # contiguous rows; the inverse FFTs run unnormalized, with 1/N folded into the A
-    # phases; scaling by a power of two is exact, so at power-of-two N this changes no bit
-    x_t = np.eye(n, dtype=np.complex128)
+    return symbol, plan.is_palindromic() and np.isrealobj(a_row), steps
+
+
+def _run_stages(x_t: np.ndarray, stages, symbol: np.ndarray, potential: np.ndarray, dt: float) -> None:
+    """x_t u_1^T ... u_k^T in x_t's own buffer: each stage acts on the contiguous rows.
+
+    The transpose of u_k ... u_1 X is built so that the FFTs run along rows; the inverse
+    FFTs run unnormalized, with 1/N folded into the A phases; scaling by a power of two is
+    exact, so at power-of-two N this changes no bit.
+    """
+    n = symbol.size
     for c, g in stages:
         if g == "A":
             np.fft.fft(x_t, axis=1, out=x_t)
@@ -127,9 +173,18 @@ def trotter_step(
             np.fft.ifft(x_t, axis=1, out=x_t, norm="forward")
         else:
             x_t *= np.exp(-1j * (c * dt) * potential)
-    # x_t @ x_t.T reads one buffer twice (a zsyrk); rebinding frees the split-step buffer
-    x_t = x_t @ x_t.T if symmetric else x_t.T
-    return _power(x_t, steps, symmetric)
+
+
+def _step(plan: StagePlan, symbol: np.ndarray, potential: np.ndarray, dt: float, symmetric: bool) -> np.ndarray:
+    """U_p(dt): X^T X from the first half of the stages when symmetric, else all of them."""
+    stages = plan.stages
+    if symmetric:  # the first half, then the middle stage (if any) at half its coefficient
+        half = len(stages) // 2
+        stages = stages[:half] + tuple((c / 2, g) for c, g in stages[half : len(stages) - half])
+    x_t = np.eye(symbol.size, dtype=np.complex128)
+    _run_stages(x_t, stages, symbol, potential, dt)
+    # x_t @ x_t.T reads one buffer twice (a zsyrk); returning it frees the split-step buffer
+    return x_t @ x_t.T if symmetric else x_t.T
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
@@ -142,6 +197,74 @@ def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
         if steps:
             x = x.T @ x if symmetric else x @ x
     return result
+
+
+# From this N on, trotter_apply holds no power of the step beside M. Below it the step power
+# and one product keep trotter_step's bits, as the dt-sweep's N = 64 cells do; there the
+# power's three N x N buffers are small.
+_APPLY_MIN_N = 256
+# An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over
+# the rows of an N x N matrix. Medians of five on 2-core x86-64 (OpenBLAS 0.3.31, numpy's
+# pocketfft): a pair took 1.18, 5.17 and 22.4 ms at N = 256, 512 and 1024, a zgemm 1.88,
+# 13.9 and 98.7 ms and a zsyrk 1.80, 11.1 and 76.0 ms, 1.5, 2.4 and 3.9 pairs per product
+# on average, against 1.3, 2.3 and 4.1 by this rule; a B stage costs a tenth of a pair and
+# is left out. The default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products,
+# and p = 4 takes 26 against 5, so p = 2 runs by stages at every N of the rule and p = 4 by
+# stages only from N = 2048 on. At N = 1024 (medians of five) p = 2 took 165 ms by stages
+# against 496 ms by powering, and p = 4 727 ms against 516 ms (596 ms in place).
+_FFT_PAIRS_LOG2 = 25
+
+
+def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
+    """trotter_apply's route: "stages", "in place" or "powering", by the cost rule above."""
+    if n < _APPLY_MIN_N:
+        return "powering"
+    build = int(symmetric)  # the product X^T X
+    step_pairs = sum(g == "A" for _, g in plan.stages[: (len(plan.stages) + 1) // 2 if symmetric else None])
+    stage_pairs = sum(g == "A" for _, g in _merge_adjacent(list(plan.stages) * steps))
+    # squares, multiplies and the product with M; the square U^2, then ceil(steps / 2) products
+    powering = build + steps.bit_length() - 1 + bin(steps).count("1")
+    in_place = build + (steps > 1) + (steps + 1) // 2
+    if (stage_pairs - step_pairs) * _FFT_PAIRS_LOG2 * math.log2(n) < min(powering, in_place) * n:
+        return "stages"
+    return "in place" if in_place <= powering else "powering"
+
+
+def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, m: np.ndarray) -> np.ndarray:
+    """u_k ... u_1 M: the stages run on the rows of a copy of M^T, which is then transposed in place."""
+    w = m.T.copy()
+    _run_stages(w, stages, symbol, potential, dt)
+    b = linalg._PANEL
+    for i in range(0, w.shape[0], b):  # swap the blocks across the diagonal, transposing each
+        w[i : i + b, i : i + b] = w[i : i + b, i : i + b].T.copy()
+        for j in range(i + b, w.shape[0], b):
+            block = w[i : i + b, j : j + b].T.copy()
+            w[i : i + b, j : j + b] = w[j : j + b, i : i + b].T
+            w[j : j + b, i : i + b] = block
+    return w
+
+
+def _in_place(u: np.ndarray, steps: int, symmetric: bool, m: np.ndarray) -> np.ndarray:
+    """U^steps M (steps >= 1) in U's buffer, beside U^2 and one N x _PANEL panel.
+
+    Row panel i of the odd factor U M (U^2 M for even steps) reads only row panel i of U,
+    so it is written back over that panel; column panel j of U^2 Z reads only column panel
+    j of Z, so U^2 is applied over each column panel of Z in turn.
+    """
+    u = np.ascontiguousarray(u)  # order 1's step is the transpose of a split-step buffer
+    n, b = u.shape[0], linalg._PANEL
+    square = None if steps < 2 else (u.T @ u if symmetric else u @ u)
+    first = u if steps % 2 else square
+    panel = np.empty((min(b, n), n), u.dtype)
+    for i in range(0, n, b):
+        rows = np.matmul(first[i : i + b], m, out=panel[: min(b, n - i)])
+        u[i : i + b] = rows
+    panel = panel.reshape(n, -1)
+    for _ in range((steps - 1) // 2):
+        for j in range(0, n, b):
+            cols = np.matmul(square, u[:, j : j + b], out=panel[:, : min(b, n - j)])
+            u[:, j : j + b] = cols
+    return u
 
 
 def compute_steps(t: float, eps: float, p: int, c: float) -> int:

@@ -346,6 +346,23 @@ def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch)
     assert max(peaks) <= 4.5, peaks
 
 
+def test_resolved_h_sweep_point_at_1024_peaks_below_three_point_six_buffers():
+    # one default h-sweep point at N = 1024 (orders 2, 4, 6), W passed as a temporary: p = 2
+    # builds W by stages beside U_exact^dagger alone, p = 4 and 6 in place beside U^2 and a
+    # panel, and the bracket [O, W - I] by row blocks, so the peak is the norm of W - I:
+    # U_exact^dagger, W - I, the Gram and the certificate's panels (4.07 buffers with the
+    # step power beside U_exact^dagger and a whole-matrix bracket)
+    n = 1024
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run_experiment(build_config("h-sweep", {"h": f"1/{n}"}))
+        peak = tracemalloc.get_traced_memory()[1] / (16 * n**2)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6, peak
+
+
 def test_h_sweep_exact_for_zero_potential():
     cfg = build_config(
         "h-sweep",
@@ -359,7 +376,8 @@ def test_h_sweep_exact_for_zero_potential():
 @pytest.mark.parametrize(
     "experiment, raw",
     [
-        ("h-sweep", {"h": "1/8, 1/16", "dt": "1/4", "t_final": "1/2", "orders": "2, 4"}),
+        # N = 256 takes trotter_apply's routes: p = 2 by stages, p = 4 in place
+        ("h-sweep", {"h": "1/8, 1/256", "dt": "1/4", "t_final": "1/2", "orders": "2, 4"}),
         ("dt-sweep", dict(FAST_DT, orders="1, 2, 4", dt="1/4, 1/8, 1/16")),
     ],
 )

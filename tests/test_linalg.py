@@ -137,6 +137,22 @@ def test_unitary_exp_of_real_symmetric_matches_complex_product():
     assert unitary_exp(m, 0.8).dtype == np.complex128
 
 
+def test_unitary_exp_flushes_tiny_eigenvector_entries_without_moving_the_propagator():
+    # FD's H = A + V/h at N = 1024 (the h-sweep's finest point): eigenvectors localized in the
+    # wells of V/h hold subnormal entries, which unitary_exp sets to 0 before its products
+    import semitrotter.experiments as ex
+
+    n, t = 1024, 0.5
+    _, a, b, _ = ex._build_operators(ex.build_config("h-sweep"), 1.0 / n)
+    h = np.asarray(a)
+    h[np.diag_indices(n)] += b
+    w, v = hermitian_eig(h)
+    assert np.count_nonzero((v != 0) & (np.abs(v) < np.finfo(np.float64).tiny)) > 0
+    phases = np.exp(-1j * t * w)
+    unflushed = (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
+    assert np.max(np.abs(unitary_exp(h, t) - unflushed)) <= 1e-30
+
+
 def test_unitary_exp_is_unitary():
     rng = np.random.default_rng(8)
     m = _random_complex(rng, 16)
@@ -545,6 +561,49 @@ def test_stencil_commutator_matches_dense(n):
             got = s.commutator(m)
             assert got.dtype == expected.dtype
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _whole_bracket(s, m):
+    """[S, M] for a dense M with whole-matrix slices, one tap at a time: the row-block bracket's reference."""
+    n = s.n
+    out = np.zeros(s.shape, np.result_type(m, *s.taps.values()))
+    for r, c in s.taps.items():
+        k = r % n
+        if k == 0 and np.ndim(c) == 0:
+            continue
+        c = np.broadcast_to(c, (n,))
+        for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
+            out[dst] += c[dst, None] * m[src]
+            out[:, src] -= m[:, dst] * c[dst]
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 16, 300])
+def test_stencil_bracket_by_row_blocks_keeps_every_bit(n):
+    # wrapping offsets, scalar taps beside per-row ones, and N past one and two row blocks
+    rng = np.random.default_rng(n + 1)
+    for s in _random_stencils(rng, n):
+        for m in (rng.standard_normal((n, n)), _random_complex(rng, n)):
+            assert np.array_equal(s.commutator(m), _whole_bracket(s, m))
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_dense_bracket_with_fd_observable_peaks_below_one_and_a_half_buffers(n):
+    # [O, M] with the h-sweep's FD O on a dense complex M, as evolution_errors brackets W - I:
+    # the output and two slices of _PANEL rows (2.02 buffers with whole-matrix slices)
+    import semitrotter.experiments as ex
+
+    _, _, _, obs = ex._build_operators(ex.build_config("h-sweep"), 1.0 / n)
+    m = _random_complex(np.random.default_rng(n), n)
+    tracemalloc.start()
+    try:
+        got = ad(obs, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _whole_bracket(obs, m))
+    if n >= 4 * linalg._PANEL:
+        assert peak <= 1.5 * 16 * n**2, peak / (16 * n**2)
 
 
 # at N = 4 and 5, the offsets -3 and 5 land on others mod N

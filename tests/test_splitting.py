@@ -1,5 +1,6 @@
 """Suzuki plan and Trotter-step tests."""
 
+import functools
 import math
 
 import numpy as np
@@ -237,6 +238,70 @@ def test_step_power_matches_matrix_power(n):
     assert np.array_equal(trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=0), np.eye(n))
     with pytest.raises(ValueError, match="non-negative"):
         trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=-1)
+    with pytest.raises(TypeError, match="steps must be an integer, got 2.0"):
+        trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=2.0)
+    power = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=3)
+    assert np.array_equal(trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=np.int64(3)), power)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_case(scheme, p, n=256, dt=0.1):
+    """A's first row, B's diagonal, U_exact^dagger at t = 1/2, and the dense stage product of one step.
+
+    An A stage is the dense circulant with first column ifft(e^{-i c dt lam}), each entry
+    to rounding (through A's eigenvectors, 255 stages drift to 8e-14)."""
+    a, b, h = _operators(h=1.0 / n, n=n, scheme=scheme)
+    symbol = linalg.hermitian_circulant_symbol(a[0])
+    step = np.eye(n, dtype=np.complex128)
+    for c, g in suzuki_plan(p).stages:
+        if g == "A":
+            step = linalg.circulant(np.fft.ifft(np.exp(-1j * c * dt * symbol))) @ step
+        else:
+            step *= np.exp(-1j * c * dt * np.diag(b))[:, None]
+    return a[0], np.diag(b), unitary_exp(h, 0.5).conj().T, step
+
+
+@pytest.mark.parametrize("steps", (1, 2, 5))
+@pytest.mark.parametrize("p", (1, 2, 4, 6))
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda s: s.value)
+def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, steps):
+    a_row, b, u_exact_h, step = _dense_case(scheme, p)
+    reference = np.linalg.matrix_power(step, steps) @ u_exact_h
+    kept = u_exact_h.copy()
+    ws = {}
+    for route in ("stages", "in place", "powering"):
+        monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
+        ws[route] = splitting.trotter_apply(suzuki_plan(p), a_row, b, 0.1, steps, u_exact_h)
+        assert ws[route].flags.c_contiguous
+        assert np.max(np.abs(ws[route] - reference)) <= 1e-13, route
+    assert np.array_equal(u_exact_h, kept)
+    assert np.max(np.abs(ws["stages"] - ws["in place"])) <= 1e-13
+    assert np.max(np.abs(ws["stages"] - ws["powering"])) <= 1e-13
+    assert np.max(np.abs(ws["in place"] - ws["powering"])) <= 1e-13
+
+
+def test_routes_of_the_default_sweeps():
+    # the dt-sweep's N = 64 keeps binary powering; from N = 256 the h-sweep's p = 2 cells
+    # (5 steps) run by stages and p = 4 and 6 in place, until stages win p = 4 at N = 2048
+    route = splitting._route
+    assert {route(suzuki_plan(p), 64, s, True) for p in (2, 4, 6) for s in (2, 4, 8, 16, 32)} == {"powering"}
+    assert route(suzuki_plan(1), 64, 5, False) == "powering"
+    for n in (256, 512, 1024):
+        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "in place", "in place"]
+    assert route(suzuki_plan(4), 2048, 5, True) == "stages"
+    assert route(suzuki_plan(2), 256, 0, True) == "stages"
+    assert route(suzuki_plan(6), 1024, 8, True) == "powering"  # 4 products powering, 6 in place
+
+
+def test_trotter_apply_below_the_route_size_is_the_step_power_times_m():
+    a, b, h = _operators(n=64)
+    m = unitary_exp(h, 0.5).conj().T
+    for p in (1, 2, 4, 6):
+        for steps in (0, 1, 5):
+            expected = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps) @ m
+            assert np.array_equal(splitting.trotter_apply(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m), expected)
+    with pytest.raises(DimensionMismatchError):
+        splitting.trotter_apply(suzuki_plan(2), a[0], np.diag(b), 0.1, 1, m[:32])
 
 
 def test_complex_hermitian_circulant_takes_general_squaring():
