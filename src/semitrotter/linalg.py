@@ -118,8 +118,9 @@ class Stencil:
         """[S, M]: a stencil for a stencil M, in O(taps_S taps_M N), else a matrix, in O(taps N^2).
 
         A dense M takes row i of SM as the sum of c_r[i] M[i + r] and column j of MS as that of
-        M[:, j - r] c_r[j - r], _PANEL rows of the result at a time, so its temporaries are
-        two N x _PANEL slices, not two N x N ones; each entry takes its terms in tap order. A stencil M = {q: d_q} gives taps at (r + q) mod N of
+        M[:, j - r] c_r[j - r], _PANEL rows of the result at a time, so its temporaries are two
+        _PANEL x N slices, not two N x N ones; each entry takes its terms in tap order, as a
+        whole-matrix pass would. A stencil M = {q: d_q} gives taps at (r + q) mod N of
         c_r[i] d_q[i + r] - d_q[i] c_r[i + q], taken as
         c_r[i] (d_q[i + r] - d_q[i]) + d_q[i] (c_r[i] - c_r[i + q]): the differences of
         neighbouring taps cancel before the products, so smooth taps lose no digits to it
@@ -142,7 +143,7 @@ class Stencil:
         out = np.zeros(self.shape, np.result_type(m, *self.taps.values()))
         # a multiple of I commutes with M
         taps = [(r % n, np.broadcast_to(c, (n,))) for r, c in self.taps.items() if r % n or np.ndim(c)]
-        for start in range(0, n, _PANEL):  # a block of rows at a time, each entry's terms in one order
+        for start in range(0, n, _PANEL):
             stop = min(start + _PANEL, n)
             for k, c in taps:
                 for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):

@@ -219,6 +219,8 @@ def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
     """trotter_apply's route: "stages", "in place" or "powering", by the cost rule above."""
     if n < _APPLY_MIN_N:
         return "powering"
+    if not steps:
+        return "stages"  # W = M: a copy, with no stage to run
     build = int(symmetric)  # the product X^T X
     step_pairs = sum(g == "A" for _, g in plan.stages[: (len(plan.stages) + 1) // 2 if symmetric else None])
     stage_pairs = sum(g == "A" for _, g in _merge_adjacent(list(plan.stages) * steps))
