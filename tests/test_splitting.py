@@ -290,7 +290,7 @@ def test_routes_of_the_default_sweeps():
         assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "in place", "in place"]
     assert route(suzuki_plan(4), 2048, 5, True) == "stages"
     assert route(suzuki_plan(2), 256, 0, True) == "stages"
-    assert route(suzuki_plan(6), 1024, 8, True) == "powering"  # 4 products powering, 6 in place
+    assert route(suzuki_plan(6), 1024, 8, True) == "powering"  # 5 products powering, 6 in place
 
 
 def test_trotter_apply_below_the_route_size_is_the_step_power_times_m():
