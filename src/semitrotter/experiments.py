@@ -352,7 +352,7 @@ def _gaussian_state(grid: Grid) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def evolution_errors(w: np.ndarray, obs: np.ndarray, phi=None) -> tuple[float, float, float | None]:
+def evolution_errors(w: np.ndarray | list[np.ndarray], obs: np.ndarray, phi=None) -> tuple[float, float, float | None]:
     """(||W - I||, ||[O, W - I]||, expectation error or None) for W = U_trot U_exact^dagger.
 
     By unitary invariance these are ||U_trot - U_exact|| and the observable error
@@ -362,13 +362,16 @@ def evolution_errors(w: np.ndarray, obs: np.ndarray, phi=None) -> tuple[float, f
     which the observable error bounds.
 
     O is a stencil or a matrix: [O, W - I] is commutator_lab.ad's, so FloatingPointError on overflow.
-    Overwrites w with W - I and drops it before the observable norm, which frees a W passed
-    as a temporary on Python 3.11 and later. Traced at N = 1024 in complex N x N buffers,
-    with the sweep's U_exact^dagger alive: each norm peaks at 3.3 (the matrix, its Gram and
-    the certificate's panels), FD's bracket, built by row blocks, at 3.2, and U_exact^dagger
-    and [O, W - I] are what is left, 2.05. Python 3.10 keeps call arguments alive until
-    return, so there W - I stays beside them through the observable norm (4.26).
+    Overwrites W with W - I and drops it before the observable norm. w is W, or a list holding
+    W alone, which the call empties: then nothing but this call holds W, and it is freed there,
+    on any Python (3.10 holds a call's arguments until it returns, 3.11 and later hand them to
+    the call). Traced at N = 1024 in complex N x N buffers, with the sweep's U_exact^dagger
+    alive: each norm peaks at 3.3 (the matrix, its Gram and the certificate's panels), FD's
+    bracket, built by row blocks, at 3.2, and U_exact^dagger and [O, W - I] are what is left,
+    2.05. A caller that holds W keeps W - I beside them through the observable norm (4.26).
     """
+    if isinstance(w, list):
+        w = w.pop()
     w[np.diag_indices(w.shape[0])] -= 1.0
     unitary_error = spectral_norm(w)
     w_phi = None if phi is None else w @ phi + phi
@@ -384,7 +387,7 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
 
     W = U_trot U_exact^dagger is built by splitting.trotter_apply, beside U_exact^dagger
     alone for the default p = 2 and beside U^2 and a panel for p = 4 and 6 (N >= 256), and
-    goes to evolution_errors as a temporary, so that call frees it before the observable
+    is handed to evolution_errors in a list, so that call frees it before the observable
     norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
     """
     grid, a, b, obs = _build_operators(cfg, h)
@@ -401,7 +404,7 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     rows = []
     for p, dt in product(cfg.orders, cfg.dt_values):
         steps = int(round(cfg.t_final / dt))
-        errors = evolution_errors(trotter_apply(suzuki_plan(p), a_row, b, dt, steps, u_exact_h), obs, phi)
+        errors = evolution_errors([trotter_apply(suzuki_plan(p), a_row, b, dt, steps, u_exact_h)], obs, phi)
         row = partial(_row, cfg, p=p, n=grid.n, h=h, dt=dt, t=cfg.t_final)
         rows += [row(metric, value) for metric, value in zip(metrics, errors) if value is not None]
     return rows

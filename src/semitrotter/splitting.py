@@ -116,8 +116,8 @@ def trotter_apply(
     The step and the checks are trotter_step's. Below N = _APPLY_MIN_N this is
     trotter_step(...) @ M, bit for bit. From there on _route picks one of three routes:
     - stages, where their FFT pairs cost less than the products of the others: the plan's
-      stages, repeated steps times and merged where they meet, run on the rows of a copy of
-      M^T, which is then transposed in place (M and W alone);
+      stages, repeated steps times and merged where they meet, run on the rows of a complex
+      copy of M^T, whose transpose, Fortran-ordered, is W (M and W alone);
     - in place, unless it takes more products than powering: the step U and its square U^2
       are built, the odd factor (U M, or U^2 M for even steps) is written into U's own
       buffer by row panels, and U^2 is applied to that by column panels (M, U, U^2 and one
@@ -211,7 +211,8 @@ _APPLY_MIN_N = 256
 # is left out. The default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products,
 # and p = 4 takes 26 against 5, so p = 2 runs by stages at every N of the rule and p = 4 by
 # stages only from N = 2048 on. At N = 1024 (medians of five) p = 2 took 165 ms by stages
-# against 496 ms by powering, and p = 4 727 ms against 516 ms (596 ms in place).
+# against 496 ms by powering, and p = 4 727 ms against 516 ms (596 ms in place); at N = 2048
+# (medians of three) p = 4 took 2.61 s by stages, 3.09 s by powering and 4.08 s in place.
 _FFT_PAIRS_LOG2 = 25
 
 
@@ -233,17 +234,10 @@ def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
 
 
 def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, m: np.ndarray) -> np.ndarray:
-    """u_k ... u_1 M: the stages run on the rows of a copy of M^T, which is then transposed in place."""
-    w = m.T.copy()
-    _run_stages(w, stages, symbol, potential, dt)
-    b = linalg._PANEL
-    for i in range(0, w.shape[0], b):  # swap the blocks across the diagonal, transposing each
-        w[i : i + b, i : i + b] = w[i : i + b, i : i + b].T.copy()
-        for j in range(i + b, w.shape[0], b):
-            block = w[i : i + b, j : j + b].T.copy()
-            w[i : i + b, j : j + b] = w[j : j + b, i : i + b].T
-            w[j : j + b, i : i + b] = block
-    return w
+    """u_k ... u_1 M, Fortran-ordered: the stages run on the rows of a complex copy of M^T."""
+    w_t = m.T.astype(np.complex128, order="C")
+    _run_stages(w_t, stages, symbol, potential, dt)
+    return w_t.T
 
 
 def _in_place(u: np.ndarray, steps: int, symmetric: bool, m: np.ndarray) -> np.ndarray:

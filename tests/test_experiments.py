@@ -325,9 +325,9 @@ def test_evolution_errors_overwrite_w_with_w_minus_identity():
 def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch):
     # one default h-sweep point at N = 512 (orders 2, 4, 6), above the norm's panel width,
     # measured in complex N x N buffers of 16 N^2 bytes; LAPACK workspaces are not traced.
-    # The step power peaks at U_exact^dagger and three power buffers. A caller that holds W
-    # through evolution_errors, as Python 3.10 does with call arguments, keeps W - I alive
-    # beside U_exact^dagger, [O, W - I] and the norm's Gram: still below the bound
+    # The peak is a norm: U_exact^dagger, the matrix normed, its Gram and the certificate's
+    # panels. The second run wraps evolution_errors in a lambda that holds its arguments
+    # until the call returns, as Python 3.10 does: it holds the list W comes in, not W
     import semitrotter.experiments as ex
 
     cfg = build_config("h-sweep", {"h": "1/512"})
@@ -346,21 +346,42 @@ def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch)
     assert max(peaks) <= 4.5, peaks
 
 
-def test_resolved_h_sweep_point_at_1024_peaks_below_three_point_six_buffers():
-    # one default h-sweep point at N = 1024 (orders 2, 4, 6), W passed as a temporary: p = 2
-    # builds W by stages beside U_exact^dagger alone, p = 4 and 6 in place beside U^2 and a
-    # panel, and the bracket [O, W - I] by row blocks, so the peak is the norm of W - I:
-    # U_exact^dagger, W - I, the Gram and the certificate's panels (4.07 buffers with the
-    # step power beside U_exact^dagger and a whole-matrix bracket)
+def test_resolved_h_sweep_point_at_1024_peaks_below_three_point_six_buffers(monkeypatch):
+    # one default h-sweep point at N = 1024 (orders 2, 4, 6): p = 2 builds W by stages beside
+    # U_exact^dagger alone, p = 4 and 6 in place beside U^2 and a panel, and the bracket
+    # [O, W - I] by row blocks, so the peak is the norm of W - I: U_exact^dagger, W - I, the
+    # Gram and the certificate's panels (4.07 buffers with the step power beside
+    # U_exact^dagger and a whole-matrix bracket). The sweep hands W to evolution_errors in a
+    # list, so the peak holds where a caller keeps its call's arguments until the call returns,
+    # as Python 3.10 does (the list, emptied, is all that is kept). A caller that holds W
+    # itself keeps W - I beside [O, W - I] and its Gram through the observable norm (4.26,
+    # as with the step power); those two callers run p = 2 only, as their peak is that norm
+    import semitrotter.experiments as ex
+
     n = 1024
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        run_experiment(build_config("h-sweep", {"h": f"1/{n}"}))
-        peak = tracemalloc.get_traced_memory()[1] / (16 * n**2)
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.6, peak
+    evolution_errors = ex.evolution_errors
+
+    def holding_w(box, obs, phi=None):
+        w = box.pop()
+        return evolution_errors(w, obs, phi)
+
+    callers = {
+        "sweep": (evolution_errors, "2, 4, 6"),
+        "arguments held": (lambda box, obs, phi=None: evolution_errors(box, obs, phi), "2"),
+        "W held": (holding_w, "2"),
+    }
+    peaks = {}
+    for name, (caller, orders) in callers.items():
+        monkeypatch.setattr(ex, "evolution_errors", caller)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            run_experiment(build_config("h-sweep", {"h": f"1/{n}", "orders": orders}))
+            peaks[name] = tracemalloc.get_traced_memory()[1] / (16 * n**2)
+        finally:
+            tracemalloc.stop()
+    assert peaks["sweep"] <= 3.6 and peaks["arguments held"] <= 3.6, peaks
+    assert peaks["W held"] <= 4.26, peaks
 
 
 def test_h_sweep_exact_for_zero_potential():
