@@ -8,28 +8,26 @@ the one-tap stencil of its diagonal. The bracket of two stencils is a stencil, s
 commutator chains never leave that form; numpy reads a stencil as its dense matrix where a
 metric needs the matrix.
 
-The spectral norm is the root of the Gram matrix's top eigenvalue (spectral_norm lists
-every route and its accuracy). A stencil with one tap is a weighted shift, whose norm is
-its largest |tap|. Any other stencil forms its Gram as a stencil, in O(taps^2 N); a
-small one makes that Gram dense, and a large one never does (the banded path below). Small
-or real dense Grams read the eigenvalue from a full eigenvalue solve. A large complex dense
-Gram G, and every banded one, gets it from Lanczos started at a seeded random vector, which
-reaches the top of the spectrum even when that eigenvalue is degenerate (as for the
-commutator and unitary matrices the sweeps build), because a random start has a nonzero
+The spectral norm is the root of the Gram matrix's top eigenvalue; spectral_norm lists its
+routes. A stencil with one tap is a weighted shift, whose norm is its largest |tap|. Any other
+stencil forms its Gram as a stencil, in O(taps^2 N): a small one makes it dense, a large one
+never does. Small or real dense Grams take a full eigenvalue solve. A large complex dense
+Gram, and a large stencil's, take one certified pipeline (_certified_top): Lanczos from a
+seeded random start gives theta <= lambda_max, also where that eigenvalue is degenerate (as
+for the sweeps' commutator and unitary matrices), since a random start has a nonzero
 component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
-Matrix Anal. Appl. 13, 1992). The Ritz value theta is a lower bound, whether or not Lanczos
-converged, and a Cholesky factorization of theta (1 + tau) I - G proves the upper bound; for
-a dense G that fails, the eigenvalue is read exactly from that shifted matrix. A banded G of
-half-bandwidth w, its rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of half-width
-2w, factored in blocks in O(N w^2); that factor then drives a block shift-invert iteration
-whose Rayleigh-Ritz value lands on lambda_max to rounding (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4 and 11). Where no shift has a factor, the Gram is made dense after all, if it
-fits in memory. So no value rests on an iteration having converged.
+Matrix Anal. Appl. 13, 1992); a Cholesky factor of sigma I - G, sigma = theta (1 + tau),
+proves lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few
+eps. A route supplies only the factor: a dense Gram's is made in the Gram's own buffer, and
+a banded Gram of half-bandwidth w, its rows reordered 0, N - 1, 1, N - 2, ..., is a plain
+band of half-width 2w, factored in O(N w^2). Where no shift factors, the dense Gram's
+eigenvalues are solved after all. So no value rests on an iteration having converged.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -194,12 +192,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) / scale
 
 
-def _require_hermitian(m: np.ndarray, tol: float = 1e-10) -> None:
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NonHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-
-
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition M = V diag(w) V^dagger of a Hermitian matrix.
 
@@ -211,7 +203,9 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(f"not square: {m.shape}")
     if not np.isfinite(m).all():
         raise ConvergenceError("eigendecomposition of a matrix with non-finite entries")
-    _require_hermitian(m)
+    defect = hermiticity_defect(m)
+    if defect > 1e-10:
+        raise NonHermitianError(f"matrix is not Hermitian (relative defect {defect:.3e})")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -241,23 +235,21 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-# Complex Grams with more rows than this take the Lanczos path. Per whole norm of the
-# h-sweep's W - I and [O, W - I] (2-core x86-64, OpenBLAS 0.3.31; medians of thirty
-# norms in each of three rounds), eigenvalue solve against Lanczos plus the in-place
-# certificate: 1.4-2.0 ms against 3.1-4.3 ms at N = 96, 3.1-3.2 against 3.7-5.4 ms at
-# N = 128, 7.0-9.7 against 10.1-10.4 ms at N = 192, 18-21 against 16-18 ms at N = 256
-# (at the last re-timing, 0.31-0.33 s against 0.09-0.14 s at N = 1024). Real Grams
-# always keep the solve: the real tridiagonalization costs about a third of the complex
-# one (82 ms against 268 ms at N = 1024).
+# Complex Grams with more rows than this take the certified pipeline. Per norm of the h-sweep's
+# W - I and [O, W - I] (2-core x86-64, OpenBLAS 0.3.31; medians of thirty norms, three rounds),
+# eigenvalue solve against Lanczos and the certificate before its refinement came in: 1.4-2.0
+# against 3.1-4.3 ms at N = 96, 3.1-3.2 against 3.7-5.4 ms at N = 128, 7.0-9.7 against
+# 10.1-10.4 ms at N = 192, 18-21 against 16-18 ms at N = 256, 0.31-0.33 s against 0.09-0.14 s
+# at N = 1024. With the refinement, N = 256 takes 1.2-1.3 times the solve's time. Real Grams
+# keep the solve: the real tridiagonalization costs a third of the complex one (82 against 268 ms).
 _EIGVALSH_MAX_N = 192
-# Columns per panel of a dense Gram (_dense_gram) and of its certificate's factor
-# (_certified_top). On an N = 1024 h-sweep [O, W - I] (same machine, medians of nine),
-# panels of 64, 96, 128 and 192 columns built the Gram in 79-99, 79-94, 85-94 and
-# 81-87 ms, against 117-129 ms for the full product, and factored in 75, 77, 72 and
-# 79 ms (92 ms at 256, 80-88 ms for np.linalg.cholesky). At 128 a panel is a fifth of
-# an N x N buffer at N = 600 and an eighth at N = 1024.
+# Columns per panel of a dense Gram (_dense_gram), rows per panel of its factor (_dense_factor).
+# On an N = 1024 h-sweep [O, W - I] (same machine, medians of nine), panels of 64, 96, 128 and
+# 192 columns built the Gram in 79-99, 79-94, 85-94 and 81-87 ms, against 117-129 ms for the
+# full product, and factored in 75, 77, 72 and 79 ms (92 ms at 256, 80-88 ms for
+# np.linalg.cholesky). At 128 a panel is a fifth of a buffer at N = 600, an eighth at 1024.
 _PANEL = 128
-_TAU = 1e-10  # relative accuracy of the certified top eigenvalue
+_TAU = 1e-10  # the certificate's shift above the Ritz value, relative to it
 _LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108 up to N = 1024; the certificate judges a run that stops here
 _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
 
@@ -265,24 +257,19 @@ _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
 def spectral_norm(m) -> float:
     """Largest singular value s sqrt(lambda_max((M/s)^dagger (M/s))), s = max |M_ij| or max |tap|.
 
-    The scaling rules out overflow and underflow. Routes, with the accuracy of each:
-    - a stencil with one tap is a weighted shift, whose singular values are its |c_i|:
-      the norm is s, exactly;
+    The scaling rules out overflow and underflow. Every route reads lambda_max within a few eps
+    (the norm within about half that), and a certified value is proved to be at most its shift
+    sigma; the sweeps' matrices at N = 256 to 1024 came within 4e-15 of an SVD. Routes:
+    - a stencil with one tap is a weighted shift, whose singular values are its |c_i|: s;
     - any other stencil M forms its Gram from the taps, G[j, j + q - r] += conj(c_r[j - r])
-      c_q[j - r] in O(taps^2 N), instead of the N^3 product. With more than 256 rows it
-      takes the banded path (_banded_top): lambda_max is certified to lie within tau
-      (1e-10) relative of the value, or 16 tau where the shift had to widen, plus O(N eps),
-      and the shift-invert refinement puts the value within a few eps of it (within 4e-15
-      of an SVD on the sweeps' words at N = 512 and 1024). Where no shift has a factor,
-      the Gram is made dense and takes the route of a dense Gram below (ConvergenceError
-      if it and eigvalsh's working copy need more than the machine's physical memory);
-    - a dense M forms its Gram by panels (_dense_gram), the one N x N buffer made beside M.
-      A real or small dense Gram takes a full eigenvalue solve, exact to O(N eps)
-      relative (the top eigenvalue of a PSD matrix is backward-stable);
-    - a large complex dense Gram takes a certified Lanczos value, within tau relative
-      plus O(N eps) of lambda_max, its certificate factored in the Gram's own buffer.
-    The norm's relative error is about half that of lambda_max. Non-finite entries or taps
-    raise ConvergenceError.
+      c_q[j - r], in O(taps^2 N); above 256 rows it stays banded, certified (_certified_top)
+      with the factor of its folded band (_banded_factor);
+    - a dense M forms its Gram by panels (_dense_gram), the one N x N buffer made beside M;
+      a complex one above 192 rows is certified with its factor made there (_dense_factor);
+    - every other Gram, and one that no shift factors, takes a full eigenvalue solve of the
+      dense Gram, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
+      backward-stable); ConvergenceError where a stencil's dense Gram and eigvalsh's working
+      copy would not fit in the machine's physical memory, or an entry or tap is not finite.
     """
     stencil = isinstance(m, Stencil)
     if not stencil:
@@ -297,23 +284,21 @@ def spectral_norm(m) -> float:
         if len(m.taps) == 1:  # row i holds c[i] alone, in a column of its own
             return scale
         gram = Stencil({r: c / scale for r, c in m.taps.items()}, m.n).gram()
+        if gram.n <= _STENCIL_DENSE_MAX_N:
+            gram = np.asarray(gram)
     else:
         gram = _dense_gram(m, scale)
     del m  # frees a copy that as_matrix made of the input (another dtype, a list)
     try:
-        top = _banded_top(gram) if stencil and gram.n > _STENCIL_DENSE_MAX_N else None
+        banded = isinstance(gram, Stencil)
+        certified = banded or (np.iscomplexobj(gram) and gram.shape[0] > _EIGVALSH_MAX_N)
+        top = _certified_top(gram, partial(_banded_factor if banded else _dense_factor, gram)) if certified else None
         if top is None:
             need = 2 * gram.shape[0] ** 2 * gram.dtype.itemsize  # the dense Gram and eigvalsh's working copy
-            if stencil and need > _physical_memory():
-                raise ConvergenceError(
-                    f"the dense Gram of an N = {gram.n} stencil needs {need} bytes, "
-                    f"more than the machine's {_physical_memory()} bytes"
-                )
-            gram = np.asarray(gram)
-            if np.isrealobj(gram) or gram.shape[0] <= _EIGVALSH_MAX_N:
-                top = np.linalg.eigvalsh(gram)[-1]
-            else:
-                top = _certified_top(gram, _lanczos_top(gram))
+            if banded and need > _physical_memory():
+                raise ConvergenceError(f"the dense Gram of an N = {gram.n} stencil needs {need} bytes, "
+                                       f"more than the machine's {_physical_memory()} bytes")
+            top = np.linalg.eigvalsh(np.asarray(gram))[-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Gram eigenvalue solve failed: {exc}") from exc
     return scale * float(np.sqrt(max(top, 0.0)))
@@ -393,46 +378,89 @@ def _lanczos_top(gram: np.ndarray) -> float:
     return float(ritz[-1])
 
 
-def _certified_top(gram: np.ndarray, theta: float) -> float:
-    """lambda_max of a Hermitian PSD Gram, given a Ritz value theta <= lambda_max.
+def _certified_top(gram, factor) -> float | None:
+    """lambda_max of a Hermitian PSD Gram within a few eps, certified; None where no shift has a factor.
 
-    Overwrites gram with theta (1 + tau) I - gram. If that has a Cholesky factor,
-    lambda_max <= theta (1 + tau) (1 + O(N eps)) and theta is returned; otherwise the
-    exact top eigenvalue is read off the shifted matrix.
-
-    The factor is a pass/fail test, so it is made in place, panel by panel of _PANEL columns
-    (left-looking; Golub & Van Loan, Matrix Computations, sec. 4.2): each panel first takes
-    away the product of the factor's columns to its left, then its diagonal block is
-    factored and the rows below it solved through _right_solve, never through an explicit
-    inverse (backward stable, Higham, Accuracy and Stability of Numerical Algorithms, ch. 10,
-    where sigma I - G has a condition number near 1 / tau). Only the blocks below the diagonal
-    blocks are written, so the shifted matrix's upper triangle, diagonal included, is still
-    whole when a block fails, and the exact eigenvalue is read from it.
+    Lanczos gives theta <= lambda_max, converged or not. factor(sigma) returns the solve of a
+    Cholesky factor of sigma I - G, proving lambda_max <= sigma, or raises LinAlgError; sigma =
+    theta (1 + k tau) for each k in _WIDENINGS in turn. Inverse iteration with that solve from a
+    seeded N x 16 block magnifies the top of the spectrum by 1 / (sigma - lambda); the top Ritz
+    value mu of (sigma I - G)^-1 on the block gives rho = sigma - 1 / mu <= lambda_max, on it to
+    rounding (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11), where theta may sit in a
+    rounding-split top cluster (3.5e-12 low on the h-sweep's W - I). Returns max(theta, rho).
+    After Lanczos only the solve runs, never a product with G, so a factor may overwrite G.
     """
-    shift = theta * (1.0 + _TAU)
-    np.negative(gram, out=gram)
-    gram[np.diag_indices_from(gram)] += shift
+    theta = _lanczos_top(gram)
+    for widening in _WIDENINGS:
+        sigma = theta * (1.0 + widening * _TAU)
+        try:
+            solve = factor(sigma)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        return None
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((gram.shape[0], _REFINE_WIDTH))
+    if np.iscomplexobj(gram):
+        x = x + 1j * rng.standard_normal(x.shape)
+    for _ in range(_REFINE_STEPS - 1):
+        x = np.linalg.qr(solve(x))[0]
+    mu = float(np.linalg.eigvalsh(x.conj().T @ solve(x))[-1])
+    return max(theta, sigma - 1.0 / mu)
+
+
+def _dense_factor(gram: np.ndarray, sigma: float):
+    """The solve of (sigma I - G) X = Y by a Cholesky factor U^dagger U made in G's buffer; LinAlgError unless it is positive definite.
+
+    G is read from its lower triangle, never written: a wider shift starts again from it, and
+    where no shift factors eigvalsh still reads G. U is made by panels of _PANEL rows, in place
+    of G's mirror image (left-looking; Golub & Van Loan, Matrix Computations, sec. 4.2): a panel
+    takes away the product of U's rows above it, then its diagonal block is factored and the
+    rows right of it solved, never through an explicit inverse (backward stable, Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10, where sigma I - G has a condition
+    number near 1 / tau). No panel reads an earlier diagonal block, so each is kept as its
+    inverse, for the solve alone: its diagonal in an N-vector until every panel has factored.
+    """
     n = gram.shape[0]
-    try:
-        for start in range(0, n, _PANEL):
-            stop = min(start + _PANEL, n)
-            diagonal, below = gram[start:stop, start:stop], gram[stop:, start:stop]
-            if start:  # take away the product of the factor's columns left of the panel
-                left = gram[start:, :start] @ gram[start:stop, :start].conj().T
-                diagonal = diagonal - left[: stop - start]
-                below -= left[stop - start :]
-                del left
-            below[...] = _right_solve(below, np.linalg.cholesky(diagonal))
-    except np.linalg.LinAlgError:
-        return shift - float(np.linalg.eigvalsh(gram, UPLO="U")[0])
-    return theta
+    blocks = [slice(start, min(start + _PANEL, n)) for start in range(0, n, _PANEL)]
+    diagonal = np.empty(n)
+    for block in blocks:
+        start, stop = block.start, block.stop
+        g = np.tril(gram[block, block])
+        d = sigma * np.eye(stop - start) - g - np.tril(g, -1).conj().T
+        right = gram[block, stop:]
+        for j in range(stop, n, _PANEL):  # G's rows right of the block, by square blocks
+            np.conjugate(gram[j : j + _PANEL, block].T, out=gram[block, j : j + _PANEL])
+        if start:  # take away the product of the factor's rows above the panel
+            d -= gram[:start, block].conj().T @ gram[:start, block]
+            right += gram[:start, block].conj().T @ gram[:start, stop:]
+        lower = np.linalg.cholesky(d)  # U's diagonal block is its conjugate transpose
+        np.negative(np.linalg.solve(lower, right), out=right)
+        inverse = np.linalg.inv(lower.conj().T)  # for the solve alone; no pivot moves a row of a triangle
+        np.copyto(gram[block, block], inverse, where=np.triu(np.ones(d.shape, bool), 1))
+        diagonal[block] = inverse.diagonal().real
+    for block in blocks:  # every panel factored: G is read no more
+        gram[block, block] = np.triu(gram[block, block], 1) + np.diag(diagonal[block])
+
+    def solve(y):
+        x = y.copy()
+        for block in blocks:  # U^dagger Z = Y
+            x[block] = gram[block, block].conj().T @ x[block]
+            x[block.stop :] -= (x[block].conj().T @ gram[block, block.stop :]).conj().T
+        for block in reversed(blocks):  # U X = Z
+            x[block] -= gram[block, block.stop :] @ x[block.stop :]
+            x[block] = gram[block, block] @ x[block]
+        return x
+
+    return solve
 
 
-# Stencil Grams with more rows than this take the banded path. Per norm of the default
-# comm-sweep's four words (2-core x86-64, OpenBLAS 0.3.31; median of twelve norms in each of
-# three rounds), eigvalsh of the dense Gram against the folded banded path: 3.2-5.4 ms against
-# 4.0-7.8 ms at N = 256, 7.7-12 ms against 5.2-5.9 ms at N = 384, 15-19 ms against 6.7-6.9 ms
-# at N = 512, 95-116 ms against 13-14 ms at N = 1024.
+# Stencil Grams with more rows than this stay banded. Per norm of the default comm-sweep's
+# four words (2-core x86-64, OpenBLAS 0.3.31; median of twelve norms in each of three rounds),
+# eigvalsh of the dense Gram against the folded band: 3.2-5.4 ms against 4.0-7.8 ms at N = 256,
+# 7.7-12 against 5.2-5.9 ms at N = 384, 15-19 against 6.7-6.9 ms at N = 512, 95-116 against
+# 13-14 ms at N = 1024.
 _STENCIL_DENSE_MAX_N = 256
 # Rows per Cholesky block of the folded band, raised to its half-width 2w where that is wider.
 # In the same runs, blocks of 16, 32 and 64 rows took 7.4, 6.7-7.0 and 7.3-7.5 ms at N = 512
@@ -441,17 +469,11 @@ _BLOCK = 32
 # Columns of the shift-invert block: the sweeps' words have up to 8 top singular values
 # within 5e-13 of each other (then a 5 % gap), and the block must hold that cluster.
 _REFINE_WIDTH = 16
-# Inverse iterations before Rayleigh-Ritz; each scales the share of an eigenvalue at
-# distance d below the shift by (sigma - lambda_max) / d. One already read the sweeps'
-# words at N = 512 and 1024 as closely as two (within 6e-15 of their chains folded in long
-# double); the second covers a top spectrum with no gap below its cluster.
+# Solves with the factor: one inverse iteration, each scaling the share of an eigenvalue d
+# below the shift by (sigma - lambda_max) / d, then the Ritz quotient's. That read the sweeps'
+# matrices within 4e-15 of an SVD; a second iteration would cover a top cluster with no gap.
 _REFINE_STEPS = 2
 _WIDENINGS = (1, 4, 16)  # the certificate's shift is theta (1 + k tau), each k tried in turn
-
-
-def _right_solve(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """X L^-dagger for a lower triangular L, as (conj(L)^-1 X^T)^T: no conjugate copy of X."""
-    return np.linalg.solve(lower.conj(), x.T).T
 
 
 def _fold(n: int) -> np.ndarray:
@@ -460,83 +482,47 @@ def _fold(n: int) -> np.ndarray:
     return np.where(p % 2, n - 1 - p // 2, p // 2)
 
 
-def _folded_cholesky(gram: Stencil, sigma: float, b: int) -> tuple[list, list]:
-    """The block Cholesky factor L of P (sigma I - G) P^T, P the fold; LinAlgError unless it is positive definite.
+def _banded_factor(gram: Stencil, sigma: float):
+    """The solve of (sigma I - G) X = Y by a block Cholesky factor L of P (sigma I - G) P^T, P the fold; LinAlgError unless it is positive definite.
 
-    The fold puts rows i and i + k mod N at most 2|k| apart, so G's taps, at offsets k with
-    2|k| <= b, make it a plain band of half-width b (Golub & Van Loan, Matrix Computations,
-    sec. 4.3). Its rows split into blocks of b rows, the last taking the remainder, so block
-    i meets only blocks i - 1 and i + 1 and L is block bidiagonal: O(N b^2) work, one dense
-    block where b >= N. Returns L's diagonal blocks and its subdiagonal blocks L[i + 1, i].
+    The fold puts rows i and i + k mod N at most 2|k| apart, so G's taps make it a plain band
+    of half-width b = max(_BLOCK, 2w) (Golub & Van Loan, Matrix Computations, sec. 4.3). Its
+    rows split into blocks of b rows, the last taking the remainder, so L is block bidiagonal:
+    O(N b^2) work, one dense block where b >= N. The solve substitutes on P Y, then undoes P.
     """
     n = gram.n
+    b = max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
     fold = _fold(n)
     offsets = np.array(list(gram.taps))[:, None]
     cols = np.argsort(fold)[(fold + offsets) % n]  # tap t of folded row p sits in folded column cols[t, p]
     taps = np.array([np.broadcast_to(g, (n,))[fold] for g in gram.taps.values()], gram.dtype)
-    diag, sub = [], []
-    for start in range(0, n, b):
-        stop, lo = min(start + b, n), max(start - b, 0)
-        t, i = np.nonzero(cols[:, start:stop] < stop)  # the entries left of the next block
+    blocks = [slice(start, min(start + b, n)) for start in range(0, n, b)]
+    diag, sub = [], []  # L's diagonal blocks and its subdiagonal blocks L[i + 1, i]
+    for block in blocks:
+        start, stop, lo = block.start, block.stop, max(block.start - b, 0)
+        t, i = np.nonzero(cols[:, block] < stop)  # the entries left of the next block
         rows = np.zeros((stop - start, stop - lo), gram.dtype)
         rows[i, cols[t, start + i] - lo] = -taps[t, start + i]
         d = rows[:, start - lo :]
         d[np.diag_indices(stop - start)] += sigma
-        if start:
-            below = _right_solve(rows[:, : start - lo], diag[-1])
-            sub.append(below)
-            d = d - below @ below.conj().T
+        if start:  # rows L[i - 1, i - 1]^-dagger, solved as (conj(L)^-1 rows^T)^T: no conjugate copy of rows
+            sub.append(np.linalg.solve(diag[-1].conj(), rows[:, : start - lo].T).T)
+            d = d - sub[-1] @ sub[-1].conj().T
         diag.append(np.linalg.cholesky(d))
-    return diag, sub
 
+    def solve(y):
+        x = y[fold]
+        for i, block in enumerate(blocks):  # L Z = P Y
+            x[block] = np.linalg.solve(diag[i], x[block])
+            if i < len(sub):
+                x[blocks[i + 1]] -= sub[i] @ x[block]
+        for i in range(len(blocks) - 1, -1, -1):  # L^dagger P X = Z
+            if i < len(sub):
+                x[blocks[i]] -= sub[i].conj().T @ x[blocks[i + 1]]
+            x[blocks[i]] = np.linalg.solve(diag[i].conj().T, x[blocks[i]])
+        return x[np.argsort(fold)]
 
-def _folded_solve(factor: tuple[list, list], y: np.ndarray) -> np.ndarray:
-    """X with (sigma I - G) X = Y: block forward and back substitution on P Y with L from _folded_cholesky, then P^T."""
-    diag, sub = factor
-    fold, b = _fold(y.shape[0]), diag[0].shape[0]
-    blocks = [slice(start, start + b) for start in range(0, y.shape[0], b)]
-    x = y[fold]
-    for i, block in enumerate(blocks):  # L Z = P Y
-        if i:
-            x[block] -= sub[i - 1] @ x[blocks[i - 1]]
-        x[block] = np.linalg.solve(diag[i], x[block])
-    for i in range(len(blocks) - 1, -1, -1):  # L^dagger P X = Z
-        if i + 1 < len(blocks):
-            x[blocks[i]] -= sub[i].conj().T @ x[blocks[i + 1]]
-        x[blocks[i]] = np.linalg.solve(diag[i].conj().T, x[blocks[i]])
-    return x[np.argsort(fold)]
-
-
-def _banded_top(gram: Stencil) -> float | None:
-    """lambda_max of a stencil's Gram from its taps, never making it dense; None where it cannot.
-
-    Lanczos on the band gives theta <= lambda_max, whether it converged or spent its step
-    budget. A Cholesky factor of the folded sigma I - G (_folded_cholesky) with
-    sigma = theta (1 + tau), widened to 4 and 16 tau if it fails, proves lambda_max <= sigma.
-    Inverse iteration with that factor, which magnifies the top of the spectrum by
-    1 / (sigma - lambda), from a seeded N x 16 block, then Rayleigh-Ritz with G, gives
-    rho <= lambda_max, which no longer sits inside a rounding-split top cluster as a Ritz
-    value may (theta alone normed the sweeps' last two words up to 1.6e-13 low at N = 512
-    and 1e-12 at N = 1024); max(theta, rho) is returned.
-    None when no shift has a factor; a band of any width factors, as one dense block where 2w >= N.
-    """
-    b = max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
-    theta = _lanczos_top(gram)
-    for widening in _WIDENINGS:
-        try:
-            factor = _folded_cholesky(gram, theta * (1.0 + widening * _TAU), b)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        return None
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((gram.n, _REFINE_WIDTH))
-    if np.iscomplexobj(gram):
-        x = x + 1j * rng.standard_normal((gram.n, _REFINE_WIDTH))
-    for _ in range(_REFINE_STEPS):
-        x = np.linalg.qr(_folded_solve(factor, x))[0]
-    return max(theta, float(np.linalg.eigvalsh(x.conj().T @ (gram @ x))[-1]))
+    return solve
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
 
 
 def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
-    # the h-sweep's [O, W - I] and W - I at N = 256 and 512 take the Lanczos path,
+    # the h-sweep's [O, W - I] and W - I at N = 256 and 512 take the certified path,
     # and so does a unitary, whose top singular value is fully degenerate
     import semitrotter.experiments as ex
 
@@ -278,12 +279,7 @@ def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
     _, v = hermitian_eig(m + m.conj().T)
     pairs.append((spectral_norm(v), _norm_oracle(v)))
     for value, oracle in pairs:
-        assert value == pytest.approx(oracle, rel=1e-10)
-
-
-def _complex_gram(n, seed):
-    m = _random_complex(np.random.default_rng(seed), n)
-    return m.conj().T @ m
+        assert value == pytest.approx(oracle, rel=1e-13)
 
 
 def _recording_cholesky(monkeypatch):
@@ -304,17 +300,55 @@ def _recording_cholesky(monkeypatch):
     return factored
 
 
+def test_spectral_norm_of_an_h_sweep_point_matches_svd_to_rounding(monkeypatch):
+    # the six matrices of the default h-sweep at N = 256, W - I and [O, W - I] at p = 2, 4 and 6,
+    # take the certified dense route; a Lanczos value alone read p = 4's W - I 3.45e-12 low
+    import semitrotter.experiments as ex
+
+    mats = []
+
+    def kept(m):
+        mats.append(np.array(m, copy=True))
+        return 1.0
+
+    monkeypatch.setattr(ex, "spectral_norm", kept)
+    ex.run_experiment(ex.build_config("h-sweep", {"h": "1/256", "orders": "2, 4, 6"}))
+    assert len(mats) == 6
+    for m in mats:
+        assert m.shape[0] > linalg._EIGVALSH_MAX_N and np.iscomplexobj(m)
+        assert spectral_norm(m) == pytest.approx(_norm_oracle(m), rel=1e-14, abs=0)
+
+
+def _low_lanczos(monkeypatch):
+    """Make every Ritz value 10 % low, which leaves sigma I - G indefinite at every widening."""
+    lanczos_top = linalg._lanczos_top
+    monkeypatch.setattr(linalg, "_lanczos_top", lambda gram: 0.9 * lanczos_top(gram))
+
+
 def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
-    gram = _complex_gram(200, 15)
+    # every widening fails at the same block and leaves G's lower triangle whole, so the norm is
+    # the full eigenvalue solve's, bit for bit
+    n = 200
+    m = _random_complex(np.random.default_rng(15), n)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_EIGVALSH_MAX_N", math.inf)
+        exact = spectral_norm(m)
+    assert exact == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0)
+    gram = linalg._dense_gram(m, 1.0)
     top = float(np.linalg.eigvalsh(gram)[-1])
+    assert linalg._lanczos_top(gram) <= top * (1 + 1e-14)
     factored = _recording_cholesky(monkeypatch)
-    assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
-    assert factored[-1] is False and all(factored[:-1])  # the factor stops at its first failed block
+    shifted = gram.copy()
+    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) == pytest.approx(top, rel=1e-14)
+    assert factored == [True] * -(-n // linalg._PANEL)
+    _low_lanczos(monkeypatch)
     factored.clear()
-    theta = linalg._lanczos_top(gram)
-    assert theta <= top * (1 + 1e-14)
-    assert linalg._certified_top(gram.copy(), theta) == theta
-    assert factored == [True] * -(-200 // linalg._PANEL)
+    shifted = gram.copy()
+    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) is None
+    attempt = factored[: len(factored) // len(linalg._WIDENINGS)]
+    assert attempt[-1] is False and all(attempt[:-1]) and factored == attempt * len(linalg._WIDENINGS)
+    assert np.array_equal(np.tril(shifted), np.tril(gram))
+    assert spectral_norm(m) == exact
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -326,17 +360,25 @@ def test_blocked_certificate_at_several_panels(monkeypatch, dtype):
         m += 1j * rng.standard_normal((n, n))
     gram = m.conj().T @ m
     top = float(np.linalg.eigvalsh(gram)[-1])
-    assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
-    theta = linalg._lanczos_top(gram)
-    assert linalg._certified_top(gram.copy(), theta) == theta
+    y = rng.standard_normal((n, 3)).astype(dtype)
+    for sigma in (1.01 * top, 2.0 * top):  # the factor's solve, across five panels
+        x = linalg._dense_factor(gram.copy(), sigma)(y)
+        expected = np.linalg.solve(sigma * np.eye(n) - gram, y)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    shifted = gram.copy()
+    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) == pytest.approx(top, rel=1e-14)
+    _low_lanczos(monkeypatch)
+    shifted = gram.copy()
+    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) is None
+    assert np.array_equal(np.tril(shifted), np.tril(gram))
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
 def test_certificate_fails_in_its_last_block_only(monkeypatch, dtype):
     # G = 1000 u u^dagger plus a little noise, u spread evenly: at theta = 0.9 lambda_max,
     # theta (1 + tau) I - G is positive definite on its first 512 rows (512 / 600 < 0.9) and on
-    # every diagonal block alone, so only the updates from the panels to the left of the last
-    # block make its factor fail
+    # every diagonal block alone, so only the updates from the panels above the last block make
+    # its factor fail; G's lower triangle is still whole, and its eigenvalue solve exact
     n = 600
     rng = np.random.default_rng(43)
     m = rng.standard_normal((50, n)).astype(dtype)
@@ -346,8 +388,12 @@ def test_certificate_fails_in_its_last_block_only(monkeypatch, dtype):
     gram = 1e3 * np.outer(u, u).astype(dtype) + 1e-3 * (m.conj().T @ m) / n
     top = float(np.linalg.eigvalsh(gram)[-1])
     factored = _recording_cholesky(monkeypatch)
-    assert linalg._certified_top(gram.copy(), 0.9 * top) == pytest.approx(top, rel=1e-12)
+    shifted = gram.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._dense_factor(shifted, 0.9 * top * (1.0 + linalg._TAU))
     assert factored == [True] * (n // linalg._PANEL) + [False]
+    assert np.array_equal(np.tril(shifted), np.tril(gram))
+    assert float(np.linalg.eigvalsh(shifted)[-1]) == top
 
 
 @pytest.mark.parametrize("n", [129, 255, 256, 257, 600])
@@ -686,15 +732,17 @@ def test_stencil_spectral_norm_matches_dense(n):
 
 
 def _banded_values(monkeypatch):
-    """The values _banded_top returns from here on (None where it leaves the Gram to the dense route)."""
+    """The values _certified_top returns for banded Grams from here on (None where no shift factors)."""
     values = []
-    banded_top = linalg._banded_top
+    certified_top = linalg._certified_top
 
-    def recording(gram):
-        values.append(banded_top(gram))
-        return values[-1]
+    def recording(gram, factor):
+        value = certified_top(gram, factor)
+        if isinstance(gram, Stencil):
+            values.append(value)
+        return value
 
-    monkeypatch.setattr(linalg, "_banded_top", recording)
+    monkeypatch.setattr(linalg, "_certified_top", recording)
     return values
 
 
@@ -733,21 +781,21 @@ def test_banded_certificate_failure_takes_dense_value(monkeypatch):
     dense = _dense_route_norm(monkeypatch, s)
     assert dense == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-13, abs=0)
     factored = []
-    folded_cholesky, lanczos_top = linalg._folded_cholesky, linalg._lanczos_top
+    banded_factor = linalg._banded_factor
 
-    def recording(band, sigma, b):
+    def recording(band, sigma):
         try:
-            factor = folded_cholesky(band, sigma, b)
+            solve = banded_factor(band, sigma)
         except np.linalg.LinAlgError:
             factored.append(False)
             raise
         factored.append(True)
-        return factor
+        return solve
 
-    monkeypatch.setattr(linalg, "_folded_cholesky", recording)
+    monkeypatch.setattr(linalg, "_banded_factor", recording)
     assert spectral_norm(s) == pytest.approx(dense, rel=1e-13, abs=0)
     assert factored == [True]
-    monkeypatch.setattr(linalg, "_lanczos_top", lambda gram: 0.9 * lanczos_top(gram))
+    _low_lanczos(monkeypatch)
     banded = _banded_values(monkeypatch)
     assert spectral_norm(s) == dense
     assert banded == [None] and factored == [True] + [False] * len(linalg._WIDENINGS)
@@ -758,8 +806,7 @@ def test_dense_fallback_that_cannot_fit_raises(monkeypatch):
     n = 300
     s = _wrapped_stencil(n)
     dense = _dense_route_norm(monkeypatch, s)
-    lanczos_top = linalg._lanczos_top
-    monkeypatch.setattr(linalg, "_lanczos_top", lambda gram: 0.9 * lanczos_top(gram))
+    _low_lanczos(monkeypatch)
     need = 2 * n * n * 8
     monkeypatch.setattr(linalg, "_physical_memory", lambda: need - 1)
     densified = []
@@ -905,14 +952,13 @@ def test_folded_factor_solves_the_shifted_gram(n, w, complex_taps):
     gram = _band_gram(rng, n, w, complex_taps)
     dense = np.asarray(gram)
     top = float(np.linalg.eigvalsh(dense)[-1])
-    b = max(linalg._BLOCK, 2 * max(abs(k) for k in gram.taps))
     y = rng.standard_normal((n, 3)) + (1j * rng.standard_normal((n, 3)) if complex_taps else 0.0)
     for sigma in (1.01 * top, 2.0 * top):
-        x = linalg._folded_solve(linalg._folded_cholesky(gram, sigma, b), y)
+        x = linalg._banded_factor(gram, sigma)(y)
         expected = np.linalg.solve(sigma * np.eye(n) - dense, y)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     with pytest.raises(np.linalg.LinAlgError):
-        linalg._folded_cholesky(gram, 0.99 * top, b)
+        linalg._banded_factor(gram, 0.99 * top)
 
 
 @pytest.mark.parametrize("n", [8, 300, 1024])

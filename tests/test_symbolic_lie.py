@@ -184,6 +184,55 @@ def test_general_word_bounds():
         assert width(c) >= 2 * m - n
 
 
+_GENERATORS = {"A": kinetic_symbol(), "B": potential_symbol()}
+
+
+def _nonzero_chains(chain, word, letters, bracket):
+    """(word, chain) for chain and every nonzero [U_k, ... [U_1, chain]] up to `letters` letters in all.
+
+    Depth first, so each prefix's chain is built once; a zero chain stays zero and is not extended.
+    """
+    yield word, chain
+    if len(word) < letters:
+        for label, gen in _GENERATORS.items():
+            longer = bracket(gen, chain)
+            if not longer.is_zero():
+                yield from _nonzero_chains(longer, word + (label,), letters, bracket)
+
+
+def _grade_n_violations(letters, bracket):
+    """Nonzero chains C_n of 1 ... letters generators off ht(C_n) <= 2m - (n - 1) or wd(C_n) >= 2m - n, m the A count."""
+    chains = [c for label, gen in _GENERATORS.items() for c in _nonzero_chains(gen, (label,), letters, bracket)]
+    bad = [w for w, c in chains if height(c) > 2 * w.count("A") - (len(w) - 1) or width(c) < 2 * w.count("A") - len(w)]
+    return bad, len(chains)
+
+
+def _lowest_exponent(obs, letters, bracket):
+    """The least h-exponent min(m - d) over the terms of every ad-chain of obs with at most `letters` letters."""
+    return min(min(m - d for _, m, d in c.terms) for _, c in _nonzero_chains(obs, (), letters, bracket))
+
+
+def test_grade_n_bounds_hold_for_every_word_the_package_runs():
+    # order p <= 10 takes (p + 1)-letter words: all 4094 words of 1 ... 11 letters, of which
+    # 1052 have a nonzero chain; the engine is exact, so the enumeration decides
+    bad, chains = _grade_n_violations(11, sym_commutator)
+    assert bad == [] and chains == 1052
+
+
+def test_observable_monomials_stay_h_uniform_through_every_ad_chain():
+    # the class O = sum_q y_q h^q d^q: every ad-chain of a monomial up to 9 letters (p <= 8) keeps
+    # min(m - d) >= 0, and reaches 0; a chain is linear in O, so the monomials cover every sum
+    for q in range(4):
+        assert _lowest_exponent(observable_symbol(q), 9, sym_commutator) == 0
+
+
+def test_lemma_checks_catch_a_bracket_without_qp_and_an_observable_without_h():
+    no_h = SymOp.term(1, (("y", 0),), hpow=0, dord=1)  # y d, outside the class
+    assert _lowest_exponent(no_h, 3, sym_commutator) == -1
+    assert _grade_n_violations(3, _product)[0]  # PQ alone, with QP never subtracted
+    assert min(_lowest_exponent(observable_symbol(q), 2, _product) for q in range(4)) < 0
+
+
 def test_antisymmetry_and_jacobi_exact():
     rng = random.Random(9)
 
