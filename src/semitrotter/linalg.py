@@ -10,18 +10,18 @@ metric needs the matrix.
 
 The spectral norm is the root of the Gram matrix's top eigenvalue; spectral_norm lists its
 routes. A stencil with one tap is a weighted shift, whose norm is its largest |tap|. Any other
-stencil forms its Gram as a stencil, in O(taps^2 N): a small one makes it dense, a large one
-never does. Small or real dense Grams take a full eigenvalue solve. A large complex dense
-Gram, and a large stencil's, take one certified pipeline (_certified_top): Lanczos from a
-seeded random start gives theta <= lambda_max, also where that eigenvalue is degenerate (as
-for the sweeps' commutator and unitary matrices), since a random start has a nonzero
-component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
-Matrix Anal. Appl. 13, 1992); a Cholesky factor of sigma I - G, sigma = theta (1 + tau),
-proves lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few
-eps. A route supplies only the factor: a dense Gram's is made in the Gram's own buffer, and
-a banded Gram of half-bandwidth w, its rows reordered 0, N - 1, 1, N - 2, ..., is a plain
-band of half-width 2w, factored in O(N w^2). Where no shift factors, the dense Gram's
-eigenvalues are solved after all. So no value rests on an iteration having converged.
+stencil forms its Gram as a stencil, in O(taps^2 N), a dense matrix by panels. The Gram's row
+count alone picks the route: a small Gram, dense or made dense, takes a full eigenvalue solve;
+a larger one, dense or banded, real or complex, takes one certified pipeline (_certified_top):
+Lanczos from a seeded random start gives theta <= lambda_max, also where that eigenvalue is
+degenerate (as for the sweeps' commutator and unitary matrices), since a random start has a
+nonzero component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
+Matrix Anal. Appl. 13, 1992); a Cholesky factor of sigma I - G, sigma = theta (1 + tau), proves
+lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few eps. A
+route supplies only the factor: a dense Gram's is made in the Gram's own buffer, and a banded
+Gram of half-bandwidth w, its rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of
+half-width 2w, factored in O(N w^2). Where no shift factors, the dense Gram's eigenvalues are
+solved after all. So no value rests on an iteration having converged.
 """
 
 from __future__ import annotations
@@ -235,14 +235,16 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-# Complex Grams with more rows than this take the certified pipeline. Per norm of the h-sweep's
-# W - I and [O, W - I] (2-core x86-64, OpenBLAS 0.3.31; medians of thirty norms, three rounds),
-# eigenvalue solve against Lanczos and the certificate before its refinement came in: 1.4-2.0
-# against 3.1-4.3 ms at N = 96, 3.1-3.2 against 3.7-5.4 ms at N = 128, 7.0-9.7 against
-# 10.1-10.4 ms at N = 192, 18-21 against 16-18 ms at N = 256, 0.31-0.33 s against 0.09-0.14 s
-# at N = 1024. With the refinement, N = 256 takes 1.2-1.3 times the solve's time. Real Grams
-# keep the solve: the real tridiagonalization costs a third of the complex one (82 against 268 ms).
-_EIGVALSH_MAX_N = 192
+# Grams with more rows than this take the certified pipeline, whatever their form and dtype.
+# Per norm (2-core x86-64, OpenBLAS 0.3.31; one script, medians of nine calls, ranges over the
+# matrices), eigvalsh against certified: the h-sweep's complex W - I and [O, W - I] at p = 2,
+# 4, 6 took 17 against 18-23 ms at N = 256, 43-45 against 32-46 ms at 384, 69-82 against
+# 53-69 ms at 512; the FD comm-sweep's four stencil words 3.5-3.8 against 4.0-5.7 ms at 256,
+# 8.7-9.9 against 7.2-10 ms at 384; the spectral comm-sweep's real words 4.3-5.4 against
+# 5.9-9.9 ms at 256, 10-11 against 12-13 ms at 384, 20-23 against 18-25 ms at 512, 124-133
+# against 82-90 ms at 1024. Each kind crosses between 256 and 512 rows, and the sweeps' grids
+# are powers of two.
+_EIGVALSH_MAX_N = 256
 # Columns per panel of a dense Gram (_dense_gram), rows per panel of its factor (_dense_factor).
 # On an N = 1024 h-sweep [O, W - I] (same machine, medians of nine), panels of 64, 96, 128 and
 # 192 columns built the Gram in 79-99, 79-94, 85-94 and 81-87 ms, against 117-129 ms for the
@@ -262,14 +264,15 @@ def spectral_norm(m) -> float:
     sigma; the sweeps' matrices at N = 256 to 1024 came within 4e-15 of an SVD. Routes:
     - a stencil with one tap is a weighted shift, whose singular values are its |c_i|: s;
     - any other stencil M forms its Gram from the taps, G[j, j + q - r] += conj(c_r[j - r])
-      c_q[j - r], in O(taps^2 N); above 256 rows it stays banded, certified (_certified_top)
-      with the factor of its folded band (_banded_factor);
+      c_q[j - r], in O(taps^2 N), and keeps it banded;
     - a dense M forms its Gram by panels (_dense_gram), the one N x N buffer made beside M;
-      a complex one above 192 rows is certified with its factor made there (_dense_factor);
-    - every other Gram, and one that no shift factors, takes a full eigenvalue solve of the
-      dense Gram, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
-      backward-stable); ConvergenceError where a stencil's dense Gram and eigvalsh's working
-      copy would not fit in the machine's physical memory, or an entry or tap is not finite.
+    - a Gram of N ≤ 256 rows, dense or banded, real or complex, takes a full eigenvalue solve
+      of the dense Gram, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
+      backward-stable); a larger one is certified (_certified_top) with the factor of its
+      folded band (_banded_factor) or one made in the dense Gram's buffer (_dense_factor),
+      and one that no shift factors takes the full solve after all; ConvergenceError where a
+      stencil's dense Gram and eigvalsh's working copy would not fit in the machine's
+      physical memory, or an entry or tap is not finite.
     """
     stencil = isinstance(m, Stencil)
     if not stencil:
@@ -284,15 +287,13 @@ def spectral_norm(m) -> float:
         if len(m.taps) == 1:  # row i holds c[i] alone, in a column of its own
             return scale
         gram = Stencil({r: c / scale for r, c in m.taps.items()}, m.n).gram()
-        if gram.n <= _STENCIL_DENSE_MAX_N:
-            gram = np.asarray(gram)
     else:
         gram = _dense_gram(m, scale)
     del m  # frees a copy that as_matrix made of the input (another dtype, a list)
     try:
         banded = isinstance(gram, Stencil)
-        certified = banded or (np.iscomplexobj(gram) and gram.shape[0] > _EIGVALSH_MAX_N)
-        top = _certified_top(gram, partial(_banded_factor if banded else _dense_factor, gram)) if certified else None
+        factor = partial(_banded_factor if banded else _dense_factor, gram)
+        top = _certified_top(gram, factor) if gram.shape[0] > _EIGVALSH_MAX_N else None
         if top is None:
             need = 2 * gram.shape[0] ** 2 * gram.dtype.itemsize  # the dense Gram and eigvalsh's working copy
             if banded and need > _physical_memory():
@@ -456,14 +457,8 @@ def _dense_factor(gram: np.ndarray, sigma: float):
     return solve
 
 
-# Stencil Grams with more rows than this stay banded. Per norm of the default comm-sweep's
-# four words (2-core x86-64, OpenBLAS 0.3.31; median of twelve norms in each of three rounds),
-# eigvalsh of the dense Gram against the folded band: 3.2-5.4 ms against 4.0-7.8 ms at N = 256,
-# 7.7-12 against 5.2-5.9 ms at N = 384, 15-19 against 6.7-6.9 ms at N = 512, 95-116 against
-# 13-14 ms at N = 1024.
-_STENCIL_DENSE_MAX_N = 256
 # Rows per Cholesky block of the folded band, raised to its half-width 2w where that is wider.
-# In the same runs, blocks of 16, 32 and 64 rows took 7.4, 6.7-7.0 and 7.3-7.5 ms at N = 512
+# On the FD comm-sweep's four words (same machine, medians of twelve), blocks of 16, 32 and 64 rows took 7.4, 6.7-7.0 and 7.3-7.5 ms at N = 512
 # and 14-15, 13-15 and 14-15 ms at N = 1024; a block's cost is mostly call overhead.
 _BLOCK = 32
 # Columns of the shift-invert block: the sweeps' words have up to 8 top singular values

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import semitrotter
+from semitrotter import linalg
 from semitrotter.experiments import build_config, parse_config_text, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +82,15 @@ def test_readme_module_references_resolve():
     assert refs
     for module, name in refs:
         assert hasattr(importlib.import_module(f"semitrotter.{module}"), name), f"{module}.{name}"
+
+
+def test_norm_crossover_is_stated_where_the_routes_are_listed():
+    # the README's route paragraph and spectral_norm's docstring name the code's crossover, and no other
+    stated = f"N ≤ {linalg._EIGVALSH_MAX_N}"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    routes = next(item for item in readme.split("\n- ") if "certified pipeline" in item)
+    for text in (routes, inspect.getdoc(linalg.spectral_norm)):
+        assert re.findall(r"N ≤ \d+", " ".join(text.split())) == [stated]
 
 
 def test_readme_config_example_is_the_dt_sweep_default():

@@ -258,10 +258,11 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
 
 
 def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
-    # the h-sweep's [O, W - I] and W - I at N = 256 and 512 take the certified path,
-    # and so does a unitary, whose top singular value is fully degenerate
+    # the h-sweep's [O, W - I] and W - I at N = 256 and 512 take the certified path, N = 256 with
+    # the crossover just below it, and so does a unitary, whose top singular value is fully degenerate
     import semitrotter.experiments as ex
 
+    monkeypatch.setattr(linalg, "_EIGVALSH_MAX_N", 255)
     pairs = []
 
     def checked(m):
@@ -280,6 +281,35 @@ def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
     pairs.append((spectral_norm(v), _norm_oracle(v)))
     for value, oracle in pairs:
         assert value == pytest.approx(oracle, rel=1e-13)
+
+
+def test_real_dense_sweep_norms_above_crossover_are_certified(monkeypatch):
+    # the spectral comm-sweep at h = 1/512: its four words and the p = 2 beta chains that
+    # compute_beta_comm norms are real dense matrices, each certified and within 1e-14 of an SVD
+    import semitrotter.commutator_lab as lab
+    import semitrotter.experiments as ex
+
+    values, pairs = [], []
+    certified_top = linalg._certified_top
+
+    def recording(gram, factor):
+        values.append(certified_top(gram, factor))
+        return values[-1]
+
+    def checked(m):
+        assert isinstance(m, np.ndarray) and m.dtype == np.float64 and m.shape[0] > linalg._EIGVALSH_MAX_N
+        taken = len(values)
+        pairs.append((spectral_norm(m), float(np.linalg.norm(m, 2))))
+        assert len(values) == taken + 1 and values[-1] is not None
+        return pairs[-1][0]
+
+    monkeypatch.setattr(linalg, "_certified_top", recording)
+    monkeypatch.setattr(ex, "spectral_norm", checked)
+    monkeypatch.setattr(lab, "spectral_norm", checked)
+    ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/512", "scheme": "spectral"}))
+    assert len(pairs) > len(ex.COMM_WORD_LABELS)
+    for value, oracle in pairs:
+        assert value == pytest.approx(oracle, rel=1e-14, abs=0)
 
 
 def _recording_cholesky(monkeypatch):
@@ -302,7 +332,8 @@ def _recording_cholesky(monkeypatch):
 
 def test_spectral_norm_of_an_h_sweep_point_matches_svd_to_rounding(monkeypatch):
     # the six matrices of the default h-sweep at N = 256, W - I and [O, W - I] at p = 2, 4 and 6,
-    # take the certified dense route; a Lanczos value alone read p = 4's W - I 3.45e-12 low
+    # take the full eigenvalue solve, and the certified dense route with the crossover below
+    # them; a Lanczos value alone read p = 4's W - I 3.45e-12 low
     import semitrotter.experiments as ex
 
     mats = []
@@ -314,9 +345,20 @@ def test_spectral_norm_of_an_h_sweep_point_matches_svd_to_rounding(monkeypatch):
     monkeypatch.setattr(ex, "spectral_norm", kept)
     ex.run_experiment(ex.build_config("h-sweep", {"h": "1/256", "orders": "2, 4, 6"}))
     assert len(mats) == 6
-    for m in mats:
-        assert m.shape[0] > linalg._EIGVALSH_MAX_N and np.iscomplexobj(m)
-        assert spectral_norm(m) == pytest.approx(_norm_oracle(m), rel=1e-14, abs=0)
+    krylov = []
+    lanczos_top = linalg._lanczos_top
+
+    def counting_lanczos(g):
+        krylov.append(g.shape[0])
+        return lanczos_top(g)
+
+    monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
+    for crossover in (linalg._EIGVALSH_MAX_N, 255):
+        monkeypatch.setattr(linalg, "_EIGVALSH_MAX_N", crossover)
+        for m in mats:
+            assert m.shape == (256, 256) and np.iscomplexobj(m)
+            assert spectral_norm(m) == pytest.approx(_norm_oracle(m), rel=1e-14, abs=0)
+    assert krylov == [256] * 6
 
 
 def _low_lanczos(monkeypatch):
@@ -328,7 +370,7 @@ def _low_lanczos(monkeypatch):
 def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
     # every widening fails at the same block and leaves G's lower triangle whole, so the norm is
     # the full eigenvalue solve's, bit for bit
-    n = 200
+    n = linalg._EIGVALSH_MAX_N + 44
     m = _random_complex(np.random.default_rng(15), n)
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_EIGVALSH_MAX_N", math.inf)
@@ -448,44 +490,50 @@ def test_spectral_norm_non_finite_above_crossover_raises(bad):
 def test_spectral_norm_is_deterministic():
     # the Lanczos start is seeded afresh on every call: no state carries over
     rng = np.random.default_rng(17)
-    m = _random_complex(rng, 256)
+    m = _random_complex(rng, linalg._EIGVALSH_MAX_N + 1)
     first = spectral_norm(m)
     spectral_norm(_random_complex(rng, 300))
     assert spectral_norm(m) == first
 
 
-def test_spectral_norm_routes_by_dtype_and_size(monkeypatch):
+def test_spectral_norm_routes_by_size(monkeypatch):
+    # a real, a complex and a stencil Gram take the full solve up to the crossover and the
+    # certified pipeline one row above it, whatever their dtype and form
     krylov, solved = [], []
     lanczos_top = linalg._lanczos_top
     eigvalsh = np.linalg.eigvalsh
 
     def counting_lanczos(g):
-        krylov.append(g.shape[0])
+        krylov.append((type(g), g.dtype, g.shape[0]))
         return lanczos_top(g)
 
     def counting_eigvalsh(g):
-        solved.append((g.dtype, g.shape[0]))
+        solved.append((type(g), g.dtype, g.shape[0]))
         return eigvalsh(g)
 
     monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rng = np.random.default_rng(18)
     crossover = linalg._EIGVALSH_MAX_N
-    for n in (2, crossover, crossover + 1, 512):
-        spectral_norm(rng.standard_normal((n, n)))
+
+    def norm_all(n):
+        for m in (rng.standard_normal((n, n)), _random_complex(rng, n), _random_stencils(rng, n)[0]):
+            assert spectral_norm(m) == pytest.approx(np.linalg.norm(np.asarray(m), 2), rel=1e-12, abs=0)
+
+    kinds = [(np.float64, np.ndarray), (np.complex128, np.ndarray), (np.float64, Stencil)]
     for n in (2, 64, crossover):
-        spectral_norm(_random_complex(rng, n))
+        norm_all(n)
     assert krylov == []
-    assert solved == [(np.float64, n) for n in (2, crossover, crossover + 1, 512)] + [
-        (np.complex128, n) for n in (2, 64, crossover)
-    ]
-    spectral_norm(_random_complex(rng, crossover + 1))
-    assert krylov == [crossover + 1]
+    assert solved == [(np.ndarray, dtype, n) for n in (2, 64, crossover) for dtype, _ in kinds]
+    solved.clear()
+    norm_all(crossover + 1)
+    assert all(n == linalg._REFINE_WIDTH for *_, n in solved)  # the Ritz solves on the refinement's block alone
+    assert krylov == [(form, dtype, crossover + 1) for dtype, form in kinds]
 
 
 def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
     # FD words at N = 512 and 1024 never make a Gram dense, one N = 1024 word norm peaks below
-    # one N x N float64 array, and the spectral scheme's dense chains route as before
+    # one N x N float64 array, and the spectral scheme's real dense chains at N = 512 are certified
     import semitrotter.experiments as ex
 
     solved, krylov = [], []
@@ -503,7 +551,7 @@ def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
     monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
     banded = _banded_values(monkeypatch)
     ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/512, 1/1024"}))
-    assert all(n <= linalg._STENCIL_DENSE_MAX_N for _, n in solved)
+    assert all(n <= linalg._EIGVALSH_MAX_N for _, n in solved)
     assert len(banded) >= 2 * len(ex.COMM_WORD_LABELS) and None not in banded
     assert krylov == [False] * len(banded)
 
@@ -519,9 +567,9 @@ def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
 
     solved.clear(), krylov.clear(), banded.clear()
     ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/512", "scheme": "spectral"}))
-    assert len(solved) >= len(ex.COMM_WORD_LABELS)
-    assert solved == [(np.float64, 512)] * len(solved)
-    assert krylov == [] and banded == []
+    assert len(krylov) >= len(ex.COMM_WORD_LABELS)
+    assert krylov == [True] * len(krylov)
+    assert all(n == linalg._REFINE_WIDTH for _, n in solved) and banded == []
 
 
 def test_commutator_keeps_dtype_family():
@@ -749,7 +797,7 @@ def _banded_values(monkeypatch):
 def _dense_route_norm(monkeypatch, stencil):
     """The norm the dense Gram's route gives, with the banded path switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_STENCIL_DENSE_MAX_N", math.inf)
+        patch.setattr(linalg, "_EIGVALSH_MAX_N", math.inf)
         return spectral_norm(stencil)
 
 
@@ -762,7 +810,7 @@ def test_banded_spectral_norm_matches_svd(monkeypatch, n):
     for s in stencils:
         expected = float(np.linalg.norm(np.asarray(s), 2))
         assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
-    taken = n > linalg._STENCIL_DENSE_MAX_N
+    taken = n > linalg._EIGVALSH_MAX_N
     assert len(banded) == len(stencils) * taken and None not in banded
 
 
@@ -975,7 +1023,7 @@ def test_one_tap_stencil_norm_is_its_largest_tap(monkeypatch, n):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_banded_non_finite_tap_raises(bad):
-    n = linalg._STENCIL_DENSE_MAX_N + 44
+    n = linalg._EIGVALSH_MAX_N + 44
     s = _random_stencils(np.random.default_rng(53), n)[1]
     s.taps[2][7] = bad
     with pytest.raises(ConvergenceError):
@@ -983,7 +1031,7 @@ def test_banded_non_finite_tap_raises(bad):
 
 
 def test_stencil_spectral_norm_above_crossover():
-    # a complex stencil's Gram at N > 128 takes the certified Lanczos path
+    # a complex stencil's Gram above the crossover takes the certified path
     n = linalg._EIGVALSH_MAX_N + 72
     s = _random_stencils(np.random.default_rng(47), n)[1]
     assert spectral_norm(s) == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-10, abs=0)

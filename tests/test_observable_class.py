@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import random
 
 from semitrotter import experiments
 from semitrotter.experiments import (
@@ -72,6 +73,65 @@ def test_comm_sweep_slopes_follow_symbolic_exponents(default_comm_sweep):
     no_h = SymOp.term(1, (("y", 0),), hpow=0, dord=1)  # y d, outside the class
     assert _exponent(no_h) == -1
     assert min(_chain_exponents(no_h, 3)) == -1
+
+
+_WAVES = ("sin({k}*x)", "cos({k}*x)", "exp(cos({k}*x))")
+
+
+def _random_observable(rng: random.Random, degrees=()) -> dict[int, str]:
+    """An in-class spec {m: y_m}: one to three degrees in 0 ... 3 plus those given, y_m a sum of one or two waves."""
+    chosen = sorted(set(rng.sample(range(4), rng.randint(1, 3))) | set(degrees))
+    return {m: " + ".join(rng.choice(_WAVES).format(k=rng.randint(1, 2)) for _ in range(rng.randint(1, 2))) for m in chosen}
+
+
+def _spec_text(coefficients: dict[int, str]) -> str:
+    return ", ".join(f"{m}:{y}" for m, y in coefficients.items())
+
+
+def _word_exponents(coefficients: dict[int, str], dropped=None) -> list[float]:
+    """Symbolic exponents of the comm-sweep's three words with O, then p = 2 beta's; term `dropped` lacks its h^m."""
+    terms = [SymOp.term(1, ((f"y{m}", 0),), hpow=0 if m == dropped else m, dord=m) for m in coefficients]
+    obs = sum(terms[1:], terms[0])
+    words = [sym_commutator(sym_commutator(A, B), obs)]  # [[A,B],O], then ad_A of it twice
+    for _ in range(2):
+        words.append(sym_commutator(A, words[-1]))
+    return [_exponent(word) for word in words] + [min(_chain_exponents(obs, 3))]
+
+
+def _fine_end_word_slopes(monkeypatch, coefficients: dict[int, str], dropped=None) -> list[float]:
+    """Local slopes from h = 1/256 to 1/512 of an FD comm-sweep's words with O and beta, in _word_exponents' order.
+
+    Term `dropped` is parsed with its coefficient times h^-m, so the library builds y_m D_m without h^m.
+    """
+    parse = experiments.parse_observable_spec
+
+    def parsed(text, h):
+        terms = dict(coefficients)
+        terms[dropped] = f"({terms[dropped]})*{h ** -dropped!r}"
+        return parse(_spec_text(terms), h)
+
+    with monkeypatch.context() as patch:
+        if dropped is not None:
+            patch.setattr(experiments, "parse_observable_spec", parsed)
+        rows = run_experiment(build_config("comm-sweep", {"h": "1/256, 1/512", "observable": _spec_text(coefficients)}))
+    labels = experiments.COMM_WORD_LABELS[1:] + ("beta_comm",)
+    return [fit_slope([(r.h, r.value) for r in rows if r.metric == label]).slope for label in labels]
+
+
+def test_random_observables_keep_their_symbolic_exponents(monkeypatch):
+    # the class as a property: seeded draws of in-class observables keep every word with O, and
+    # beta, at the symbolic exponent 0; draws whose degree-1 term lost its h read -1. Each is
+    # judged by its local slope at the fine end (h = 1/256 to 1/512), within criterion 3's 0.15
+    rng = random.Random(6)
+    cases = [(_random_observable(rng), None) for _ in range(8)] + [(_random_observable(rng, (1,)), 1) for _ in range(4)]
+    failures = []
+    for coefficients, dropped in cases:
+        predicted = _word_exponents(coefficients, dropped)
+        assert predicted == [0 if dropped is None else -1] * 4, (coefficients, predicted)
+        slopes = _fine_end_word_slopes(monkeypatch, coefficients, dropped)
+        if any(abs(slope - exponent) > 0.15 for slope, exponent in zip(slopes, predicted)):
+            failures.append((_spec_text(coefficients), dropped, slopes))
+    assert not failures, failures
 
 
 def test_operator_norm_uniformity_holds_for_fd_only():
