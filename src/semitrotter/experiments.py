@@ -467,6 +467,8 @@ def fit_slope(points) -> SlopeFit:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points, got {len(pts)}")
+    if not np.isfinite(pts).all():
+        raise ValueError("log-log fit requires finite coordinates")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("log-log fit requires strictly positive coordinates")
     xs = np.log([x for x, _ in pts])

@@ -18,10 +18,11 @@ degenerate (as for the sweeps' commutator and unitary matrices), since a random 
 nonzero component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
 Matrix Anal. Appl. 13, 1992); a Cholesky factor of sigma I - G, sigma = theta (1 + tau), proves
 lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few eps. A
-route supplies only the factor: a dense Gram's is made in the Gram's own buffer, and a banded
-Gram of half-bandwidth w, its rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of
-half-width 2w, factored in O(N w^2). Where no shift factors, the dense Gram's eigenvalues are
-solved after all. So no value rests on an iteration having converged.
+route supplies only its factor, one block Cholesky on two patterns, and one block substitution
+solves with either: a dense Gram's is made in its own buffer, and a banded Gram of half-width w,
+rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of half-width 2w, factored in O(N w^2).
+Where no shift factors, the dense Gram's eigenvalues are solved after all. So no value rests on
+an iteration having converged.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def _certified_top(gram, factor) -> float | None:
 
 
 def _dense_factor(gram: np.ndarray, sigma: float):
-    """The solve of (sigma I - G) X = Y by a Cholesky factor U^dagger U made in G's buffer; LinAlgError unless it is positive definite.
+    """_block_solve with a Cholesky factor U^dagger U of sigma I - G made in G's buffer; LinAlgError unless it is positive definite.
 
     G is read from its lower triangle, never written: a wider shift starts again from it, and
     where no shift factors eigvalsh still reads G. U is made by panels of _PANEL rows, in place
@@ -443,23 +444,32 @@ def _dense_factor(gram: np.ndarray, sigma: float):
         diagonal[block] = inverse.diagonal().real
     for block in blocks:  # every panel factored: G is read no more
         gram[block, block] = np.triu(gram[block, block], 1) + np.diag(diagonal[block])
+    return _block_solve([(block, gram[block, block], gram[block, block.stop :], slice(block.stop, n)) for block in blocks])
+
+
+def _block_solve(factor):
+    """The solve of U^dagger U X = Y, U block upper triangular: down its blocks, then up them.
+
+    factor holds (rows, U_ii^-1, U[rows, cols], cols) per block, cols the columns right of it.
+    """
 
     def solve(y):
         x = y.copy()
-        for block in blocks:  # U^dagger Z = Y
-            x[block] = gram[block, block].conj().T @ x[block]
-            x[block.stop :] -= (x[block].conj().T @ gram[block, block.stop :]).conj().T
-        for block in reversed(blocks):  # U X = Z
-            x[block] -= gram[block, block.stop :] @ x[block.stop :]
-            x[block] = gram[block, block] @ x[block]
+        for rows, inverse, right, cols in factor:  # U^dagger Z = Y
+            x[rows] = inverse.conj().T @ x[rows]
+            x[cols] -= (x[rows].conj().T @ right).conj().T
+        for rows, inverse, right, cols in reversed(factor):  # U X = Z
+            x[rows] -= right @ x[cols]
+            x[rows] = inverse @ x[rows]
         return x
 
     return solve
 
 
 # Rows per Cholesky block of the folded band, raised to its half-width 2w where that is wider.
-# On the FD comm-sweep's four words (same machine, medians of twelve), blocks of 16, 32 and 64 rows took 7.4, 6.7-7.0 and 7.3-7.5 ms at N = 512
-# and 14-15, 13-15 and 14-15 ms at N = 1024; a block's cost is mostly call overhead.
+# On the FD comm-sweep's six many-tap stencils (same machine, medians of twelve, ranges over the stencils and six
+# interleaved passes), blocks of 16, 32 and 64 rows took 6.3-13.5, 5.4-11.9 and 6.4-13.9 ms at N = 512 and
+# 11.5-22.4, 10.2-21.6 and 13.0-24.3 ms at N = 1024; a block's cost is mostly call overhead.
 _BLOCK = 32
 # Columns of the shift-invert block: the sweeps' words have up to 8 top singular values
 # within 5e-13 of each other (then a 5 % gap), and the block must hold that cluster.
@@ -478,21 +488,23 @@ def _fold(n: int) -> np.ndarray:
 
 
 def _banded_factor(gram: Stencil, sigma: float):
-    """The solve of (sigma I - G) X = Y by a block Cholesky factor L of P (sigma I - G) P^T, P the fold; LinAlgError unless it is positive definite.
+    """_block_solve with a Cholesky factor U^dagger U of P (sigma I - G) P^T, P the fold; LinAlgError unless it is positive definite.
 
     The fold puts rows i and i + k mod N at most 2|k| apart, so G's taps make it a plain band
     of half-width b = max(_BLOCK, 2w) (Golub & Van Loan, Matrix Computations, sec. 4.3). Its
-    rows split into blocks of b rows, the last taking the remainder, so L is block bidiagonal:
-    O(N b^2) work, one dense block where b >= N. The solve substitutes on P Y, then undoes P.
+    rows split into blocks of b rows, the last taking the remainder, so U is block bidiagonal:
+    O(N b^2) work, one dense block where b >= N. Each block takes _dense_factor's steps on that
+    pattern, its coupling U[i - 1, i] solved with the factor above. The solve works on P Y, then undoes P.
     """
     n = gram.n
     b = max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
     fold = _fold(n)
+    unfold = np.argsort(fold)
     offsets = np.array(list(gram.taps))[:, None]
-    cols = np.argsort(fold)[(fold + offsets) % n]  # tap t of folded row p sits in folded column cols[t, p]
+    cols = unfold[(fold + offsets) % n]  # tap t of folded row p sits in folded column cols[t, p]
     taps = np.array([np.broadcast_to(g, (n,))[fold] for g in gram.taps.values()], gram.dtype)
     blocks = [slice(start, min(start + b, n)) for start in range(0, n, b)]
-    diag, sub = [], []  # L's diagonal blocks and its subdiagonal blocks L[i + 1, i]
+    inverses, rights = [], []  # U_ii^-1, and U[i, i + 1] for every block but the last
     for block in blocks:
         start, stop, lo = block.start, block.stop, max(block.start - b, 0)
         t, i = np.nonzero(cols[:, block] < stop)  # the entries left of the next block
@@ -500,24 +512,14 @@ def _banded_factor(gram: Stencil, sigma: float):
         rows[i, cols[t, start + i] - lo] = -taps[t, start + i]
         d = rows[:, start - lo :]
         d[np.diag_indices(stop - start)] += sigma
-        if start:  # rows L[i - 1, i - 1]^-dagger, solved as (conj(L)^-1 rows^T)^T: no conjugate copy of rows
-            sub.append(np.linalg.solve(diag[-1].conj(), rows[:, : start - lo].T).T)
-            d = d - sub[-1] @ sub[-1].conj().T
-        diag.append(np.linalg.cholesky(d))
-
-    def solve(y):
-        x = y[fold]
-        for i, block in enumerate(blocks):  # L Z = P Y
-            x[block] = np.linalg.solve(diag[i], x[block])
-            if i < len(sub):
-                x[blocks[i + 1]] -= sub[i] @ x[block]
-        for i in range(len(blocks) - 1, -1, -1):  # L^dagger P X = Z
-            if i < len(sub):
-                x[blocks[i]] -= sub[i].conj().T @ x[blocks[i + 1]]
-            x[blocks[i]] = np.linalg.solve(diag[i].conj().T, x[blocks[i]])
-        return x[np.argsort(fold)]
-
-    return solve
+        if start:  # U[i - 1, i] = L^-1 (sigma I - G)[i - 1, i], L the previous block's factor
+            rights.append(np.linalg.solve(lower, rows[:, : start - lo].conj().T))
+            d -= rights[-1].conj().T @ rights[-1]
+        lower = np.linalg.cholesky(d)  # U_ii is its conjugate transpose
+        inverses.append(np.linalg.inv(lower.conj().T))  # for the solve alone
+    rights.append(np.empty((stop - start, 0), gram.dtype))  # no rows right of the last block
+    solve = _block_solve(list(zip(blocks, inverses, rights, blocks[1:] + [slice(n, n)])))
+    return lambda y: solve(y[fold])[unfold]
 
 
 def unitarity_defect(u: np.ndarray) -> float:

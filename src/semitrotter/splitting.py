@@ -158,33 +158,15 @@ def _checked(plan: StagePlan, a_row, potential, steps) -> tuple[np.ndarray, bool
     return symbol, plan.is_palindromic() and np.isrealobj(a_row), steps
 
 
-def _run_stages(x_t: np.ndarray, stages, symbol: np.ndarray, potential: np.ndarray, dt: float) -> None:
-    """x_t u_1^T ... u_k^T in x_t's own buffer: each stage acts on the contiguous rows.
-
-    The transpose of u_k ... u_1 X is built so that the FFTs run along rows; the inverse
-    FFTs run unnormalized, with 1/N folded into the A phases; scaling by a power of two is
-    exact, so at power-of-two N this changes no bit.
-    """
-    n = symbol.size
-    for c, g in stages:
-        if g == "A":
-            np.fft.fft(x_t, axis=1, out=x_t)
-            x_t *= np.exp(-1j * (c * dt) * symbol) / n
-            np.fft.ifft(x_t, axis=1, out=x_t, norm="forward")
-        else:
-            x_t *= np.exp(-1j * (c * dt) * potential)
-
-
 def _step(plan: StagePlan, symbol: np.ndarray, potential: np.ndarray, dt: float, symmetric: bool) -> np.ndarray:
     """U_p(dt): X^T X from the first half of the stages when symmetric, else all of them."""
     stages = plan.stages
     if symmetric:  # the first half, then the middle stage (if any) at half its coefficient
         half = len(stages) // 2
         stages = stages[:half] + tuple((c / 2, g) for c, g in stages[half : len(stages) - half])
-    x_t = np.eye(symbol.size, dtype=np.complex128)
-    _run_stages(x_t, stages, symbol, potential, dt)
-    # x_t @ x_t.T reads one buffer twice (a zsyrk); returning it frees the split-step buffer
-    return x_t @ x_t.T if symmetric else x_t.T
+    x = _by_stages(stages, symbol, potential, dt, np.eye(symbol.size))
+    # x.T @ x reads one buffer twice (a zsyrk); returning it frees the split-step buffer
+    return x.T @ x if symmetric else x
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
@@ -234,9 +216,21 @@ def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
 
 
 def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, m: np.ndarray) -> np.ndarray:
-    """u_k ... u_1 M, Fortran-ordered: the stages run on the rows of a complex copy of M^T."""
+    """u_k ... u_1 M, Fortran-ordered: the stages run on the contiguous rows of a complex copy of M^T.
+
+    Its transpose is built so that the FFTs run along rows, each stage in the copy's own
+    buffer; the inverse FFTs run unnormalized, with 1/N folded into the A phases; scaling by
+    a power of two is exact, so at power-of-two N this changes no bit.
+    """
+    n = symbol.size
     w_t = m.T.astype(np.complex128, order="C")
-    _run_stages(w_t, stages, symbol, potential, dt)
+    for c, g in stages:
+        if g == "A":
+            np.fft.fft(w_t, axis=1, out=w_t)
+            w_t *= np.exp(-1j * (c * dt) * symbol) / n
+            np.fft.ifft(w_t, axis=1, out=w_t, norm="forward")
+        else:
+            w_t *= np.exp(-1j * (c * dt) * potential)
     return w_t.T
 
 

@@ -223,6 +223,11 @@ def test_fit_slope_errors():
         fit_slope([(1.0, 1.0), (1.0, 2.0)])
     with pytest.raises(ValueError):
         fit_slope([(1.0, -1.0), (2.0, 1.0)])
+    for bad in (math.nan, math.inf):  # min(1.0, nan) is 1.0: a perfect-looking fit with slope NaN
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope([(1.0, bad), (2.0, 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope([(bad, 1.0), (2.0, 1.0)])
 
 
 def test_dt_sweep_row_count_and_order():

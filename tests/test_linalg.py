@@ -407,6 +407,12 @@ def test_blocked_certificate_at_several_panels(monkeypatch, dtype):
         x = linalg._dense_factor(gram.copy(), sigma)(y)
         expected = np.linalg.solve(sigma * np.eye(n) - gram, y)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    # a stencil's Gram at N = 300: the folded band's factor and the dense one solve alike
+    stencil = _band_gram(rng, 300, 5, complex_taps=dtype == np.complex128)
+    sigma = 1.01 * float(np.linalg.eigvalsh(np.asarray(stencil))[-1])
+    banded = linalg._banded_factor(stencil, sigma)(y[:300])
+    dense = linalg._dense_factor(np.asarray(stencil), sigma)(y[:300])
+    assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
     shifted = gram.copy()
     assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) == pytest.approx(top, rel=1e-14)
     _low_lanczos(monkeypatch)
@@ -984,6 +990,15 @@ def test_fold_puts_neighbours_at_most_twice_their_offset_apart(n):
         assert np.max(np.abs(place[rows] - place[(rows + k) % n])) <= 2 * abs(k)
 
 
+def _recording_lu(monkeypatch):
+    """Patch np.linalg.solve and np.linalg.inv to record the name of each call."""
+    calls = []
+    for name in ("solve", "inv"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    return calls
+
+
 def _band_gram(rng, n, w, complex_taps):
     """The Gram of a stencil with taps at 0 ... w: a Hermitian PSD band of half-width min(w, N/2)."""
     taps = {r: rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_taps else 0.0) for r in range(w + 1)}
@@ -995,15 +1010,19 @@ def _band_gram(rng, n, w, complex_taps):
 @pytest.mark.parametrize("n", [5, 20, 33, 64, 257, 300])
 @pytest.mark.parametrize("w", range(1, 8))
 @pytest.mark.parametrize("complex_taps", [False, True])
-def test_folded_factor_solves_the_shifted_gram(n, w, complex_taps):
+def test_folded_factor_solves_the_shifted_gram(monkeypatch, n, w, complex_taps):
     rng = np.random.default_rng(1000 * n + 10 * w + complex_taps)
     gram = _band_gram(rng, n, w, complex_taps)
     dense = np.asarray(gram)
     top = float(np.linalg.eigvalsh(dense)[-1])
     y = rng.standard_normal((n, 3)) + (1j * rng.standard_normal((n, 3)) if complex_taps else 0.0)
     for sigma in (1.01 * top, 2.0 * top):
-        x = linalg._banded_factor(gram, sigma)(y)
+        solve = linalg._banded_factor(gram, sigma)
         expected = np.linalg.solve(sigma * np.eye(n) - dense, y)
+        with monkeypatch.context() as patch:  # each block is substituted by a product with its inverse
+            lu = _recording_lu(patch)
+            x = solve(y)
+        assert lu == []
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     with pytest.raises(np.linalg.LinAlgError):
         linalg._banded_factor(gram, 0.99 * top)
