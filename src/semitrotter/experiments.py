@@ -45,7 +45,7 @@ from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
 from .linalg import Stencil, is_finite, spectral_norm, unitary_exp
 from .model import ModelParams, PolyObservableSpec, declared_A, declared_observable
-from .splitting import suzuki_plan, trotter_apply
+from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
 
 CSV_HEADER = "experiment,p,scheme,N,h,dt,t,metric,value"
@@ -385,8 +385,8 @@ def evolution_errors(w: np.ndarray | list[np.ndarray], obs: np.ndarray, phi=None
 def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     """Error rows for every order and dt on one h's grid, built once with its U_exact.
 
-    W = U_trot U_exact^dagger is built by splitting.trotter_apply, beside U_exact^dagger
-    alone for the default p = 2 and beside U^2 and a panel for p = 4 and 6 (N >= 256), and
+    W = U_trot U_exact^dagger is built by splitting.trotter_step(..., m=U_exact^dagger), beside
+    U_exact^dagger alone for the default p = 2 and beside U^2 and a panel for p = 4 and 6, and
     is handed to evolution_errors in a list, so that call frees it before the observable
     norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
     """
@@ -404,7 +404,7 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     rows = []
     for p, dt in product(cfg.orders, cfg.dt_values):
         steps = int(round(cfg.t_final / dt))
-        errors = evolution_errors([trotter_apply(suzuki_plan(p), a_row, b, dt, steps, u_exact_h)], obs, phi)
+        errors = evolution_errors([trotter_step(suzuki_plan(p), a_row, b, dt, steps, m=u_exact_h)], obs, phi)
         row = partial(_row, cfg, p=p, n=grid.n, h=h, dt=dt, t=cfg.t_final)
         rows += [row(metric, value) for metric, value in zip(metrics, errors) if value is not None]
     return rows

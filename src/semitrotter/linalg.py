@@ -220,10 +220,12 @@ _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
 def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     """e^{-i theta M} for Hermitian M, via eigendecomposition; real V takes two real products.
 
-    Entries of V below sqrt(tiny) are set to 0 first, so that no product of two kept entries
-    is subnormal: eigenvectors localized in the wells of a steep potential (V/h at N = 1024)
-    hold thousands of subnormal entries, and BLAS takes several times longer on them. Each
-    dropped term of an entry of the result is below sqrt(tiny) in size.
+    The real products are written into the result's real and imaginary parts by _PANEL-row
+    panels, so no N x N real temporary sits beside V and the result. Entries of V below
+    sqrt(tiny) are set to 0 first, so that no product of two kept entries is subnormal:
+    eigenvectors localized in the wells of a steep potential (V/h at N = 1024) hold thousands
+    of subnormal entries, and BLAS takes several times longer on them. Each dropped term of
+    an entry of the result is below sqrt(tiny) in size.
     """
     w, v = hermitian_eig(m)
     v[np.abs(v) < _SQRT_TINY] = 0.0
@@ -231,8 +233,11 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     if np.iscomplexobj(v):
         return (v * phases) @ v.conj().T
     out = np.empty(v.shape, dtype=np.complex128)
-    out.real = (v * phases.real) @ v.T
-    out.imag = (v * phases.imag) @ v.T
+    panel = np.empty((min(_PANEL, len(v)), len(v)))
+    for start in range(0, len(v), _PANEL):
+        rows = v[start : start + _PANEL]
+        for part, scale in ((out.real, phases.real), (out.imag, phases.imag)):
+            part[start : start + _PANEL] = np.matmul(rows * scale, v.T, out=panel[: len(rows)])
     return out
 
 

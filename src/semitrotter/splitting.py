@@ -28,11 +28,12 @@ X = u_{m+1}^{1/2} u_m ... u_1 (no middle factor when l = 2m is even): half
 the stages and one symmetric product build the step, and its power
 squares as U^T U.
 
-trotter_apply forms U_p(dt)^s M, the evolution cells' W = U_p(dt)^s U_exact^dagger,
-without the power's buffers from N = 256 on. A short plan, such as the default
-p = 2, runs its s steps' stages, merged where one step meets the next, on a copy
-of M, which needs M and W alone and no N^3 product; a longer plan builds U and
-U^2 and applies them to M inside U's buffer, panel by panel.
+Given a matrix M, trotter_step forms U_p(dt)^s M, the evolution cells'
+W = U_p(dt)^s U_exact^dagger, by the route a cost rule picks at every N. A short
+plan, such as the default p = 2, runs its s steps' stages, merged where one step
+meets the next, on a copy of M, which needs M and W alone and no N^3 product; a
+longer plan builds U and U^2 and applies them to M inside U's buffer, panel by
+panel, or takes the binary power where that needs fewer products.
 """
 
 from __future__ import annotations
@@ -86,35 +87,27 @@ def suzuki_plan(p: int) -> StagePlan:
 
 
 def trotter_step(
-    plan: StagePlan, a_row: np.ndarray, potential: np.ndarray, dt: float, steps: int = 1
+    plan: StagePlan, a_row: np.ndarray, potential: np.ndarray, dt: float, steps: int = 1, m: np.ndarray | None = None
 ) -> np.ndarray:
-    """U_p(dt)^steps, with U_p(dt) = u_l ... u_1 built by the FFT split-step method.
+    """U_p(dt)^steps, or U_p(dt)^steps M for an N x N matrix m, with U_p(dt) = u_l ... u_1.
 
     a_row is the first row of A, a Hermitian circulant: its stage maps each
     column x to ifft(e^{-i dt c_j lam} fft(x)), lam its real DFT symbol.
     potential is the diagonal of B: its stage scales rows by e^{-i dt c_j d}.
-    Vectors that are not 1-D of one nonzero length raise DimensionMismatchError,
-    non-finite entries ConvergenceError, and a complex symbol of A or a complex
-    potential NonHermitianError; steps must be a non-negative integer.
+    Vectors that are not 1-D of one nonzero length, or an m that is not N x N,
+    raise DimensionMismatchError, non-finite entries (m's too) ConvergenceError,
+    and a complex symbol of A or a complex potential NonHermitianError; steps
+    must be a non-negative integer.
 
     For a palindromic plan and a real A the step is complex symmetric (see
     the module docstring): the split-step runs the first l // 2 stages and,
     for odd l, the middle one at half its coefficient, and the step is X^T X,
-    which BLAS computes as a symmetric rank-k update. The power is taken by
-    binary powering, each square of this step formed as X^T X too. Order 1,
-    or a complex Hermitian A, runs every stage and squares as X X.
-    """
-    symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
-    return _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
+    which BLAS computes as a symmetric rank-k update. Order 1, or a complex
+    Hermitian A, runs every stage and squares as X X.
 
-
-def trotter_apply(
-    plan: StagePlan, a_row: np.ndarray, potential: np.ndarray, dt: float, steps: int, m: np.ndarray
-) -> np.ndarray:
-    """U_p(dt)^steps M in a new N x N array, for an N x N matrix M, which is left as it is.
-
-    The step and the checks are trotter_step's. Below N = _APPLY_MIN_N this is
-    trotter_step(...) @ M, bit for bit. From there on _route picks one of three routes:
+    Without m the power is taken by binary powering, each square of a
+    symmetric step formed as X^T X too. With m, which is left as it is, the
+    result is a new complex array, and _route picks one of three routes:
     - stages, where their FFT pairs cost less than the products of the others: the plan's
       stages, repeated steps times and merged where they meet, run on the rows of a complex
       copy of M^T, whose transpose, Fortran-ordered, is W (M and W alone);
@@ -125,9 +118,13 @@ def trotter_apply(
     - binary powering and one product with M (M, the power's three buffers and W).
     """
     symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
+    if m is None:
+        return _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
     m = np.asarray(m)
     if m.shape != (symbol.size, symbol.size):
         raise linalg.DimensionMismatchError(f"need an N x N matrix for N = {symbol.size}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise linalg.ConvergenceError("M has non-finite entries")
     route = _route(plan, symbol.size, steps, symmetric)
     if route == "stages":
         return _by_stages(_merge_adjacent(list(plan.stages) * steps), symbol, potential, dt, m)
@@ -181,27 +178,21 @@ def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
     return result
 
 
-# From this N on, trotter_apply holds no power of the step beside M. Below it the step power
-# and one product keep trotter_step's bits, as the dt-sweep's N = 64 cells do; there the
-# power's three N x N buffers are small.
-_APPLY_MIN_N = 256
 # An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over
 # the rows of an N x N matrix. Medians of five on 2-core x86-64 (OpenBLAS 0.3.31, numpy's
 # pocketfft): a pair took 1.18, 5.17 and 22.4 ms at N = 256, 512 and 1024, a zgemm 1.88,
 # 13.9 and 98.7 ms and a zsyrk 1.80, 11.1 and 76.0 ms, 1.5, 2.4 and 3.9 pairs per product
 # on average, against 1.3, 2.3 and 4.1 by this rule; a B stage costs a tenth of a pair and
 # is left out. The default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products,
-# and p = 4 takes 26 against 5, so p = 2 runs by stages at every N of the rule and p = 4 by
-# stages only from N = 2048 on. At N = 1024 (medians of five) p = 2 took 165 ms by stages
-# against 496 ms by powering, and p = 4 727 ms against 516 ms (596 ms in place); at N = 2048
-# (medians of three) p = 4 took 2.61 s by stages, 3.09 s by powering and 4.08 s in place.
+# and p = 4 takes 26 against 5, so p = 2 runs by stages from N = 256 on, in place below, and
+# p = 4 from N = 2048 on. At N = 1024 (medians of five) p = 2 took 165 ms by stages against
+# 496 ms by powering, and p = 4 727 ms against 516 ms (596 ms in place); at N = 2048 (medians
+# of three) p = 4 took 2.61 s by stages, 3.09 s by powering and 4.08 s in place.
 _FFT_PAIRS_LOG2 = 25
 
 
 def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
-    """trotter_apply's route: "stages", "in place" or "powering", by the cost rule above."""
-    if n < _APPLY_MIN_N:
-        return "powering"
+    """trotter_step's route given M: "stages", "in place" or "powering", by the cost rule above."""
     if not steps:
         return "stages"  # W = M: a copy, with no stage to run
     build = int(symmetric)  # the product X^T X

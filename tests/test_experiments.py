@@ -402,7 +402,7 @@ def test_h_sweep_exact_for_zero_potential():
 @pytest.mark.parametrize(
     "experiment, raw",
     [
-        # N = 256 takes trotter_apply's routes: p = 2 by stages, p = 4 in place
+        # N = 256 takes trotter_step's routes given M: p = 2 by stages, p = 4 in place
         ("h-sweep", {"h": "1/8, 1/256", "dt": "1/4", "t_final": "1/2", "orders": "2, 4"}),
         ("dt-sweep", dict(FAST_DT, orders="1, 2, 4", dt="1/4, 1/8, 1/16")),
     ],

@@ -128,14 +128,33 @@ def test_unitary_exp_semigroup():
 
 
 def test_unitary_exp_of_real_symmetric_matches_complex_product():
-    # real eigenvectors take two real products; the complex product is the reference
+    # real eigenvectors take two real products, by row panels; the complex product is the reference
     rng = np.random.default_rng(9)
-    m = rng.standard_normal((40, 40))
-    m = m + m.T
-    w, v = hermitian_eig(m)
-    reference = (v * np.exp(-1j * 0.8 * w)) @ v.T.astype(complex)
-    assert np.max(np.abs(unitary_exp(m, 0.8) - reference)) <= 1e-14
-    assert unitary_exp(m, 0.8).dtype == np.complex128
+    for n in (40, 300):  # one panel, and three with a short last one
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        w, v = hermitian_eig(m)
+        reference = (v * np.exp(-1j * 0.8 * w)) @ v.T.astype(complex)
+        assert np.max(np.abs(unitary_exp(m, 0.8) - reference)) <= 1e-14
+        assert unitary_exp(m, 0.8).dtype == np.complex128
+
+
+def test_unitary_exp_of_a_real_h_peaks_below_two_buffers():
+    # the h-sweep's H at N = 512: beyond H, V (half a complex N x N buffer), the result and two
+    # row panels, 1.77 buffers; whole-matrix real products held two more halves (2.50)
+    import semitrotter.experiments as ex
+
+    n = 512
+    _, a, b, _ = ex._build_operators(ex.build_config("h-sweep"), 1.0 / n)
+    h = np.asarray(a)
+    h[np.diag_indices(n)] += b
+    tracemalloc.start()
+    try:
+        unitary_exp(h, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * n**2, peak / (16 * n**2)
 
 
 def test_unitary_exp_flushes_tiny_eigenvector_entries_without_moving_the_propagator():

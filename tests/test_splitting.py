@@ -271,10 +271,10 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
     ws = {}
     for route in ("stages", "in place", "powering"):
         monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
-        ws[route] = splitting.trotter_apply(suzuki_plan(p), a_row, b, 0.1, steps, u_exact_h)
+        ws[route] = trotter_step(suzuki_plan(p), a_row, b, 0.1, steps, m=u_exact_h)
         assert np.max(np.abs(ws[route] - reference)) <= 1e-13, route
         # a real M gives the complex U^steps on every route
-        power = splitting.trotter_apply(suzuki_plan(p), a_row, b, 0.1, steps, np.eye(256))
+        power = trotter_step(suzuki_plan(p), a_row, b, 0.1, steps, m=np.eye(256))
         assert power.dtype == np.complex128
         assert np.max(np.abs(power - np.linalg.matrix_power(step, steps))) <= 1e-13, route
     assert np.array_equal(u_exact_h, kept)
@@ -284,31 +284,53 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
 
 
 def test_routes_of_the_default_sweeps():
-    # the dt-sweep's N = 64 keeps binary powering; from N = 256 the h-sweep's p = 2 cells
-    # (5 steps) run by stages and p = 4 and 6 in place, until stages win p = 4 at N = 2048
-    # (2.61 s there, against 3.09 s by powering and 4.08 s in place)
+    # one rule at every N: the dt-sweep's N = 64 cells run in place up to 4 steps and by
+    # powering from 8; the h-sweep's p = 2 cells (5 steps) run in place below N = 256 and by
+    # stages from there, and p = 4 and 6 in place, until stages win p = 4 at N = 2048 (2.61 s
+    # there, against 3.09 s by powering and 4.08 s in place)
     route = splitting._route
-    assert {route(suzuki_plan(p), 64, s, True) for p in (2, 4, 6) for s in (2, 4, 8, 16, 32)} == {"powering"}
-    assert route(suzuki_plan(1), 64, 5, False) == "powering"
+    for p in (1, 2, 4, 6):
+        routes = [route(suzuki_plan(p), 64, s, p > 1) for s in (2, 4, 8, 16, 32)]
+        assert routes == ["in place"] * 2 + ["powering"] * 3, p
+    for n in (32, 64, 128):
+        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["in place"] * 3
     for n in (256, 512, 1024):
         assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "in place", "in place"]
     assert route(suzuki_plan(4), 2048, 5, True) == "stages"
-    assert route(suzuki_plan(2), 256, 0, True) == "stages"
-    a, b, _ = _operators(h=1.0 / 256, n=256)  # no step: a complex copy of a real M
-    w = splitting.trotter_apply(suzuki_plan(2), a[0], np.diag(b), 0.1, 0, np.eye(256))
-    assert w.dtype == np.complex128 and np.array_equal(w, np.eye(256))
+    assert route(suzuki_plan(2), 64, 0, True) == route(suzuki_plan(2), 256, 0, True) == "stages"
+    a, b, _ = _operators(h=1.0 / 64, n=64)  # no step: a complex copy of a real M
+    w = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 0, m=np.eye(64))
+    assert w.dtype == np.complex128 and np.array_equal(w, np.eye(64))
     assert route(suzuki_plan(6), 1024, 8, True) == "powering"  # 5 products powering, 6 in place
 
 
-def test_trotter_apply_below_the_route_size_is_the_step_power_times_m():
-    a, b, h = _operators(n=64)
+@pytest.mark.parametrize("n", (64, 256))
+def test_trotter_step_with_m_is_the_step_power_times_m(monkeypatch, n):
+    a, b, h = _operators(h=1.0 / n, n=n)
     m = unitary_exp(h, 0.5).conj().T
+    kept = m.copy()
     for p in (1, 2, 4, 6):
-        for steps in (0, 1, 5):
+        for steps in (0, 1, 2, 5, 8):
             expected = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps) @ m
-            assert np.array_equal(splitting.trotter_apply(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m), expected)
+            scale = np.max(np.abs(expected))
+            for route in ("stages", "in place", "powering"):
+                if route == "in place" and not steps:
+                    continue  # with no step the rule picks stages; _in_place needs a step
+                monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
+                w = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=m)
+                assert np.max(np.abs(w - expected)) <= 1e-13 * scale, (p, steps, route)
+    assert np.array_equal(m, kept)
     with pytest.raises(DimensionMismatchError):
-        splitting.trotter_apply(suzuki_plan(2), a[0], np.diag(b), 0.1, 1, m[:32])
+        trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 1, m=m[: n // 2])
+
+
+def test_trotter_step_rejects_non_finite_m():
+    a, b, h = _operators(n=16)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        m = unitary_exp(h, 0.5).conj().T
+        m[3, 5] = bad
+        with pytest.raises(ConvergenceError):
+            trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 2, m=m)
 
 
 def test_complex_hermitian_circulant_takes_general_squaring():

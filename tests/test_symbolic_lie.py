@@ -226,6 +226,13 @@ def test_observable_monomials_stay_h_uniform_through_every_ad_chain():
         assert _lowest_exponent(observable_symbol(q), 9, sym_commutator) == 0
 
 
+@pytest.mark.slow
+def test_observable_monomials_stay_h_uniform_through_every_11_letter_chain():
+    # p = 10, the highest order the package runs: about 8 s, so opt-in (pytest -m slow)
+    for q in range(4):
+        assert _lowest_exponent(observable_symbol(q), 11, sym_commutator) == 0
+
+
 def test_lemma_checks_catch_a_bracket_without_qp_and_an_observable_without_h():
     no_h = SymOp.term(1, (("y", 0),), hpow=0, dord=1)  # y d, outside the class
     assert _lowest_exponent(no_h, 3, sym_commutator) == -1
