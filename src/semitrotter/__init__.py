@@ -27,6 +27,7 @@ from .linalg import (
     NonHermitianError,
     commutator,
     hermitian_eig,
+    matmul_by_rows,
     spectral_norm,
     unitary_exp,
     unitarity_defect,

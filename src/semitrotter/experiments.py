@@ -21,7 +21,11 @@ so the spectral [[A,B],O] grows like 1/h (see README).
 
 CSV rows carry exactly the columns
 ``experiment,p,scheme,N,h,dt,t,metric,value`` with RFC-4180-style
-quoting; identical configs produce byte-identical files. Plots are
+quoting; identical configs produce byte-identical files on one BLAS build
+at one BLAS thread count. BLAS splits a product's work by its thread
+count, which moves the low digits: 18 of the 36 default h-sweep values
+differ between one and two OpenBLAS threads, every one at N >= 256, by up
+to 3.1e-14 absolute. Plots are
 self-contained log-log SVGs, one polyline per series plus dashed
 reference lines.
 """
@@ -43,7 +47,8 @@ import numpy as np
 from .commutator_lab import ad, compute_beta_comm
 from .discretize import Grid, SchemeKind, sample
 from .expr import Expr, ExprError, eval_expr, parse_expr
-from .linalg import Stencil, is_finite, spectral_norm, unitary_exp
+from . import linalg
+from .linalg import Stencil, is_finite, matmul_by_rows, spectral_norm
 from .model import ModelParams, PolyObservableSpec, declared_A, declared_observable
 from .splitting import suzuki_plan, trotter_step
 from .symbolic_lie import SymOp, sym_commutator, verify_height_width
@@ -365,10 +370,11 @@ def evolution_errors(w: np.ndarray | list[np.ndarray], obs: np.ndarray, phi=None
     Overwrites W with W - I and drops it before the observable norm. w is W, or a list holding
     W alone, which the call empties: then nothing but this call holds W, and it is freed there,
     on any Python (3.10 holds a call's arguments until it returns, 3.11 and later hand them to
-    the call). Traced at N = 1024 in complex N x N buffers, with the sweep's U_exact^dagger
-    alive: each norm peaks at 3.3 (the matrix, its Gram and the certificate's panels), FD's
-    bracket, built by row blocks, at 3.2, and U_exact^dagger and [O, W - I] are what is left,
-    2.05. A caller that holds W keeps W - I beside them through the observable norm (4.26).
+    the call). Traced at N = 1024 in complex N x N buffers, with the sweep's real
+    eigenvectors V (half a buffer) alive: each norm peaks at 2.81 (V, the matrix, its Gram
+    and the certificate's panels), FD's bracket, built by row blocks, at 2.70, and V and
+    [O, W - I] are what is left. A caller that holds W keeps W - I beside them through the
+    observable norm (3.76).
     """
     if isinstance(w, list):
         w = w.pop()
@@ -383,12 +389,15 @@ def evolution_errors(w: np.ndarray | list[np.ndarray], obs: np.ndarray, phi=None
 
 
 def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
-    """Error rows for every order and dt on one h's grid, built once with its U_exact.
+    """Error rows for every order and dt on one h's grid, from one eigendecomposition of H.
 
-    W = U_trot U_exact^dagger is built by splitting.trotter_step(..., m=U_exact^dagger), beside
-    U_exact^dagger alone for the default p = 2 and beside U^2 and a panel for p = 4 and 6, and
-    is handed to evolution_errors in a list, so that call frees it before the observable
-    norm; beside the norms' buffers only U_exact^dagger (conjugated in place) and O are alive.
+    H = A + B is real symmetric, so U_exact^dagger = V diag(e^{i t lam}) V^T is kept as V,
+    half a complex N x N buffer, and N phases. splitting.trotter_step(..., m=V) builds
+    Y = U_trot V, beside V alone for the default p = 2 and beside U^2 and a panel for p = 4
+    and 6; Y's columns are scaled by the phases, and W = Y V^T = U_trot U_exact^dagger is
+    written over Y by linalg.matmul_by_rows. W goes to evolution_errors in a list, so that
+    call frees it before the observable norm; beside the norms' buffers only V and O are
+    alive (2.81 buffers, traced at N = 1024).
     """
     grid, a, b, obs = _build_operators(cfg, h)
     if cfg.t_final * sys.float_info.epsilon * float(np.max(np.abs(b))) >= 1.0:
@@ -396,15 +405,22 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
     a = np.asarray(a)  # the cell's one dense operator: it becomes H = A + B
     a_row = a[0].copy()  # the Trotter step reads only A's first row
     a[np.diag_indices_from(a)] += b
-    u_exact = unitary_exp(a, cfg.t_final)
-    del a
-    phi = u_exact @ _gaussian_state(grid) if cfg.state else None
-    u_exact_h = np.conjugate(u_exact, out=u_exact).T
+    lam, v = linalg.hermitian_eig(a)  # H = V diag(lam) V^T, V real
+    a[...] = v  # V is kept in H's buffer: the eigensolver's own V goes with its other temporaries
+    v = a
+    phases = np.exp(1j * cfg.t_final * lam)  # U_exact^dagger = V diag(phases) V^T
+    phi = None
+    if cfg.state:  # U_exact psi = V (conj(phases) V^T psi), by real products
+        phi = matmul_by_rows(matmul_by_rows(_gaussian_state(grid)[None], v) * phases.conj(), v.T)[0]
     metrics = ("unitary_error", "observable_error", "expectation_error")  # evolution_errors' order
     rows = []
     for p, dt in product(cfg.orders, cfg.dt_values):
         steps = int(round(cfg.t_final / dt))
-        errors = evolution_errors([trotter_step(suzuki_plan(p), a_row, b, dt, steps, m=u_exact_h)], obs, phi)
+        y = trotter_step(suzuki_plan(p), a_row, b, dt, steps, m=v)  # U_trot V
+        y *= phases
+        w = [matmul_by_rows(y, v.T, out=y)]  # W = U_trot V diag(phases) V^T, in y's buffer
+        del y
+        errors = evolution_errors(w, obs, phi)
         row = partial(_row, cfg, p=p, n=grid.n, h=h, dt=dt, t=cfg.t_final)
         rows += [row(metric, value) for metric, value in zip(metrics, errors) if value is not None]
     return rows

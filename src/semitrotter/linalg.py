@@ -198,6 +198,10 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w, V) with w real ascending and V unitary. Non-finite entries raise
     ConvergenceError (eigh reads one triangle; a NaN passes the Hermiticity check).
+    Entries of V below sqrt(tiny) are set to 0, so that no product of two kept entries is
+    subnormal: eigenvectors localized in the wells of a steep potential (V/h at N = 1024)
+    hold thousands of subnormal entries, and BLAS takes several times longer on them. Each
+    term that a product with V then drops is below sqrt(tiny) in size.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -211,6 +215,9 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    for start in range(0, len(v), _PANEL):  # by row panels: no N x N temporary
+        rows = v[start : start + _PANEL]
+        rows[np.abs(rows) < _SQRT_TINY] = 0.0
     return w, v
 
 
@@ -220,24 +227,46 @@ _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
 def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     """e^{-i theta M} for Hermitian M, via eigendecomposition; real V takes two real products.
 
-    The real products are written into the result's real and imaginary parts by _PANEL-row
-    panels, so no N x N real temporary sits beside V and the result. Entries of V below
-    sqrt(tiny) are set to 0 first, so that no product of two kept entries is subnormal:
-    eigenvectors localized in the wells of a steep potential (V/h at N = 1024) hold thousands
-    of subnormal entries, and BLAS takes several times longer on them. Each dropped term of
-    an entry of the result is below sqrt(tiny) in size.
+    For real V the result is first V diag(e^{-i theta w}), its real and imaginary parts
+    scaled from V, and then that times V^T by matmul_by_rows, in the result's own buffer:
+    beside V and the result only two real _PANEL-row panels are alive (1.63 complex N x N
+    buffers beyond M at N = 1024).
     """
     w, v = hermitian_eig(m)
-    v[np.abs(v) < _SQRT_TINY] = 0.0
     phases = np.exp(-1j * theta * w)
     if np.iscomplexobj(v):
         return (v * phases) @ v.conj().T
     out = np.empty(v.shape, dtype=np.complex128)
-    panel = np.empty((min(_PANEL, len(v)), len(v)))
-    for start in range(0, len(v), _PANEL):
-        rows = v[start : start + _PANEL]
-        for part, scale in ((out.real, phases.real), (out.imag, phases.imag)):
-            part[start : start + _PANEL] = np.matmul(rows * scale, v.T, out=panel[: len(rows)])
+    np.multiply(v, phases.real, out=out.real)
+    np.multiply(v, phases.imag, out=out.imag)
+    return matmul_by_rows(out, v.T, out=out)
+
+
+def matmul_by_rows(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Z R for a complex Z, by _PANEL-row panels, into out: a new complex array, or Z itself.
+
+    Row panel i of Z R reads row panel i of Z alone, so it may be written back over it. A
+    real R multiplies Z's real and imaginary parts, two real products per panel, each part
+    copied into a contiguous panel first (numpy's matmul would cast R to a complex copy for
+    every product, and falls back to a loop without BLAS on a strided part). A complex R
+    takes one complex product per panel. Its only temporaries are panels of _PANEL rows.
+    """
+    if out is None:
+        out = np.empty((z.shape[0], r.shape[1]), dtype=np.complex128)
+    rows = min(_PANEL, z.shape[0])
+    if np.iscomplexobj(r):
+        panel = np.empty((rows, r.shape[1]), dtype=np.complex128)
+        for start in range(0, z.shape[0], _PANEL):
+            block = z[start : start + _PANEL]
+            out[start : start + _PANEL] = np.matmul(block, r, out=panel[: len(block)])
+        return out
+    part, panel = np.empty((rows, z.shape[1])), np.empty((rows, r.shape[1]))
+    for start in range(0, z.shape[0], _PANEL):
+        stop = min(start + _PANEL, z.shape[0])
+        block, result = part[: stop - start], panel[: stop - start]
+        for source, target in ((z.real, out.real), (z.imag, out.imag)):
+            block[...] = source[start:stop]
+            target[start:stop] = np.matmul(block, r, out=result)
     return out
 
 

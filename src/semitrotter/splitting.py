@@ -28,12 +28,13 @@ X = u_{m+1}^{1/2} u_m ... u_1 (no middle factor when l = 2m is even): half
 the stages and one symmetric product build the step, and its power
 squares as U^T U.
 
-Given a matrix M, trotter_step forms U_p(dt)^s M, the evolution cells'
-W = U_p(dt)^s U_exact^dagger, by the route a cost rule picks at every N. A short
-plan, such as the default p = 2, runs its s steps' stages, merged where one step
-meets the next, on a copy of M, which needs M and W alone and no N^3 product; a
-longer plan builds U and U^2 and applies them to M inside U's buffer, panel by
-panel, or takes the binary power where that needs fewer products.
+Given a matrix M, trotter_step forms U_p(dt)^s M by the route a cost rule picks at
+every N (the evolution cells pass H's real eigenvectors). A short plan, such as the
+default p = 2, runs its s steps' stages, merged where one step meets the next, on a
+complex copy of M, which needs M and that copy alone and no N^3 product; a longer plan
+builds U and U^2 and applies them to M inside U's buffer, panel by panel, or takes the
+binary power where that needs fewer products. A real M takes two real products per
+panel there (linalg.matmul_by_rows), never a complex copy.
 """
 
 from __future__ import annotations
@@ -110,12 +111,15 @@ def trotter_step(
     result is a new complex array, and _route picks one of three routes:
     - stages, where their FFT pairs cost less than the products of the others: the plan's
       stages, repeated steps times and merged where they meet, run on the rows of a complex
-      copy of M^T, whose transpose, Fortran-ordered, is W (M and W alone);
+      copy of M^T, whose transpose, Fortran-ordered, is the result (M and the result alone);
     - in place, unless it takes more products than powering: the step U and its square U^2
       are built, the odd factor (U M, or U^2 M for even steps) is written into U's own
-      buffer by row panels, and U^2 is applied to that by column panels (M, U, U^2 and one
-      N x 128 panel);
-    - binary powering and one product with M (M, the power's three buffers and W).
+      buffer by linalg.matmul_by_rows, and U^2 is applied to that by column panels (M, U,
+      U^2 and one N x 128 panel);
+    - binary powering, and the product with M written into the power's buffer by
+      linalg.matmul_by_rows (M and the power's buffers).
+    Traced at N = 1024 in complex N x N buffers, with the h-sweep's real eigenvectors as M:
+    1.52 by stages, 2.63 in place and 2.51 by powering; a complex M adds half a buffer.
     """
     symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
     if m is None:
@@ -130,7 +134,8 @@ def trotter_step(
         return _by_stages(_merge_adjacent(list(plan.stages) * steps), symbol, potential, dt, m)
     if route == "in place":  # a temporary, which _in_place may replace by a copy
         return _in_place(_step(plan, symbol, potential, dt, symmetric), steps, symmetric, m)
-    return _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric) @ m
+    power = _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
+    return linalg.matmul_by_rows(power, m, out=power)
 
 
 def _checked(plan: StagePlan, a_row, potential, steps) -> tuple[np.ndarray, bool, int]:
@@ -229,18 +234,14 @@ def _in_place(u: np.ndarray, steps: int, symmetric: bool, m: np.ndarray) -> np.n
     """U^steps M (steps >= 1) in U's buffer, beside U^2 and one N x _PANEL panel.
 
     Row panel i of the odd factor U M (U^2 M for even steps) reads only row panel i of U,
-    so it is written back over that panel; column panel j of U^2 Z reads only column panel
-    j of Z, so U^2 is applied over each column panel of Z in turn.
+    so linalg.matmul_by_rows writes it back over that panel; column panel j of U^2 Z reads
+    only column panel j of Z, so U^2 is applied over each column panel of Z in turn.
     """
     u = np.ascontiguousarray(u)  # order 1's step is the transpose of a split-step buffer
     n, b = u.shape[0], linalg._PANEL
     square = None if steps < 2 else (u.T @ u if symmetric else u @ u)
-    first = u if steps % 2 else square
-    panel = np.empty((min(b, n), n), u.dtype)
-    for i in range(0, n, b):
-        rows = np.matmul(first[i : i + b], m, out=panel[: min(b, n - i)])
-        u[i : i + b] = rows
-    panel = panel.reshape(n, -1)
+    linalg.matmul_by_rows(u if steps % 2 else square, m, out=u)
+    panel = np.empty((n, min(b, n)), u.dtype)
     for _ in range((steps - 1) // 2):
         for j in range(0, n, b):
             cols = np.matmul(square, u[:, j : j + b], out=panel[:, : min(b, n - j)])

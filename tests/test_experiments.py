@@ -351,16 +351,18 @@ def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch)
     assert max(peaks) <= 4.5, peaks
 
 
-def test_resolved_h_sweep_point_at_1024_peaks_below_three_point_six_buffers(monkeypatch):
-    # one default h-sweep point at N = 1024 (orders 2, 4, 6): p = 2 builds W by stages beside
-    # U_exact^dagger alone, p = 4 and 6 in place beside U^2 and a panel, and the bracket
-    # [O, W - I] by row blocks, so the peak is the norm of W - I: U_exact^dagger, W - I, the
-    # Gram and the certificate's panels (4.07 buffers with the step power beside
-    # U_exact^dagger and a whole-matrix bracket). The sweep hands W to evolution_errors in a
-    # list, so the peak holds where a caller keeps its call's arguments until the call returns,
-    # as Python 3.10 does (the list, emptied, is all that is kept). A caller that holds W
-    # itself keeps W - I beside [O, W - I] and its Gram through the observable norm (4.26,
-    # as with the step power); those two callers run p = 2 only, as their peak is that norm
+def test_resolved_h_sweep_point_at_1024_peaks_below_two_point_nine_buffers(monkeypatch):
+    # one default h-sweep point at N = 1024 (orders 2, 4, 6): U_exact^dagger is kept as H's
+    # real eigenvectors V (half a buffer) and their phases; p = 2 builds U_trot V by stages
+    # beside V alone, p = 4 and 6 in place beside U^2 and a panel, W = U_trot V diag(phases)
+    # V^T is written over U_trot V, and the bracket [O, W - I] is built by row blocks, so the
+    # peak is the norm of W - I: V, W - I, the Gram and the certificate's panels (2.81; 3.31
+    # with U_exact^dagger kept as a complex matrix, 4.07 with the step power beside it and a
+    # whole-matrix bracket). The sweep hands W to evolution_errors in a list, so the peak
+    # holds where a caller keeps its call's arguments until the call returns, as Python 3.10
+    # does (the list, emptied, is all that is kept). A caller that holds W itself keeps
+    # W - I beside [O, W - I] and its Gram through the observable norm (3.76; 4.26 beside a
+    # complex U_exact^dagger); those two callers run p = 2 only, as their peak is that norm
     import semitrotter.experiments as ex
 
     n = 1024
@@ -385,8 +387,8 @@ def test_resolved_h_sweep_point_at_1024_peaks_below_three_point_six_buffers(monk
             peaks[name] = tracemalloc.get_traced_memory()[1] / (16 * n**2)
         finally:
             tracemalloc.stop()
-    assert peaks["sweep"] <= 3.6 and peaks["arguments held"] <= 3.6, peaks
-    assert peaks["W held"] <= 4.26, peaks
+    assert peaks["sweep"] <= 2.9 and peaks["arguments held"] <= 2.9, peaks
+    assert peaks["W held"] <= 3.8, peaks
 
 
 def test_h_sweep_exact_for_zero_potential():
@@ -408,16 +410,18 @@ def test_h_sweep_exact_for_zero_potential():
     ],
 )
 def test_one_exact_propagator_per_grid(monkeypatch, experiment, raw):
-    import semitrotter.experiments as ex
+    # the exact propagator is H's eigendecomposition, made once per grid
+    from semitrotter import linalg
 
     cfg = build_config(experiment, raw)
     calls = []
+    hermitian_eig = linalg.hermitian_eig
 
-    def counting(h, t):
+    def counting(h):
         calls.append(h.shape[0])
-        return unitary_exp(h, t)
+        return hermitian_eig(h)
 
-    monkeypatch.setattr(ex, "unitary_exp", counting)
+    monkeypatch.setattr(linalg, "hermitian_eig", counting)
     rows = run_experiment(cfg)
     assert len(calls) == len(cfg.h_values)
     # sharing the propagator across orders and steps changes no value:

@@ -159,15 +159,20 @@ def test_unitary_exp_of_a_real_h_peaks_below_two_buffers():
 
 def test_unitary_exp_flushes_tiny_eigenvector_entries_without_moving_the_propagator():
     # FD's H = A + V/h at N = 1024 (the h-sweep's finest point): eigenvectors localized in the
-    # wells of V/h hold subnormal entries, which unitary_exp sets to 0 before its products
+    # wells of V/h hold subnormal entries, which hermitian_eig sets to 0 before unitary_exp's
+    # products (and the evolution cell's); eigh is the LAPACK call hermitian_eig makes
     import semitrotter.experiments as ex
 
     n, t = 1024, 0.5
     _, a, b, _ = ex._build_operators(ex.build_config("h-sweep"), 1.0 / n)
     h = np.asarray(a)
     h[np.diag_indices(n)] += b
-    w, v = hermitian_eig(h)
+    w, v = np.linalg.eigh(h)
     assert np.count_nonzero((v != 0) & (np.abs(v) < np.finfo(np.float64).tiny)) > 0
+    flushed_w, flushed = hermitian_eig(h)
+    small = np.abs(v) < np.sqrt(np.finfo(np.float64).tiny)
+    assert np.array_equal(flushed_w, w) and np.array_equal(flushed[~small], v[~small])
+    assert not flushed[small].any()
     phases = np.exp(-1j * t * w)
     unflushed = (v * phases.real) @ v.T + 1j * ((v * phases.imag) @ v.T)
     assert np.max(np.abs(unitary_exp(h, t) - unflushed)) <= 1e-30

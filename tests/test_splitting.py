@@ -13,6 +13,7 @@ from semitrotter.linalg import (
     ConvergenceError,
     DimensionMismatchError,
     NonHermitianError,
+    hermitian_eig,
     spectral_norm,
     unitarity_defect,
     unitary_exp,
@@ -306,9 +307,13 @@ def test_routes_of_the_default_sweeps():
 
 @pytest.mark.parametrize("n", (64, 256))
 def test_trotter_step_with_m_is_the_step_power_times_m(monkeypatch, n):
+    # m is U_exact^dagger, and real: H's eigenvectors, as the sweeps pass them, which the
+    # in-place and powering routes multiply by two real products; the same m cast to complex
+    # takes complex products
     a, b, h = _operators(h=1.0 / n, n=n)
     m = unitary_exp(h, 0.5).conj().T
-    kept = m.copy()
+    real_m = hermitian_eig(h)[1]
+    kept, real_kept = m.copy(), real_m.copy()
     for p in (1, 2, 4, 6):
         for steps in (0, 1, 2, 5, 8):
             expected = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps) @ m
@@ -319,7 +324,11 @@ def test_trotter_step_with_m_is_the_step_power_times_m(monkeypatch, n):
                 monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
                 w = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=m)
                 assert np.max(np.abs(w - expected)) <= 1e-13 * scale, (p, steps, route)
-    assert np.array_equal(m, kept)
+                w = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=real_m)
+                as_complex = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=real_m.astype(complex))
+                assert w.dtype == np.complex128
+                assert np.max(np.abs(w - as_complex)) <= 1e-13 * np.max(np.abs(as_complex)), (p, steps, route)
+    assert np.array_equal(m, kept) and np.array_equal(real_m, real_kept)
     with pytest.raises(DimensionMismatchError):
         trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 1, m=m[: n // 2])
 
