@@ -150,7 +150,4 @@ def compute_alpha_tilde(p: int, h, obs) -> float:
     """||ad_H^(p+1)(O)||, H and O each a stencil or a matrix (see ad)."""
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    result = obs
-    for _ in range(p + 1):
-        result = ad(h, result)
-    return spectral_norm(result)
+    return spectral_norm(nested_comm("A" * (p + 1), h, None, obs))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -83,6 +84,9 @@ class Call:
 Expr = Num | Var | Pi | Neg | BinOp | Call
 
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# math.pow keeps the result real and raises on 0^negative and on a negative base with a
+# fractional exponent
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
 
 
 def _python_text(source: str) -> tuple[str, list[int]]:
@@ -168,17 +172,7 @@ def _eval(e: Expr, x: float) -> float:
         a = _eval(e.left, x)
         b = _eval(e.right, x)
         try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-            # math.pow keeps the result real and raises on 0^negative
-            # and on negative base with fractional exponent
-            return math.pow(a, b)
+            return _ARITHMETIC[e.op](a, b)
         except ZeroDivisionError as exc:
             raise ExprEvalError("division by zero") from exc
         except (ValueError, OverflowError) as exc:

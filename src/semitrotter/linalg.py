@@ -225,21 +225,14 @@ _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
 
 
 def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
-    """e^{-i theta M} for Hermitian M, via eigendecomposition; real V takes two real products.
+    """e^{-i theta M} for Hermitian M: V diag(e^{-i theta w}), made in the result's buffer, times V^dagger there.
 
-    For real V the result is first V diag(e^{-i theta w}), its real and imaginary parts
-    scaled from V, and then that times V^T by matmul_by_rows, in the result's own buffer:
-    beside V and the result only two real _PANEL-row panels are alive (1.63 complex N x N
-    buffers beyond M at N = 1024).
+    By matmul_by_rows, so a real V takes two real products per panel: beyond M, V, the result and
+    two _PANEL-row panels are alive, 1.63 complex N x N buffers at N = 1024 (3.13 for a complex V).
     """
     w, v = hermitian_eig(m)
-    phases = np.exp(-1j * theta * w)
-    if np.iscomplexobj(v):
-        return (v * phases) @ v.conj().T
-    out = np.empty(v.shape, dtype=np.complex128)
-    np.multiply(v, phases.real, out=out.real)
-    np.multiply(v, phases.imag, out=out.imag)
-    return matmul_by_rows(out, v.T, out=out)
+    out = v * np.exp(-1j * theta * w)
+    return matmul_by_rows(out, v.conj().T, out=out)
 
 
 def matmul_by_rows(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -375,6 +368,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _seeded(shape, gram) -> np.ndarray:
+    """Standard normal entries from default_rng(0), seeded afresh on every call; complex for a complex gram."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if np.iscomplexobj(gram) else x
+
+
 def _lanczos_top(gram: np.ndarray) -> float:
     """Top Ritz value of a Hermitian PSD matrix, a lower bound on lambda_max.
 
@@ -385,10 +385,7 @@ def _lanczos_top(gram: np.ndarray) -> float:
     """
     n = gram.shape[0]
     steps = min(n, _LANCZOS_MAX_STEPS)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    if np.iscomplexobj(gram):
-        v = v + 1j * rng.standard_normal(n)
+    v = _seeded(n, gram)
     v /= np.linalg.norm(v)
     basis = np.empty((1, n), v.dtype)
     alpha, beta = np.empty(steps), np.empty(steps)
@@ -436,10 +433,7 @@ def _certified_top(gram, factor) -> float | None:
             continue
     else:
         return None
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((gram.shape[0], _REFINE_WIDTH))
-    if np.iscomplexobj(gram):
-        x = x + 1j * rng.standard_normal(x.shape)
+    x = _seeded((gram.shape[0], _REFINE_WIDTH), gram)
     for _ in range(_REFINE_STEPS - 1):
         x = np.linalg.qr(solve(x))[0]
     mu = float(np.linalg.eigvalsh(x.conj().T @ solve(x))[-1])

@@ -119,7 +119,9 @@ def trotter_step(
     - binary powering, and the product with M written into the power's buffer by
       linalg.matmul_by_rows (M and the power's buffers).
     Traced at N = 1024 in complex N x N buffers, with the h-sweep's real eigenvectors as M:
-    1.52 by stages, 2.63 in place and 2.51 by powering; a complex M adds half a buffer.
+    1.51 by stages; 2.50 in place at one step, 2.63 from two; by powering 2.50 at a power of
+    two, 2.63 where the odd part of steps is 3 (3, 6, 12 steps) and 3.50 where it is 5 or more
+    (5, 7 steps: a square is taken beside the power so far); a complex M adds half a buffer.
     """
     symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
     if m is None:
@@ -172,11 +174,11 @@ def _step(plan: StagePlan, symbol: np.ndarray, potential: np.ndarray, dt: float,
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
-    """x^steps by binary powering; squares as x^T x (a zsyrk) when x is symmetric."""
+    """x^steps by binary powering, each multiply written over the power so far; squares as x^T x (a zsyrk) when symmetric."""
     result = np.eye(x.shape[0], dtype=x.dtype) if steps == 0 else None
     while steps:
         if steps & 1:
-            result = x if result is None else result @ x
+            result = x if result is None else linalg.matmul_by_rows(result, x, out=result)
         steps >>= 1
         if steps:
             x = x.T @ x if symmetric else x @ x

@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -389,6 +392,38 @@ def test_resolved_h_sweep_point_at_1024_peaks_below_two_point_nine_buffers(monke
             tracemalloc.stop()
     assert peaks["sweep"] <= 2.9 and peaks["arguments held"] <= 2.9, peaks
     assert peaks["W held"] <= 3.8, peaks
+
+
+def test_h_sweep_values_move_with_the_blas_thread_count_by_less_than_their_floor(tmp_path):
+    # one h-sweep (h = 1/256 and 1/512, p = 4) in two child interpreters, at one and at two BLAS
+    # threads, set in each child's environment alone: BLAS's work split moves the low digits
+    # of values at N >= 256, by at most 0.31 phi (unitary_error at N = 512), where
+    # phi = t_final eps (max |lambda_A| + max |b|) is the rounding floor of the step's phases
+    import semitrotter
+    from semitrotter.experiments import _build_operators
+    from semitrotter.linalg import hermitian_circulant_symbol
+
+    config = tmp_path / "h_sweep.conf"
+    config.write_text("h = 1/256, 1/512\norders = 4\ndt = 0.1\n")
+    cfg = load_config("h-sweep", str(config))
+    src = os.path.dirname(os.path.dirname(semitrotter.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / threads
+        argv = [sys.executable, "-m", "semitrotter.cli", "h-sweep", "--config", str(config), "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+        with open(out / "h_sweep.csv", newline="") as fh:
+            values.append({(r["N"], r["p"], r["metric"]): float(r["value"]) for r in csv.DictReader(fh)})
+    phi = {}
+    for h in cfg.h_values:
+        grid, a, b, _ = _build_operators(cfg, h)
+        lam = hermitian_circulant_symbol(np.asarray(a)[0])  # A is a stencil in the FD scheme
+        phi[str(grid.n)] = cfg.t_final * np.finfo(float).eps * (np.max(np.abs(lam)) + np.max(np.abs(b)))
+    assert values[0].keys() == values[1].keys() and len(values[0]) == 4
+    for key, value in values[0].items():
+        assert abs(value - values[1][key]) <= phi[key[0]], (key, abs(value - values[1][key]) / phi[key[0]])
 
 
 def test_h_sweep_exact_for_zero_potential():

@@ -157,6 +157,42 @@ def test_unitary_exp_of_a_real_h_peaks_below_two_buffers():
     assert peak <= 2 * 16 * n**2, peak / (16 * n**2)
 
 
+def test_unitary_exp_of_a_complex_h_peaks_below_three_and_a_third_buffers():
+    # beyond M: V, the result made from V's scaled columns and multiplied by V^dagger in its own
+    # buffer by row panels, V^dagger and one panel, 3.13 buffers; the whole product beside the
+    # scaled V, V^dagger and the result held 4.00
+    n = 512
+    m = _random_complex(np.random.default_rng(5), n)
+    m = m + m.conj().T
+    tracemalloc.start()
+    try:
+        unitary_exp(m, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * 16 * n**2, peak / (16 * n**2)
+
+
+@pytest.mark.parametrize("n", (1, 127, 128, 129, 300))
+def test_matmul_by_rows_matches_the_product(n):
+    # one short panel, one full, one and a short one, and three; real and complex R, into a new array
+    # and into Z itself, for a C- and an F-ordered Z (the stages route hands the evolution cell
+    # an F-ordered Y); R is never written, and Z only when it is the output
+    rng = np.random.default_rng(n)
+    for r in (rng.standard_normal((n, n)), _random_complex(rng, n)):
+        r_kept = r.copy()
+        for order in ("C", "F"):
+            z = np.asarray(_random_complex(rng, n), order=order)
+            z_kept, expected = z.copy(), z @ r
+            tol = 1e-14 * np.max(np.abs(expected))
+            new = linalg.matmul_by_rows(z, r)
+            assert new.dtype == np.complex128 and np.array_equal(z, z_kept)
+            assert np.max(np.abs(new - expected)) <= tol, (r.dtype, order)
+            assert linalg.matmul_by_rows(z, r, out=z) is z
+            assert np.max(np.abs(z - expected)) <= tol, (r.dtype, order)
+        assert np.array_equal(r, r_kept)
+
+
 def test_unitary_exp_flushes_tiny_eigenvector_entries_without_moving_the_propagator():
     # FD's H = A + V/h at N = 1024 (the h-sweep's finest point): eigenvectors localized in the
     # wells of V/h hold subnormal entries, which hermitian_eig sets to 0 before unitary_exp's

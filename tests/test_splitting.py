@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,23 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
     assert np.max(np.abs(ws["stages"] - ws["in place"])) <= 1e-13
     assert np.max(np.abs(ws["stages"] - ws["powering"])) <= 1e-13
     assert np.max(np.abs(ws["in place"] - ws["powering"])) <= 1e-13
+
+
+def test_powering_route_at_six_steps_peaks_below_two_point_eight_buffers(monkeypatch):
+    # the h-sweep's real eigenvectors V as M at N = 512, V counted: U^2 is squared beside itself
+    # alone and U^2 U^4 is written over U^2 by row panels, so V, two buffers and a panel are
+    # alive (2.63); the whole product U^2 @ U^4 held a third buffer (3.50)
+    n = 512
+    a, b, h = _operators(h=1.0 / n, n=n)
+    v = hermitian_eig(h)[1]
+    monkeypatch.setattr(splitting, "_route", lambda *args: "powering")
+    tracemalloc.start()
+    try:
+        trotter_step(suzuki_plan(4), a[0], np.diag(b), 0.1, 6, m=v)
+        peak = tracemalloc.get_traced_memory()[1] + v.nbytes
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 16 * n**2, peak / (16 * n**2)
 
 
 def test_routes_of_the_default_sweeps():
