@@ -371,10 +371,11 @@ def evolution_errors(w: np.ndarray | list[np.ndarray], obs: np.ndarray, phi=None
     W alone, which the call empties: then nothing but this call holds W, and it is freed there,
     on any Python (3.10 holds a call's arguments until it returns, 3.11 and later hand them to
     the call). Traced at N = 1024 in complex N x N buffers, with the sweep's real
-    eigenvectors V (half a buffer) alive: each norm peaks at 2.81 (V, the matrix, its Gram
-    and the certificate's panels), FD's bracket, built by row blocks, at 2.70, and V and
-    [O, W - I] are what is left. A caller that holds W keeps W - I beside them through the
-    observable norm (3.76).
+    eigenvectors V (half a buffer) alive: each norm peaks at 2.72 while its Gram is built
+    (V, the matrix, the Gram and one N x 128 panel; the Lanczos basis and the certificate's
+    square blocks stay below, at 2.71 and 2.68), FD's bracket, built by row blocks, at 2.70,
+    and V and [O, W - I] are what is left. A caller that holds W keeps W - I beside them
+    through the observable norm (3.67).
     """
     if isinstance(w, list):
         w = w.pop()
@@ -393,11 +394,11 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
 
     H = A + B is real symmetric, so U_exact^dagger = V diag(e^{i t lam}) V^T is kept as V,
     half a complex N x N buffer, and N phases. splitting.trotter_step(..., m=V) builds
-    Y = U_trot V, beside V alone for the default p = 2 and beside U^2 and a panel for p = 4
-    and 6; Y's columns are scaled by the phases, and W = Y V^T = U_trot U_exact^dagger is
-    written over Y by linalg.matmul_by_rows. W goes to evolution_errors in a list, so that
-    call frees it before the observable norm; beside the norms' buffers only V and O are
-    alive (2.81 buffers, traced at N = 1024).
+    Y = U_trot V, beside V alone by stages (the default p = 2 from N = 128 on, p = 4 from
+    N = 1024 on) and beside U^2 and a panel in place; Y's columns are scaled by the phases,
+    and W = Y V^T = U_trot U_exact^dagger is written over Y by linalg.matmul_by_rows. W goes
+    to evolution_errors in a list, so that call frees it before the observable norm; beside
+    the norms' buffers only V and O are alive (2.72 buffers, traced at N = 1024).
     """
     grid, a, b, obs = _build_operators(cfg, h)
     if cfg.t_final * sys.float_info.epsilon * float(np.max(np.abs(b))) >= 1.0:

@@ -241,12 +241,24 @@ def matmul_by_rows(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) 
     Row panel i of Z R reads row panel i of Z alone, so it may be written back over it. A
     real R multiplies Z's real and imaginary parts, two real products per panel, each part
     copied into a contiguous panel first (numpy's matmul would cast R to a complex copy for
-    every product, and falls back to a loop without BLAS on a strided part). A complex R
-    takes one complex product per panel. Its only temporaries are panels of _PANEL rows.
+    every product, and falls back to a loop without BLAS on a strided part). A Fortran-ordered
+    Z (the split-step's) and out take one real product per panel instead: (Z R)^T = R^T Z^T,
+    and the real view of the C-ordered Z^T holds Z's row panel as 2 _PANEL contiguous columns
+    of re/im pairs, gathered from strided rows no more (19 against 58 ms at N = 1024, best of
+    seven, same machine as _PANEL's timings). A complex R takes one complex product per panel.
+    Its only temporaries are 2 _PANEL N floats, as two real _PANEL x N panels or one N x 2 _PANEL.
     """
+    by_columns = np.isrealobj(r) and z.dtype == np.complex128 and z.flags.f_contiguous and not z.flags.c_contiguous
     if out is None:
-        out = np.empty((z.shape[0], r.shape[1]), dtype=np.complex128)
+        out = np.empty((z.shape[0], r.shape[1]), np.complex128, order="F" if by_columns else "C")
     rows = min(_PANEL, z.shape[0])
+    if by_columns and out.T.flags.c_contiguous:
+        z_t, out_t = z.T.view(np.float64), out.T.view(np.float64)  # column j of Z^T is its re/im columns 2j, 2j + 1
+        panel = np.empty((r.shape[1], 2 * rows))
+        for start in range(0, z.shape[0], _PANEL):
+            cols = slice(2 * start, 2 * min(start + _PANEL, z.shape[0]))
+            out_t[:, cols] = np.matmul(r.T, z_t[:, cols], out=panel[:, : cols.stop - cols.start])
+        return out
     if np.iscomplexobj(r):
         panel = np.empty((rows, r.shape[1]), dtype=np.complex128)
         for start in range(0, z.shape[0], _PANEL):
@@ -282,6 +294,7 @@ _PANEL = 128
 _TAU = 1e-10  # the certificate's shift above the Ritz value, relative to it
 _LANCZOS_MAX_STEPS = 200  # the sweep matrices need 16-108 up to N = 1024; the certificate judges a run that stops here
 _LANCZOS_CHECK_EVERY = 4  # a Ritz solve costs more than a step at N = 256
+_LANCZOS_BLOCK = 32  # rows per block of the Lanczos basis: each pass makes two products per block
 
 
 def spectral_norm(m) -> float:
@@ -380,24 +393,28 @@ def _lanczos_top(gram: np.ndarray) -> float:
 
     Lanczos with full reorthogonalization (two Gram-Schmidt passes) from a start
     vector seeded afresh on every call, so a value never depends on earlier calls;
-    a real matrix keeps a real start vector and basis. The basis doubles as steps
-    are taken. Stops once the top Ritz pair's residual is at most tau times its value.
+    a real matrix keeps a real start vector and basis. The basis is kept in blocks of
+    _LANCZOS_BLOCK rows, one added when the last is full, so no block is ever copied and
+    at most _LANCZOS_BLOCK - 1 rows are unused; each pass takes the basis block by block.
+    Stops once the top Ritz pair's residual is at most tau times its value.
     """
     n = gram.shape[0]
     steps = min(n, _LANCZOS_MAX_STEPS)
     v = _seeded(n, gram)
     v /= np.linalg.norm(v)
-    basis = np.empty((1, n), v.dtype)
+    blocks = []
     alpha, beta = np.empty(steps), np.empty(steps)
     for k in range(steps):
-        if k == basis.shape[0]:
-            basis = np.concatenate((basis, np.empty((min(k, steps - k), n), v.dtype)))
-        basis[k] = v
+        row = k % _LANCZOS_BLOCK
+        if not row:
+            blocks.append(np.empty((min(_LANCZOS_BLOCK, steps - k), n), v.dtype))
+        blocks[-1][row] = v
         w = gram @ v
         alpha[k] = np.vdot(v, w).real
-        q = basis[: k + 1]
+        basis = blocks[:-1] + [blocks[-1][: row + 1]]
         for _ in range(2):
-            w -= (q @ w.conj()).conj() @ q
+            for q in basis:
+                w -= (q @ w.conj()).conj() @ q
         b = float(np.linalg.norm(w))
         stop = b == 0.0 or k + 1 == steps  # an invariant subspace, or the step budget
         if stop or (k + 1) % _LANCZOS_CHECK_EVERY == 0:
@@ -449,27 +466,44 @@ def _dense_factor(gram: np.ndarray, sigma: float):
     takes away the product of U's rows above it, then its diagonal block is factored and the
     rows right of it solved, never through an explicit inverse (backward stable, Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 10, where sigma I - G has a condition
-    number near 1 / tau). No panel reads an earlier diagonal block, so each is kept as its
-    inverse, for the solve alone: its diagonal in an N-vector until every panel has factored.
+    number near 1 / tau). The updates and the solves go by square _PANEL blocks, U's rows above
+    the panel conjugated in place while the rows right of it read them, so beside G no more
+    than four _PANEL x _PANEL blocks are alive (0.22 complex N x N buffers at N = 512, where
+    N x _PANEL products, conjugate copies and solve outputs held 0.50). No panel reads an
+    earlier diagonal block, so each is kept as its inverse, for the solve alone: its diagonal
+    in an N-vector until every panel has factored.
     """
     n = gram.shape[0]
     blocks = [slice(start, min(start + _PANEL, n)) for start in range(0, n, _PANEL)]
     diagonal = np.empty(n)
-    for block in blocks:
+    product = np.empty((min(_PANEL, n),) * 2, gram.dtype)
+    for block in blocks:  # each square block is dropped once read
         start, stop = block.start, block.stop
-        g = np.tril(gram[block, block])
-        d = sigma * np.eye(stop - start) - g - np.tril(g, -1).conj().T
-        right = gram[block, stop:]
-        for j in range(stop, n, _PANEL):  # G's rows right of the block, by square blocks
-            np.conjugate(gram[j : j + _PANEL, block].T, out=gram[block, j : j + _PANEL])
-        if start:  # take away the product of the factor's rows above the panel
-            d -= gram[:start, block].conj().T @ gram[:start, block]
-            right += gram[:start, block].conj().T @ gram[:start, stop:]
+        lower_part = np.tri(stop - start, dtype=bool)
+        d = np.conjugate(gram[block, block].T)  # upper triangle: the mirror of G's lower one
+        np.copyto(d, gram[block, block], where=lower_part)
+        np.negative(d, out=d)
+        d[np.diag_indices(stop - start)] += sigma
+        update = product[: stop - start]
+        above = gram[:start, block]  # the factor's rows above the panel
+        for i in range(0, start, _PANEL):  # take away their product, by square blocks
+            d -= np.matmul(above[i : i + _PANEL].conj().T, above[i : i + _PANEL], out=update[:, : stop - start])
         lower = np.linalg.cholesky(d)  # U's diagonal block is its conjugate transpose
-        np.negative(np.linalg.solve(lower, right), out=right)
-        inverse = np.linalg.inv(lower.conj().T)  # for the solve alone; no pivot moves a row of a triangle
-        np.copyto(gram[block, block], inverse, where=np.triu(np.ones(d.shape, bool), 1))
+        del d
+        np.conjugate(above, out=above)  # conjugated in place while the rows right of it read it
+        for j in range(stop, n, _PANEL):  # those rows by square blocks: G's mirror, less the update, solved
+            right = gram[block, j : j + _PANEL]
+            np.conjugate(gram[j : j + _PANEL, block].T, out=right)
+            if start:
+                right += np.matmul(above.T, gram[:start, j : j + _PANEL], out=update[:, : right.shape[1]])
+            np.negative(np.linalg.solve(lower, right), out=right)
+        np.conjugate(above, out=above)
+        # for the solve alone; no pivot moves a row of a triangle
+        inverse = np.linalg.inv(np.conjugate(lower, out=lower).T)
+        del lower
+        np.copyto(gram[block, block], inverse, where=~lower_part)
         diagonal[block] = inverse.diagonal().real
+        del inverse
     for block in blocks:  # every panel factored: G is read no more
         gram[block, block] = np.triu(gram[block, block], 1) + np.diag(diagonal[block])
     return _block_solve([(block, gram[block, block], gram[block, block.stop :], slice(block.stop, n)) for block in blocks])

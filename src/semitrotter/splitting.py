@@ -119,9 +119,12 @@ def trotter_step(
     - binary powering, and the product with M written into the power's buffer by
       linalg.matmul_by_rows (M and the power's buffers).
     Traced at N = 1024 in complex N x N buffers, with the h-sweep's real eigenvectors as M:
-    1.51 by stages; 2.50 in place at one step, 2.63 from two; by powering 2.50 at a power of
-    two, 2.63 where the odd part of steps is 3 (3, 6, 12 steps) and 3.50 where it is 5 or more
-    (5, 7 steps: a square is taken beside the power so far); a complex M adds half a buffer.
+    1.51 by stages (the h-sweep's p = 2 and 4 cells there); 2.50 in place at one step, 2.63
+    from two (its p = 6 cells); by powering 2.50 at a power of two, 2.63 where the odd part of
+    steps is 3 (3, 6, 12 steps) and 3.50 where it is 5 or more (5, 7 steps: a square is taken
+    beside the power so far); a complex M adds half a buffer. The split-step that builds X runs
+    in a complex identity, so one step of order 1 without M is that one buffer (1.01; 1.51 with a
+    real identity copied to complex).
     """
     symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
     if m is None:
@@ -133,7 +136,8 @@ def trotter_step(
         raise linalg.ConvergenceError("M has non-finite entries")
     route = _route(plan, symbol.size, steps, symmetric)
     if route == "stages":
-        return _by_stages(_merge_adjacent(list(plan.stages) * steps), symbol, potential, dt, m)
+        stages = _merge_adjacent(list(plan.stages) * steps)
+        return _by_stages(stages, symbol, potential, dt, m.T.astype(np.complex128, order="C"))
     if route == "in place":  # a temporary, which _in_place may replace by a copy
         return _in_place(_step(plan, symbol, potential, dt, symmetric), steps, symmetric, m)
     power = _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
@@ -168,7 +172,7 @@ def _step(plan: StagePlan, symbol: np.ndarray, potential: np.ndarray, dt: float,
     if symmetric:  # the first half, then the middle stage (if any) at half its coefficient
         half = len(stages) // 2
         stages = stages[:half] + tuple((c / 2, g) for c, g in stages[half : len(stages) - half])
-    x = _by_stages(stages, symbol, potential, dt, np.eye(symbol.size))
+    x = _by_stages(stages, symbol, potential, dt, np.eye(symbol.size, dtype=np.complex128))
     # x.T @ x reads one buffer twice (a zsyrk); returning it frees the split-step buffer
     return x.T @ x if symmetric else x
 
@@ -186,16 +190,20 @@ def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
 
 
 # An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over
-# the rows of an N x N matrix. Medians of five on 2-core x86-64 (OpenBLAS 0.3.31, numpy's
-# pocketfft): a pair took 1.18, 5.17 and 22.4 ms at N = 256, 512 and 1024, a zgemm 1.88,
-# 13.9 and 98.7 ms and a zsyrk 1.80, 11.1 and 76.0 ms, 1.5, 2.4 and 3.9 pairs per product
-# on average, against 1.3, 2.3 and 4.1 by this rule; a B stage costs a tenth of a pair and
-# is left out. The default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products,
-# and p = 4 takes 26 against 5, so p = 2 runs by stages from N = 256 on, in place below, and
-# p = 4 from N = 2048 on. At N = 1024 (medians of five) p = 2 took 165 ms by stages against
-# 496 ms by powering, and p = 4 727 ms against 516 ms (596 ms in place); at N = 2048 (medians
-# of three) p = 4 took 2.61 s by stages, 3.09 s by powering and 4.08 s in place.
-_FFT_PAIRS_LOG2 = 25
+# the rows of an N x N matrix. Medians on 2-core x86-64 (OpenBLAS 0.3.31, numpy's pocketfft):
+# a pair took 0.26, 1.14 and 5.30 ms at N = 256, 512 and 1024, a zgemm 0.63, 4.96 and 38.4 ms
+# and a zsyrk 0.62, 3.58 and 25.9 ms, 2.4, 3.7 and 6.1 pairs per product on average, against
+# 2.3, 4.1 and 7.3 by this rule; a B stage costs a tenth of a pair and is left out. The
+# default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products, and p = 4 takes 26
+# against 5, so p = 2 runs by stages from N = 128 on, in place below, and p = 4 from N = 1024
+# on. Routes forced at 5 steps (medians of five): at N = 1024 p = 4 took 142 ms by stages
+# against 182 ms in place and 163 ms by powering, at N = 512 32 ms against 24 and 22 ms, and
+# at N = 2048 (medians of three) 0.71 s against 1.39 and 1.22 s; p = 2 took 33 ms by stages
+# against 160 ms in place at N = 1024. Below N = 256 (medians of 41): at N = 64, p = 2 of 2
+# steps 0.09 ms by stages against 0.11 ms in place, of 5 steps 0.16 against 0.11 ms; at N =
+# 128, of 4 and 5 steps 0.42 and 0.50 ms against 0.70 and 0.89 ms. Every constant from 12.4
+# up to but not including 16 picks the faster route in each of these.
+_FFT_PAIRS_LOG2 = 14
 
 
 def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
@@ -213,15 +221,15 @@ def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
     return "in place" if in_place <= powering else "powering"
 
 
-def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, m: np.ndarray) -> np.ndarray:
-    """u_k ... u_1 M, Fortran-ordered: the stages run on the contiguous rows of a complex copy of M^T.
+def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, w_t: np.ndarray) -> np.ndarray:
+    """u_k ... u_1 M, Fortran-ordered, for w_t = M^T as a C-ordered complex array, whose rows the stages run on.
 
-    Its transpose is built so that the FFTs run along rows, each stage in the copy's own
-    buffer; the inverse FFTs run unnormalized, with 1/N folded into the A phases; scaling by
-    a power of two is exact, so at power-of-two N this changes no bit.
+    The caller's w_t is the one buffer: the transpose is taken so that the FFTs run along
+    contiguous rows, each stage written over w_t; the inverse FFTs run unnormalized, with 1/N
+    folded into the A phases; scaling by a power of two is exact, so at power-of-two N this
+    changes no bit. Returns w_t's transpose.
     """
     n = symbol.size
-    w_t = m.T.astype(np.complex128, order="C")
     for c, g in stages:
         if g == "A":
             np.fft.fft(w_t, axis=1, out=w_t)

@@ -534,6 +534,42 @@ def test_dense_spectral_norm_peaks_below_one_and_a_half_buffers():
     assert peak <= 1.5 * 16 * n**2, peak / (16 * n**2)
 
 
+def _peak_above(run, *args) -> int:
+    """The traced peak of run(*args) above what was alive when it started, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_lanczos_at_512_holds_its_basis_in_blocks():
+    # 64 steps on a random complex Gram at N = 512: beside G, two 32-row blocks of the basis, a
+    # few vectors and the Ritz solve's 64 x 64 arrays (0.16 buffers); a basis doubled by
+    # concatenation held the old and the new one at once (0.26)
+    n = 512
+    m = _random_complex(np.random.default_rng(40), n)
+    gram = m.conj().T @ m
+    del m
+    peak = _peak_above(linalg._lanczos_top, gram)
+    assert peak <= 0.2 * 16 * n**2, peak / (16 * n**2)
+
+
+def test_dense_factor_at_512_holds_square_blocks_alone():
+    # beside G, the factor holds no more than four _PANEL x _PANEL blocks (0.25 buffers at
+    # N = 512; 0.22 read): the updates from U's rows above a panel and the solves right of it go
+    # by square blocks; N x _PANEL products, solve outputs and conjugate copies held 0.50
+    n = 512
+    m = _random_complex(np.random.default_rng(40), n)
+    gram = m.conj().T @ m
+    del m
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    peak = _peak_above(linalg._dense_factor, gram, top * (1.0 + linalg._TAU))
+    assert peak <= 4 * 16 * linalg._PANEL**2, peak / (16 * n**2)
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
 @pytest.mark.parametrize("c", [1e-300, 1e300])
 def test_dense_spectral_norm_scales_without_overflow(dtype, c):

@@ -303,19 +303,21 @@ def test_powering_route_at_six_steps_peaks_below_two_point_eight_buffers(monkeyp
 
 
 def test_routes_of_the_default_sweeps():
-    # one rule at every N: the dt-sweep's N = 64 cells run in place up to 4 steps and by
-    # powering from 8; the h-sweep's p = 2 cells (5 steps) run in place below N = 256 and by
-    # stages from there, and p = 4 and 6 in place, until stages win p = 4 at N = 2048 (2.61 s
-    # there, against 3.09 s by powering and 4.08 s in place)
+    # one rule at every N: the dt-sweep's N = 64 cells run by stages at 2 steps for p = 1 and 2
+    # (0.09 ms against 0.11 ms in place at p = 2), in place otherwise up to 4 steps and by
+    # powering from 8; the h-sweep's p = 2 cells (5 steps) run in place below N = 128 and by
+    # stages from there, and p = 4 in place until stages win it at N = 1024 (142 ms there,
+    # against 182 ms in place), p = 6 in place
     route = splitting._route
     for p in (1, 2, 4, 6):
         routes = [route(suzuki_plan(p), 64, s, p > 1) for s in (2, 4, 8, 16, 32)]
-        assert routes == ["in place"] * 2 + ["powering"] * 3, p
-    for n in (32, 64, 128):
+        assert routes == ["stages" if p < 4 else "in place", "in place"] + ["powering"] * 3, p
+    for n in (32, 64):
         assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["in place"] * 3
-    for n in (256, 512, 1024):
+    for n in (128, 256, 512):
         assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "in place", "in place"]
-    assert route(suzuki_plan(4), 2048, 5, True) == "stages"
+    for n in (1024, 2048):
+        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "stages", "in place"]
     assert route(suzuki_plan(2), 64, 0, True) == route(suzuki_plan(2), 256, 0, True) == "stages"
     a, b, _ = _operators(h=1.0 / 64, n=64)  # no step: a complex copy of a real M
     w = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 0, m=np.eye(64))
@@ -436,3 +438,20 @@ def test_order_condition_slopes():
         # one-step order is p + 1; p = 6 grazes the roundoff floor at the
         # smallest steps, so assert the scheme-order bound only
         assert slope >= p - 0.3
+
+
+def test_split_step_builds_x_in_one_buffer():
+    # order 1's step at N = 512 is the split-step's X itself: its stages run in the complex
+    # identity they start from, one buffer; a real identity copied to complex held a half more (1.50)
+    n = 512
+    a, b, _ = _operators(h=1.0 / n, n=n)
+    a_row, potential = a[0].copy(), np.diag(b).copy()
+    del a, b
+    tracemalloc.start()
+    try:
+        step = trotter_step(suzuki_plan(1), a_row, potential, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step.shape == (n, n)
+    assert peak <= 1.05 * 16 * n**2, peak / (16 * n**2)
