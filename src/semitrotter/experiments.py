@@ -394,11 +394,11 @@ def _evolution_rows(cfg: RunConfig, h: float) -> list[Row]:
 
     H = A + B is real symmetric, so U_exact^dagger = V diag(e^{i t lam}) V^T is kept as V,
     half a complex N x N buffer, and N phases. splitting.trotter_step(..., m=V) builds
-    Y = U_trot V, beside V alone by stages (the default p = 2 from N = 128 on, p = 4 from
-    N = 1024 on) and beside U^2 and a panel in place; Y's columns are scaled by the phases,
-    and W = Y V^T = U_trot U_exact^dagger is written over Y by linalg.matmul_by_rows. W goes
-    to evolution_errors in a list, so that call frees it before the observable norm; beside
-    the norms' buffers only V and O are alive (2.72 buffers, traced at N = 1024).
+    Y = U_trot V, Fortran-ordered; Y's columns are scaled by the phases, and
+    W = Y V^T = U_trot U_exact^dagger is written over Y by linalg.matmul_by_rows, one real
+    product per panel. W goes to evolution_errors in a list, so that call frees it before the
+    observable norm; beside the norms' buffers only V and O are alive (2.72 buffers, traced at
+    N = 1024).
     """
     grid, a, b, obs = _build_operators(cfg, h)
     if cfg.t_final * sys.float_info.epsilon * float(np.max(np.abs(b))) >= 1.0:

@@ -1,12 +1,12 @@
 """Matrix kernel: dense matrices and banded stencils.
 
-Matrices are numpy arrays, row-major, square for all operator uses: float64 for real operators
-(A, B, observables), complex128 for unitaries. Nothing here mutates its inputs, so results can be
-shared freely. A Stencil is a banded periodic matrix kept as its taps, S[i, (i + r) mod N] = c_r
-a scalar or one value per row i: FD's A and O are stencils, spectral ones are dense, and B is
-the one-tap stencil of its diagonal. The bracket of two stencils is a stencil, so FD's
-commutator chains never leave that form; numpy reads a stencil as its dense matrix where a
-metric needs the matrix.
+Matrices are numpy arrays, square for all operator uses: float64 for real operators (A, B,
+observables), complex128 for unitaries, which the evolution builds Fortran-ordered. Nothing here
+mutates its inputs, so results can be shared freely. A Stencil is a banded periodic matrix kept
+as its taps, S[i, (i + r) mod N] = c_r a scalar or one value per row i: FD's A and O are
+stencils, spectral ones are dense, and B is the one-tap stencil of its diagonal. The bracket of
+two stencils is a stencil, so FD's commutator chains never leave that form; numpy reads a
+stencil as its dense matrix where a metric needs the matrix.
 
 The spectral norm is the root of the Gram matrix's top eigenvalue; spectral_norm lists its
 routes. A stencil with one tap is a weighted shift, whose norm is its largest |tap|. Any other
@@ -227,51 +227,42 @@ _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
 def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
     """e^{-i theta M} for Hermitian M: V diag(e^{-i theta w}), made in the result's buffer, times V^dagger there.
 
-    By matmul_by_rows, so a real V takes two real products per panel: beyond M, V, the result and
-    two _PANEL-row panels are alive, 1.63 complex N x N buffers at N = 1024 (3.13 for a complex V).
+    The result is Fortran-ordered, so matmul_by_rows takes a real V by one real product per
+    panel: beyond M, V, the result and one panel are alive, 1.63 complex N x N buffers at N = 1024
+    (3.13 for a complex V).
     """
     w, v = hermitian_eig(m)
-    out = v * np.exp(-1j * theta * w)
+    out = np.multiply(v, np.exp(-1j * theta * w), order="F")
     return matmul_by_rows(out, v.conj().T, out=out)
 
 
 def matmul_by_rows(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Z R for a complex Z, by _PANEL-row panels, into out: a new complex array, or Z itself.
 
-    Row panel i of Z R reads row panel i of Z alone, so it may be written back over it. A
-    real R multiplies Z's real and imaginary parts, two real products per panel, each part
-    copied into a contiguous panel first (numpy's matmul would cast R to a complex copy for
-    every product, and falls back to a loop without BLAS on a strided part). A Fortran-ordered
-    Z (the split-step's) and out take one real product per panel instead: (Z R)^T = R^T Z^T,
-    and the real view of the C-ordered Z^T holds Z's row panel as 2 _PANEL contiguous columns
-    of re/im pairs, gathered from strided rows no more (19 against 58 ms at N = 1024, best of
-    seven, same machine as _PANEL's timings). A complex R takes one complex product per panel.
-    Its only temporaries are 2 _PANEL N floats, as two real _PANEL x N panels or one N x 2 _PANEL.
+    Z and out are Fortran-ordered complex128, the layout of every evolution buffer; out, when
+    new, is made so. Row panel i of Z R reads row panel i of Z alone, so it may be written back
+    over it. A complex R takes one complex product per panel. A real R takes one real product
+    per panel, where numpy's matmul would cast R to a complex copy for every product:
+    (Z R)^T = R^T Z^T, and the real view of the C-ordered Z^T holds Z's row panel as 2 _PANEL
+    contiguous columns of re/im pairs. Its only temporary is one panel's product, 2 _PANEL N
+    floats. Any other Z or out (C-ordered, real, complex64) takes numpy's matmul whole.
     """
-    by_columns = np.isrealobj(r) and z.dtype == np.complex128 and z.flags.f_contiguous and not z.flags.c_contiguous
     if out is None:
-        out = np.empty((z.shape[0], r.shape[1]), np.complex128, order="F" if by_columns else "C")
+        out = np.empty((z.shape[0], r.shape[1]), np.complex128, order="F")
+    if z.dtype != np.complex128 or not (z.flags.f_contiguous and out.flags.f_contiguous):
+        return np.matmul(z, r, out=out)
     rows = min(_PANEL, z.shape[0])
-    if by_columns and out.T.flags.c_contiguous:
-        z_t, out_t = z.T.view(np.float64), out.T.view(np.float64)  # column j of Z^T is its re/im columns 2j, 2j + 1
-        panel = np.empty((r.shape[1], 2 * rows))
-        for start in range(0, z.shape[0], _PANEL):
-            cols = slice(2 * start, 2 * min(start + _PANEL, z.shape[0]))
-            out_t[:, cols] = np.matmul(r.T, z_t[:, cols], out=panel[:, : cols.stop - cols.start])
-        return out
     if np.iscomplexobj(r):
-        panel = np.empty((rows, r.shape[1]), dtype=np.complex128)
+        panel = np.empty((rows, r.shape[1]), np.complex128, order="F")
         for start in range(0, z.shape[0], _PANEL):
             block = z[start : start + _PANEL]
             out[start : start + _PANEL] = np.matmul(block, r, out=panel[: len(block)])
         return out
-    part, panel = np.empty((rows, z.shape[1])), np.empty((rows, r.shape[1]))
+    z_t, out_t = z.T.view(np.float64), out.T.view(np.float64)  # column j of Z^T is its re/im columns 2j, 2j + 1
+    panel = np.empty((r.shape[1], 2 * rows))
     for start in range(0, z.shape[0], _PANEL):
-        stop = min(start + _PANEL, z.shape[0])
-        block, result = part[: stop - start], panel[: stop - start]
-        for source, target in ((z.real, out.real), (z.imag, out.imag)):
-            block[...] = source[start:stop]
-            target[start:stop] = np.matmul(block, r, out=result)
+        cols = slice(2 * start, 2 * min(start + _PANEL, z.shape[0]))
+        out_t[:, cols] = np.matmul(r.T, z_t[:, cols], out=panel[:, : cols.stop - cols.start])
     return out
 
 
@@ -463,15 +454,16 @@ def _dense_factor(gram: np.ndarray, sigma: float):
     G is read from its lower triangle, never written: a wider shift starts again from it, and
     where no shift factors eigvalsh still reads G. U is made by panels of _PANEL rows, in place
     of G's mirror image (left-looking; Golub & Van Loan, Matrix Computations, sec. 4.2): a panel
-    takes away the product of U's rows above it, then its diagonal block is factored and the
-    rows right of it solved, never through an explicit inverse (backward stable, Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10, where sigma I - G has a condition
-    number near 1 / tau). The updates and the solves go by square _PANEL blocks, U's rows above
-    the panel conjugated in place while the rows right of it read them, so beside G no more
-    than four _PANEL x _PANEL blocks are alive (0.22 complex N x N buffers at N = 512, where
-    N x _PANEL products, conjugate copies and solve outputs held 0.50). No panel reads an
-    earlier diagonal block, so each is kept as its inverse, for the solve alone: its diagonal
-    in an N-vector until every panel has factored.
+    takes away the product of U's rows above it, then its diagonal block L L^dagger is factored
+    and the rows right of it multiplied by L^-1, taken once per panel. _block_solve multiplies
+    by these inverses already; a diagonal block of sigma I - G has a condition number at most
+    that of sigma I - G, about 1 / tau, so cond(L) <= tau^(-1/2), about 1e5 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 14). The updates and the products go by square _PANEL
+    blocks, U's rows above the panel conjugated in place while the rows right of it read them,
+    so beside G no more than four _PANEL x _PANEL blocks are alive (0.22 complex N x N buffers
+    at N = 512, where N x _PANEL products, conjugate copies and solve outputs held 0.50). No
+    panel reads an earlier diagonal block, so each is kept as its inverse U_ii^-1 = L^-dagger,
+    for the solve alone: its diagonal in an N-vector until every panel has factored.
     """
     n = gram.shape[0]
     blocks = [slice(start, min(start + _PANEL, n)) for start in range(0, n, _PANEL)]
@@ -490,17 +482,18 @@ def _dense_factor(gram: np.ndarray, sigma: float):
             d -= np.matmul(above[i : i + _PANEL].conj().T, above[i : i + _PANEL], out=update[:, : stop - start])
         lower = np.linalg.cholesky(d)  # U's diagonal block is its conjugate transpose
         del d
+        inverse = np.linalg.inv(lower.T)  # L^-T: no pivot moves a row of a triangle
+        del lower
         np.conjugate(above, out=above)  # conjugated in place while the rows right of it read it
-        for j in range(stop, n, _PANEL):  # those rows by square blocks: G's mirror, less the update, solved
+        for j in range(stop, n, _PANEL):  # those rows by square blocks: G's mirror, less the update, times -L^-1
             right = gram[block, j : j + _PANEL]
             np.conjugate(gram[j : j + _PANEL, block].T, out=right)
+            out = update[:, : right.shape[1]]
             if start:
-                right += np.matmul(above.T, gram[:start, j : j + _PANEL], out=update[:, : right.shape[1]])
-            np.negative(np.linalg.solve(lower, right), out=right)
+                right += np.matmul(above.T, gram[:start, j : j + _PANEL], out=out)
+            np.negative(np.matmul(inverse.T, right, out=out), out=right)
         np.conjugate(above, out=above)
-        # for the solve alone; no pivot moves a row of a triangle
-        inverse = np.linalg.inv(np.conjugate(lower, out=lower).T)
-        del lower
+        np.conjugate(inverse, out=inverse)  # U_ii^-1 = L^-dagger, for the solve alone
         np.copyto(gram[block, block], inverse, where=~lower_part)
         diagonal[block] = inverse.diagonal().real
         del inverse
@@ -556,7 +549,7 @@ def _banded_factor(gram: Stencil, sigma: float):
     of half-width b = max(_BLOCK, 2w) (Golub & Van Loan, Matrix Computations, sec. 4.3). Its
     rows split into blocks of b rows, the last taking the remainder, so U is block bidiagonal:
     O(N b^2) work, one dense block where b >= N. Each block takes _dense_factor's steps on that
-    pattern, its coupling U[i - 1, i] solved with the factor above. The solve works on P Y, then undoes P.
+    pattern, its coupling U[i - 1, i] a product with the inverse above. The solve works on P Y, then undoes P.
     """
     n = gram.n
     b = max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
@@ -574,11 +567,10 @@ def _banded_factor(gram: Stencil, sigma: float):
         rows[i, cols[t, start + i] - lo] = -taps[t, start + i]
         d = rows[:, start - lo :]
         d[np.diag_indices(stop - start)] += sigma
-        if start:  # U[i - 1, i] = L^-1 (sigma I - G)[i - 1, i], L the previous block's factor
-            rights.append(np.linalg.solve(lower, rows[:, : start - lo].conj().T))
+        if start:  # U[i - 1, i] = U_{i-1}^-dagger (sigma I - G)[i - 1, i] = ((sigma I - G)[i, i - 1] U_{i-1}^-1)^dagger
+            rights.append((rows[:, : start - lo] @ inverses[-1]).conj().T)
             d -= rights[-1].conj().T @ rights[-1]
-        lower = np.linalg.cholesky(d)  # U_ii is its conjugate transpose
-        inverses.append(np.linalg.inv(lower.conj().T))  # for the solve alone
+        inverses.append(np.linalg.inv(np.linalg.cholesky(d).conj().T))  # U_ii^-1; U_ii is L^dagger
     rights.append(np.empty((stop - start, 0), gram.dtype))  # no rows right of the last block
     solve = _block_solve(list(zip(blocks, inverses, rights, blocks[1:] + [slice(n, n)])))
     return lambda y: solve(y[fold])[unfold]

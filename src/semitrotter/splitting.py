@@ -33,8 +33,9 @@ every N (the evolution cells pass H's real eigenvectors). A short plan, such as 
 default p = 2, runs its s steps' stages, merged where one step meets the next, on a
 complex copy of M, which needs M and that copy alone and no N^3 product; a longer plan
 builds U and U^2 and applies them to M inside U's buffer, panel by panel, or takes the
-binary power where that needs fewer products. A real M takes two real products per
-panel there (linalg.matmul_by_rows), never a complex copy.
+binary power where that needs fewer products. Every N x N buffer is Fortran-ordered, the
+split-step's own layout, so a real M takes one real product per panel there
+(linalg.matmul_by_rows), never a complex copy.
 """
 
 from __future__ import annotations
@@ -106,12 +107,12 @@ def trotter_step(
     which BLAS computes as a symmetric rank-k update. Order 1, or a complex
     Hermitian A, runs every stage and squares as X X.
 
-    Without m the power is taken by binary powering, each square of a
-    symmetric step formed as X^T X too. With m, which is left as it is, the
-    result is a new complex array, and _route picks one of three routes:
+    The result is a new complex array, Fortran-ordered, the split-step's own layout. Without m
+    the power is taken by binary powering, each square of a symmetric step formed as X^T X
+    too. With m, which is left as it is, _route picks one of three routes:
     - stages, where their FFT pairs cost less than the products of the others: the plan's
       stages, repeated steps times and merged where they meet, run on the rows of a complex
-      copy of M^T, whose transpose, Fortran-ordered, is the result (M and the result alone);
+      copy of M^T (M and the result alone);
     - in place, unless it takes more products than powering: the step U and its square U^2
       are built, the odd factor (U M, or U^2 M for even steps) is written into U's own
       buffer by linalg.matmul_by_rows, and U^2 is applied to that by column panels (M, U,
@@ -173,19 +174,26 @@ def _step(plan: StagePlan, symbol: np.ndarray, potential: np.ndarray, dt: float,
         half = len(stages) // 2
         stages = stages[:half] + tuple((c / 2, g) for c, g in stages[half : len(stages) - half])
     x = _by_stages(stages, symbol, potential, dt, np.eye(symbol.size, dtype=np.complex128))
-    # x.T @ x reads one buffer twice (a zsyrk); returning it frees the split-step buffer
-    return x.T @ x if symmetric else x
+    return _square(x, True) if symmetric else x  # returning it frees the split-step buffer
+
+
+def _square(x: np.ndarray, symmetric: bool) -> np.ndarray:
+    """x^T x when symmetric, else x x, as the transpose of a product of C-ordered x^T: Fortran-ordered, as x is.
+
+    x^T x is a zsyrk, which reads one buffer twice, and exactly symmetric: its transpose has its bits.
+    """
+    return (x.T @ x).T if symmetric else (x.T @ x.T).T
 
 
 def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
-    """x^steps by binary powering, each multiply written over the power so far; squares as x^T x (a zsyrk) when symmetric."""
-    result = np.eye(x.shape[0], dtype=x.dtype) if steps == 0 else None
+    """x^steps by binary powering, each multiply written over the power so far."""
+    result = np.eye(x.shape[0], dtype=x.dtype, order="F") if steps == 0 else None
     while steps:
         if steps & 1:
             result = x if result is None else linalg.matmul_by_rows(result, x, out=result)
         steps >>= 1
         if steps:
-            x = x.T @ x if symmetric else x @ x
+            x = _square(x, symmetric)
     return result
 
 
@@ -247,15 +255,13 @@ def _in_place(u: np.ndarray, steps: int, symmetric: bool, m: np.ndarray) -> np.n
     so linalg.matmul_by_rows writes it back over that panel; column panel j of U^2 Z reads
     only column panel j of Z, so U^2 is applied over each column panel of Z in turn.
     """
-    u = np.ascontiguousarray(u)  # order 1's step is the transpose of a split-step buffer
     n, b = u.shape[0], linalg._PANEL
-    square = None if steps < 2 else (u.T @ u if symmetric else u @ u)
+    square = None if steps < 2 else _square(u, symmetric)
     linalg.matmul_by_rows(u if steps % 2 else square, m, out=u)
-    panel = np.empty((n, min(b, n)), u.dtype)
+    panel = np.empty((n, min(b, n)), u.dtype, order="F")
     for _ in range((steps - 1) // 2):
         for j in range(0, n, b):
-            cols = np.matmul(square, u[:, j : j + b], out=panel[:, : min(b, n - j)])
-            u[:, j : j + b] = cols
+            u[:, j : j + b] = np.matmul(square, u[:, j : j + b], out=panel[:, : min(b, n - j)])
     return u
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -27,3 +28,19 @@ def default_h_sweep(tmp_path_factory):
 def default_comm_sweep(tmp_path_factory):
     """The default comm-sweep's (wall seconds, CSV bytes), run once per session."""
     return _default_cli_run("comm-sweep", tmp_path_factory)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(run, *args, **kwargs): run's result, and its traced peak in bytes above what was alive at the start."""
+
+    def peak(run, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,17 +181,12 @@ def test_only_dense_operators_take_dense_commutators(monkeypatch, scheme, per_h)
         assert len(calls) == len(cfg.h_values) * count, experiment
 
 
-def test_beta_holds_few_chains():
+def test_beta_holds_few_chains(traced_peak):
     # the walk keeps at most p + 2 chains alive, plus the ad-steps' and the norm's temporaries
     n, p = 256, 6
     cfg = build_config("beta")
     _, a, potential, obs = _build_operators(cfg, 1.0 / n)
-    tracemalloc.start()
-    try:
-        compute_beta_comm(p, a, potential, obs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(compute_beta_comm, p, a, potential, obs)
     assert peak < (p + 6) * 8 * n * n
 
 

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -330,7 +329,7 @@ def test_evolution_errors_overwrite_w_with_w_minus_identity():
     assert observable == pytest.approx(np.linalg.norm(commutator(obs, expected), 2), rel=1e-12)
 
 
-def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch):
+def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch, traced_peak):
     # one default h-sweep point at N = 512 (orders 2, 4, 6), above the norm's panel width,
     # measured in complex N x N buffers of 16 N^2 bytes; LAPACK workspaces are not traced.
     # The peak is a norm: U_exact^dagger, the matrix normed, its Gram and the certificate's
@@ -344,17 +343,11 @@ def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch)
     for held in (False, True):
         if held:
             monkeypatch.setattr(ex, "evolution_errors", lambda w, obs, phi=None: evolution_errors(w, obs, phi))
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            run_experiment(cfg)
-            peaks.append(tracemalloc.get_traced_memory()[1] / (16 * 512**2))
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(run_experiment, cfg)[1] / (16 * 512**2))
     assert max(peaks) <= 4.5, peaks
 
 
-def test_resolved_h_sweep_point_at_1024_peaks_below_two_point_seven_five_buffers(monkeypatch):
+def test_resolved_h_sweep_point_at_1024_peaks_below_two_point_seven_five_buffers(monkeypatch, traced_peak):
     # one default h-sweep point at N = 1024 (orders 2, 4, 6): U_exact^dagger is kept as H's
     # real eigenvectors V (half a buffer) and their phases; p = 2 and 4 build U_trot V by stages
     # beside V alone, p = 6 in place beside U^2 and a panel, W = U_trot V diag(phases) V^T is
@@ -384,13 +377,8 @@ def test_resolved_h_sweep_point_at_1024_peaks_below_two_point_seven_five_buffers
     peaks = {}
     for name, (caller, orders) in callers.items():
         monkeypatch.setattr(ex, "evolution_errors", caller)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            run_experiment(build_config("h-sweep", {"h": f"1/{n}", "orders": orders}))
-            peaks[name] = tracemalloc.get_traced_memory()[1] / (16 * n**2)
-        finally:
-            tracemalloc.stop()
+        overrides = {"h": f"1/{n}", "orders": orders}
+        peaks[name] = traced_peak(lambda: run_experiment(build_config("h-sweep", overrides)))[1] / (16 * n**2)
     assert peaks["sweep"] <= 2.75 and peaks["arguments held"] <= 2.75, peaks
     assert peaks["W held"] <= 3.8, peaks
 

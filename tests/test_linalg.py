@@ -1,7 +1,6 @@
 """Dense kernel tests against brute-force oracles."""
 
 import math
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -128,7 +127,7 @@ def test_unitary_exp_semigroup():
 
 
 def test_unitary_exp_of_real_symmetric_matches_complex_product():
-    # real eigenvectors take two real products, by row panels; the complex product is the reference
+    # real eigenvectors take one real product per row panel; the complex product is the reference
     rng = np.random.default_rng(9)
     for n in (40, 300):  # one panel, and three with a short last one
         m = rng.standard_normal((n, n))
@@ -139,45 +138,35 @@ def test_unitary_exp_of_real_symmetric_matches_complex_product():
         assert unitary_exp(m, 0.8).dtype == np.complex128
 
 
-def test_unitary_exp_of_a_real_h_peaks_below_two_buffers():
-    # the h-sweep's H at N = 512: beyond H, V (half a complex N x N buffer), the result and two
-    # row panels, 1.77 buffers; whole-matrix real products held two more halves (2.50)
+def test_unitary_exp_of_a_real_h_peaks_below_two_buffers(traced_peak):
+    # the h-sweep's H at N = 512: beyond H, V (half a complex N x N buffer), the result and one
+    # panel's product, 1.77 buffers; whole-matrix real products held two more halves (2.50)
     import semitrotter.experiments as ex
 
     n = 512
     _, a, b, _ = ex._build_operators(ex.build_config("h-sweep"), 1.0 / n)
     h = np.asarray(a)
     h[np.diag_indices(n)] += b
-    tracemalloc.start()
-    try:
-        unitary_exp(h, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(unitary_exp, h, 0.5)
     assert peak <= 2 * 16 * n**2, peak / (16 * n**2)
 
 
-def test_unitary_exp_of_a_complex_h_peaks_below_three_and_a_third_buffers():
+def test_unitary_exp_of_a_complex_h_peaks_below_three_and_a_third_buffers(traced_peak):
     # beyond M: V, the result made from V's scaled columns and multiplied by V^dagger in its own
     # buffer by row panels, V^dagger and one panel, 3.13 buffers; the whole product beside the
     # scaled V, V^dagger and the result held 4.00
     n = 512
     m = _random_complex(np.random.default_rng(5), n)
     m = m + m.conj().T
-    tracemalloc.start()
-    try:
-        unitary_exp(m, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(unitary_exp, m, 0.5)
     assert peak <= 3.3 * 16 * n**2, peak / (16 * n**2)
 
 
 @pytest.mark.parametrize("n", (1, 127, 128, 129, 300))
 def test_matmul_by_rows_matches_the_product(n):
     # one short panel, one full, one and a short one, and three; real and complex R, into a new array
-    # and into Z itself, for a C- and an F-ordered Z (the stages route hands the evolution cell
-    # an F-ordered Y); R is never written, and Z only when it is the output
+    # and into Z itself, for an F-ordered Z (every trotter_step route hands the evolution cell an
+    # F-ordered Y) and a C-ordered one; R is never written, and Z only when it is the output
     rng = np.random.default_rng(n)
     for r in (rng.standard_normal((n, n)), _random_complex(rng, n)):
         r_kept = r.copy()
@@ -190,6 +179,14 @@ def test_matmul_by_rows_matches_the_product(n):
             assert np.max(np.abs(new - expected)) <= tol, (r.dtype, order)
             assert linalg.matmul_by_rows(z, r, out=z) is z
             assert np.max(np.abs(z - expected)) <= tol, (r.dtype, order)
+        # what takes numpy's matmul whole: an F-ordered real or complex64 Z, and a C-ordered out
+        c = _random_complex(rng, n)
+        for z, out in ((np.asfortranarray(c.real), None), (np.asfortranarray(c, np.complex64), None),
+                       (np.asfortranarray(c), np.empty((n, n), np.complex128))):
+            expected = z @ r
+            got = linalg.matmul_by_rows(z, r, out=out)
+            assert got.dtype == np.complex128 and (out is None or got is out)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), (z.dtype, r.dtype)
         assert np.array_equal(r, r_kept)
 
 
@@ -518,34 +515,18 @@ def test_dense_spectral_norm_across_panel_edges(n, dtype):
     assert np.max(np.abs(gram - (m / s).conj().T @ (m / s))) <= 1e-14 * n
 
 
-def test_dense_spectral_norm_peaks_below_one_and_a_half_buffers():
+def test_dense_spectral_norm_peaks_below_one_and_a_half_buffers(traced_peak):
     # the Gram is the one N x N buffer beside M: its row panels and the certificate's panels
     # are N x 128; the scaled copy of M and its conjugate are gone
     n = 600
     m = _random_complex(np.random.default_rng(41), n)
     expected = np.linalg.norm(m, 2)
-    tracemalloc.start()
-    try:
-        norm = spectral_norm(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    norm, peak = traced_peak(spectral_norm, m)
     assert norm == pytest.approx(expected, rel=1e-12, abs=0)
     assert peak <= 1.5 * 16 * n**2, peak / (16 * n**2)
 
 
-def _peak_above(run, *args) -> int:
-    """The traced peak of run(*args) above what was alive when it started, in bytes."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        run(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_lanczos_at_512_holds_its_basis_in_blocks():
+def test_lanczos_at_512_holds_its_basis_in_blocks(traced_peak):
     # 64 steps on a random complex Gram at N = 512: beside G, two 32-row blocks of the basis, a
     # few vectors and the Ritz solve's 64 x 64 arrays (0.16 buffers); a basis doubled by
     # concatenation held the old and the new one at once (0.26)
@@ -553,20 +534,20 @@ def test_lanczos_at_512_holds_its_basis_in_blocks():
     m = _random_complex(np.random.default_rng(40), n)
     gram = m.conj().T @ m
     del m
-    peak = _peak_above(linalg._lanczos_top, gram)
+    _, peak = traced_peak(linalg._lanczos_top, gram)
     assert peak <= 0.2 * 16 * n**2, peak / (16 * n**2)
 
 
-def test_dense_factor_at_512_holds_square_blocks_alone():
+def test_dense_factor_at_512_holds_square_blocks_alone(traced_peak):
     # beside G, the factor holds no more than four _PANEL x _PANEL blocks (0.25 buffers at
-    # N = 512; 0.22 read): the updates from U's rows above a panel and the solves right of it go
-    # by square blocks; N x _PANEL products, solve outputs and conjugate copies held 0.50
+    # N = 512; 0.22 read): the updates from U's rows above a panel and the products with L^-1
+    # right of it go by square blocks; N x _PANEL products, solve outputs and conjugate copies held 0.50
     n = 512
     m = _random_complex(np.random.default_rng(40), n)
     gram = m.conj().T @ m
     del m
     top = float(np.linalg.eigvalsh(gram)[-1])
-    peak = _peak_above(linalg._dense_factor, gram, top * (1.0 + linalg._TAU))
+    _, peak = traced_peak(linalg._dense_factor, gram, top * (1.0 + linalg._TAU))
     assert peak <= 4 * 16 * linalg._PANEL**2, peak / (16 * n**2)
 
 
@@ -633,7 +614,7 @@ def test_spectral_norm_routes_by_size(monkeypatch):
     assert krylov == [(form, dtype, crossover + 1) for dtype, form in kinds]
 
 
-def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
+def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch, traced_peak):
     # FD words at N = 512 and 1024 never make a Gram dense, one N = 1024 word norm peaks below
     # one N x N float64 array, and the spectral scheme's real dense chains at N = 512 are certified
     import semitrotter.experiments as ex
@@ -659,12 +640,7 @@ def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch):
 
     _, a, b, obs = ex._build_operators(ex.build_config("comm-sweep"), 1.0 / 1024)
     chain = ad(a, ad(a, ad(obs, ad(Stencil({0: b}, 1024), a))))  # [A,[A,[[A,B],O]]]
-    tracemalloc.start()
-    try:
-        spectral_norm(chain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(spectral_norm, chain)
     assert peak < 8 * 1024 * 1024
 
     solved.clear(), krylov.clear(), banded.clear()
@@ -784,19 +760,14 @@ def test_stencil_bracket_by_row_blocks_keeps_every_bit(n):
 
 
 @pytest.mark.parametrize("n", [64, 1024])
-def test_dense_bracket_with_fd_observable_peaks_below_one_and_a_half_buffers(n):
+def test_dense_bracket_with_fd_observable_peaks_below_one_and_a_half_buffers(n, traced_peak):
     # [O, M] with the h-sweep's FD O on a dense complex M, as evolution_errors brackets W - I:
     # the output and two slices of _PANEL rows (2.02 buffers with whole-matrix slices)
     import semitrotter.experiments as ex
 
     _, _, _, obs = ex._build_operators(ex.build_config("h-sweep"), 1.0 / n)
     m = _random_complex(np.random.default_rng(n), n)
-    tracemalloc.start()
-    try:
-        got = ad(obs, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(ad, obs, m)
     assert np.array_equal(got, _whole_bracket(obs, m))
     if n >= 4 * linalg._PANEL:
         assert peak <= 1.5 * 16 * n**2, peak / (16 * n**2)
@@ -985,7 +956,7 @@ class _RecordingMatrix:
         return self.matrix @ x
 
 
-def test_lanczos_on_a_real_band_stays_real_and_lean():
+def test_lanczos_on_a_real_band_stays_real_and_lean(traced_peak):
     # the default comm-sweep's [A,[A,[[A,B],O]]] at N = 1024 has a real band Gram: Lanczos keeps
     # a real basis that grows with its 36 steps, so one norm peaks at about 1.6 MiB
     import semitrotter.experiments as ex
@@ -1002,12 +973,7 @@ def test_lanczos_on_a_real_band_stays_real_and_lean():
     assert theta <= top * (1 + 1e-13) and theta == pytest.approx(top, rel=2 * linalg._TAU)
 
     expected = float(np.linalg.norm(np.asarray(chain), 2))
-    tracemalloc.start()
-    try:
-        norm = spectral_norm(chain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    norm, peak = traced_peak(spectral_norm, chain)
     assert norm == pytest.approx(expected, rel=1e-13, abs=0)
     assert peak < 2 * 1024 * 1024
 
@@ -1093,6 +1059,28 @@ def _recording_lu(monkeypatch):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
     return calls
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_factors_multiply_by_block_inverses_and_never_solve(monkeypatch, banded):
+    # each diagonal block's inverse is taken once; the blocks right of it, or the coupling block
+    # below it, are products with that inverse, never an LU solve per block
+    n = 300
+    rng = np.random.default_rng(54)
+    if banded:
+        gram = _band_gram(rng, n, 7, True)
+        dense = np.asarray(gram)
+    else:
+        m = _random_complex(rng, n)
+        gram = dense = m.conj().T @ m
+    top = float(np.linalg.eigvalsh(dense)[-1])
+    y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    expected = np.linalg.solve(top * (1.0 + 1e-6) * np.eye(n) - dense, y)
+    lu = _recording_lu(monkeypatch)
+    solve = (linalg._banded_factor if banded else linalg._dense_factor)(gram, top * (1.0 + 1e-6))
+    assert "solve" not in lu and lu.count("inv") == math.ceil(n / (linalg._BLOCK if banded else linalg._PANEL))
+    x = solve(y)
+    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def _band_gram(rng, n, w, complex_taps):

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,9 +274,10 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
         monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
         ws[route] = trotter_step(suzuki_plan(p), a_row, b, 0.1, steps, m=u_exact_h)
         assert np.max(np.abs(ws[route] - reference)) <= 1e-13, route
-        # a real M gives the complex U^steps on every route
+        # a real M gives the complex U^steps on every route; every route's result is Fortran-ordered
         power = trotter_step(suzuki_plan(p), a_row, b, 0.1, steps, m=np.eye(256))
         assert power.dtype == np.complex128
+        assert ws[route].flags.f_contiguous and power.flags.f_contiguous, route
         assert np.max(np.abs(power - np.linalg.matrix_power(step, steps))) <= 1e-13, route
     assert np.array_equal(u_exact_h, kept)
     assert np.max(np.abs(ws["stages"] - ws["in place"])) <= 1e-13
@@ -285,7 +285,7 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
     assert np.max(np.abs(ws["in place"] - ws["powering"])) <= 1e-13
 
 
-def test_powering_route_at_six_steps_peaks_below_two_point_eight_buffers(monkeypatch):
+def test_powering_route_at_six_steps_peaks_below_two_point_eight_buffers(monkeypatch, traced_peak):
     # the h-sweep's real eigenvectors V as M at N = 512, V counted: U^2 is squared beside itself
     # alone and U^2 U^4 is written over U^2 by row panels, so V, two buffers and a panel are
     # alive (2.63); the whole product U^2 @ U^4 held a third buffer (3.50)
@@ -293,12 +293,8 @@ def test_powering_route_at_six_steps_peaks_below_two_point_eight_buffers(monkeyp
     a, b, h = _operators(h=1.0 / n, n=n)
     v = hermitian_eig(h)[1]
     monkeypatch.setattr(splitting, "_route", lambda *args: "powering")
-    tracemalloc.start()
-    try:
-        trotter_step(suzuki_plan(4), a[0], np.diag(b), 0.1, 6, m=v)
-        peak = tracemalloc.get_traced_memory()[1] + v.nbytes
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(trotter_step, suzuki_plan(4), a[0], np.diag(b), 0.1, 6, m=v)
+    peak += v.nbytes
     assert peak <= 2.8 * 16 * n**2, peak / (16 * n**2)
 
 
@@ -328,7 +324,7 @@ def test_routes_of_the_default_sweeps():
 @pytest.mark.parametrize("n", (64, 256))
 def test_trotter_step_with_m_is_the_step_power_times_m(monkeypatch, n):
     # m is U_exact^dagger, and real: H's eigenvectors, as the sweeps pass them, which the
-    # in-place and powering routes multiply by two real products; the same m cast to complex
+    # in-place and powering routes multiply by one real product per panel; the same m cast to complex
     # takes complex products
     a, b, h = _operators(h=1.0 / n, n=n)
     m = unitary_exp(h, 0.5).conj().T
@@ -440,18 +436,13 @@ def test_order_condition_slopes():
         assert slope >= p - 0.3
 
 
-def test_split_step_builds_x_in_one_buffer():
+def test_split_step_builds_x_in_one_buffer(traced_peak):
     # order 1's step at N = 512 is the split-step's X itself: its stages run in the complex
     # identity they start from, one buffer; a real identity copied to complex held a half more (1.50)
     n = 512
     a, b, _ = _operators(h=1.0 / n, n=n)
     a_row, potential = a[0].copy(), np.diag(b).copy()
     del a, b
-    tracemalloc.start()
-    try:
-        step = trotter_step(suzuki_plan(1), a_row, potential, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    step, peak = traced_peak(trotter_step, suzuki_plan(1), a_row, potential, 0.1)
     assert step.shape == (n, n)
     assert peak <= 1.05 * 16 * n**2, peak / (16 * n**2)
