@@ -32,10 +32,9 @@ Given a matrix M, trotter_step forms U_p(dt)^s M by the route a cost rule picks 
 every N (the evolution cells pass H's real eigenvectors). A short plan, such as the
 default p = 2, runs its s steps' stages, merged where one step meets the next, on a
 complex copy of M, which needs M and that copy alone and no N^3 product; a longer plan
-builds U and U^2 and applies them to M inside U's buffer, panel by panel, or takes the
-binary power where that needs fewer products. Every N x N buffer is Fortran-ordered, the
-split-step's own layout, so a real M takes one real product per panel there
-(linalg.matmul_by_rows), never a complex copy.
+takes U^s M by binary powering, each multiply written over a power of U, panel by panel.
+Every N x N buffer is Fortran-ordered, the split-step's own layout, so a real M takes one
+real product per panel (linalg.matmul_by_rows), never a complex copy.
 """
 
 from __future__ import annotations
@@ -107,42 +106,35 @@ def trotter_step(
     which BLAS computes as a symmetric rank-k update. Order 1, or a complex
     Hermitian A, runs every stage and squares as X X.
 
-    The result is a new complex array, Fortran-ordered, the split-step's own layout. Without m
-    the power is taken by binary powering, each square of a symmetric step formed as X^T X
-    too. With m, which is left as it is, _route picks one of three routes:
-    - stages, where their FFT pairs cost less than the products of the others: the plan's
-      stages, repeated steps times and merged where they meet, run on the rows of a complex
-      copy of M^T (M and the result alone);
-    - in place, unless it takes more products than powering: the step U and its square U^2
-      are built, the odd factor (U M, or U^2 M for even steps) is written into U's own
-      buffer by linalg.matmul_by_rows, and U^2 is applied to that by column panels (M, U,
-      U^2 and one N x 128 panel);
-    - binary powering, and the product with M written into the power's buffer by
-      linalg.matmul_by_rows (M and the power's buffers).
+    The result is a new complex array, Fortran-ordered, the split-step's own layout. steps = 0
+    gives the identity, or a complex copy of m. Otherwise, without m, _power takes the power,
+    and with m, which is left as it is, _route picks one of two routes:
+    - stages, where their FFT pairs cost less than powering's products: the plan's stages,
+      repeated steps times and merged where they meet, run on the rows of a complex copy of
+      M^T (M and the result alone);
+    - powering: _power builds U, squares it, writes the product with M over a power of U by
+      row panels and applies the odd powers to it by column panels.
     Traced at N = 1024 in complex N x N buffers, with the h-sweep's real eigenvectors as M:
-    1.51 by stages (the h-sweep's p = 2 and 4 cells there); 2.50 in place at one step, 2.63
-    from two (its p = 6 cells); by powering 2.50 at a power of two, 2.63 where the odd part of
-    steps is 3 (3, 6, 12 steps) and 3.50 where it is 5 or more (5, 7 steps: a square is taken
-    beside the power so far); a complex M adds half a buffer. The split-step that builds X runs
-    in a complex identity, so one step of order 1 without M is that one buffer (1.01; 1.51 with a
-    real identity copied to complex).
+    1.51 by stages (the h-sweep's p = 2 and 4 cells there); by powering 2.50 at a power of two,
+    2.63 at other step counts whose odd part is below 9 (the p = 6 cells, 5 steps) and 3.50 from
+    9 on, where a square of U is squared beside the power so far; a complex M adds half a
+    buffer. The split-step that builds X runs in a complex identity, so one step of order 1
+    without M is that one buffer (1.01; 1.51 with a real identity copied to complex).
     """
     symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
-    if m is None:
-        return _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
-    m = np.asarray(m)
-    if m.shape != (symbol.size, symbol.size):
-        raise linalg.DimensionMismatchError(f"need an N x N matrix for N = {symbol.size}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise linalg.ConvergenceError("M has non-finite entries")
-    route = _route(plan, symbol.size, steps, symmetric)
-    if route == "stages":
+    n = symbol.size
+    if m is not None:
+        m = np.asarray(m)
+        if m.shape != (n, n):
+            raise linalg.DimensionMismatchError(f"need an N x N matrix for N = {n}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise linalg.ConvergenceError("M has non-finite entries")
+    if not steps:
+        return np.eye(n, dtype=np.complex128, order="F") if m is None else np.array(m, np.complex128, order="F")
+    if m is not None and _route(plan, n, steps, symmetric) == "stages":
         stages = _merge_adjacent(list(plan.stages) * steps)
         return _by_stages(stages, symbol, potential, dt, m.T.astype(np.complex128, order="C"))
-    if route == "in place":  # a temporary, which _in_place may replace by a copy
-        return _in_place(_step(plan, symbol, potential, dt, symmetric), steps, symmetric, m)
-    power = _power(_step(plan, symbol, potential, dt, symmetric), steps, symmetric)
-    return linalg.matmul_by_rows(power, m, out=power)
+    return _power(plan, symbol, potential, dt, symmetric, steps, m)
 
 
 def _checked(plan: StagePlan, a_row, potential, steps) -> tuple[np.ndarray, bool, int]:
@@ -185,16 +177,40 @@ def _square(x: np.ndarray, symmetric: bool) -> np.ndarray:
     return (x.T @ x).T if symmetric else (x.T @ x.T).T
 
 
-def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
-    """x^steps by binary powering, each multiply written over the power so far."""
-    result = np.eye(x.shape[0], dtype=x.dtype, order="F") if steps == 0 else None
-    while steps:
-        if steps & 1:
-            result = x if result is None else linalg.matmul_by_rows(result, x, out=result)
+def _power(plan: StagePlan, symbol, potential, dt: float, symmetric: bool, steps: int, m) -> np.ndarray:
+    """U^steps M, or U^steps when m is None (steps >= 1), by binary powering, each multiply over a power of U.
+
+    With steps = 2^j (2r + 1): U is squared j times to X = U^(2^j), each square dropping the
+    one before; where r > 0, Z = X^2 is taken beside X. Row panel i of X M reads row panel i
+    of X alone, so linalg.matmul_by_rows writes X M over X; column panel k of Z W reads column
+    panel k of W alone, so Z is applied over each column panel of W = X M in turn. While r > 3,
+    Z is applied where r's low bit is set and then squared as r is halved; then it is applied r
+    times. So M, two N x N buffers and one N x _PANEL panel are alive, and a third N x N buffer
+    only while Z is squared, for odd parts of 9 on.
+    """
+    x = _step(plan, symbol, potential, dt, symmetric)
+    while not steps & 1:
+        x = _square(x, symmetric)
         steps >>= 1
-        if steps:
-            x = _square(x, symmetric)
-    return result
+    r = steps >> 1
+    z = _square(x, symmetric) if r else None
+    w = x if m is None else linalg.matmul_by_rows(x, m, out=x)
+    while r > 3:
+        if r & 1:
+            _by_columns(z, w)
+        r >>= 1
+        z = _square(z, symmetric)
+    for _ in range(r):
+        _by_columns(z, w)
+    return w
+
+
+def _by_columns(z: np.ndarray, w: np.ndarray) -> None:
+    """Writes Z W over W, one N x _PANEL column panel at a time, the panel freed on return."""
+    n, b = w.shape[0], linalg._PANEL
+    panel = np.empty((n, min(b, n)), w.dtype, order="F")
+    for k in range(0, n, b):
+        w[:, k : k + b] = np.matmul(z, w[:, k : k + b], out=panel[:, : min(b, n - k)])
 
 
 # An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over
@@ -203,30 +219,29 @@ def _power(x: np.ndarray, steps: int, symmetric: bool) -> np.ndarray:
 # and a zsyrk 0.62, 3.58 and 25.9 ms, 2.4, 3.7 and 6.1 pairs per product on average, against
 # 2.3, 4.1 and 7.3 by this rule; a B stage costs a tenth of a pair and is left out. The
 # default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products, and p = 4 takes 26
-# against 5, so p = 2 runs by stages from N = 128 on, in place below, and p = 4 from N = 1024
-# on. Routes forced at 5 steps (medians of five): at N = 1024 p = 4 took 142 ms by stages
-# against 182 ms in place and 163 ms by powering, at N = 512 32 ms against 24 and 22 ms, and
-# at N = 2048 (medians of three) 0.71 s against 1.39 and 1.22 s; p = 2 took 33 ms by stages
-# against 160 ms in place at N = 1024. Below N = 256 (medians of 41): at N = 64, p = 2 of 2
-# steps 0.09 ms by stages against 0.11 ms in place, of 5 steps 0.16 against 0.11 ms; at N =
-# 128, of 4 and 5 steps 0.42 and 0.50 ms against 0.70 and 0.89 ms. Every constant from 12.4
-# up to but not including 16 picks the faster route in each of these.
+# against 5, so p = 2 runs by stages from N = 128 on, by powering below, and p = 4 from N =
+# 1024 on. Routes forced at 5 steps (medians of five): at N = 1024 p = 4 took 142 ms by stages
+# against 182 ms by powering, at N = 512 32 ms against 24 ms, and at N = 2048 (medians of
+# three) 0.71 s against 1.39 s; p = 2 took 33 ms by stages against 160 ms by powering at N =
+# 1024. Below N = 256 (medians of 41): at N = 64, p = 2 of 2 steps 0.09 ms by stages against
+# 0.11 ms by powering, of 5 steps 0.16 against 0.11 ms; at N = 128, of 5 steps 0.50 ms against
+# 0.89 ms, and of 4 steps 0.73-0.81 ms against 1.01-1.04 ms (two runs on a busier machine).
+# Every constant from 12.4 up to but not including 16 picks the faster route in each of these.
 _FFT_PAIRS_LOG2 = 14
 
 
 def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
-    """trotter_step's route given M: "stages", "in place" or "powering", by the cost rule above."""
-    if not steps:
-        return "stages"  # W = M: a copy, with no stage to run
-    build = int(symmetric)  # the product X^T X
+    """trotter_step's route given M and steps >= 1: "stages" or "powering", by the cost rule above."""
     step_pairs = sum(g == "A" for _, g in plan.stages[: (len(plan.stages) + 1) // 2 if symmetric else None])
     stage_pairs = sum(g == "A" for _, g in _merge_adjacent(list(plan.stages) * steps))
-    # squares, multiplies and the product with M; the square U^2, then ceil(steps / 2) products
-    powering = build + steps.bit_length() - 1 + bin(steps).count("1")
-    in_place = build + (steps > 1) + (steps + 1) // 2
-    if (stage_pairs - step_pairs) * _FFT_PAIRS_LOG2 * math.log2(n) < min(powering, in_place) * n:
+    if (stage_pairs - step_pairs) * _FFT_PAIRS_LOG2 * math.log2(n) < _products(steps, symmetric) * n:
         return "stages"
-    return "in place" if in_place <= powering else "powering"
+    return "powering"
+
+
+def _products(steps: int, symmetric: bool) -> int:
+    """N^3 products of _power given M: a symmetric step's X^T X, the squares, the odd factors and the product with M."""
+    return int(symmetric) + steps.bit_length() - 1 + bin(steps).count("1")
 
 
 def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, w_t: np.ndarray) -> np.ndarray:
@@ -246,23 +261,6 @@ def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, w_t
         else:
             w_t *= np.exp(-1j * (c * dt) * potential)
     return w_t.T
-
-
-def _in_place(u: np.ndarray, steps: int, symmetric: bool, m: np.ndarray) -> np.ndarray:
-    """U^steps M (steps >= 1) in U's buffer, beside U^2 and one N x _PANEL panel.
-
-    Row panel i of the odd factor U M (U^2 M for even steps) reads only row panel i of U,
-    so linalg.matmul_by_rows writes it back over that panel; column panel j of U^2 Z reads
-    only column panel j of Z, so U^2 is applied over each column panel of Z in turn.
-    """
-    n, b = u.shape[0], linalg._PANEL
-    square = None if steps < 2 else _square(u, symmetric)
-    linalg.matmul_by_rows(u if steps % 2 else square, m, out=u)
-    panel = np.empty((n, min(b, n)), u.dtype, order="F")
-    for _ in range((steps - 1) // 2):
-        for j in range(0, n, b):
-            u[:, j : j + b] = np.matmul(square, u[:, j : j + b], out=panel[:, : min(b, n - j)])
-    return u
 
 
 def compute_steps(t: float, eps: float, p: int, c: float) -> int:

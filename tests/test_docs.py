@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import pkgutil
 import re
 import runpy
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import semitrotter
-from semitrotter import linalg
+from semitrotter import experiments, linalg, splitting
 from semitrotter.experiments import build_config, parse_config_text, run_experiment
+from semitrotter.splitting import suzuki_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -91,6 +93,18 @@ def test_norm_crossover_is_stated_where_the_routes_are_listed():
     routes = next(item for item in readme.split("\n- ") if "certified pipeline" in item)
     for text in (routes, inspect.getdoc(linalg.spectral_norm)):
         assert re.findall(r"N ≤ \d+", " ".join(text.split())) == [stated]
+
+
+def test_trotter_step_lists_the_routes_the_default_sweeps_take():
+    # trotter_step's docstring has one bullet per route that _route picks over the default sweeps' cells, and no other
+    taken = set()
+    for name in ("dt-sweep", "h-sweep"):
+        cfg = build_config(name)
+        for h, p, dt in itertools.product(cfg.h_values, cfg.orders, cfg.dt_values):
+            plan, n = suzuki_plan(p), experiments._model(cfg, h)[0].grid.n
+            taken.add(splitting._route(plan, n, round(cfg.t_final / dt), plan.is_palindromic()))
+    listed = re.findall(r"^- (\w[\w ]*?)[,:]", inspect.getdoc(splitting.trotter_step), re.MULTILINE)
+    assert sorted(listed) == sorted(taken)
 
 
 def test_readme_config_example_is_the_dt_sweep_default():

@@ -350,7 +350,7 @@ def test_resolved_h_sweep_point_peaks_below_four_and_a_half_buffers(monkeypatch,
 def test_resolved_h_sweep_point_at_1024_peaks_below_two_point_seven_five_buffers(monkeypatch, traced_peak):
     # one default h-sweep point at N = 1024 (orders 2, 4, 6): U_exact^dagger is kept as H's
     # real eigenvectors V (half a buffer) and their phases; p = 2 and 4 build U_trot V by stages
-    # beside V alone, p = 6 in place beside U^2 and a panel, W = U_trot V diag(phases) V^T is
+    # beside V alone, p = 6 by powering beside U^2 and a panel, W = U_trot V diag(phases) V^T is
     # written over U_trot V, and the bracket [O, W - I] is built by row blocks, so the peak is
     # the norm of W - I: V, W - I, the Gram and its panels (2.72; 2.81 with the Lanczos basis
     # grown by copies and the factor's N x 128 temporaries, 3.31 with U_exact^dagger kept as a
@@ -428,7 +428,7 @@ def test_h_sweep_exact_for_zero_potential():
 @pytest.mark.parametrize(
     "experiment, raw",
     [
-        # N = 256 takes trotter_step's routes given M: p = 2 by stages, p = 4 in place
+        # N = 256 takes trotter_step's routes given M: p = 2 by stages, p = 4 by powering
         ("h-sweep", {"h": "1/8, 1/256", "dt": "1/4", "t_final": "1/2", "orders": "2, 4"}),
         ("dt-sweep", dict(FAST_DT, orders="1, 2, 4", dt="1/4, 1/8, 1/16")),
     ],

@@ -233,7 +233,7 @@ def test_step_power_matches_matrix_power(n):
     a, b, _ = _operators(h=1.0 / n, n=n)
     for p in (1, 2, 4, 6):
         step = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1)
-        for steps in (1, 5, 32):
+        for steps in (1, 5, 9, 27, 32):
             power = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps=steps)
             assert np.max(np.abs(power - np.linalg.matrix_power(step, steps))) <= 1e-13
     assert np.array_equal(trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, steps=0), np.eye(n))
@@ -270,7 +270,7 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
     reference = np.linalg.matrix_power(step, steps) @ u_exact_h
     kept = u_exact_h.copy()
     ws = {}
-    for route in ("stages", "in place", "powering"):
+    for route in ("stages", "powering"):
         monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
         ws[route] = trotter_step(suzuki_plan(p), a_row, b, 0.1, steps, m=u_exact_h)
         assert np.max(np.abs(ws[route] - reference)) <= 1e-13, route
@@ -280,63 +280,77 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
         assert ws[route].flags.f_contiguous and power.flags.f_contiguous, route
         assert np.max(np.abs(power - np.linalg.matrix_power(step, steps))) <= 1e-13, route
     assert np.array_equal(u_exact_h, kept)
-    assert np.max(np.abs(ws["stages"] - ws["in place"])) <= 1e-13
     assert np.max(np.abs(ws["stages"] - ws["powering"])) <= 1e-13
-    assert np.max(np.abs(ws["in place"] - ws["powering"])) <= 1e-13
 
 
-def test_powering_route_at_six_steps_peaks_below_two_point_eight_buffers(monkeypatch, traced_peak):
-    # the h-sweep's real eigenvectors V as M at N = 512, V counted: U^2 is squared beside itself
-    # alone and U^2 U^4 is written over U^2 by row panels, so V, two buffers and a panel are
-    # alive (2.63); the whole product U^2 @ U^4 held a third buffer (3.50)
+def test_powering_peaks_by_step_count(monkeypatch, traced_peak):
+    # the h-sweep's real eigenvectors V as M at N = 512, V counted, where a panel is 0.25
+    # buffers: X = U^(2^j) and its square Z, the odd part's factor, are built beside V alone,
+    # X V is written over X by row panels and Z is applied to it by column panels, so V, two
+    # buffers and a panel are alive (2.75; 2.50 at 4 steps). Without M it is two buffers and a
+    # panel (2.25)
     n = 512
     a, b, h = _operators(h=1.0 / n, n=n)
     v = hermitian_eig(h)[1]
     monkeypatch.setattr(splitting, "_route", lambda *args: "powering")
-    _, peak = traced_peak(trotter_step, suzuki_plan(4), a[0], np.diag(b), 0.1, 6, m=v)
-    peak += v.nbytes
-    assert peak <= 2.8 * 16 * n**2, peak / (16 * n**2)
+    run = functools.partial(traced_peak, trotter_step, suzuki_plan(4), a[0], np.diag(b), 0.1)
+    with_m = {steps: (run(steps, m=v)[1] + v.nbytes) / (16 * n**2) for steps in (4, 5, 6, 7, 10, 12, 14)}
+    without_m = {steps: run(steps)[1] / (16 * n**2) for steps in (5, 7, 10, 14)}
+    assert max(with_m.values()) <= 2.8, with_m
+    assert max(without_m.values()) <= 2.3, without_m
+
+
+def test_powering_takes_the_products_the_cost_rule_counts(monkeypatch):
+    # every _square, column-panel pass and matmul_by_rows call is one N^3 product of those that
+    # _route prices powering by; without M the product with M is the one not taken
+    a, b, _ = _operators(n=16)
+    calls = []
+    for owner, name in ((splitting, "_square"), (splitting, "_by_columns"), (linalg, "matmul_by_rows")):
+        kernel = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, kernel=kernel, **kw: calls.append(1) or kernel(*args, **kw))
+    monkeypatch.setattr(splitting, "_route", lambda *args: "powering")
+    for p, symmetric in ((2, True), (1, False)):
+        for steps in range(1, 65):
+            for m in (np.eye(16), None):
+                calls.clear()
+                trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=m)
+                assert len(calls) == splitting._products(steps, symmetric) - (m is None), (p, steps, m is None)
 
 
 def test_routes_of_the_default_sweeps():
     # one rule at every N: the dt-sweep's N = 64 cells run by stages at 2 steps for p = 1 and 2
-    # (0.09 ms against 0.11 ms in place at p = 2), in place otherwise up to 4 steps and by
-    # powering from 8; the h-sweep's p = 2 cells (5 steps) run in place below N = 128 and by
-    # stages from there, and p = 4 in place until stages win it at N = 1024 (142 ms there,
-    # against 182 ms in place), p = 6 in place
+    # (0.09 ms against 0.11 ms by powering at p = 2) and by powering otherwise; the h-sweep's p = 2
+    # cells (5 steps) run by powering below N = 128 and by stages from there, and p = 4 by
+    # powering until stages win it at N = 1024 (142 ms there, against 182 ms), p = 6 by powering
     route = splitting._route
     for p in (1, 2, 4, 6):
         routes = [route(suzuki_plan(p), 64, s, p > 1) for s in (2, 4, 8, 16, 32)]
-        assert routes == ["stages" if p < 4 else "in place", "in place"] + ["powering"] * 3, p
+        assert routes == ["stages" if p < 4 else "powering"] + ["powering"] * 4, p
     for n in (32, 64):
-        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["in place"] * 3
+        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["powering"] * 3
     for n in (128, 256, 512):
-        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "in place", "in place"]
+        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "powering", "powering"]
     for n in (1024, 2048):
-        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "stages", "in place"]
-    assert route(suzuki_plan(2), 64, 0, True) == route(suzuki_plan(2), 256, 0, True) == "stages"
-    a, b, _ = _operators(h=1.0 / 64, n=64)  # no step: a complex copy of a real M
+        assert [route(suzuki_plan(p), n, 5, True) for p in (2, 4, 6)] == ["stages", "stages", "powering"]
+    a, b, _ = _operators(h=1.0 / 64, n=64)  # no step: a complex copy of a real M, asking no route
     w = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 0, m=np.eye(64))
-    assert w.dtype == np.complex128 and np.array_equal(w, np.eye(64))
-    assert route(suzuki_plan(6), 1024, 8, True) == "powering"  # 5 products powering, 6 in place
+    assert w.dtype == np.complex128 and w.flags.f_contiguous and np.array_equal(w, np.eye(64))
 
 
 @pytest.mark.parametrize("n", (64, 256))
 def test_trotter_step_with_m_is_the_step_power_times_m(monkeypatch, n):
     # m is U_exact^dagger, and real: H's eigenvectors, as the sweeps pass them, which the
-    # in-place and powering routes multiply by one real product per panel; the same m cast to complex
+    # powering route multiplies by one real product per panel; the same m cast to complex
     # takes complex products
     a, b, h = _operators(h=1.0 / n, n=n)
     m = unitary_exp(h, 0.5).conj().T
     real_m = hermitian_eig(h)[1]
     kept, real_kept = m.copy(), real_m.copy()
     for p in (1, 2, 4, 6):
-        for steps in (0, 1, 2, 5, 8):
+        for steps in (0, 1, 2, 5, 8, 9, 27):
             expected = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps) @ m
             scale = np.max(np.abs(expected))
-            for route in ("stages", "in place", "powering"):
-                if route == "in place" and not steps:
-                    continue  # with no step the rule picks stages; _in_place needs a step
+            for route in ("stages", "powering"):
                 monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
                 w = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=m)
                 assert np.max(np.abs(w - expected)) <= 1e-13 * scale, (p, steps, route)
@@ -372,7 +386,7 @@ def test_complex_hermitian_circulant_takes_general_squaring():
     assert np.max(np.abs(step - step.T)) > 1e-3
     expected = np.linalg.matrix_power(step, 5)
     assert np.max(np.abs(trotter_step(suzuki_plan(4), a[0], np.diag(b), 0.1, steps=5) - expected)) <= 1e-13
-    assert np.max(np.abs(splitting._power(step, 5, symmetric=True) - expected)) > 1e-3
+    assert np.max(np.abs(splitting._square(step, True) - step @ step)) > 1e-3
 
 
 def test_trotter_step_halving_dt_cuts_error_eightfold():
