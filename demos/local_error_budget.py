@@ -39,7 +39,7 @@ p = 2
 plan = suzuki_plan(p)
 potential = np.diag(b)  # the commutator coefficients take B as its diagonal
 beta = compute_beta_comm(p, a, potential, obs)
-alpha = compute_alpha_comm(p, len(plan.stages), a, potential, obs)
+alpha = compute_alpha_comm(p, plan, a, potential, obs)
 alpha_tilde = compute_alpha_tilde(p, a + b, obs)
 print(f"order p = {p}:  beta {beta:.3f}   alpha {alpha:.3f}   alpha~ {alpha_tilde:.3f}")
 print(f"alpha~ <= 2^(p+1) beta: {alpha_tilde:.3f} <= {2**(p+1) * beta:.3f}")

@@ -9,8 +9,8 @@ splitting:
   beta:        max over all (p+1)-letter words of ||ad-chain(O)||,
   alpha:       the multinomial-weighted sum over compositions
                q_1 + ... + q_k = p+1 of ||ad_{H_k}^{q_k} ... ad_{H_1}^{q_1}(O)||
-               with H_j following the alternating stage-generator
-               sequence of the splitting plan (maximized over suffixes
+               with H_j following the stage-generator sequence
+               read from the splitting plan (maximized over suffixes
                of the sequence, which dominates every stage index),
   alpha_tilde: ||ad_H^{p+1}(O)|| for the full Hamiltonian H.
 
@@ -35,6 +35,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .linalg import DimensionMismatchError, NonHermitianError, Stencil, commutator, spectral_norm
+from .splitting import StagePlan
 
 CommWord = Sequence[str]
 
@@ -118,28 +119,28 @@ def compute_beta_comm(p: int, a, potential: np.ndarray, obs) -> float:
     return best
 
 
-def compute_alpha_comm(p: int, plan_len: int, a, potential: np.ndarray, obs) -> float:
+def compute_alpha_comm(p: int, plan: StagePlan, a, potential: np.ndarray, obs) -> float:
     """Multinomial-weighted nested-commutator sum for an order-p plan; potential is B's diagonal.
 
-    The stage-generator sequence is the alternating word A, B, A, ... of length plan_len
-    (the canonical form of a merged Suzuki plan); the returned value is the maximum of the
-    composition sum over all suffixes of that sequence. One backward pass over the stages
-    weighs each word: w[i] sums the multinomial weights of the ways stages s, s+1, ... spell
-    word[i:], so stage s adds comb(p+1-i, t) w[i+t] per run word[i:i+t] of its label.
+    The stage-generator sequence is the plan's labels, stage by stage as given (a Suzuki plan
+    alternates from A); the returned value is the maximum of the composition sum over all
+    suffixes of that sequence. One backward pass over the stages weighs each word: w[i] sums
+    the multinomial weights of the ways stages s, s+1, ... spell word[i:], so stage s adds
+    comb(p+1-i, t) w[i+t] per run word[i:i+t] of its label. The coefficients do not weigh it.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    if plan_len < 1:
-        raise ValueError(f"need plan_len >= 1, got {plan_len}")
-    sums = [0.0] * plan_len
+    labels = [g for _, g in plan.stages]
+    if not labels:
+        raise ValueError("need a plan of at least one stage")
+    sums = [0.0] * len(labels)
     for word, mat in _word_chains(p, a, potential, obs):
         norm = spectral_norm(mat)
         w = [0] * (p + 1) + [1]
-        for s in range(plan_len - 1, -1, -1):
-            label = "AB"[s % 2]
+        for s in range(len(labels) - 1, -1, -1):
             for i in range(p + 1):  # ascending, so w[i + t] still holds stage s + 1's weight
                 t = 0
-                while i + t <= p and word[i + t] == label:
+                while i + t <= p and word[i + t] == labels[s]:
                     t += 1
                     w[i] += math.comb(p + 1 - i, t) * w[i + t]
             sums[s] += w[0] * norm

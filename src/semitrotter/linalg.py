@@ -3,7 +3,7 @@
 Matrices are numpy arrays, square for all operator uses: float64 for real operators (A, B,
 observables), complex128 for unitaries, which the evolution builds Fortran-ordered. Nothing here
 mutates its inputs, so results can be shared freely. A Stencil is a banded periodic matrix kept
-as its taps, S[i, (i + r) mod N] = c_r a scalar or one value per row i: FD's A and O are
+as its taps, S[i, (i + r) mod N] = c_r[i], each tap N values: FD's A and O are
 stencils, spectral ones are dense, and B is the one-tap stencil of its diagonal. The bracket of
 two stencils is a stencil, so FD's commutator chains never leave that form; numpy reads a
 stencil as its dense matrix where a metric needs the matrix.
@@ -79,25 +79,25 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Stencil:
     """A banded periodic N x N matrix S[i, (i + r) mod N] = c_r[i], kept as its taps {r: c_r}.
 
-    Each tap is a scalar or one value per row; taps whose offsets agree mod N add up. It has
-    a shape and a dtype, and numpy reads it as its dense matrix (np.asarray). Its bracket with
-    a stencil is a stencil, in O(taps_S taps_M N), and so is its Gram, in O(taps^2 N); @ applies
-    it to a vector or an N x m block in O(taps N m). Every tap moves along the rows through _shift.
+    Each tap is an array of N values, one per row; a scalar c given for a tap is stored as
+    np.full(N, c), of c's dtype. Taps whose offsets agree mod N add up. It has a shape and a
+    dtype, and numpy reads it as its dense matrix (np.asarray). Its bracket with a stencil is a
+    stencil, in O(taps_S taps_M N), and so is its Gram, in O(taps^2 N); @ applies it to a vector
+    or an N x m block in O(taps N m). Every tap moves along the rows through _shift.
     """
 
     def __init__(self, taps: dict, n: int):
-        for r, c in taps.items():
-            if np.ndim(c) and np.shape(c) != (n,):
-                raise DimensionMismatchError(f"tap {r} has shape {np.shape(c)}: a per-row tap of an N = {n} stencil has N values")
-        self.taps, self.n, self.shape = taps, n, (n, n)
-        self.dtype = np.result_type(0.0, *taps.values())
+        self.taps = {r: np.asarray(c) if np.ndim(c) else np.full(n, c) for r, c in taps.items()}
+        for r, c in self.taps.items():
+            if c.shape != (n,):
+                raise DimensionMismatchError(f"tap {r} has shape {c.shape}: a tap of an N = {n} stencil has N values")
+        self.n, self.shape = n, (n, n)
+        self.dtype = np.result_type(0.0, *self.taps.values())
 
     def _shift(self, c, s: int):
-        """c[(i + s) mod N] at every row i; a scalar tap is its own shift."""
+        """c[(i + s) mod N] at every row i."""
         s %= self.n
-        if s == 0 or np.ndim(c) == 0:
-            return c
-        return np.concatenate((c[s:], c[:s]))
+        return np.concatenate((c[s:], c[:s])) if s else c
 
     def _centred(self, r: int) -> int:
         """The offset of r mod N in (-N/2, N/2]."""
@@ -123,8 +123,8 @@ class Stencil:
         c_r[i] d_q[i + r] - d_q[i] c_r[i + q], taken as
         c_r[i] (d_q[i + r] - d_q[i]) + d_q[i] (c_r[i] - c_r[i + q]): the differences of
         neighbouring taps cancel before the products, so smooth taps lose no digits to it
-        and a scalar tap's own term is exactly 0. Two scalar taps commute and are skipped, and
-        taps that cancel to exactly 0 are dropped: ad_B = [{0: b}, .] zeroes the offset-0 tap.
+        and a constant tap's own term is exactly 0. Taps that cancel to exactly 0 are dropped:
+        two constant taps commute, and ad_B = [{0: b}, .] zeroes the offset-0 tap.
         """
         n = self.n
         if np.shape(m) != self.shape:
@@ -132,19 +132,16 @@ class Stencil:
         if isinstance(m, Stencil):
             out = {}
             for (r, c), (q, d) in product(self.taps.items(), m.taps.items()):
-                if np.ndim(c) == np.ndim(d) == 0:
-                    continue
                 k = (r + q) % n
                 tap = c * (self._shift(d, r) - d) + d * (c - self._shift(c, q))
                 out[k] = out[k] + tap if k in out else tap
             return Stencil({k: tap for k, tap in out.items() if tap.any()}, n)
         m = as_matrix(m)
         out = np.zeros(self.shape, np.result_type(m, *self.taps.values()))
-        # a multiple of I commutes with M
-        taps = [(r % n, np.broadcast_to(c, (n,))) for r, c in self.taps.items() if r % n or np.ndim(c)]
         for start in range(0, n, _PANEL):
             stop = min(start + _PANEL, n)
-            for k, c in taps:
+            for r, c in self.taps.items():
+                k = r % n
                 for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
                     lo, hi = max(dst.start, start), min(dst.stop, stop)  # the block's rows in dst
                     if lo < hi:
@@ -170,7 +167,7 @@ class Stencil:
         padded = np.concatenate((x[n - w :], x, x[:w]))  # padded[w + i + k] = x[(i + k) mod N]
         out = np.zeros(x.shape, np.result_type(self.dtype, x))
         for k, c in taps:
-            out += np.reshape(c, np.shape(c) + (1,) * (x.ndim - 1)) * padded[w + k : w + k + n]
+            out += c.reshape((n,) + (1,) * (x.ndim - 1)) * padded[w + k : w + k + n]
         return out
 
     def abs_sums(self) -> tuple:
@@ -557,7 +554,7 @@ def _banded_factor(gram: Stencil, sigma: float):
     unfold = np.argsort(fold)
     offsets = np.array(list(gram.taps))[:, None]
     cols = unfold[(fold + offsets) % n]  # tap t of folded row p sits in folded column cols[t, p]
-    taps = np.array([np.broadcast_to(g, (n,))[fold] for g in gram.taps.values()], gram.dtype)
+    taps = np.array([g[fold] for g in gram.taps.values()], gram.dtype)
     blocks = [slice(start, min(start + b, n)) for start in range(0, n, b)]
     inverses, rights = [], []  # U_ii^-1, and U[i, i + 1] for every block but the last
     for block in blocks:

@@ -233,7 +233,9 @@ _FFT_PAIRS_LOG2 = 14
 def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
     """trotter_step's route given M and steps >= 1: "stages" or "powering", by the cost rule above."""
     step_pairs = sum(g == "A" for _, g in plan.stages[: (len(plan.stages) + 1) // 2 if symmetric else None])
-    stage_pairs = sum(g == "A" for _, g in _merge_adjacent(list(plan.stages) * steps))
+    merged = _merge_adjacent(list(plan.stages))
+    joined = [g for _, g in merged[:1] + merged[-1:]] == ["A", "A"]  # then each of s - 1 joins merges two A stages
+    stage_pairs = steps * sum(g == "A" for _, g in merged) - (steps - 1) * joined
     if (stage_pairs - step_pairs) * _FFT_PAIRS_LOG2 * math.log2(n) < _products(steps, symmetric) * n:
         return "stages"
     return "powering"

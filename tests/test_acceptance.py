@@ -117,7 +117,7 @@ def test_criterion_4_beta_uniformity(tmp_path):
 def test_criterion_5_local_bound_witness(tmp_path):
     a, b, obs = _default_operators()
     plan = suzuki_plan(2)
-    alpha = compute_alpha_comm(2, len(plan.stages), a, np.diag(b), obs)
+    alpha = compute_alpha_comm(2, plan, a, np.diag(b), obs)
     alpha_tilde = compute_alpha_tilde(2, a + b, obs)
 
     errs = {}

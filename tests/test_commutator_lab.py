@@ -27,7 +27,7 @@ from semitrotter.linalg import (
     spectral_norm,
 )
 from semitrotter.model import ModelParams, PolyObservableSpec, build_A, build_B, build_observable
-from semitrotter.splitting import suzuki_plan
+from semitrotter.splitting import StagePlan, suzuki_plan
 
 
 def _setup(h=1.0 / 64, n=64):
@@ -224,7 +224,7 @@ def test_beta_non_finite_chain_raises(p, ops):
 )
 def test_alpha_non_finite_chain_raises(p, ops):
     with pytest.raises(ConvergenceError):
-        compute_alpha_comm(p, 3, *ops)
+        compute_alpha_comm(p, suzuki_plan(2), *ops)
 
 
 @pytest.mark.parametrize("n", [4, 5, 16, 64])
@@ -266,7 +266,7 @@ def test_potential_length_must_match():
     with pytest.raises(DimensionMismatchError):
         compute_beta_comm(1, a, np.diag(b)[:8], obs)
     with pytest.raises(DimensionMismatchError):
-        compute_alpha_comm(1, 2, a, np.diag(b)[:8], obs)
+        compute_alpha_comm(1, suzuki_plan(1), a, np.diag(b)[:8], obs)
     with pytest.raises(DimensionMismatchError):
         compute_beta_comm(1, a, b, obs)  # the dense B is not its diagonal
 
@@ -277,7 +277,7 @@ def test_complex_potential_is_rejected():
     with pytest.raises(NonHermitianError):
         compute_beta_comm(1, np.eye(4), potential, np.ones((4, 4)))
     with pytest.raises(NonHermitianError):
-        compute_alpha_comm(1, 2, np.eye(4), potential, np.ones((4, 4)))
+        compute_alpha_comm(1, suzuki_plan(1), np.eye(4), potential, np.ones((4, 4)))
 
 
 def test_comm_sweep_ab_row_is_dense_commutator_norm():
@@ -297,7 +297,7 @@ def test_alpha_commuting_is_zero():
     d1 = np.diag([1.0, 2.0]).astype(complex)
     d2 = np.diag([3.0, 4.0]).astype(complex)
     d3 = np.diag([5.0, 6.0]).astype(complex)
-    assert compute_alpha_comm(1, 2, d1, np.diag(d2), d3) == 0.0
+    assert compute_alpha_comm(1, suzuki_plan(1), d1, np.diag(d2), d3) == 0.0
     assert compute_alpha_tilde(1, d1, d3) == 0.0
 
 
@@ -310,25 +310,35 @@ def test_alpha_p1_hand_computed_sum():
         + 2.0 * spectral_norm(nested_comm(("A", "B"), a, b, obs))
         + spectral_norm(nested_comm(("B", "B"), a, b, obs))
     )
-    assert compute_alpha_comm(1, 2, a, np.diag(b), obs) == pytest.approx(expected, rel=1e-12)
+    assert compute_alpha_comm(1, suzuki_plan(1), a, np.diag(b), obs) == pytest.approx(expected, rel=1e-12)
 
 
 def test_alpha_dominates_any_single_term():
     a, b, obs = _setup(n=32)
-    alpha = compute_alpha_comm(2, 3, a, np.diag(b), obs)
+    alpha = compute_alpha_comm(2, suzuki_plan(2), a, np.diag(b), obs)
     single = spectral_norm(nested_comm(("A", "B", "A"), a, b, obs))
     assert alpha >= single
 
 
-@pytest.mark.parametrize("p, plan_len", [(1, 1), (1, 2), (2, 3), (2, 5), (4, 5)])
-def test_alpha_brute_force_sum(p, plan_len):
-    # plan A, B, A, ...: every suffix, every composition of p + 1 over its stages
-    # (zero parts included), multinomial weights, innermost stage first
+def _plan(labels: str) -> StagePlan:
+    """A plan of unit stages with the given generator labels, first stage first."""
+    return StagePlan(tuple((1.0, g) for g in labels))
+
+
+@pytest.mark.parametrize(
+    "p, labels",
+    # a plan alternating from A is named by its stage count, any other by its labels
+    [pytest.param(p, "ABABA"[:k], id=f"{p}-{k}") for p, k in ((1, 1), (1, 2), (2, 3), (2, 5), (4, 5))]
+    + [pytest.param(p, labels, id=f"{p}-{labels}") for p, labels in ((1, "BAB"), (2, "BAB"), (2, "AAB"), (2, "ABBA"))],
+)
+def test_alpha_brute_force_sum(p, labels):
+    # every suffix of the plan's stages, every composition of p + 1 over its stages (zero parts
+    # included), multinomial weights, innermost stage first; the labels are the plan's, so a
+    # B-first plan or one with repeated labels weighs its own words
     a, b, obs = _setup(n=32)
-    labels = tuple("AB"[s % 2] for s in range(plan_len))
     sums = []
-    for k in range(1, plan_len + 1):
-        suffix = labels[plan_len - k:]
+    for k in range(1, len(labels) + 1):
+        suffix = labels[len(labels) - k:]
         total = 0.0
         for qs in itertools.product(range(p + 2), repeat=k):
             if sum(qs) != p + 1:
@@ -337,28 +347,33 @@ def test_alpha_brute_force_sum(p, plan_len):
             weight = math.factorial(p + 1) // math.prod(math.factorial(q) for q in qs)
             total += weight * spectral_norm(nested_comm(word, a, b, obs))
         sums.append(total)
-    assert compute_alpha_comm(p, plan_len, a, np.diag(b), obs) == pytest.approx(max(sums), rel=1e-12)
+    assert compute_alpha_comm(p, _plan(labels), a, np.diag(b), obs) == pytest.approx(max(sums), rel=1e-12)
+
+
+def test_alpha_rejects_an_empty_plan():
+    a, b, obs = _setup(n=16)
+    with pytest.raises(ValueError):
+        compute_alpha_comm(1, StagePlan(()), a, np.diag(b), obs)
 
 
 @pytest.mark.parametrize("p", [4, 6, 8])
 def test_alpha_at_high_order_weighs_every_word(p):
-    # with plan_len >= 2 (p + 1) every word embeds in the plan with all exponents 1,
+    # with 2 (p + 1) or more stages every word embeds in the plan with all exponents 1,
     # so the full plan's sum holds (p + 1)! times the largest chain's norm
     a, b, obs = _sweep_operators("fd", 32)
-    plan_len = len(suzuki_plan(p).stages)
-    assert plan_len >= 2 * (p + 1)
-    alpha = compute_alpha_comm(p, plan_len, a, np.diag(b), obs)
+    plan = suzuki_plan(p)
+    assert len(plan.stages) >= 2 * (p + 1)
+    alpha = compute_alpha_comm(p, plan, a, np.diag(b), obs)
     assert alpha >= math.factorial(p + 1) * compute_beta_comm(p, a, np.diag(b), obs)
 
 
 def test_alpha_is_uniform_at_orders_4_and_6():
     # criterion 4's max/min ratio <= 2, for alpha on the Suzuki plans over h = 1/32 ... 1/256
     for p in (4, 6):
-        plan_len = len(suzuki_plan(p).stages)
         values = []
         for n in (32, 64, 128, 256):
             a, b, obs = _sweep_operators("fd", n)
-            values.append(compute_alpha_comm(p, plan_len, a, np.diag(b), obs))
+            values.append(compute_alpha_comm(p, suzuki_plan(p), a, np.diag(b), obs))
         assert max(values) / min(values) <= 2.0, (p, values)
 
 
@@ -424,7 +439,7 @@ def test_comm_sweep_words_match_long_double_chains():
     _, a, potential, obs = _build_operators(cfg, 1.0 / n)
 
     def bracket(taps, m):  # [S, M]: row i of SM adds c_r[i] M[i + r], column j of MS M[:, j - r] c_r[j - r]
-        taps = {r: np.broadcast_to(np.asarray(c, np.longdouble), (n,)) for r, c in taps.items()}
+        taps = {r: c.astype(np.longdouble) for r, c in taps.items()}
         return sum(c[:, None] * np.roll(m, -r, axis=0) - np.roll(m * c, r, axis=1) for r, c in taps.items())
 
     b = potential.astype(np.longdouble)

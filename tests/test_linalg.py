@@ -9,6 +9,7 @@ import pytest
 from semitrotter import linalg
 from semitrotter.commutator_lab import ad
 from semitrotter.discretize import Grid, build_Dk, fd_stencil
+from semitrotter.expr import parse_expr
 from semitrotter.linalg import (
     ConvergenceError,
     DimensionMismatchError,
@@ -22,6 +23,7 @@ from semitrotter.linalg import (
     unitarity_defect,
     unitary_exp,
 )
+from semitrotter.model import ModelParams, PolyObservableSpec, declared_A, declared_observable
 
 
 def _random_complex(rng, n):
@@ -741,9 +743,6 @@ def _whole_bracket(s, m):
     out = np.zeros(s.shape, np.result_type(m, *s.taps.values()))
     for r, c in s.taps.items():
         k = r % n
-        if k == 0 and np.ndim(c) == 0:
-            continue
-        c = np.broadcast_to(c, (n,))
         for dst, src in ((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))):
             out[dst] += c[dst, None] * m[src]
             out[:, src] -= m[:, dst] * c[dst]
@@ -788,7 +787,7 @@ def _random_stencils(rng, n):
 def _dense_oracle(s):
     """S[i, (i + r) mod N] = c_r[i] summed as diag(c_r) times the permutation with ones at (i, (i + r) mod N)."""
     shifts = np.eye(s.n)
-    return sum((np.broadcast_to(c, (s.n,))[:, None] * np.roll(shifts, r, axis=1) for r, c in s.taps.items()), np.zeros(s.shape))
+    return sum((c[:, None] * np.roll(shifts, r, axis=1) for r, c in s.taps.items()), np.zeros(s.shape))
 
 
 @pytest.mark.parametrize("n", [4, 5, 16, 64])
@@ -813,6 +812,24 @@ def test_stencil_checks_per_row_tap_length():
         with pytest.raises(DimensionMismatchError):
             Stencil({-1: 1.0, 2: tap}, 8)
     assert Stencil({-1: 1.0, 2: np.ones(8)}, 8).shape == (8, 8)
+
+
+def test_every_tap_holds_n_values():
+    # one tap form: the constant taps of fd_stencil and declared_A, declared_observable's taps,
+    # a bracket of two stencils and a Gram are each an array of N values
+    n = 16
+    grid = Grid(-math.pi, math.pi, n)
+    a = declared_A(ModelParams(1.0 / n, parse_expr("cos(x)"), grid))
+    obs = declared_observable(PolyObservableSpec(((0, parse_expr("cos(x)")), (1, parse_expr("sin(x)"))), 1.0 / n), grid)
+    d4 = fd_stencil(grid, 4)
+    for s in (fd_stencil(grid, 1), d4, a, obs, a.commutator(obs), obs.gram(), d4.gram()):
+        assert s.taps and all(isinstance(c, np.ndarray) and c.shape == (n,) for c in s.taps.values())
+    assert a.commutator(d4).taps == {}  # constant taps commute: every tap cancels to exactly 0
+    # a scalar becomes N writable values of its own dtype
+    s = Stencil({0: 2, 1: 0.5j}, n)
+    assert s.taps[0].dtype == np.int_ and s.taps[1].dtype == np.complex128
+    s.taps[0][0] = 3
+    assert np.array_equal(np.asarray(s)[:2, :2], [[3, 0.5j], [0, 2]])
 
 
 @pytest.mark.parametrize("n", [4, 5, 16, 64])
@@ -1162,7 +1179,27 @@ def test_stencil_spectral_norm_of_zero_and_of_scalar_taps():
 def test_stencil_matrix_adds_taps_that_wrap_onto_each_other():
     # D_4 at N = 4 has taps at -2 and 2, the same diagonal mod 4
     s = fd_stencil(Grid(0.0, 4.0, 4), 4)
-    assert s.taps == {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}
+    assert list(s.taps) == [-2, -1, 0, 1, 2]
+    for r, c in zip(s.taps, (1.0, -4.0, 6.0, -4.0, 1.0)):
+        assert np.array_equal(s.taps[r], np.full(4, c))
     assert np.array_equal(np.asarray(s)[0], [6.0, -4.0, 2.0, -4.0])
     m = np.arange(16.0).reshape(4, 4)
     assert np.allclose(s.commutator(m), commutator(np.asarray(s), m), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("max_n", [linalg._EIGVALSH_MAX_N, 0], ids=["size-rule", "certified"])
+def test_tiny_grams_match_the_svd(monkeypatch, max_n):
+    # N = 1 ... 5: real and complex dense matrices, and three-tap stencils (whose offsets meet
+    # mod N below N = 3), by the size rule's route and by the certified pipeline
+    monkeypatch.setattr(linalg, "_EIGVALSH_MAX_N", max_n)
+    certified, tops = linalg._certified_top, []
+    monkeypatch.setattr(linalg, "_certified_top", lambda *args: tops.append(certified(*args)) or tops[-1])
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        ops = [rng.standard_normal((n, n)), _random_complex(rng, n)]
+        ops += [Stencil({r: rng.standard_normal(n) for r in (-1, 0, 1)}, n)]
+        ops += [Stencil({r: rng.standard_normal(n) + 1j * rng.standard_normal(n) for r in (-1, 0, 1)}, n)]
+        for op in ops:
+            expected = np.linalg.norm(np.asarray(op), 2)
+            assert spectral_norm(op) == pytest.approx(expected, rel=1e-15, abs=0), (n, op)
+    assert len(tops) == (20 if max_n == 0 else 0) and None not in tops  # every certificate held

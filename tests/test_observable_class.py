@@ -19,12 +19,13 @@ import io
 import itertools
 import random
 
-from semitrotter import experiments
+from semitrotter import commutator_lab, experiments
 from semitrotter.experiments import (
     build_config,
     fit_slope,
     run_experiment,
 )
+from semitrotter.linalg import spectral_norm
 from semitrotter.symbolic_lie import (
     SymOp,
     kinetic_symbol,
@@ -199,3 +200,29 @@ def test_h_sweep_negative_control(monkeypatch):
     assert all(s < -0.7 for s in slopes("0:cos(x), 1:sin(x)", lambda h: 1.0))
     # cos + sin (h^1/2)^2 D_2 = cos + sin h D_2: height 2 > width 1, exponent -1
     assert all(s < -0.7 for s in slopes("0:cos(x), 2:sin(x)", lambda h: h**0.5))
+
+
+def test_every_fd_chain_of_up_to_seven_letters_keeps_its_symbolic_exponent():
+    # the discrete half of the class, word by word: each of the 8 + 32 + 128 ad-chains of the
+    # default O at the FD defaults, judged by its local slope from h = 1/256 to 1/512 within
+    # criterion 3's 0.15 of min(m - d); a word whose symbol is zero is not zero on the grid,
+    # and must be flat
+    cfg = build_config("comm-sweep")
+    norms = {}
+    for h in (1.0 / 256, 1.0 / 512):
+        _, a, potential, obs = experiments._build_operators(cfg, h)
+        for p in (2, 4, 6):
+            for word, chain in commutator_lab._word_chains(p, a, potential, obs):
+                norms.setdefault(word, []).append((h, spectral_norm(chain)))
+    assert len(norms) == 168
+    generators = {"A": A, "B": B}
+    misses = []
+    for word, points in norms.items():
+        chain = DEFAULT_O
+        for label in word:  # innermost first, as the numeric chain
+            chain = sym_commutator(generators[label], chain)
+        exponent = _exponent(chain)
+        slope = fit_slope(points).slope
+        if abs(slope - (0.0 if exponent == float("inf") else exponent)) > 0.15:
+            misses.append(("".join(word), exponent, slope))
+    assert not misses, misses

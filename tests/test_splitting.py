@@ -1,6 +1,7 @@
 """Suzuki plan and Trotter-step tests."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -335,6 +336,26 @@ def test_routes_of_the_default_sweeps():
     a, b, _ = _operators(h=1.0 / 64, n=64)  # no step: a complex copy of a real M, asking no route
     w = trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1, 0, m=np.eye(64))
     assert w.dtype == np.complex128 and w.flags.f_contiguous and np.array_equal(w, np.eye(64))
+
+
+def test_route_counts_the_merged_stages_of_every_step_count():
+    # the cost rule with the FFT pairs of s steps counted off their merged stage list, as the
+    # stages route runs them; _route counts them in closed form, so it builds no such list
+    plans = [suzuki_plan(p) for p in (1, 2, 4, 6, 8)] + [splitting.StagePlan(())]
+    plans += [splitting.StagePlan(tuple((1.0, g) for g in labels)) for labels in ("A", "B", "BAB", "AAB", "ABBA", "BABA")]
+    for plan, steps in itertools.product(plans, range(1, 65)):
+        stage_pairs = sum(g == "A" for _, g in splitting._merge_adjacent(list(plan.stages) * steps))
+        for n, symmetric in itertools.product((32, 64, 128, 256, 512, 1024, 2048), (True, False)):
+            step_pairs = sum(g == "A" for _, g in plan.stages[: (len(plan.stages) + 1) // 2 if symmetric else None])
+            cost = (stage_pairs - step_pairs) * splitting._FFT_PAIRS_LOG2 * math.log2(n)
+            expected = "stages" if cost < splitting._products(steps, symmetric) * n else "powering"
+            assert splitting._route(plan, n, steps, symmetric) == expected, (plan, n, steps, symmetric)
+
+
+def test_route_builds_no_list_of_the_steps_stages(traced_peak):
+    # 2^12 steps of the 51-stage p = 6 plan: a merged list of every step's stages would hold 14 MB
+    route, peak = traced_peak(splitting._route, suzuki_plan(6), 64, 2**12, True)
+    assert route == "powering" and peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("n", (64, 256))
