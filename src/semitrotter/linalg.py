@@ -10,15 +10,14 @@ stencil as its dense matrix where a metric needs the matrix.
 
 The spectral norm is the root of the Gram matrix's top eigenvalue; spectral_norm lists its
 routes. A stencil with one tap is a weighted shift, whose norm is its largest |tap|. Any other
-stencil forms its Gram as a stencil, in O(taps^2 N), a dense matrix by panels. The Gram's row
-count alone picks the route: a small Gram, dense or made dense, takes a full eigenvalue solve;
-a larger one, dense or banded, real or complex, takes one certified pipeline (_certified_top):
+stencil forms its Gram as a stencil, in O(taps^2 N), a dense matrix by panels. Every Gram, dense
+or banded, real or complex, of any size, takes one certified pipeline (_certified_top):
 Lanczos from a seeded random start gives theta <= lambda_max, also where that eigenvalue is
 degenerate (as for the sweeps' commutator and unitary matrices), since a random start has a
 nonzero component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
 Matrix Anal. Appl. 13, 1992); a Cholesky factor of sigma I - G, sigma = theta (1 + tau), proves
 lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few eps. A
-route supplies only its factor, one block Cholesky on two patterns, and one block substitution
+form supplies only its factor, one block Cholesky on two patterns, and one block substitution
 solves with either: a dense Gram's is made in its own buffer, and a banded Gram of half-width w,
 rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of half-width 2w, factored in O(N w^2).
 Where no shift factors, the dense Gram's eigenvalues are solved after all. So no value rests on
@@ -226,7 +225,9 @@ def unitary_exp(m: np.ndarray, theta: float) -> np.ndarray:
 
     The result is Fortran-ordered, so matmul_by_rows takes a real V by one real product per
     panel: beyond M, V, the result and one panel are alive, 1.63 complex N x N buffers at N = 1024
-    (3.13 for a complex V).
+    (3.13 for a complex V). No sweep calls it, since the evolution keeps the exact propagator as
+    H's real eigenvectors and N phases; it is the exact propagator of the tests, of two demos and
+    of acceptance criterion 8, and stays as their reference implementation.
     """
     w, v = hermitian_eig(m)
     out = np.multiply(v, np.exp(-1j * theta * w), order="F")
@@ -263,16 +264,6 @@ def matmul_by_rows(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-# Grams with more rows than this take the certified pipeline, whatever their form and dtype.
-# Per norm (2-core x86-64, OpenBLAS 0.3.31; one script, medians of nine calls, ranges over the
-# matrices), eigvalsh against certified: the h-sweep's complex W - I and [O, W - I] at p = 2,
-# 4, 6 took 17 against 18-23 ms at N = 256, 43-45 against 32-46 ms at 384, 69-82 against
-# 53-69 ms at 512; the FD comm-sweep's four stencil words 3.5-3.8 against 4.0-5.7 ms at 256,
-# 8.7-9.9 against 7.2-10 ms at 384; the spectral comm-sweep's real words 4.3-5.4 against
-# 5.9-9.9 ms at 256, 10-11 against 12-13 ms at 384, 20-23 against 18-25 ms at 512, 124-133
-# against 82-90 ms at 1024. Each kind crosses between 256 and 512 rows, and the sweeps' grids
-# are powers of two.
-_EIGVALSH_MAX_N = 256
 # Columns per panel of a dense Gram (_dense_gram), rows per panel of its factor (_dense_factor).
 # On an N = 1024 h-sweep [O, W - I] (same machine, medians of nine), panels of 64, 96, 128 and
 # 192 columns built the Gram in 79-99, 79-94, 85-94 and 81-87 ms, against 117-129 ms for the
@@ -290,18 +281,18 @@ def spectral_norm(m) -> float:
 
     The scaling rules out overflow and underflow. Every route reads lambda_max within a few eps
     (the norm within about half that), and a certified value is proved to be at most its shift
-    sigma; the sweeps' matrices at N = 256 to 1024 came within 4e-15 of an SVD. Routes:
+    sigma; the sweeps' matrices at N = 32 to 1024 came within 4e-15 of an SVD. Routes:
     - a stencil with one tap is a weighted shift, whose singular values are its |c_i|: s;
     - any other stencil M forms its Gram from the taps, G[j, j + q - r] += conj(c_r[j - r])
       c_q[j - r], in O(taps^2 N), and keeps it banded;
     - a dense M forms its Gram by panels (_dense_gram), the one N x N buffer made beside M;
-    - a Gram of N ≤ 256 rows, dense or banded, real or complex, takes a full eigenvalue solve
-      of the dense Gram, exact to O(N eps) relative (the top eigenvalue of a PSD matrix is
-      backward-stable); a larger one is certified (_certified_top) with the factor of its
-      folded band (_banded_factor) or one made in the dense Gram's buffer (_dense_factor),
-      and one that no shift factors takes the full solve after all; ConvergenceError where a
-      stencil's dense Gram and eigvalsh's working copy would not fit in the machine's
-      physical memory, or an entry or tap is not finite.
+    - every Gram, dense or banded, real or complex, of any size, is certified (_certified_top)
+      with the factor of its folded band (_banded_factor) or one made in the dense Gram's
+      buffer (_dense_factor);
+    - a Gram that no shift factors takes a full eigenvalue solve of the dense Gram, exact to
+      O(N eps) relative (the top eigenvalue of a PSD matrix is backward-stable);
+      ConvergenceError where a stencil's dense Gram and eigvalsh's working copy would not fit
+      in the machine's physical memory, or an entry or tap is not finite.
     """
     stencil = isinstance(m, Stencil)
     if not stencil:
@@ -322,7 +313,7 @@ def spectral_norm(m) -> float:
     try:
         banded = isinstance(gram, Stencil)
         factor = partial(_banded_factor if banded else _dense_factor, gram)
-        top = _certified_top(gram, factor) if gram.shape[0] > _EIGVALSH_MAX_N else None
+        top = _certified_top(gram, factor)
         if top is None:
             need = 2 * gram.shape[0] ** 2 * gram.dtype.itemsize  # the dense Gram and eigvalsh's working copy
             if banded and need > _physical_memory():
@@ -343,13 +334,8 @@ def _dense_gram(m: np.ndarray, scale: float) -> np.ndarray:
     Hermitian part, so G is exactly Hermitian. Dividing by s twice keeps the left factor
     finite for any finite s, where 1/s^2 overflows once s is below about 1e-154 (and s^2 above
     1e154); every product of the two factors is then at most 1 in size.
-    A Gram of one panel takes (M/s)^dagger (M/s) from one scaled copy of M, which is no
-    larger than a panel, and so has the same bits as a stencil's Gram made dense.
     """
     n = m.shape[1]
-    if n <= _PANEL:
-        m = m / scale
-        return m.conj().T @ m
     gram, panel = np.empty((n, n), m.dtype), np.empty((m.shape[0], min(n, _PANEL)), m.dtype)
     for start in range(0, n, _PANEL):
         stop = min(start + _PANEL, n)

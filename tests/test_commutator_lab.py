@@ -284,7 +284,7 @@ def test_comm_sweep_ab_row_is_dense_commutator_norm():
     cfg = build_config("comm-sweep", {"h": "0.03125"})
     (value,) = [r.value for r in run_experiment(cfg) if r.metric == "[A,B]"]
     params, _ = experiments._model(cfg, 0.03125)
-    assert value == spectral_norm(commutator(build_A(params), build_B(params)))
+    assert value == pytest.approx(spectral_norm(commutator(build_A(params), build_B(params))), rel=1e-15, abs=0)
 
 
 def test_beta_rejects_p_zero():

@@ -317,15 +317,15 @@ def test_spectral_norm_matches_oracle_on_sweep_matrices(monkeypatch):
 
 
 def test_spectral_norm_matches_oracle_above_crossover(monkeypatch):
-    # the h-sweep's [O, W - I] and W - I at N = 256 and 512 take the certified path, N = 256 with
-    # the crossover just below it, and so does a unitary, whose top singular value is fully degenerate
+    # at and above the crossover, the 256 to 512 rows where the certified pipeline's cost meets a
+    # full eigenvalue solve's: the h-sweep's [O, W - I] and W - I at N = 256 and 512, and a
+    # unitary, whose top singular value is fully degenerate
     import semitrotter.experiments as ex
 
-    monkeypatch.setattr(linalg, "_EIGVALSH_MAX_N", 255)
     pairs = []
 
     def checked(m):
-        assert m.shape[0] > linalg._EIGVALSH_MAX_N and np.iscomplexobj(m)
+        assert m.shape[0] >= 256 and np.iscomplexobj(m)
         pairs.append((spectral_norm(m), _norm_oracle(m)))
         return pairs[-1][0]
 
@@ -356,7 +356,7 @@ def test_real_dense_sweep_norms_above_crossover_are_certified(monkeypatch):
         return values[-1]
 
     def checked(m):
-        assert isinstance(m, np.ndarray) and m.dtype == np.float64 and m.shape[0] > linalg._EIGVALSH_MAX_N
+        assert isinstance(m, np.ndarray) and m.dtype == np.float64 and m.shape[0] == 512
         taken = len(values)
         pairs.append((spectral_norm(m), float(np.linalg.norm(m, 2))))
         assert len(values) == taken + 1 and values[-1] is not None
@@ -390,9 +390,8 @@ def _recording_cholesky(monkeypatch):
 
 
 def test_spectral_norm_of_an_h_sweep_point_matches_svd_to_rounding(monkeypatch):
-    # the six matrices of the default h-sweep at N = 256, W - I and [O, W - I] at p = 2, 4 and 6,
-    # take the full eigenvalue solve, and the certified dense route with the crossover below
-    # them; a Lanczos value alone read p = 4's W - I 3.45e-12 low
+    # the twelve matrices of the default h-sweep at N = 64 and 256, W - I and [O, W - I] at
+    # p = 2, 4 and 6, each certified; a Lanczos value alone read p = 4's W - I at N = 256 3.45e-12 low
     import semitrotter.experiments as ex
 
     mats = []
@@ -402,22 +401,14 @@ def test_spectral_norm_of_an_h_sweep_point_matches_svd_to_rounding(monkeypatch):
         return 1.0
 
     monkeypatch.setattr(ex, "spectral_norm", kept)
-    ex.run_experiment(ex.build_config("h-sweep", {"h": "1/256", "orders": "2, 4, 6"}))
-    assert len(mats) == 6
-    krylov = []
-    lanczos_top = linalg._lanczos_top
-
-    def counting_lanczos(g):
-        krylov.append(g.shape[0])
-        return lanczos_top(g)
-
-    monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
-    for crossover in (linalg._EIGVALSH_MAX_N, 255):
-        monkeypatch.setattr(linalg, "_EIGVALSH_MAX_N", crossover)
-        for m in mats:
-            assert m.shape == (256, 256) and np.iscomplexobj(m)
-            assert spectral_norm(m) == pytest.approx(_norm_oracle(m), rel=1e-14, abs=0)
-    assert krylov == [256] * 6
+    ex.run_experiment(ex.build_config("h-sweep", {"h": "1/64, 1/256", "orders": "2, 4, 6"}))
+    assert sorted(m.shape[0] for m in mats) == [64] * 6 + [256] * 6
+    certified, tops = linalg._certified_top, []
+    monkeypatch.setattr(linalg, "_certified_top", lambda *args: tops.append(certified(*args)) or tops[-1])
+    for m in mats:
+        assert np.iscomplexobj(m)
+        assert spectral_norm(m) == pytest.approx(_norm_oracle(m), rel=1e-14, abs=0)
+    assert len(tops) == 12 and None not in tops
 
 
 def _low_lanczos(monkeypatch):
@@ -429,11 +420,9 @@ def _low_lanczos(monkeypatch):
 def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
     # every widening fails at the same block and leaves G's lower triangle whole, so the norm is
     # the full eigenvalue solve's, bit for bit
-    n = linalg._EIGVALSH_MAX_N + 44
+    n = 300
     m = _random_complex(np.random.default_rng(15), n)
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_EIGVALSH_MAX_N", math.inf)
-        exact = spectral_norm(m)
+    exact = _fallback_norm(monkeypatch, m)
     assert exact == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0)
     gram = linalg._dense_gram(m, 1.0)
     top = float(np.linalg.eigvalsh(gram)[-1])
@@ -566,7 +555,8 @@ def test_dense_spectral_norm_scales_without_overflow(dtype, c):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_spectral_norm_non_finite_above_crossover_raises(bad):
-    m = _random_complex(np.random.default_rng(16), linalg._EIGVALSH_MAX_N + 1)
+    # the scale check refuses a non-finite entry before any Gram is formed, at N = 257 as at N = 4
+    m = _random_complex(np.random.default_rng(16), 257)
     m[3, 5] = bad
     with pytest.raises(ConvergenceError):
         spectral_norm(m)
@@ -575,17 +565,17 @@ def test_spectral_norm_non_finite_above_crossover_raises(bad):
 def test_spectral_norm_is_deterministic():
     # the Lanczos start is seeded afresh on every call: no state carries over
     rng = np.random.default_rng(17)
-    m = _random_complex(rng, linalg._EIGVALSH_MAX_N + 1)
+    m = _random_complex(rng, 257)
     first = spectral_norm(m)
     spectral_norm(_random_complex(rng, 300))
     assert spectral_norm(m) == first
 
 
-def test_spectral_norm_routes_by_size(monkeypatch):
-    # a real, a complex and a stencil Gram take the full solve up to the crossover and the
-    # certified pipeline one row above it, whatever their dtype and form
-    krylov, solved = [], []
-    lanczos_top = linalg._lanczos_top
+def test_spectral_norm_takes_one_route_at_every_size(monkeypatch):
+    # a real, a complex and a stencil Gram are each certified at every size, and eigvalsh runs
+    # on the refinement's block alone, never on a Gram
+    krylov, solved, tops = [], [], []
+    lanczos_top, certified_top = linalg._lanczos_top, linalg._certified_top
     eigvalsh = np.linalg.eigvalsh
 
     def counting_lanczos(g):
@@ -593,27 +583,40 @@ def test_spectral_norm_routes_by_size(monkeypatch):
         return lanczos_top(g)
 
     def counting_eigvalsh(g):
-        solved.append((type(g), g.dtype, g.shape[0]))
+        solved.append(g.shape[0])
         return eigvalsh(g)
 
     monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
+    monkeypatch.setattr(linalg, "_certified_top", lambda *args: tops.append(certified_top(*args)) or tops[-1])
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rng = np.random.default_rng(18)
-    crossover = linalg._EIGVALSH_MAX_N
-
-    def norm_all(n):
+    sizes = (2, 64, 256, 257)
+    for n in sizes:
         for m in (rng.standard_normal((n, n)), _random_complex(rng, n), _random_stencils(rng, n)[0]):
             assert spectral_norm(m) == pytest.approx(np.linalg.norm(np.asarray(m), 2), rel=1e-12, abs=0)
-
     kinds = [(np.float64, np.ndarray), (np.complex128, np.ndarray), (np.float64, Stencil)]
-    for n in (2, 64, crossover):
-        norm_all(n)
-    assert krylov == []
-    assert solved == [(np.ndarray, dtype, n) for n in (2, 64, crossover) for dtype, _ in kinds]
-    solved.clear()
-    norm_all(crossover + 1)
-    assert all(n == linalg._REFINE_WIDTH for *_, n in solved)  # the Ritz solves on the refinement's block alone
-    assert krylov == [(form, dtype, crossover + 1) for dtype, form in kinds]
+    assert krylov == [(form, dtype, n) for n in sizes for dtype, form in kinds]
+    assert len(tops) == len(krylov) and None not in tops
+    assert solved == [min(n, linalg._REFINE_WIDTH) for n in sizes for _ in kinds]  # one Ritz solve per norm
+
+
+def test_no_default_gram_leaves_the_certified_route(monkeypatch):
+    # the default comm-sweep, both dt-sweep --state runs (FD and spectral) and an h-sweep over
+    # h = 1/32 ... 1/256: every Gram's certificate holds, so none takes the eigvalsh fallback
+    import semitrotter.experiments as ex
+
+    certified, tops = linalg._certified_top, []
+    monkeypatch.setattr(linalg, "_certified_top", lambda *args: tops.append(certified(*args)) or tops[-1])
+    runs = [
+        ("comm-sweep", {}, False, 24),
+        ("dt-sweep", {}, True, 40),
+        ("dt-sweep", {"scheme": "spectral"}, True, 40),
+        ("h-sweep", {"h": "1/32, 1/64, 1/128, 1/256"}, False, 24),
+    ]
+    for name, raw, state, grams in runs:
+        tops.clear()
+        ex.run_experiment(ex.build_config(name, raw, state=state))
+        assert len(tops) == grams and tops.count(None) == 0, (name, raw, tops.count(None))
 
 
 def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch, traced_peak):
@@ -636,7 +639,7 @@ def test_comm_sweep_routes_fd_norms_off_dense_grams(monkeypatch, traced_peak):
     monkeypatch.setattr(linalg, "_lanczos_top", counting_lanczos)
     banded = _banded_values(monkeypatch)
     ex.run_experiment(ex.build_config("comm-sweep", {"h": "1/512, 1/1024"}))
-    assert all(n <= linalg._EIGVALSH_MAX_N for _, n in solved)
+    assert all(n == linalg._REFINE_WIDTH for _, n in solved)  # the Ritz solves alone
     assert len(banded) >= 2 * len(ex.COMM_WORD_LABELS) and None not in banded
     assert krylov == [False] * len(banded)
 
@@ -884,14 +887,14 @@ def _banded_values(monkeypatch):
     return values
 
 
-def _dense_route_norm(monkeypatch, stencil):
-    """The norm the dense Gram's route gives, with the banded path switched off."""
+def _fallback_norm(monkeypatch, m):
+    """The norm the eigvalsh fallback gives, the dense Gram's full eigenvalue solve, with the certificate switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_EIGVALSH_MAX_N", math.inf)
-        return spectral_norm(stencil)
+        patch.setattr(linalg, "_certified_top", lambda gram, factor: None)
+        return spectral_norm(m)
 
 
-# 256 is the last size of the dense route, 257 and 777 are no multiple of the 32-row block
+# 257 and 777 are no multiple of the 32-row block
 @pytest.mark.parametrize("n", [256, 257, 512, 777])
 def test_banded_spectral_norm_matches_svd(monkeypatch, n):
     banded = _banded_values(monkeypatch)
@@ -900,8 +903,7 @@ def test_banded_spectral_norm_matches_svd(monkeypatch, n):
     for s in stencils:
         expected = float(np.linalg.norm(np.asarray(s), 2))
         assert spectral_norm(s) == pytest.approx(expected, rel=1e-13, abs=0)
-    taken = n > linalg._EIGVALSH_MAX_N
-    assert len(banded) == len(stencils) * taken and None not in banded
+    assert len(banded) == len(stencils) and None not in banded
 
 
 def _wrapped_stencil(n):
@@ -916,7 +918,7 @@ def test_banded_certificate_failure_takes_dense_value(monkeypatch):
     # a Ritz value 10 % low leaves sigma I - G indefinite at every widening of sigma
     n = 300
     s = _wrapped_stencil(n)
-    dense = _dense_route_norm(monkeypatch, s)
+    dense = _fallback_norm(monkeypatch, s)
     assert dense == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-13, abs=0)
     factored = []
     banded_factor = linalg._banded_factor
@@ -943,7 +945,7 @@ def test_dense_fallback_that_cannot_fit_raises(monkeypatch):
     # with no factor the Gram would go dense: its two N x N float64 buffers must fit in memory
     n = 300
     s = _wrapped_stencil(n)
-    dense = _dense_route_norm(monkeypatch, s)
+    dense = _fallback_norm(monkeypatch, s)
     _low_lanczos(monkeypatch)
     need = 2 * n * n * 8
     monkeypatch.setattr(linalg, "_physical_memory", lambda: need - 1)
@@ -1006,7 +1008,7 @@ def test_lanczos_on_a_complex_gram_stays_complex():
 
 def test_banded_step_cap_takes_dense_value(monkeypatch):
     s = _wrapped_stencil(300)
-    dense = _dense_route_norm(monkeypatch, s)
+    dense = _fallback_norm(monkeypatch, s)
     monkeypatch.setattr(linalg, "_LANCZOS_MAX_STEPS", 4)
     banded = _banded_values(monkeypatch)
     assert spectral_norm(s) == dense
@@ -1143,7 +1145,7 @@ def test_one_tap_stencil_norm_is_its_largest_tap(monkeypatch, n):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_banded_non_finite_tap_raises(bad):
-    n = linalg._EIGVALSH_MAX_N + 44
+    n = 300
     s = _random_stencils(np.random.default_rng(53), n)[1]
     s.taps[2][7] = bad
     with pytest.raises(ConvergenceError):
@@ -1151,8 +1153,9 @@ def test_banded_non_finite_tap_raises(bad):
 
 
 def test_stencil_spectral_norm_above_crossover():
-    # a complex stencil's Gram above the crossover takes the certified path
-    n = linalg._EIGVALSH_MAX_N + 72
+    # a complex stencil's Gram above the crossover, where its banded certificate costs less than
+    # a full eigenvalue solve of its dense Gram
+    n = 328
     s = _random_stencils(np.random.default_rng(47), n)[1]
     assert spectral_norm(s) == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-10, abs=0)
 
@@ -1187,12 +1190,11 @@ def test_stencil_matrix_adds_taps_that_wrap_onto_each_other():
     assert np.allclose(s.commutator(m), commutator(np.asarray(s), m), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("max_n", [linalg._EIGVALSH_MAX_N, 0], ids=["size-rule", "certified"])
-def test_tiny_grams_match_the_svd(monkeypatch, max_n):
+@pytest.mark.parametrize("certify", [False, True], ids=["fallback", "certified"])
+def test_tiny_grams_match_the_svd(monkeypatch, certify):
     # N = 1 ... 5: real and complex dense matrices, and three-tap stencils (whose offsets meet
-    # mod N below N = 3), by the size rule's route and by the certified pipeline
-    monkeypatch.setattr(linalg, "_EIGVALSH_MAX_N", max_n)
-    certified, tops = linalg._certified_top, []
+    # mod N below N = 3), by the certified pipeline and by the eigvalsh fallback
+    certified, tops = linalg._certified_top if certify else (lambda gram, factor: None), []
     monkeypatch.setattr(linalg, "_certified_top", lambda *args: tops.append(certified(*args)) or tops[-1])
     rng = np.random.default_rng(11)
     for n in range(1, 6):
@@ -1202,4 +1204,4 @@ def test_tiny_grams_match_the_svd(monkeypatch, max_n):
         for op in ops:
             expected = np.linalg.norm(np.asarray(op), 2)
             assert spectral_norm(op) == pytest.approx(expected, rel=1e-15, abs=0), (n, op)
-    assert len(tops) == (20 if max_n == 0 else 0) and None not in tops  # every certificate held
+    assert len(tops) == 20 and tops.count(None) == (0 if certify else 20)  # every certificate held
