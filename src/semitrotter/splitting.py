@@ -32,9 +32,9 @@ Given a matrix M, trotter_step forms U_p(dt)^s M by the route a cost rule picks 
 every N (the evolution cells pass H's real eigenvectors). A short plan, such as the
 default p = 2, runs its s steps' stages, merged where one step meets the next, on a
 complex copy of M, which needs M and that copy alone and no N^3 product; a longer plan
-takes U^s M by binary powering, each multiply written over a power of U, panel by panel.
-Every N x N buffer is Fortran-ordered, the split-step's own layout, so a real M takes one
-real product per panel (linalg.matmul_by_rows), never a complex copy.
+takes U^s by binary powering and then U^s M, each multiply written over its left factor by
+row panels (linalg.matmul_by_rows). Every N x N buffer is Fortran-ordered, the split-step's
+own layout, so a real M takes one real product per panel, never a complex copy.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ def trotter_step(
     - stages, where their FFT pairs cost less than powering's products: the plan's stages,
       repeated steps times and merged where they meet, run on the rows of a complex copy of
       M^T (M and the result alone);
-    - powering: _power builds U, squares it, writes the product with M over a power of U by
-      row panels and applies the odd powers to it by column panels.
+    - powering: _power builds U^steps by squares, each odd factor written over a power of U,
+      and the one product U^steps M is written over U^steps, both by row panels.
     Traced at N = 1024 in complex N x N buffers, with the h-sweep's real eigenvectors as M:
-    1.51 by stages (the h-sweep's p = 2 and 4 cells there); by powering 2.50 at a power of two,
+    1.52 by stages (the h-sweep's p = 2 and 4 cells there); by powering 2.50 at a power of two,
     2.63 at other step counts whose odd part is below 9 (the p = 6 cells, 5 steps) and 3.50 from
     9 on, where a square of U is squared beside the power so far; a complex M adds half a
     buffer. The split-step that builds X runs in a complex identity, so one step of order 1
@@ -134,7 +134,8 @@ def trotter_step(
     if m is not None and _route(plan, n, steps, symmetric) == "stages":
         stages = _merge_adjacent(list(plan.stages) * steps)
         return _by_stages(stages, symbol, potential, dt, m.T.astype(np.complex128, order="C"))
-    return _power(plan, symbol, potential, dt, symmetric, steps, m)
+    u = _power(plan, symbol, potential, dt, symmetric, steps)
+    return u if m is None else linalg.matmul_by_rows(u, m, out=u)
 
 
 def _checked(plan: StagePlan, a_row, potential, steps) -> tuple[np.ndarray, bool, int]:
@@ -177,16 +178,15 @@ def _square(x: np.ndarray, symmetric: bool) -> np.ndarray:
     return (x.T @ x).T if symmetric else (x.T @ x.T).T
 
 
-def _power(plan: StagePlan, symbol, potential, dt: float, symmetric: bool, steps: int, m) -> np.ndarray:
-    """U^steps M, or U^steps when m is None (steps >= 1), by binary powering, each multiply over a power of U.
+def _power(plan: StagePlan, symbol, potential, dt: float, symmetric: bool, steps: int) -> np.ndarray:
+    """U^steps (steps >= 1) by binary powering, each odd factor written over a power of U by row panels.
 
     With steps = 2^j (2r + 1): U is squared j times to X = U^(2^j), each square dropping the
-    one before; where r > 0, Z = X^2 is taken beside X. Row panel i of X M reads row panel i
-    of X alone, so linalg.matmul_by_rows writes X M over X; column panel k of Z W reads column
-    panel k of W alone, so Z is applied over each column panel of W = X M in turn. While r > 3,
-    Z is applied where r's low bit is set and then squared as r is halved; then it is applied r
-    times. So M, two N x N buffers and one N x _PANEL panel are alive, and a third N x N buffer
-    only while Z is squared, for odd parts of 9 on.
+    one before; where r > 0, Z = X^2 is taken beside X. Row panel i of X Z reads row panel i
+    of X alone, so linalg.matmul_by_rows writes X Z over X (X and Z are powers of U, so they
+    commute). While r > 3, Z is applied where r's low bit is set and then squared as r is
+    halved; then it is applied r times. So two N x N buffers and one row panel are alive, and
+    a third N x N buffer only while Z is squared, for odd parts of 9 on.
     """
     x = _step(plan, symbol, potential, dt, symmetric)
     while not steps & 1:
@@ -194,23 +194,14 @@ def _power(plan: StagePlan, symbol, potential, dt: float, symmetric: bool, steps
         steps >>= 1
     r = steps >> 1
     z = _square(x, symmetric) if r else None
-    w = x if m is None else linalg.matmul_by_rows(x, m, out=x)
     while r > 3:
         if r & 1:
-            _by_columns(z, w)
+            linalg.matmul_by_rows(x, z, out=x)
         r >>= 1
         z = _square(z, symmetric)
     for _ in range(r):
-        _by_columns(z, w)
-    return w
-
-
-def _by_columns(z: np.ndarray, w: np.ndarray) -> None:
-    """Writes Z W over W, one N x _PANEL column panel at a time, the panel freed on return."""
-    n, b = w.shape[0], linalg._PANEL
-    panel = np.empty((n, min(b, n)), w.dtype, order="F")
-    for k in range(0, n, b):
-        w[:, k : k + b] = np.matmul(z, w[:, k : k + b], out=panel[:, : min(b, n - k)])
+        linalg.matmul_by_rows(x, z, out=x)
+    return x
 
 
 # An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over
@@ -242,7 +233,7 @@ def _route(plan: StagePlan, n: int, steps: int, symmetric: bool) -> str:
 
 
 def _products(steps: int, symmetric: bool) -> int:
-    """N^3 products of _power given M: a symmetric step's X^T X, the squares, the odd factors and the product with M."""
+    """N^3 products of the powering route given M: a symmetric step's X^T X, the squares, the odd factors and U^s M."""
     return int(symmetric) + steps.bit_length() - 1 + bin(steps).count("1")
 
 

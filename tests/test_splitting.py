@@ -286,10 +286,10 @@ def test_every_route_of_trotter_apply_builds_the_same_w(monkeypatch, scheme, p, 
 
 def test_powering_peaks_by_step_count(monkeypatch, traced_peak):
     # the h-sweep's real eigenvectors V as M at N = 512, V counted, where a panel is 0.25
-    # buffers: X = U^(2^j) and its square Z, the odd part's factor, are built beside V alone,
-    # X V is written over X by row panels and Z is applied to it by column panels, so V, two
-    # buffers and a panel are alive (2.75; 2.50 at 4 steps). Without M it is two buffers and a
-    # panel (2.25)
+    # buffers: X = U^(2^j) and its square Z, the odd part's factor, are built beside V alone and
+    # X Z is written over X by row panels, so V, two buffers and a panel are alive (2.75; 2.50 at
+    # 4 steps, where X is squared beside V); U^s V is then written over U^s, beside V and a panel
+    # alone. Without M it is two buffers and a panel (2.25)
     n = 512
     a, b, h = _operators(h=1.0 / n, n=n)
     v = hermitian_eig(h)[1]
@@ -302,11 +302,12 @@ def test_powering_peaks_by_step_count(monkeypatch, traced_peak):
 
 
 def test_powering_takes_the_products_the_cost_rule_counts(monkeypatch):
-    # every _square, column-panel pass and matmul_by_rows call is one N^3 product of those that
-    # _route prices powering by; without M the product with M is the one not taken
+    # every _square and matmul_by_rows call (an odd factor, or the product with M) is one N^3
+    # product of those that _route prices powering by; without M the product with M is the one
+    # not taken
     a, b, _ = _operators(n=16)
     calls = []
-    for owner, name in ((splitting, "_square"), (splitting, "_by_columns"), (linalg, "matmul_by_rows")):
+    for owner, name in ((splitting, "_square"), (linalg, "matmul_by_rows")):
         kernel = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, kernel=kernel, **kw: calls.append(1) or kernel(*args, **kw))
     monkeypatch.setattr(splitting, "_route", lambda *args: "powering")
@@ -316,6 +317,20 @@ def test_powering_takes_the_products_the_cost_rule_counts(monkeypatch):
                 calls.clear()
                 trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=m)
                 assert len(calls) == splitting._products(steps, symmetric) - (m is None), (p, steps, m is None)
+
+
+def test_powering_is_the_step_power_then_one_product_with_m(monkeypatch):
+    # the powering route builds U^s as it does without M, then writes U^s M over it: bit for bit
+    # the step power times M by one matmul_by_rows, for a real and a complex M
+    n = 64
+    a, b, h = _operators(h=1.0 / n, n=n)
+    rng = np.random.default_rng(44)
+    ms = (hermitian_eig(h)[1], rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    monkeypatch.setattr(splitting, "_route", lambda *args: "powering")
+    for p, steps, m in itertools.product((1, 2, 4, 6), (1, 2, 3, 5, 9, 27, 32), ms):
+        u = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps)
+        w = trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.1, steps, m=m)
+        assert np.array_equal(w, linalg.matmul_by_rows(u, m, out=u)), (p, steps, m.dtype)
 
 
 def test_routes_of_the_default_sweeps():
@@ -426,7 +441,7 @@ def test_trotter_step_unitary():
         assert unitarity_defect(trotter_step(suzuki_plan(p), a[0], np.diag(b), 0.25)) <= 1e-10
 
 
-def test_exact_unitary_properties():
+def test_unitary_exp_properties():
     _, _, h = _operators(n=32)
     assert np.allclose(unitary_exp(h, 0.0), np.eye(32), atol=1e-12)
     u = unitary_exp(h, 0.4)
