@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
-Subcommands: dt-sweep, h-sweep, comm-sweep, beta, verify-symbolic.
-Each takes --config <path> (defaults apply when omitted) and --out <dir>
-and writes CSV plus SVG artifacts there. Exit codes: 0 on success, 2 on
-a configuration error, an output that cannot be written or a run out of
-memory, 3 on a numerical-convergence failure. Sweeps run their jobs one
-after another; BLAS supplies the threads.
+Subcommands: dt-sweep, h-sweep, comm-sweep, beta, verify-symbolic. Each takes
+--config <path> (defaults apply when omitted) and --out <dir> and writes CSV plus SVG
+artifacts there. Exit codes: 0 on success, 2 on a configuration error, an output that
+cannot be written or a run out of memory, 3 on a numerical-convergence failure. Sweeps
+run their jobs one after another; the split-step runs its rows on one thread per usable
+CPU, and BLAS threads the matrix products.
 
 Plots and printed slope fits leave out zero-valued points (the CSV keeps
 them). A list the sweep holds fixed (h, dt or orders) must have one value.

@@ -28,19 +28,21 @@ X = u_{m+1}^{1/2} u_m ... u_1 (no middle factor when l = 2m is even): half
 the stages and one symmetric product build the step, and its power
 squares as U^T U.
 
-Given a matrix M, trotter_step forms U_p(dt)^s M by the route a cost rule picks at
-every N (the evolution cells pass H's real eigenvectors). A short plan, such as the
-default p = 2, runs its s steps' stages, merged where one step meets the next, on a
-complex copy of M, which needs M and that copy alone and no N^3 product; a longer plan
-takes U^s by binary powering and then U^s M, each multiply written over its left factor by
-row panels (linalg.matmul_by_rows). Every N x N buffer is Fortran-ordered, the split-step's
-own layout, so a real M takes one real product per panel, never a complex copy.
+Given a matrix M, trotter_step forms U_p(dt)^s M by the route a cost rule picks at every N (the
+evolution cells pass H's real eigenvectors). A short plan, such as the default p = 2, runs its s
+steps' stages, merged where one step meets the next, on a complex copy of M, which needs M and that
+copy alone and no N^3 product; a longer plan takes U^s by binary powering and then U^s M, each
+multiply written over its left factor by row panels (linalg.matmul_by_rows). Every N x N buffer is
+Fortran-ordered, the split-step's own layout, so a real M takes one real product per panel, never a
+complex copy. The split-step runs one row block per usable CPU, with the same bits at any count.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +121,7 @@ def trotter_step(
     2.63 at other step counts whose odd part is below 9 (the p = 6 cells, 5 steps) and 3.50 from
     9 on, where a square of U is squared beside the power so far; a complex M adds half a
     buffer. The split-step that builds X runs in a complex identity, so one step of order 1
-    without M is that one buffer (1.01; 1.51 with a real identity copied to complex).
+    without M is that one buffer at every worker count (1.01; 1.51 from a real identity copied).
     """
     symbol, symmetric, steps = _checked(plan, a_row, potential, steps)
     n = symbol.size
@@ -204,20 +206,19 @@ def _power(plan: StagePlan, symbol, potential, dt: float, symmetric: bool, steps
     return x
 
 
-# An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over
-# the rows of an N x N matrix. Medians on 2-core x86-64 (OpenBLAS 0.3.31, numpy's pocketfft):
-# a pair took 0.26, 1.14 and 5.30 ms at N = 256, 512 and 1024, a zgemm 0.63, 4.96 and 38.4 ms
-# and a zsyrk 0.62, 3.58 and 25.9 ms, 2.4, 3.7 and 6.1 pairs per product on average, against
-# 2.3, 4.1 and 7.3 by this rule; a B stage costs a tenth of a pair and is left out. The
-# default p = 2 cell of 5 steps takes 6 pairs by stages against 5 products, and p = 4 takes 26
-# against 5, so p = 2 runs by stages from N = 128 on, by powering below, and p = 4 from N =
-# 1024 on. Routes forced at 5 steps (medians of five): at N = 1024 p = 4 took 142 ms by stages
-# against 182 ms by powering, at N = 512 32 ms against 24 ms, and at N = 2048 (medians of
-# three) 0.71 s against 1.39 s; p = 2 took 33 ms by stages against 160 ms by powering at N =
-# 1024. Below N = 256 (medians of 41): at N = 64, p = 2 of 2 steps 0.09 ms by stages against
-# 0.11 ms by powering, of 5 steps 0.16 against 0.11 ms; at N = 128, of 5 steps 0.50 ms against
-# 0.89 ms, and of 4 steps 0.73-0.81 ms against 1.01-1.04 ms (two runs on a busier machine).
-# Every constant from 12.4 up to but not including 16 picks the faster route in each of these.
+# An N x N product costs about N / (_FFT_PAIRS_LOG2 log2 N) FFT pairs with their phases over the rows
+# of an N x N matrix; a B stage costs a tenth of a pair and is left out. The default p = 2 cell of 5
+# steps takes 6 pairs by stages against 5 products, and p = 4 takes 26 against 5, so p = 2 runs by
+# stages from N = 128 on, by powering below, and p = 4 from N = 1024 on. Medians on 2-core x86-64
+# (OpenBLAS 0.3.31, numpy's pocketfft), one split-step worker against two: a pair took 0.93 and 0.55 ms
+# at N = 256, 2.45 and 1.27 ms at 512, 12.3 and 6.2 ms at 1024; a zgemm 1.57, 7.24 and 56.3 ms and a
+# zsyrk 1.37, 6.08 and 39.1 ms, 2.7, 5.2 and 7.7 two-worker pairs per product on average, against 2.3,
+# 4.1 and 7.3 by this rule. Routes forced at 5 steps, alternating as in a sweep: p = 4 took 240 ms by
+# stages against 283 ms by powering at N = 1024, and 66 ms against 42 ms at N = 512, where right after
+# a BLAS product two workers ran no faster than one. Below N = 256, which runs one worker (medians of
+# 41): at N = 64, p = 2 of 2 steps 0.09 ms by stages against 0.11 ms by powering, of 5 steps 0.16
+# against 0.11 ms; at N = 128, of 5 steps 0.50 ms against 0.89 ms, and of 4 steps 0.73-0.81 ms against
+# 1.01-1.04 ms. Every constant from 12.4 up to but not including 16 picks the faster route in each.
 _FFT_PAIRS_LOG2 = 14
 
 
@@ -237,22 +238,46 @@ def _products(steps: int, symmetric: bool) -> int:
     return int(symmetric) + steps.bit_length() - 1 + bin(steps).count("1")
 
 
+# The split-step's workers, one per CPU this process may run on, each with _MIN_ROWS rows at least: on 2-core
+# x86-64, a stage pair took 0.18 ms in two blocks of 64 rows against 0.14 ms in one, 0.36 against 0.49 ms at 128.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_MIN_ROWS = 128
+
+
 def _by_stages(stages, symbol: np.ndarray, potential: np.ndarray, dt: float, w_t: np.ndarray) -> np.ndarray:
     """u_k ... u_1 M, Fortran-ordered, for w_t = M^T as a C-ordered complex array, whose rows the stages run on.
 
     The caller's w_t is the one buffer: the transpose is taken so that the FFTs run along
     contiguous rows, each stage written over w_t; the inverse FFTs run unnormalized, with 1/N
     folded into the A phases; scaling by a power of two is exact, so at power-of-two N this
-    changes no bit. Returns w_t's transpose.
+    changes no bit. Each worker runs every stage on its own rows (the first in the calling thread),
+    so any count gives the same bits, and an error in any block is raised. Returns w_t's transpose.
     """
     n = symbol.size
-    for c, g in stages:
-        if g == "A":
-            np.fft.fft(w_t, axis=1, out=w_t)
-            w_t *= np.exp(-1j * (c * dt) * symbol) / n
-            np.fft.ifft(w_t, axis=1, out=w_t, norm="forward")
-        else:
-            w_t *= np.exp(-1j * (c * dt) * potential)
+
+    def run(rows):
+        size = np.setbufsize(16)  # below a row, so a phase product takes no buffer of its own
+        try:
+            for c, g in stages:
+                if g == "A":
+                    np.fft.fft(rows, axis=1, out=rows)
+                    rows *= np.exp(-1j * (c * dt) * symbol) / n
+                    np.fft.ifft(rows, axis=1, out=rows, norm="forward")
+                else:
+                    rows *= np.exp(-1j * (c * dt) * potential)
+        except BaseException as exc:  # its rows are not transformed: the buffer must not pass for a result
+            failed.append(exc)
+        np.setbufsize(size)
+
+    blocks, failed = np.array_split(w_t, max(1, min(_WORKERS, n // _MIN_ROWS))), []
+    threads = [threading.Thread(target=run, args=(rows,)) for rows in blocks[1:]]
+    for thread in threads:
+        thread.start()
+    run(blocks[0])
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return w_t.T
 
 

@@ -506,9 +506,13 @@ def test_csv_determinism_across_runs(tmp_path):
         assert f1.read() == f2.read()
 
 
-def test_h_sweep_csv_determinism_at_defaults(default_h_sweep):
+def test_h_sweep_csv_determinism_at_defaults(default_h_sweep, monkeypatch):
     # N = 256 ... 1024 take the Lanczos norm, whose start must not depend on earlier calls;
-    # a second full run, through the library, against the session's run through the CLI
+    # a second full run, through the library with one split-step worker, against the session's
+    # run through the CLI with the default count
+    from semitrotter import splitting
+
+    monkeypatch.setattr(splitting, "_WORKERS", 1)
     _, csv_bytes = default_h_sweep
     assert rows_to_csv(run_experiment(build_config("h-sweep"))).encode("utf-8") == csv_bytes
 

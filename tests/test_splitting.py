@@ -3,11 +3,13 @@
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from semitrotter import linalg, splitting
+from semitrotter.cli import main
 from semitrotter.discretize import Grid, SchemeKind
 from semitrotter.expr import parse_expr
 from semitrotter.linalg import (
@@ -486,13 +488,61 @@ def test_order_condition_slopes():
         assert slope >= p - 0.3
 
 
-def test_split_step_builds_x_in_one_buffer(traced_peak):
+def test_split_step_builds_x_in_one_buffer(monkeypatch, traced_peak):
     # order 1's step at N = 512 is the split-step's X itself: its stages run in the complex
     # identity they start from, one buffer; a real identity copied to complex held a half more (1.50)
     n = 512
     a, b, _ = _operators(h=1.0 / n, n=n)
     a_row, potential = a[0].copy(), np.diag(b).copy()
     del a, b
-    step, peak = traced_peak(trotter_step, suzuki_plan(1), a_row, potential, 0.1)
-    assert step.shape == (n, n)
-    assert peak <= 1.05 * 16 * n**2, peak / (16 * n**2)
+    for workers in (1, 2, 4):  # each worker's phase products run row by row, with no buffer of their own
+        monkeypatch.setattr(splitting, "_WORKERS", workers)
+        step, peak = traced_peak(trotter_step, suzuki_plan(1), a_row, potential, 0.1)
+        assert step.shape == (n, n)
+        assert peak <= 1.05 * 16 * n**2, (workers, peak / (16 * n**2))
+
+
+def test_a_worker_failure_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    # the inverse FFT runs out of memory in every row block but the calling thread's: a block left
+    # untransformed would be a plausible but wrong number, so the error is raised in the caller,
+    # which the CLI turns into exit code 2 as for any run out of memory
+    ifft = np.fft.ifft
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("a worker's block")
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", failing)
+    monkeypatch.setattr(splitting, "_WORKERS", 2)
+    n = 512
+    a, b, _ = _operators(h=1.0 / n, n=n)
+    with pytest.raises(MemoryError, match="a worker's block"):
+        trotter_step(suzuki_plan(2), a[0], np.diag(b), 0.1)
+    config = tmp_path / "h.cfg"
+    config.write_text("h = 1/512\n", encoding="utf-8")
+    assert main(["h-sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "out of memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", (256, 300, 1000, 1024))
+def test_every_worker_count_gives_the_same_bits(monkeypatch, n):
+    # every row takes the same operations whatever the split, so more workers (blocks of 128 rows
+    # at least: two at N = 256 and 300, three uneven ones at N = 1000 and 1024) give one worker's
+    # bits on both routes, with and without a real M, and for a complex Hermitian A, whose step
+    # squares as X X. At N = 1000 and 1024, p = 6 and powering with M, which is U^s and one product
+    # (test_powering_is_the_step_power_then_one_product_with_m), are left out for time
+    a, b, _ = _operators(h=1.0 / n, n=n)
+    rng = np.random.default_rng(n)
+    even, odd, real_m = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal((n, n))
+    complex_row = linalg.circulant((even + np.roll(even[::-1], 1)) + 1j * (odd - np.roll(odd[::-1], 1)))[0]
+    small = n < 1000
+    cases = [(p, a[0]) for p in (1, 2, 4, 6)[: 4 if small else 3]] + [(4, complex_row)]
+    routes = (("stages", real_m), ("powering", None), ("powering", real_m))[: 3 if small else 2]
+    for (p, a_row), (route, m) in itertools.product(cases, routes):
+        monkeypatch.setattr(splitting, "_route", lambda *args, route=route: route)
+        results = []
+        for workers in (1, 2, 3, 4) if small else (1, 3, 4):
+            monkeypatch.setattr(splitting, "_WORKERS", workers)
+            results.append(trotter_step(suzuki_plan(p), a_row, np.diag(b), 0.1, 1, m=m))
+        assert all(np.array_equal(w, results[0]) for w in results[1:]), (p, route, m is None, a_row.dtype)
