@@ -16,12 +16,11 @@ Lanczos from a seeded random start gives theta <= lambda_max, also where that ei
 degenerate (as for the sweeps' commutator and unitary matrices), since a random start has a
 nonzero component in the top eigenspace with probability one (Kuczynski & Wozniakowski, SIAM J.
 Matrix Anal. Appl. 13, 1992); a Cholesky factor of sigma I - G, sigma = theta (1 + tau), proves
-lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few eps. A
-form supplies only its factor, one block Cholesky on two patterns, and one block substitution
-solves with either: a dense Gram's is made in its own buffer, and a banded Gram of half-width w,
-rows reordered 0, N - 1, 1, N - 2, ..., is a plain band of half-width 2w, factored in O(N w^2).
-Where no shift factors, the dense Gram's eigenvalues are solved after all. So no value rests on
-an iteration having converged.
+lambda_max <= sigma, and shift-invert with that factor reads lambda_max within a few eps. One
+block Cholesky loop makes that factor for both forms: a dense Gram's in its own buffer, and a
+banded Gram of half-width w, rows reordered 0, N - 1, 1, N - 2, ..., as a plain band of
+half-width 2w, in O(N w^2). Where no shift factors, the dense Gram's eigenvalues are solved after
+all. So no value rests on an iteration having converged.
 """
 
 from __future__ import annotations
@@ -264,7 +263,7 @@ def matmul_by_rows(z: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-# Columns per panel of a dense Gram (_dense_gram), rows per panel of its factor (_dense_factor).
+# Columns per panel of a dense Gram (_dense_gram), rows per block of its factor (_block_cholesky).
 # On an N = 1024 h-sweep [O, W - I] (same machine, medians of nine), panels of 64, 96, 128 and
 # 192 columns built the Gram in 79-99, 79-94, 85-94 and 81-87 ms, against 117-129 ms for the
 # full product, and factored in 75, 77, 72 and 79 ms (92 ms at 256, 80-88 ms for
@@ -287,8 +286,7 @@ def spectral_norm(m) -> float:
       c_q[j - r], in O(taps^2 N), and keeps it banded;
     - a dense M forms its Gram by panels (_dense_gram), the one N x N buffer made beside M;
     - every Gram, dense or banded, real or complex, of any size, is certified (_certified_top)
-      with the factor of its folded band (_banded_factor) or one made in the dense Gram's
-      buffer (_dense_factor);
+      with one block Cholesky (_block_cholesky), of its folded band or in the dense Gram's buffer;
     - a Gram that no shift factors takes a full eigenvalue solve of the dense Gram, exact to
       O(N eps) relative (the top eigenvalue of a PSD matrix is backward-stable);
       ConvergenceError where a stencil's dense Gram and eigvalsh's working copy would not fit
@@ -312,8 +310,7 @@ def spectral_norm(m) -> float:
     del m  # frees a copy that as_matrix made of the input (another dtype, a list)
     try:
         banded = isinstance(gram, Stencil)
-        factor = partial(_banded_factor if banded else _dense_factor, gram)
-        top = _certified_top(gram, factor)
+        top = _certified_top(gram, partial(_block_cholesky, gram))
         if top is None:
             need = 2 * gram.shape[0] ** 2 * gram.dtype.itemsize  # the dense Gram and eigvalsh's working copy
             if banded and need > _physical_memory():
@@ -407,8 +404,8 @@ def _certified_top(gram, factor) -> float | None:
 
     Lanczos gives theta <= lambda_max, converged or not. factor(sigma) returns the solve of a
     Cholesky factor of sigma I - G, proving lambda_max <= sigma, or raises LinAlgError; sigma =
-    theta (1 + k tau) for each k in _WIDENINGS in turn. Inverse iteration with that solve from a
-    seeded N x 16 block magnifies the top of the spectrum by 1 / (sigma - lambda); the top Ritz
+    theta (1 + k tau) for each k in _WIDENINGS in turn. One inverse iteration with that solve from
+    a seeded N x 16 block magnifies the top of the spectrum by 1 / (sigma - lambda); the top Ritz
     value mu of (sigma I - G)^-1 on the block gives rho = sigma - 1 / mu <= lambda_max, on it to
     rounding (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11), where theta may sit in a
     rounding-split top cluster (3.5e-12 low on the h-sweep's W - I). Returns max(theta, rho).
@@ -424,65 +421,81 @@ def _certified_top(gram, factor) -> float | None:
             continue
     else:
         return None
-    x = _seeded((gram.shape[0], _REFINE_WIDTH), gram)
-    for _ in range(_REFINE_STEPS - 1):
-        x = np.linalg.qr(solve(x))[0]
+    x = np.linalg.qr(solve(_seeded((gram.shape[0], _REFINE_WIDTH), gram)))[0]  # a second iteration would cover a top cluster with no gap
     mu = float(np.linalg.eigvalsh(x.conj().T @ solve(x))[-1])
     return max(theta, sigma - 1.0 / mu)
 
 
-def _dense_factor(gram: np.ndarray, sigma: float):
-    """_block_solve with a Cholesky factor U^dagger U of sigma I - G made in G's buffer; LinAlgError unless it is positive definite.
+def _block_cholesky(gram, sigma: float):
+    """_block_solve with a Cholesky factor U^dagger U of sigma I - G; LinAlgError unless it is positive definite.
 
-    G is read from its lower triangle, never written: a wider shift starts again from it, and
-    where no shift factors eigvalsh still reads G. U is made by panels of _PANEL rows, in place
-    of G's mirror image (left-looking; Golub & Van Loan, Matrix Computations, sec. 4.2): a panel
-    takes away the product of U's rows above it, then its diagonal block L L^dagger is factored
-    and the rows right of it multiplied by L^-1, taken once per panel. _block_solve multiplies
-    by these inverses already; a diagonal block of sigma I - G has a condition number at most
-    that of sigma I - G, about 1 / tau, so cond(L) <= tau^(-1/2), about 1e5 (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 14). The updates and the products go by square _PANEL
-    blocks, U's rows above the panel conjugated in place while the rows right of it read them,
-    so beside G no more than four _PANEL x _PANEL blocks are alive (0.22 complex N x N buffers
-    at N = 512, where N x _PANEL products, conjugate copies and solve outputs held 0.50). No
-    panel reads an earlier diagonal block, so each is kept as its inverse U_ii^-1 = L^-dagger,
-    for the solve alone: its diagonal in an N-vector until every panel has factored.
+    One left-looking block Cholesky for both forms (Golub & Van Loan, Matrix Computations, sec.
+    4.2-4.3). Block row i of sigma I - G, over its diagonal block and the columns right of it,
+    takes away U[j, .]^dagger U[j, .] for each earlier block row j that reaches them; its diagonal
+    block L L^dagger is factored and the rest multiplied by L^-1, taken once per block (cond(L) <=
+    tau^(-1/2); Higham, Accuracy and Stability of Numerical Algorithms, ch. 14). The forms differ
+    in where blocks end, how a row is read and which earlier rows reach it:
+    - dense: _PANEL rows, and every earlier row; U is made in place of G's mirror image, and G,
+      read from its lower triangle, is never written, so a wider shift and eigvalsh still read it;
+    - banded of half-width w: rows folded by P (_fold) make a plain band of half-width 2w, so with
+      b = max(_BLOCK, 2w) rows only the block above reaches: U is block bidiagonal, O(N b^2) work,
+      its rows scattered from the folded taps in O(N b) storage. The solve undoes P.
+    Updates and products go by square blocks, so beside a dense G at most four _PANEL x _PANEL
+    blocks are alive (0.22 complex N x N buffers at N = 512). Each diagonal block is kept as
+    U_ii^-1 = L^-dagger, its diagonal in an N-vector until every block has factored.
     """
-    n = gram.shape[0]
-    blocks = [slice(start, min(start + _PANEL, n)) for start in range(0, n, _PANEL)]
-    diagonal = np.empty(n)
-    product = np.empty((min(_PANEL, n),) * 2, gram.dtype)
+    if isinstance(gram, Stencil):
+        n, b = gram.n, max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
+        fold = _fold(n)
+        unfold = np.argsort(fold)
+        cols = unfold[(fold + np.array(list(gram.taps))[:, None]) % n]  # tap t of folded row p sits in folded column cols[t, p]
+        taps = np.array([g[fold] for g in gram.taps.values()], gram.dtype)
+        starts = np.arange(n) // b * b  # the first row of each row's block
+        t, p = np.nonzero(cols >= starts)  # the taps on and right of the diagonal blocks
+        rows = np.zeros((n, min(2 * b, n)), gram.dtype)  # each block row from its first column on
+        rows[p, cols[t, p] - starts[p]] = taps[t, p]
+
+        def read(block, factor):  # G's block row, and U's block row above, which reaches its diagonal block alone
+            return rows[block, : n - block.start], factor[-1][2] if factor else rows[:0, :0]
+    else:
+        n, b = gram.shape[0], _PANEL
+        fold = unfold = slice(None)
+
+        def read(block, factor):  # G's block row, right of the diagonal block its mirror made by square blocks; U's rows above
+            for j in range(block.stop, n, b):
+                np.conjugate(gram[j : j + b, block].T, out=gram[block, j : j + b])
+            return gram[block, block.start :], gram[: block.start, block.start :]
+
+    blocks = [slice(start, min(start + b, n)) for start in range(0, n, b)]
+    diagonal, factor, product = np.empty(n), [], np.empty((min(b, n),) * 2, gram.dtype)
+    lower = np.tri(min(b, n), dtype=bool)
     for block in blocks:  # each square block is dropped once read
-        start, stop = block.start, block.stop
-        lower_part = np.tri(stop - start, dtype=bool)
-        d = np.conjugate(gram[block, block].T)  # upper triangle: the mirror of G's lower one
-        np.copyto(d, gram[block, block], where=lower_part)
-        np.negative(d, out=d)
-        d[np.diag_indices(stop - start)] += sigma
-        update = product[: stop - start]
-        above = gram[:start, block]  # the factor's rows above the panel
-        for i in range(0, start, _PANEL):  # take away their product, by square blocks
-            d -= np.matmul(above[i : i + _PANEL].conj().T, above[i : i + _PANEL], out=update[:, : stop - start])
-        lower = np.linalg.cholesky(d)  # U's diagonal block is its conjugate transpose
+        row, above = read(block, factor)  # of the row's diagonal block, only the lower half is read
+        size = block.stop - block.start
+        g, left = row[:, :size], above[:, :size]
+        d = np.negative(g)
+        d.flat[:: size + 1] += sigma
+        for i in range(0, len(above), b):  # take away the products of U's rows above, by square blocks
+            d -= np.matmul(left[i : i + b].conj().T, left[i : i + b], out=product[:size, :size])
+        if above.shape[1] > size:  # the dense rows above reach past the diagonal block, the band's do not
+            np.conjugate(left, out=left)  # conjugated in place while the rest of the row reads them
+            for j in range(size, above.shape[1], b):
+                row[:, j : j + b] += np.matmul(left.T, above[:, j : j + b], out=product[:size, : min(b, above.shape[1] - j)])
+            np.conjugate(left, out=left)
+        d = np.linalg.cholesky(d)  # L, from d's lower half alone; U's diagonal block is its conjugate transpose
+        inverse = np.linalg.inv(d.T)  # L^-T: no pivot moves a row of a triangle
         del d
-        inverse = np.linalg.inv(lower.T)  # L^-T: no pivot moves a row of a triangle
-        del lower
-        np.conjugate(above, out=above)  # conjugated in place while the rows right of it read it
-        for j in range(stop, n, _PANEL):  # those rows by square blocks: G's mirror, less the update, times -L^-1
-            right = gram[block, j : j + _PANEL]
-            np.conjugate(gram[j : j + _PANEL, block].T, out=right)
-            out = update[:, : right.shape[1]]
-            if start:
-                right += np.matmul(above.T, gram[:start, j : j + _PANEL], out=out)
-            np.negative(np.matmul(inverse.T, right, out=out), out=right)
-        np.conjugate(above, out=above)
-        np.conjugate(inverse, out=inverse)  # U_ii^-1 = L^-dagger, for the solve alone
-        np.copyto(gram[block, block], inverse, where=~lower_part)
+        for j in range(size, row.shape[1], b):  # the rest of the row, G's less the update, times -L^-1
+            part = row[:, j : j + b]
+            np.negative(np.matmul(inverse.T, part, out=product[:size, : part.shape[1]]), out=part)
+        np.copyto(g, inverse.conj(), where=~lower[:size, :size])  # U_ii^-1 = L^-dagger
         diagonal[block] = inverse.diagonal().real
         del inverse
-    for block in blocks:  # every panel factored: G is read no more
-        gram[block, block] = np.triu(gram[block, block], 1) + np.diag(diagonal[block])
-    return _block_solve([(block, gram[block, block], gram[block, block.stop :], slice(block.stop, n)) for block in blocks])
+        factor.append((block, g, row[:, size:], slice(block.stop, block.start + row.shape[1])))
+    for block, g, _, _ in factor:  # every block factored: G is read no more
+        np.copyto(g, np.diag(diagonal[block]), where=lower[: len(g), : len(g)])
+    solve = _block_solve(factor)
+    return lambda y: solve(y[fold])[unfold]
 
 
 def _block_solve(factor):
@@ -512,10 +525,6 @@ _BLOCK = 32
 # Columns of the shift-invert block: the sweeps' words have up to 8 top singular values
 # within 5e-13 of each other (then a 5 % gap), and the block must hold that cluster.
 _REFINE_WIDTH = 16
-# Solves with the factor: one inverse iteration, each scaling the share of an eigenvalue d
-# below the shift by (sigma - lambda_max) / d, then the Ritz quotient's. That read the sweeps'
-# matrices within 4e-15 of an SVD; a second iteration would cover a top cluster with no gap.
-_REFINE_STEPS = 2
 _WIDENINGS = (1, 4, 16)  # the certificate's shift is theta (1 + k tau), each k tried in turn
 
 
@@ -523,40 +532,6 @@ def _fold(n: int) -> np.ndarray:
     """The rows 0, N - 1, 1, N - 2, ...: (P M P^T)[p, q] = M[fold[p], fold[q]]."""
     p = np.arange(n)
     return np.where(p % 2, n - 1 - p // 2, p // 2)
-
-
-def _banded_factor(gram: Stencil, sigma: float):
-    """_block_solve with a Cholesky factor U^dagger U of P (sigma I - G) P^T, P the fold; LinAlgError unless it is positive definite.
-
-    The fold puts rows i and i + k mod N at most 2|k| apart, so G's taps make it a plain band
-    of half-width b = max(_BLOCK, 2w) (Golub & Van Loan, Matrix Computations, sec. 4.3). Its
-    rows split into blocks of b rows, the last taking the remainder, so U is block bidiagonal:
-    O(N b^2) work, one dense block where b >= N. Each block takes _dense_factor's steps on that
-    pattern, its coupling U[i - 1, i] a product with the inverse above. The solve works on P Y, then undoes P.
-    """
-    n = gram.n
-    b = max(_BLOCK, 2 * max(abs(k) for k in gram.taps))
-    fold = _fold(n)
-    unfold = np.argsort(fold)
-    offsets = np.array(list(gram.taps))[:, None]
-    cols = unfold[(fold + offsets) % n]  # tap t of folded row p sits in folded column cols[t, p]
-    taps = np.array([g[fold] for g in gram.taps.values()], gram.dtype)
-    blocks = [slice(start, min(start + b, n)) for start in range(0, n, b)]
-    inverses, rights = [], []  # U_ii^-1, and U[i, i + 1] for every block but the last
-    for block in blocks:
-        start, stop, lo = block.start, block.stop, max(block.start - b, 0)
-        t, i = np.nonzero(cols[:, block] < stop)  # the entries left of the next block
-        rows = np.zeros((stop - start, stop - lo), gram.dtype)
-        rows[i, cols[t, start + i] - lo] = -taps[t, start + i]
-        d = rows[:, start - lo :]
-        d[np.diag_indices(stop - start)] += sigma
-        if start:  # U[i - 1, i] = U_{i-1}^-dagger (sigma I - G)[i - 1, i] = ((sigma I - G)[i, i - 1] U_{i-1}^-1)^dagger
-            rights.append((rows[:, : start - lo] @ inverses[-1]).conj().T)
-            d -= rights[-1].conj().T @ rights[-1]
-        inverses.append(np.linalg.inv(np.linalg.cholesky(d).conj().T))  # U_ii^-1; U_ii is L^dagger
-    rights.append(np.empty((stop - start, 0), gram.dtype))  # no rows right of the last block
-    solve = _block_solve(list(zip(blocks, inverses, rights, blocks[1:] + [slice(n, n)])))
-    return lambda y: solve(y[fold])[unfold]
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -429,12 +429,12 @@ def test_certificate_failure_reads_exact_top_eigenvalue(monkeypatch):
     assert linalg._lanczos_top(gram) <= top * (1 + 1e-14)
     factored = _recording_cholesky(monkeypatch)
     shifted = gram.copy()
-    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) == pytest.approx(top, rel=1e-14)
+    assert linalg._certified_top(shifted, partial(linalg._block_cholesky, shifted)) == pytest.approx(top, rel=1e-14)
     assert factored == [True] * -(-n // linalg._PANEL)
     _low_lanczos(monkeypatch)
     factored.clear()
     shifted = gram.copy()
-    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) is None
+    assert linalg._certified_top(shifted, partial(linalg._block_cholesky, shifted)) is None
     attempt = factored[: len(factored) // len(linalg._WIDENINGS)]
     assert attempt[-1] is False and all(attempt[:-1]) and factored == attempt * len(linalg._WIDENINGS)
     assert np.array_equal(np.tril(shifted), np.tril(gram))
@@ -452,21 +452,48 @@ def test_blocked_certificate_at_several_panels(monkeypatch, dtype):
     top = float(np.linalg.eigvalsh(gram)[-1])
     y = rng.standard_normal((n, 3)).astype(dtype)
     for sigma in (1.01 * top, 2.0 * top):  # the factor's solve, across five panels
-        x = linalg._dense_factor(gram.copy(), sigma)(y)
+        x = linalg._block_cholesky(gram.copy(), sigma)(y)
         expected = np.linalg.solve(sigma * np.eye(n) - gram, y)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     # a stencil's Gram at N = 300: the folded band's factor and the dense one solve alike
     stencil = _band_gram(rng, 300, 5, complex_taps=dtype == np.complex128)
     sigma = 1.01 * float(np.linalg.eigvalsh(np.asarray(stencil))[-1])
-    banded = linalg._banded_factor(stencil, sigma)(y[:300])
-    dense = linalg._dense_factor(np.asarray(stencil), sigma)(y[:300])
+    banded = linalg._block_cholesky(stencil, sigma)(y[:300])
+    dense = linalg._block_cholesky(np.asarray(stencil), sigma)(y[:300])
     assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
     shifted = gram.copy()
-    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) == pytest.approx(top, rel=1e-14)
+    assert linalg._certified_top(shifted, partial(linalg._block_cholesky, shifted)) == pytest.approx(top, rel=1e-14)
     _low_lanczos(monkeypatch)
     shifted = gram.copy()
-    assert linalg._certified_top(shifted, partial(linalg._dense_factor, shifted)) is None
+    assert linalg._certified_top(shifted, partial(linalg._block_cholesky, shifted)) is None
     assert np.array_equal(np.tril(shifted), np.tril(gram))
+
+
+# dense panels of 128 rows and band blocks of 32 (w = 5) or 40 (w = 20) rows end on different rows
+@pytest.mark.parametrize("n", [127, 128, 129, 257])
+@pytest.mark.parametrize("w", [5, 20])
+@pytest.mark.parametrize("complex_taps", [False, True])
+def test_one_gram_through_both_forms_at_block_edges(n, w, complex_taps):
+    rng = np.random.default_rng(10 * n + w)
+    stencil = _band_gram(rng, n, w, complex_taps)
+    taps = {r: c.copy() for r, c in stencil.taps.items()}
+    gram = np.asarray(stencil)
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    y = rng.standard_normal((n, 3)) + (1j * rng.standard_normal((n, 3)) if complex_taps else 0.0)
+    fresh = linalg._block_cholesky(gram.copy(), 1.01 * top)(y)
+    banded = linalg._block_cholesky(stencil, 1.01 * top)(y)
+    assert np.linalg.norm(banded - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    dense = gram.copy()
+    for form in (stencil, dense):
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._block_cholesky(form, 0.9 * top)
+    assert stencil.taps.keys() == taps.keys() and all(np.array_equal(stencil.taps[r], c) for r, c in taps.items())
+    assert np.array_equal(np.tril(dense), np.tril(gram))
+    assert np.array_equal(linalg._block_cholesky(dense, 1.01 * top)(y), fresh)  # the failed attempt left nothing it reads
+    # the dense factor reads G's lower triangle alone, whatever its upper one holds
+    poisoned = gram.copy()
+    poisoned[np.triu_indices(n, 1)] = np.nan
+    assert np.array_equal(linalg._block_cholesky(poisoned, 1.01 * top)(y), fresh)
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -486,7 +513,7 @@ def test_certificate_fails_in_its_last_block_only(monkeypatch, dtype):
     factored = _recording_cholesky(monkeypatch)
     shifted = gram.copy()
     with pytest.raises(np.linalg.LinAlgError):
-        linalg._dense_factor(shifted, 0.9 * top * (1.0 + linalg._TAU))
+        linalg._block_cholesky(shifted, 0.9 * top * (1.0 + linalg._TAU))
     assert factored == [True] * (n // linalg._PANEL) + [False]
     assert np.array_equal(np.tril(shifted), np.tril(gram))
     assert float(np.linalg.eigvalsh(shifted)[-1]) == top
@@ -538,7 +565,7 @@ def test_dense_factor_at_512_holds_square_blocks_alone(traced_peak):
     gram = m.conj().T @ m
     del m
     top = float(np.linalg.eigvalsh(gram)[-1])
-    _, peak = traced_peak(linalg._dense_factor, gram, top * (1.0 + linalg._TAU))
+    _, peak = traced_peak(linalg._block_cholesky, gram, top * (1.0 + linalg._TAU))
     assert peak <= 4 * 16 * linalg._PANEL**2, peak / (16 * n**2)
 
 
@@ -921,18 +948,18 @@ def test_banded_certificate_failure_takes_dense_value(monkeypatch):
     dense = _fallback_norm(monkeypatch, s)
     assert dense == pytest.approx(float(np.linalg.norm(np.asarray(s), 2)), rel=1e-13, abs=0)
     factored = []
-    banded_factor = linalg._banded_factor
+    block_cholesky = linalg._block_cholesky
 
     def recording(band, sigma):
         try:
-            solve = banded_factor(band, sigma)
+            solve = block_cholesky(band, sigma)
         except np.linalg.LinAlgError:
             factored.append(False)
             raise
         factored.append(True)
         return solve
 
-    monkeypatch.setattr(linalg, "_banded_factor", recording)
+    monkeypatch.setattr(linalg, "_block_cholesky", recording)
     assert spectral_norm(s) == pytest.approx(dense, rel=1e-13, abs=0)
     assert factored == [True]
     _low_lanczos(monkeypatch)
@@ -1096,7 +1123,7 @@ def test_factors_multiply_by_block_inverses_and_never_solve(monkeypatch, banded)
     y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     expected = np.linalg.solve(top * (1.0 + 1e-6) * np.eye(n) - dense, y)
     lu = _recording_lu(monkeypatch)
-    solve = (linalg._banded_factor if banded else linalg._dense_factor)(gram, top * (1.0 + 1e-6))
+    solve = linalg._block_cholesky(gram, top * (1.0 + 1e-6))
     assert "solve" not in lu and lu.count("inv") == math.ceil(n / (linalg._BLOCK if banded else linalg._PANEL))
     x = solve(y)
     assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -1120,7 +1147,7 @@ def test_folded_factor_solves_the_shifted_gram(monkeypatch, n, w, complex_taps):
     top = float(np.linalg.eigvalsh(dense)[-1])
     y = rng.standard_normal((n, 3)) + (1j * rng.standard_normal((n, 3)) if complex_taps else 0.0)
     for sigma in (1.01 * top, 2.0 * top):
-        solve = linalg._banded_factor(gram, sigma)
+        solve = linalg._block_cholesky(gram, sigma)
         expected = np.linalg.solve(sigma * np.eye(n) - dense, y)
         with monkeypatch.context() as patch:  # each block is substituted by a product with its inverse
             lu = _recording_lu(patch)
@@ -1128,7 +1155,7 @@ def test_folded_factor_solves_the_shifted_gram(monkeypatch, n, w, complex_taps):
         assert lu == []
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     with pytest.raises(np.linalg.LinAlgError):
-        linalg._banded_factor(gram, 0.99 * top)
+        linalg._block_cholesky(gram, 0.99 * top)
 
 
 @pytest.mark.parametrize("n", [8, 300, 1024])
